@@ -17,11 +17,6 @@ util::Status PgHiveOptions::Validate() const {
         "pipeline-depth must be in [1, " + std::to_string(kMaxPipelineDepth) +
         "] (1 = sequential ingest), got " + std::to_string(pipeline_depth));
   }
-  if (num_shards < 1 || num_shards > kMaxShards) {
-    return util::Status::OutOfRange(
-        "shards must be in [1, " + std::to_string(kMaxShards) +
-        "] (1 = unsharded), got " + std::to_string(num_shards));
-  }
   if (embedding_dim == 0) {
     return util::Status::OutOfRange("embedding_dim must be >= 1");
   }
@@ -75,10 +70,6 @@ util::Status ApplyOptionFlags(const std::map<std::string, std::string>& flags,
       auto parsed = ParseKnob(value, key);
       if (!parsed.ok()) return parsed.status();
       options->pipeline_depth = *parsed;
-    } else if (key == "shards") {
-      auto parsed = ParseKnob(value, key);
-      if (!parsed.ok()) return parsed.status();
-      options->num_shards = *parsed;
     } else if (key == "data-plane") {
       if (value == "row") {
         options->columnar = false;

@@ -14,7 +14,6 @@ namespace pghive::core {
 /// the other knobs.
 inline constexpr size_t kMaxThreads = 4096;
 inline constexpr size_t kMaxPipelineDepth = 64;
-inline constexpr size_t kMaxShards = 4096;
 
 /// Applies string knobs onto `options` — the one parser behind both the
 /// `pghive discover` flags and the pghived `create-session` parameters, so
@@ -22,8 +21,7 @@ inline constexpr size_t kMaxShards = 4096;
 /// one-shot CLI would have used. Recognized keys (all optional):
 ///
 ///   method=elsh|minhash      threads=N          pipeline-depth=N
-///   shards=N                 data-plane=columnar|row
-///   sample-datatypes=true    seed=N
+///   data-plane=columnar|row  sample-datatypes=true    seed=N
 ///
 /// Unknown keys are rejected (InvalidArgument) so typos fail loudly. Parse
 /// errors surface as ParseError; range violations come from

@@ -6,7 +6,6 @@
 
 #include "core/cardinality.h"
 #include "core/constraints.h"
-#include "core/shard_merge.h"
 #include "embed/corpus.h"
 #include "embed/hash_embedder.h"
 #include "lsh/euclidean_lsh.h"
@@ -25,25 +24,6 @@ PgHive::PgHive(pg::PropertyGraph* graph, PgHiveOptions options,
              util::ThreadPool::ResolveThreads(options_.num_threads) > 1) {
     owned_pool_ = std::make_unique<util::ThreadPool>(options_.num_threads);
     pool_ = owned_pool_.get();
-  }
-  if (options_.num_shards > 1) {
-    shard_plan_ =
-        std::make_unique<pg::ShardPlan>(options_.num_shards, options_.seed);
-    // Split the worker budget across shards: each shard's data plane fans
-    // out on its own pool. With fewer than 2 workers per shard the pools
-    // would be pure overhead — shards then run inline on whichever main-pool
-    // worker picked them up (still shard-parallel, just not nested).
-    const size_t resolved =
-        pool_ != nullptr ? pool_->num_threads()
-                         : util::ThreadPool::ResolveThreads(options_.num_threads);
-    const size_t per_shard =
-        resolved > 1 ? std::max<size_t>(1, resolved / options_.num_shards) : 1;
-    if (per_shard > 1) {
-      shard_pools_.resize(options_.num_shards);
-      for (auto& shard_pool : shard_pools_) {
-        shard_pool = std::make_unique<util::ThreadPool>(per_shard);
-      }
-    }
   }
   if (options_.embedder == EmbedderKind::kWord2Vec) {
     embed::Word2VecOptions w2v;
@@ -82,121 +62,55 @@ util::Status PhaseError(PgHive::Phase phase, const char* call) {
 
 }  // namespace
 
-lsh::EuclideanLshParams PgHive::NodeElshParams(const FeatureMatrix& features) {
+lsh::ClusterSet PgHive::Cluster(const pg::GraphBatch& batch,
+                                const FeatureMatrix& features,
+                                Vectorizer* vectorizer, bool nodes) {
+  // (b, T): adaptive (§4.2) or the manual values. The seeds differ per
+  // track (node/edge) and LSH family.
+  const bool elsh = options_.method == ClusterMethod::kElsh;
   AdaptiveChoice choice;
   if (options_.adaptive) {
     AdaptiveOptions aopts;
-    aopts.seed = options_.seed ^ 0x11;
-    choice = ChooseNodeParams(features, graph_->vocab().num_labels(), aopts);
-    choice.bucket_length *= options_.alpha_scale;
+    aopts.seed = options_.seed ^ (nodes ? (elsh ? 0x11 : 0x12)
+                                        : (elsh ? 0x21 : 0x22));
+    const size_t num_labels = graph_->vocab().num_labels();
+    choice = nodes ? ChooseNodeParams(features, num_labels, aopts)
+                   : ChooseEdgeParams(features, num_labels, aopts);
+    if (elsh) choice.bucket_length *= options_.alpha_scale;
   } else {
-    choice.bucket_length = options_.bucket_length;
+    if (elsh) choice.bucket_length = options_.bucket_length;
     choice.num_tables = options_.num_tables;
   }
-  last_stats_.node_params = choice;
-  lsh::EuclideanLshParams params;
-  params.bucket_length = std::max(1e-6, choice.bucket_length);
-  params.num_tables = std::max<size_t>(1, choice.num_tables);
-  params.seed = options_.seed ^ 0xE15;
-  params.amplification = options_.amplification;
-  return params;
-}
+  // The two tracks run concurrently; each writes only its own field.
+  (nodes ? last_stats_.node_params : last_stats_.edge_params) = choice;
 
-lsh::EuclideanLshParams PgHive::EdgeElshParams(const FeatureMatrix& features) {
-  AdaptiveChoice choice;
-  if (options_.adaptive) {
-    AdaptiveOptions aopts;
-    aopts.seed = options_.seed ^ 0x21;
-    choice = ChooseEdgeParams(features, graph_->vocab().num_labels(), aopts);
-    choice.bucket_length *= options_.alpha_scale;
-  } else {
-    choice.bucket_length = options_.bucket_length;
-    choice.num_tables = options_.num_tables;
-  }
-  last_stats_.edge_params = choice;
-  lsh::EuclideanLshParams params;
-  params.bucket_length = std::max(1e-6, choice.bucket_length);
-  params.num_tables = std::max<size_t>(1, choice.num_tables);
-  params.seed = options_.seed ^ 0xE25;
-  params.amplification = options_.amplification;
-  return params;
-}
-
-lsh::MinHashParams PgHive::NodeMinHashParams(const FeatureMatrix& features) {
-  AdaptiveChoice choice;
-  if (options_.adaptive) {
-    AdaptiveOptions aopts;
-    aopts.seed = options_.seed ^ 0x12;
-    choice = ChooseNodeParams(features, graph_->vocab().num_labels(), aopts);
-  } else {
-    choice.num_tables = options_.num_tables;
-  }
-  last_stats_.node_params = choice;
-  lsh::MinHashParams params;
-  params.num_hashes = std::max<size_t>(4, choice.num_tables);
-  params.rows_per_band =
-      std::min(options_.minhash_rows_per_band, params.num_hashes);
-  params.seed = options_.seed ^ 0x517;
-  params.amplification = options_.amplification;
-  return params;
-}
-
-lsh::MinHashParams PgHive::EdgeMinHashParams(const FeatureMatrix& features) {
-  AdaptiveChoice choice;
-  if (options_.adaptive) {
-    AdaptiveOptions aopts;
-    aopts.seed = options_.seed ^ 0x22;
-    choice = ChooseEdgeParams(features, graph_->vocab().num_labels(), aopts);
-  } else {
-    choice.num_tables = options_.num_tables;
-  }
-  last_stats_.edge_params = choice;
-  lsh::MinHashParams params;
-  params.num_hashes = std::max<size_t>(4, choice.num_tables);
-  params.rows_per_band =
-      std::min(options_.minhash_rows_per_band, params.num_hashes);
-  params.seed = options_.seed ^ 0x527;
-  params.amplification = options_.amplification;
-  return params;
-}
-
-lsh::ClusterSet PgHive::ClusterNodes(const pg::GraphBatch& batch,
-                                     const FeatureMatrix& features,
-                                     Vectorizer* vectorizer) {
-  if (options_.method == ClusterMethod::kElsh) {
-    lsh::EuclideanLshParams params = NodeElshParams(features);
+  if (elsh) {
+    lsh::EuclideanLshParams params;
+    params.bucket_length = std::max(1e-6, choice.bucket_length);
+    params.num_tables = std::max<size_t>(1, choice.num_tables);
+    params.seed = options_.seed ^ (nodes ? 0xE15 : 0xE25);
+    params.amplification = options_.amplification;
     lsh::EuclideanLsh hasher(features.dim, params);
     return hasher.Cluster(features.data, features.num, pool_);
   }
   // MinHash path clusters the element sets.
-  lsh::MinHashParams params = NodeMinHashParams(features);
+  lsh::MinHashParams params;
+  params.num_hashes = std::max<size_t>(4, choice.num_tables);
+  params.rows_per_band =
+      std::min(options_.minhash_rows_per_band, params.num_hashes);
+  params.seed = options_.seed ^ (nodes ? 0x517 : 0x527);
+  params.amplification = options_.amplification;
   lsh::MinHashLsh hasher(params);
   if (options_.columnar) {
-    ElementSetCsr csr = vectorizer->NodeSetSpans(batch);
+    ElementSetCsr csr = nodes ? vectorizer->NodeSetSpans(batch)
+                              : vectorizer->EdgeSetSpans(batch);
     return hasher.Cluster(
         lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
         pool_);
   }
-  return hasher.Cluster(vectorizer->NodeSets(batch), pool_);
-}
-
-lsh::ClusterSet PgHive::ClusterEdges(const pg::GraphBatch& batch,
-                                     const FeatureMatrix& features,
-                                     Vectorizer* vectorizer) {
-  if (options_.method == ClusterMethod::kElsh) {
-    lsh::EuclideanLshParams params = EdgeElshParams(features);
-    lsh::EuclideanLsh hasher(features.dim, params);
-    return hasher.Cluster(features.data, features.num, pool_);
-  }
-  lsh::MinHashParams params = EdgeMinHashParams(features);
-  lsh::MinHashLsh hasher(params);
-  if (options_.columnar) {
-    ElementSetCsr csr = vectorizer->EdgeSetSpans(batch);
-    return hasher.Cluster(
-        lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
-        pool_);
-  }
-  return hasher.Cluster(vectorizer->EdgeSets(batch), pool_);
+  return hasher.Cluster(
+      nodes ? vectorizer->NodeSets(batch) : vectorizer->EdgeSets(batch),
+      pool_);
 }
 
 util::Status PgHive::ProcessBatch(pg::GraphBatch batch) {
@@ -205,7 +119,6 @@ util::Status PgHive::ProcessBatch(pg::GraphBatch batch) {
 }
 
 PgHive::PreparedBatch PgHive::PreprocessBatch(pg::GraphBatch batch) {
-  if (shard_plan_ != nullptr) return PreprocessSharded(std::move(batch));
   util::Timer timer;
   PreparedBatch prepared;
   prepared.batch = std::move(batch);
@@ -245,238 +158,6 @@ PgHive::PreparedBatch PgHive::PreprocessBatch(pg::GraphBatch batch) {
   return prepared;
 }
 
-namespace {
-
-// Scatters per-shard feature rows back into a matrix in parent-batch order.
-// Rows are position-pure (embedding lookup + vocab-wide binary key block),
-// so the gathered matrix is bit-identical to the one the unsharded
-// vectorizer builds over the whole batch — which is what lets the adaptive
-// parameter choice run on it unchanged.
-FeatureMatrix GatherShardFeatures(
-    const std::vector<PgHive::PreparedBatch::ShardPrepared>& shards,
-    size_t num, bool nodes) {
-  FeatureMatrix out;
-  out.num = num;
-  for (const auto& sp : shards) {
-    const FeatureMatrix& f = nodes ? sp.node_features : sp.edge_features;
-    out.dim = std::max(out.dim, f.dim);
-  }
-  out.data.assign(num * out.dim, 0.0f);
-  for (const auto& sp : shards) {
-    const FeatureMatrix& f = nodes ? sp.node_features : sp.edge_features;
-    const std::vector<uint32_t>& positions =
-        nodes ? sp.shard.node_positions : sp.shard.edge_positions;
-    for (size_t i = 0; i < f.num; ++i) {
-      std::copy_n(&f.data[i * out.dim], out.dim,
-                  &out.data[size_t{positions[i]} * out.dim]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-PgHive::PreparedBatch PgHive::PreprocessSharded(pg::GraphBatch batch) {
-  util::Timer timer;
-  PreparedBatch prepared;
-  prepared.batch = std::move(batch);
-  const pg::GraphBatch& b = prepared.batch;
-
-  // The cross-batch state advance stays global and serial — exactly the
-  // unsharded sequence, so label-set token ids and Word2Vec weights are
-  // byte-identical to num_shards == 1 and every later vocabulary access in
-  // this function is a read-only cache hit (safe to race across shards).
-  if (word2vec_ != nullptr) {
-    // The row-path corpus walk interns per edge in sentence order
-    // (src, edge, dst), then the remaining isolated-node tokens in row
-    // order — the canonical first-seen sequence of both data planes.
-    embed::LabelCorpus corpus = embed::BuildLabelCorpus(*graph_, b);
-    word2vec_->Train(corpus, pool_);
-  } else {
-    // Hash embedder: no corpus build interns for us, so warm the label-set
-    // token cache in the order the unsharded vectorizer would — all batch
-    // nodes in row order (NodeFeatures runs first), then (src, edge, dst)
-    // per edge.
-    pg::Vocabulary& vocab = graph_->vocab();
-    for (pg::NodeId id : b.node_ids) {
-      vocab.TokenForLabelSet(graph_->node(id).labels);
-    }
-    for (pg::EdgeId id : b.edge_ids) {
-      const pg::Edge& e = graph_->edge(id);
-      vocab.TokenForLabelSet(graph_->node(e.src).labels);
-      vocab.TokenForLabelSet(e.labels);
-      vocab.TokenForLabelSet(graph_->node(e.dst).labels);
-    }
-  }
-
-  // Partition, then build each shard's data plane — its own vectorizer over
-  // per-shard column stores and feature matrices — shards in parallel on
-  // the main pool, each shard's inner loops on its own pool.
-  std::vector<pg::ShardBatch> shard_batches = shard_plan_->Partition(*graph_, b);
-  prepared.shards.resize(shard_batches.size());
-  for (size_t s = 0; s < shard_batches.size(); ++s) {
-    prepared.shards[s].shard = std::move(shard_batches[s]);
-  }
-  util::ParallelFor(
-      pool_, 0, prepared.shards.size(), 1, [&](size_t lo, size_t hi) {
-        for (size_t s = lo; s < hi; ++s) {
-          PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-          sp.vectorizer = std::make_unique<Vectorizer>(
-              graph_, embedder_.get(), ShardPool(s), options_.columnar);
-          sp.node_features = sp.vectorizer->NodeFeatures(sp.shard.batch);
-          sp.edge_features = sp.vectorizer->EdgeFeatures(sp.shard.batch);
-        }
-      });
-
-  // Gather the global matrices the adaptive parameter choice reads; the
-  // per-shard matrices stay alive for the per-shard hashing passes.
-  prepared.node_features =
-      GatherShardFeatures(prepared.shards, b.node_ids.size(), /*nodes=*/true);
-  prepared.edge_features =
-      GatherShardFeatures(prepared.shards, b.edge_ids.size(), /*nodes=*/false);
-  prepared.preprocess_ms = timer.ElapsedMillis();
-  return prepared;
-}
-
-lsh::ClusterSet PgHive::ClusterNodesSharded(PreparedBatch& prepared) {
-  const FeatureMatrix& features = prepared.node_features;
-  const size_t num = features.num;
-  const size_t num_shards = prepared.shards.size();
-  if (options_.method == ClusterMethod::kElsh) {
-    lsh::EuclideanLshParams params = NodeElshParams(features);
-    lsh::EuclideanLsh hasher(features.dim, params);
-    const size_t t = params.num_tables;
-    std::vector<uint64_t> sigs(num * t);
-    // Per-row hashing is position-pure: hash each shard's rows on its own
-    // pool, scatter the T-slot stripes by parent-batch position, and the
-    // signature matrix matches the unsharded HashAll bit for bit.
-    util::ParallelFor(
-        pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-          for (size_t s = lo; s < hi; ++s) {
-            const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-            if (sp.shard.batch.node_ids.empty()) continue;
-            std::vector<uint64_t> local = hasher.HashAll(
-                sp.node_features.data, sp.node_features.num, ShardPool(s));
-            for (size_t i = 0; i < sp.node_features.num; ++i) {
-              std::copy_n(&local[i * t], t,
-                          &sigs[size_t{sp.shard.node_positions[i]} * t]);
-            }
-          }
-        });
-    return params.amplification == lsh::Amplification::kAnd
-               ? lsh::ClusterBySignature(sigs, num, t, pool_)
-               : lsh::ClusterByAnyCollision(sigs, num, t, pool_);
-  }
-  lsh::MinHashParams params = NodeMinHashParams(features);
-  lsh::MinHashLsh hasher(params);
-  const size_t t = hasher.params().num_hashes;
-  std::vector<uint64_t> sigs(num * t);
-  util::ParallelFor(pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-      if (sp.shard.batch.node_ids.empty()) continue;
-      std::vector<uint64_t> local;
-      if (options_.columnar) {
-        ElementSetCsr csr = sp.vectorizer->NodeSetSpans(sp.shard.batch);
-        local = hasher.SignatureAll(
-            lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
-            ShardPool(s));
-      } else {
-        local = hasher.SignatureAll(sp.vectorizer->NodeSets(sp.shard.batch),
-                                    ShardPool(s));
-      }
-      for (size_t i = 0; i < sp.shard.batch.node_ids.size(); ++i) {
-        std::copy_n(&local[i * t], t,
-                    &sigs[size_t{sp.shard.node_positions[i]} * t]);
-      }
-    }
-  });
-  return hasher.ClusterFromSignatures(sigs, num, pool_);
-}
-
-lsh::ClusterSet PgHive::ClusterEdgesSharded(PreparedBatch& prepared) {
-  const FeatureMatrix& features = prepared.edge_features;
-  const size_t num = features.num;
-  const size_t num_shards = prepared.shards.size();
-  if (options_.method == ClusterMethod::kElsh) {
-    lsh::EuclideanLshParams params = EdgeElshParams(features);
-    lsh::EuclideanLsh hasher(features.dim, params);
-    const size_t t = params.num_tables;
-    std::vector<uint64_t> sigs(num * t);
-    util::ParallelFor(
-        pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-          for (size_t s = lo; s < hi; ++s) {
-            const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-            if (sp.shard.batch.edge_ids.empty()) continue;
-            std::vector<uint64_t> local = hasher.HashAll(
-                sp.edge_features.data, sp.edge_features.num, ShardPool(s));
-            for (size_t i = 0; i < sp.edge_features.num; ++i) {
-              std::copy_n(&local[i * t], t,
-                          &sigs[size_t{sp.shard.edge_positions[i]} * t]);
-            }
-          }
-        });
-    return params.amplification == lsh::Amplification::kAnd
-               ? lsh::ClusterBySignature(sigs, num, t, pool_)
-               : lsh::ClusterByAnyCollision(sigs, num, t, pool_);
-  }
-  lsh::MinHashParams params = EdgeMinHashParams(features);
-  lsh::MinHashLsh hasher(params);
-  const size_t t = hasher.params().num_hashes;
-  std::vector<uint64_t> sigs(num * t);
-  util::ParallelFor(pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-      if (sp.shard.batch.edge_ids.empty()) continue;
-      std::vector<uint64_t> local;
-      if (options_.columnar) {
-        ElementSetCsr csr = sp.vectorizer->EdgeSetSpans(sp.shard.batch);
-        local = hasher.SignatureAll(
-            lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
-            ShardPool(s));
-      } else {
-        local = hasher.SignatureAll(sp.vectorizer->EdgeSets(sp.shard.batch),
-                                    ShardPool(s));
-      }
-      for (size_t i = 0; i < sp.shard.batch.edge_ids.size(); ++i) {
-        std::copy_n(&local[i * t], t,
-                    &sigs[size_t{sp.shard.edge_positions[i]} * t]);
-      }
-    }
-  });
-  return hasher.ClusterFromSignatures(sigs, num, pool_);
-}
-
-std::vector<CandidateType> PgHive::ShardedNodeCandidates(
-    const PreparedBatch& prepared, const lsh::ClusterSet& clusters) {
-  const size_t num_shards = prepared.shards.size();
-  std::vector<ShardCandidates> parts(num_shards);
-  util::ParallelFor(pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      parts[s] =
-          BuildNodeShardCandidates(*graph_, prepared.shards[s].shard, clusters);
-    }
-  });
-  return MergeShardCandidates(std::move(parts), clusters.num_clusters());
-}
-
-std::vector<CandidateType> PgHive::ShardedEdgeCandidates(
-    const PreparedBatch& prepared, const lsh::ClusterSet& clusters) {
-  const size_t num_shards = prepared.shards.size();
-  std::vector<ShardCandidates> parts(num_shards);
-  util::ParallelFor(pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-      // EdgeEndpointTokens is a pure read of the cache EdgeFeatures warmed
-      // in PreprocessSharded.
-      parts[s] = BuildEdgeShardCandidates(
-          *graph_, sp.shard, clusters,
-          sp.vectorizer->EdgeEndpointTokens(sp.shard.batch));
-    }
-  });
-  return MergeShardCandidates(std::move(parts), clusters.num_clusters());
-}
-
 util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   if (phase_ != Phase::kIngesting) {
     return PhaseError(phase_, "ProcessPrepared()");
@@ -484,7 +165,6 @@ util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   last_stats_ = PipelineStats{};
   last_stats_.preprocess_ms = prepared.preprocess_ms;
   const pg::GraphBatch& batch = prepared.batch;
-  const bool sharded = !prepared.shards.empty();
   util::Timer timer;
 
   // (c) LSH clustering + candidate build. The node and edge tracks are
@@ -499,27 +179,21 @@ util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   std::vector<CandidateType> edge_candidates;
   auto node_track = [&] {
     if (batch.node_ids.empty()) return;
-    node_clusters = sharded ? ClusterNodesSharded(prepared)
-                            : ClusterNodes(batch, prepared.node_features,
-                                           prepared.vectorizer.get());
+    node_clusters = Cluster(batch, prepared.node_features,
+                            prepared.vectorizer.get(), /*nodes=*/true);
     last_stats_.node_clusters = node_clusters.num_clusters();
-    node_candidates =
-        sharded ? ShardedNodeCandidates(prepared, node_clusters)
-                : BuildNodeCandidates(*graph_, batch, node_clusters);
+    node_candidates = BuildNodeCandidates(*graph_, batch, node_clusters);
   };
   auto edge_track = [&] {
     if (batch.edge_ids.empty()) return;
-    edge_clusters = sharded ? ClusterEdgesSharded(prepared)
-                            : ClusterEdges(batch, prepared.edge_features,
-                                           prepared.vectorizer.get());
+    edge_clusters = Cluster(batch, prepared.edge_features,
+                            prepared.vectorizer.get(), /*nodes=*/false);
     last_stats_.edge_clusters = edge_clusters.num_clusters();
     // EdgeEndpointTokens is a pure read of the cache EdgeFeatures warmed in
     // PreprocessBatch — no vocabulary access on this side of the overlap.
-    edge_candidates =
-        sharded ? ShardedEdgeCandidates(prepared, edge_clusters)
-                : BuildEdgeCandidates(
-                      *graph_, batch, edge_clusters,
-                      prepared.vectorizer->EdgeEndpointTokens(batch));
+    edge_candidates = BuildEdgeCandidates(
+        *graph_, batch, edge_clusters,
+        prepared.vectorizer->EdgeEndpointTokens(batch));
   };
   if (pool_ != nullptr) {
     std::future<void> edges_done = pool_->Submit(edge_track);

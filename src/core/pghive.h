@@ -18,7 +18,6 @@
 #include "lsh/minhash.h"
 #include "pg/batch.h"
 #include "pg/graph.h"
-#include "pg/shard_plan.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -86,21 +85,9 @@ struct PgHiveOptions {
   /// (num_threads != 1).
   size_t pipeline_depth = 1;
 
-  /// In-process sharded discovery: partition every batch into N shards by
-  /// consistent hashing over node ids (pg::ShardPlan; edges ride with their
-  /// source endpoint), run the per-shard data plane — column-store builds,
-  /// vectorization, LSH hashing, candidate evidence scans — on per-shard
-  /// thread pools against per-shard contiguous arrays, then fold shard
-  /// results in fixed shard order (core::MergeShardCandidates) below the
-  /// Algorithm-2 extraction. The discovered schema is byte-identical to
-  /// num_shards == 1 at every thread count: the vocabulary/Word2Vec chain
-  /// stays global and serial, per-element hashing is position-pure, and the
-  /// shard fold restores the unsharded scan order. 1 = no sharding.
-  size_t num_shards = 1;
-
   uint64_t seed = 42;
 
-  /// The single source of truth for knob constraints: thread/shard/pipeline
+  /// The single source of truth for knob constraints: thread/pipeline
   /// ranges, embedding dimension, thresholds. Called by the CLI parsers, by
   /// PgHive::Create, and by the pghived session-create path, so every entry
   /// point rejects the same inputs with the same messages.
@@ -178,21 +165,6 @@ class PgHive {
     FeatureMatrix node_features;
     FeatureMatrix edge_features;
     double preprocess_ms = 0;  ///< Wall time of the preprocess stage.
-
-    /// One shard's slice of the data plane (num_shards > 1 only): the shard
-    /// batch, its own vectorizer over per-shard column stores, and the
-    /// shard-local feature rows that were scattered into the global
-    /// node_features / edge_features matrices above by parent-batch
-    /// position.
-    struct ShardPrepared {
-      pg::ShardBatch shard;
-      std::unique_ptr<Vectorizer> vectorizer;
-      FeatureMatrix node_features;
-      FeatureMatrix edge_features;
-    };
-    /// Empty when num_shards == 1; the unsharded `vectorizer` above is null
-    /// when this is non-empty.
-    std::vector<ShardPrepared> shards;
   };
 
   /// Stage (b) of Algorithm 1 on its own: trains/refreshes the label
@@ -260,8 +232,8 @@ class PgHive {
   /// Restores a SaveState snapshot into a freshly created hive: same
   /// discovery-relevant options (method, embedder, dim, LSH parameters,
   /// thresholds, datatype sampling, seed — execution-plan knobs like
-  /// threads/pipeline-depth/shards/data-plane may differ, their byte-
-  /// identity contracts make them free to change across a resume), zero
+  /// threads/pipeline-depth/data-plane may differ, their byte-identity
+  /// contracts make them free to change across a resume), zero
   /// batches processed, and a graph whose vocabulary is position-consistent
   /// with the snapshot (empty, or reloaded from the same graph file).
   /// Returns the number of batches the snapshotted run had already merged;
@@ -271,48 +243,16 @@ class PgHive {
   util::StatusOr<uint64_t> RestoreState(std::istream& in);
 
  private:
-  lsh::ClusterSet ClusterNodes(const pg::GraphBatch& batch,
-                               const FeatureMatrix& features,
-                               Vectorizer* vectorizer);
-  lsh::ClusterSet ClusterEdges(const pg::GraphBatch& batch,
-                               const FeatureMatrix& features,
-                               Vectorizer* vectorizer);
-
-  // Adaptive/manual LSH parameter choice, shared by the fused and sharded
-  // cluster paths so both apply the exact same seeds and clamps. Each also
-  // records the choice in last_stats_.
-  lsh::EuclideanLshParams NodeElshParams(const FeatureMatrix& features);
-  lsh::EuclideanLshParams EdgeElshParams(const FeatureMatrix& features);
-  lsh::MinHashParams NodeMinHashParams(const FeatureMatrix& features);
-  lsh::MinHashParams EdgeMinHashParams(const FeatureMatrix& features);
-
-  // Sharded discovery (num_shards > 1). Preprocess runs the global serial
-  // vocabulary/Word2Vec chain, partitions the batch, builds per-shard
-  // vectorizers/features on per-shard pools, and gathers feature rows into
-  // the global matrices by parent-batch position; the cluster stages hash
-  // per shard, scatter signatures by position, and group globally; the
-  // candidate stages scan per shard and fold (core::MergeShardCandidates)
-  // back into the unsharded scan order.
-  PreparedBatch PreprocessSharded(pg::GraphBatch batch);
-  lsh::ClusterSet ClusterNodesSharded(PreparedBatch& prepared);
-  lsh::ClusterSet ClusterEdgesSharded(PreparedBatch& prepared);
-  std::vector<CandidateType> ShardedNodeCandidates(
-      const PreparedBatch& prepared, const lsh::ClusterSet& clusters);
-  std::vector<CandidateType> ShardedEdgeCandidates(
-      const PreparedBatch& prepared, const lsh::ClusterSet& clusters);
-  util::ThreadPool* ShardPool(size_t shard) const {
-    return shard_pools_.empty() ? nullptr : shard_pools_[shard].get();
-  }
+  // LSH clustering of the batch's nodes (or edges): chooses (b, T), records
+  // the choice in last_stats_, and hashes + groups.
+  lsh::ClusterSet Cluster(const pg::GraphBatch& batch,
+                          const FeatureMatrix& features,
+                          Vectorizer* vectorizer, bool nodes);
 
   pg::PropertyGraph* graph_;
   PgHiveOptions options_;
   std::unique_ptr<util::ThreadPool> owned_pool_;
   util::ThreadPool* pool_ = nullptr;  // owned_pool_.get() or the shared pool.
-  std::unique_ptr<pg::ShardPlan> shard_plan_;  // Non-null iff num_shards > 1.
-  // Per-shard pools (num_shards entries, ~num_threads/num_shards workers
-  // each; a null entry means that shard works inline on its caller). Empty
-  // when unsharded or when the hive itself is serial.
-  std::vector<std::unique_ptr<util::ThreadPool>> shard_pools_;
   SchemaGraph schema_;
   std::unique_ptr<embed::LabelEmbedder> embedder_;
   embed::Word2Vec* word2vec_ = nullptr;  // Non-null iff kWord2Vec.

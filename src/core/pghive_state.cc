@@ -55,7 +55,9 @@ std::string SerializeOptionsPayload(const PgHiveOptions& o) {
   util::PutF64(&out, o.alpha_scale);
   util::PutU64(&out, o.num_threads);
   util::PutU64(&out, o.pipeline_depth);
-  util::PutU64(&out, o.num_shards);
+  // Retired slot: the in-process shard count of older writers. Always 1,
+  // because older readers reject 0; read back and ignored.
+  util::PutU64(&out, 1);
   util::PutU64(&out, o.seed);
   return out;
 }
@@ -81,7 +83,7 @@ util::StatusOr<PgHiveOptions> ParseOptionsPayload(std::string_view payload) {
   o.alpha_scale = in.ReadF64();
   o.num_threads = in.ReadU64();
   o.pipeline_depth = in.ReadU64();
-  o.num_shards = in.ReadU64();
+  in.ReadU64();  // Retired shard-count slot (see SerializeOptionsPayload).
   o.seed = in.ReadU64();
   if (!in.ok() || !in.AtEnd()) {
     return util::Status::ParseError("state snapshot: corrupt options section");
@@ -140,7 +142,7 @@ void ReadStats(util::ByteReader* in, PipelineStats* s) {
 
 /// Knobs that change what schema discovery computes — a resume with any of
 /// these differing would not reproduce the uninterrupted run. Execution-plan
-/// knobs (threads, pipeline depth, shards, data plane) are deliberately
+/// knobs (threads, pipeline depth, data plane) are deliberately
 /// excluded: their byte-identity contracts are pinned by the determinism
 /// suites, so a snapshot taken at --threads 8 restores fine at --threads 1.
 util::Status CheckDiscoveryOptionsMatch(const PgHiveOptions& have,

@@ -73,10 +73,10 @@ class MinHashLsh {
   double BandingThreshold() const;
 
   /// Grouping step shared by both Cluster overloads, over precomputed
-  /// num x T signatures (row-major). Public so callers that compute
-  /// signatures piecewise — e.g. sharded discovery hashing each shard's
-  /// sets on its own pool, then grouping the gathered matrix globally —
-  /// can reuse the exact grouping the fused Cluster path applies.
+  /// num x T signatures (row-major). Public so callers that compute the
+  /// signatures themselves — e.g. perfbench's layer-by-layer replay, which
+  /// times SignatureAll and the grouping apart — reuse the exact grouping
+  /// the fused Cluster path applies.
   ClusterSet ClusterFromSignatures(const std::vector<uint64_t>& sigs,
                                    size_t num, util::ThreadPool* pool) const;
 

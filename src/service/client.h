@@ -34,7 +34,7 @@ class PghivedClient {
   util::Status Ping();
 
   /// Returns the new session id. Knobs use the `pghive discover` names
-  /// (threads, shards, method, ...).
+  /// (threads, method, seed, ...).
   util::StatusOr<std::string> CreateSession(
       const std::map<std::string, std::string>& option_flags);
 

@@ -19,7 +19,8 @@ util::StatusOr<int> ListenTcp(uint16_t port, int backlog = 16);
 /// The port a listening fd is bound to.
 util::StatusOr<uint16_t> BoundPort(int fd);
 
-/// Connects to 127.0.0.1:<port>; returns the connected fd.
+/// Connects to 127.0.0.1:<port>; returns the connected fd, with TCP_NODELAY
+/// set so small request writes go out immediately.
 util::StatusOr<int> ConnectTcp(uint16_t port);
 
 /// A buffered line/byte reader-writer over a connected socket. Owns the fd.

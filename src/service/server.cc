@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -63,13 +62,25 @@ void PghivedServer::AcceptLoop() {
       ::close(fd);
       return;
     }
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    // Join the connections that have ended, so a client that keeps
+    // reconnecting does not pile up exited threads and their stacks.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (!it->done) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections_.erase(it);
+    }
+    Connection& connection = connections_.emplace_back();
+    connection.fd = fd;
+    connection.thread =
+        std::thread([this, &connection] { ServeConnection(&connection); });
   }
 }
 
-void PghivedServer::ServeConnection(int fd) {
-  SocketStream stream(fd);
+void PghivedServer::ServeConnection(Connection* connection) {
+  SocketStream stream(connection->fd);
   while (!stopping_.load()) {
     auto line = stream.ReadLine();
     if (!line.ok()) break;  // Disconnect or IO error ends the connection.
@@ -92,11 +103,11 @@ void PghivedServer::ServeConnection(int fd) {
     }
     if (!stream.WriteAll(FormatResponse(response)).ok()) break;
   }
-  // The fd is owned (and closed) by `stream`; drop it from the nudge list.
+  // The last use of the mutex: once `done` is set this thread only closes
+  // its fd (owned by `stream`) and exits, so Stop() no longer nudges the fd
+  // and the accept loop may join the thread.
   std::lock_guard<std::mutex> lock(connections_mutex_);
-  connection_fds_.erase(
-      std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
-      connection_fds_.end());
+  connection->done = true;
 }
 
 void PghivedServer::Stop() {
@@ -104,27 +115,26 @@ void PghivedServer::Stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // Unblocks accept() so the accept thread can observe stopping_. The fd
+  // closes only after the join: the accept loop reads it until it exits.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // Unblocks accept() so the accept thread can observe stopping_.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  std::list<Connection> connections;
   {
     // Nudge connections blocked in recv; they finish the in-flight request
     // (ServeConnection rechecks stopping_ before reading the next one).
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (int fd : connection_fds_) ::shutdown(fd, SHUT_RD);
+    for (const Connection& connection : connections_) {
+      if (!connection.done) ::shutdown(connection.fd, SHUT_RD);
+    }
+    // Splicing keeps the list nodes, which the serving threads point at.
+    connections.splice(connections.end(), connections_);
   }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    threads.swap(connection_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& connection : connections) connection.thread.join();
   // Queue-draining shutdown: every accepted batch commits before exit.
   manager_.DrainAll();
   // Then one final checkpoint of every live session, so a SIGTERM'd daemon

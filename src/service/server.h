@@ -3,11 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/protocol.h"
 #include "service/session_manager.h"
@@ -56,8 +56,20 @@ class PghivedServer {
   SessionManager& manager() { return manager_; }
 
  private:
+  /// One accepted connection and the thread serving it. The thread sets
+  /// `done` under connections_mutex_ as its last use of the mutex, so a
+  /// holder of the mutex that sees `done` may join it.
+  struct Connection {
+    Connection() = default;
+    Connection(Connection&&) = delete;  // The thread holds its address.
+
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(Connection* connection);
 
   Options options_;
   util::ThreadPool pool_;
@@ -69,8 +81,9 @@ class PghivedServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex connections_mutex_;
-  std::vector<std::thread> connection_threads_;
-  std::vector<int> connection_fds_;
+  // Live connections plus finished ones not yet joined. A list, because
+  // each serving thread holds a pointer to its own entry.
+  std::list<Connection> connections_;
 };
 
 }  // namespace pghive::service

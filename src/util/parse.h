@@ -16,7 +16,7 @@ namespace pghive::util {
 StatusOr<int64_t> ParseInt64(const std::string& text);
 
 /// ParseInt64 plus an inclusive range check (OutOfRange on violation).
-/// `what` names the knob in the error message ("--threads", "shards").
+/// `what` names the knob in the error message ("--threads", "--batches").
 StatusOr<int64_t> ParseInt64InRange(const std::string& text, int64_t min,
                                     int64_t max, const std::string& what);
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pghive.h"
@@ -82,6 +83,30 @@ std::string ResumeAndFinish(const std::string& snapshot,
     EXPECT_TRUE(hive.ProcessBatch(batches[i]).ok());
   }
   return FinishAndSerialize(&hive, dataset.graph);
+}
+
+// Re-frames `snapshot` with the retired options slot (the u64 before the
+// trailing seed, once the in-process shard count) set to `value`, and
+// returns the slot's previous value through `*old`.
+std::string WithRetiredSlot(const std::string& snapshot, uint64_t value,
+                            uint64_t* old) {
+  util::ByteReader in(snapshot);
+  std::string out(in.ReadBytes(8));  // "PGHS" + u32 version.
+  uint32_t id = 0;
+  std::string_view view;
+  while (util::ReadSection(&in, &id, &view)) {
+    std::string payload(view);
+    if (id == 1) {  // The options section.
+      const size_t at = payload.size() - 16;
+      *old = util::ByteReader(view.substr(at)).ReadU64();
+      std::string slot;
+      util::PutU64(&slot, value);
+      payload.replace(at, slot.size(), slot);
+    }
+    util::AppendSection(&out, id, payload);
+  }
+  EXPECT_TRUE(in.AtEnd());
+  return out;
 }
 
 TEST(StateSnapshotTest, ResumeReproducesUninterruptedRunHashEmbedder) {
@@ -277,6 +302,18 @@ TEST(StateSnapshotTest, ReadSnapshotOptionsRecoversOptionsSection) {
 
   EXPECT_FALSE(ReadSnapshotOptions("not a snapshot").ok());
   EXPECT_FALSE(ReadSnapshotOptions(run.snapshot.substr(0, 10)).ok());
+}
+
+TEST(StateSnapshotTest, RetiredShardSlotIsWrittenAsOneAndIgnoredOnRead) {
+  PgHiveOptions options = BaseOptions(EmbedderKind::kWord2Vec);
+  CheckpointedRun run = RunWithCheckpoint(options, /*num_batches=*/4,
+                                          /*checkpoint_at=*/2);
+  // A checkpoint from an older `discover --shards 4` holds 4 in the slot;
+  // it resumes to the uninterrupted bytes.
+  uint64_t written = 0;
+  const std::string sharded = WithRetiredSlot(run.snapshot, 4, &written);
+  EXPECT_EQ(written, 1u);  // Older readers reject 0 there.
+  EXPECT_EQ(ResumeAndFinish(sharded, options, 4), run.final_schema);
 }
 
 TEST(StateSnapshotTest, FailedHiveRefusesToSnapshot) {

@@ -3,11 +3,15 @@
 // NotFound("connection closed") an orderly peer disconnect does — callers
 // branch on NotFound to mean "peer went away", so an EBADF IoError from
 // recv(-1, ...) would misclassify every post-close read as a hard failure.
+// Client connections also disable Nagle: a request goes out as a line and
+// then a body, and with Nagle on the body waits out the server's delayed ACK.
 
 #include "service/net.h"
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -116,6 +120,16 @@ TEST(SocketStreamTest, OrderlyPeerCloseIsNotFoundAfterFinalLine) {
   auto closed = pair.client.ReadLine();
   ASSERT_FALSE(closed.ok());
   EXPECT_EQ(closed.status().code(), util::StatusCode::kNotFound);
+}
+
+TEST(ConnectTcpTest, DisablesNagle) {
+  LoopbackPair pair;
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(pair.client.fd(), IPPROTO_TCP, TCP_NODELAY,
+                         &nodelay, &len),
+            0);
+  EXPECT_NE(nodelay, 0);
 }
 
 }  // namespace

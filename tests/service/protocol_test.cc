@@ -151,6 +151,10 @@ TEST_F(HandlerTest, CreateSessionParsesKnobsAndRejectsBadOnes) {
   EXPECT_FALSE(Run("create-session threads=banana").status.ok());
   EXPECT_FALSE(Run("create-session notaknob=1").status.ok());
   EXPECT_FALSE(Run("create-session justatoken").status.ok());
+  // A removed knob is rejected like any other unknown one.
+  Response shards = Run("create-session shards=2");
+  EXPECT_EQ(shards.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(shards.status.message().find("shards"), std::string::npos);
 }
 
 TEST_F(HandlerTest, CreateSessionProtocolHandshake) {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +52,14 @@ OneShot OneShotDiscovery(double scale, size_t batches) {
   return out;
 }
 
+// Lines in /proc/self/maps; 0 where procfs is unavailable.
+size_t CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  return static_cast<size_t>(
+      std::count(std::istreambuf_iterator<char>(maps),
+                 std::istreambuf_iterator<char>(), '\n'));
+}
+
 TEST(ServerE2eTest, PingAndUnknownSession) {
   PghivedServer server({});
   ASSERT_TRUE(server.Start().ok());
@@ -58,6 +69,27 @@ TEST(ServerE2eTest, PingAndUnknownSession) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   EXPECT_TRUE(client->Ping().ok());
   EXPECT_FALSE(client->GetSchema("nosuch").ok());
+  server.Stop();
+}
+
+TEST(ServerE2eTest, ReconnectingClientDoesNotAccumulateThreads) {
+  // Each connection is served by its own thread. A finished thread left
+  // unjoined keeps its stack mapped (~2 maps entries: stack + guard page),
+  // so a client that keeps reconnecting would grow the daemon per cycle.
+  if (CountMappings() == 0) GTEST_SKIP() << "no /proc/self/maps";
+  PghivedServer server({});
+  ASSERT_TRUE(server.Start().ok());
+  auto cycle = [&] {
+    auto client = PghivedClient::Connect(server.port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    EXPECT_TRUE(client->Ping().ok());
+  };
+  for (int i = 0; i < 20; ++i) cycle();  // Warm allocator and stack caches.
+  const size_t before = CountMappings();
+  for (int i = 0; i < 200; ++i) cycle();
+  const size_t after = CountMappings();
+  EXPECT_LT(after, before + 40)
+      << "maps grew from " << before << " to " << after << " entries";
   server.Stop();
 }
 

@@ -3,16 +3,13 @@
 // Subcommands:
 //   discover  --graph FILE [--method elsh|minhash] [--batches N]
 //             [--out PREFIX] [--loose] [--sample-datatypes] [--threads N]
-//             [--pipeline-depth D] [--data-plane columnar|row] [--shards N]
+//             [--pipeline-depth D] [--data-plane columnar|row] [--seed N]
 //       --threads 0 (default) uses every hardware thread; --threads 1 runs
 //       serially. --pipeline-depth D (default 1) overlaps batch i+1's
 //       preprocess with batch i's extract during multi-batch ingest; the
 //       discovered schema is identical for every threads/depth combination.
 //       --data-plane row keeps the row-at-a-time inner loops instead of the
 //       columnar ones; the schema is byte-identical either way.
-//       --shards N (default 1) partitions every batch by consistent hashing
-//       over node ids and runs the per-shard data plane in parallel; the
-//       schema is byte-identical to --shards=1 at every shard count.
 //       Discovers the schema of a graph file (pg::SaveGraphFile format) and
 //       prints it; with --out also writes PREFIX.pgs and PREFIX.xsd.
 //       Durability: --checkpoint-to FILE snapshots the full discovery state
@@ -58,6 +55,10 @@
 //       flips (non-widening transitions, only reachable via instance
 //       decay/removal). --fail-on-alert exits 1 when anything was flagged.
 //
+// Each subcommand accepts only the flags it reads: an unknown flag (a typo,
+// or a knob the subcommand would ignore) or a stray positional argument
+// exits 1 with a message naming it.
+//
 // Exit code 0 on success (and, for validate, on conformance), 1 otherwise.
 
 #include <cstdio>
@@ -66,6 +67,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -89,7 +91,6 @@ namespace {
 using namespace pghive;
 
 struct Args {
-  std::string command;
   std::map<std::string, std::string> options;
   bool Has(const std::string& key) const { return options.count(key) > 0; }
   std::string Get(const std::string& key, const std::string& fallback = "") const {
@@ -98,19 +99,49 @@ struct Args {
   }
 };
 
-Args ParseArgs(int argc, char** argv) {
+/// The discovery knobs `discover` and `client` forward to
+/// core::ApplyOptionFlags, besides the --sample-datatypes switch.
+constexpr const char* kKnobFlags[] = {"method", "threads", "pipeline-depth",
+                                      "data-plane", "seed"};
+
+/// Flags that take no value; every other flag needs one (--key V or
+/// --key=V).
+const std::set<std::string> kSwitches = {"loose", "strict", "sample-datatypes",
+                                         "fail-on-alert"};
+
+/// One subcommand and the flags it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
+/// Parses argv[2..] against the flags `command` reads. An unknown flag, a
+/// flag missing its value, or a positional token is an InvalidArgument
+/// naming it.
+util::StatusOr<Args> ParseArgs(int argc, char** argv, const Command& command) {
+  auto reject = [&](const std::string& what) {
+    return util::Status::InvalidArgument(std::string(command.name) + ": " +
+                                         what);
+  };
   Args args;
-  if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string key = arg.substr(2);
+    std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) {
+      return reject("unexpected argument '" + key + "'");
+    }
+    key.erase(0, 2);
     std::string value = "true";
-    size_t eq = key.find('=');
+    const size_t eq = key.find('=');
     if (eq != std::string::npos) {
       value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+      key.resize(eq);
+    }
+    if (!command.flags.count(key)) return reject("unknown option --" + key);
+    if (eq == std::string::npos && !kSwitches.count(key)) {
+      if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        return reject("--" + key + " needs a value");
+      }
       value = argv[++i];
     }
     args.options[key] = value;
@@ -144,8 +175,7 @@ int Fail(const std::string& message) {
 /// create-session path, so CLI and daemon reject exactly the same inputs.
 std::map<std::string, std::string> DiscoveryKnobs(const Args& args) {
   std::map<std::string, std::string> knobs;
-  for (const char* key : {"method", "threads", "pipeline-depth", "shards",
-                          "data-plane", "seed"}) {
+  for (const char* key : kKnobFlags) {
     if (args.Has(key)) knobs[key] = args.Get(key);
   }
   if (args.Has("sample-datatypes")) knobs["sample-datatypes"] = "true";
@@ -663,25 +693,50 @@ int CmdValidate(const Args& args) {
   return report.conforms() ? 0 : 1;
 }
 
+/// The subcommands and the flags each reads.
+std::vector<Command> Commands() {
+  auto with_knobs = [](std::set<std::string> flags) {
+    flags.insert(std::begin(kKnobFlags), std::end(kKnobFlags));
+    flags.insert("sample-datatypes");
+    return flags;
+  };
+  return {
+      {"discover", CmdDiscover,
+       with_knobs({"graph", "batches", "out", "loose", "checkpoint-to",
+                   "checkpoint-every", "resume-from", "stop-after",
+                   "changefeed"})},
+      {"import", CmdImport, {"nodes", "edges", "out"}},
+      {"generate", CmdGenerate, {"dataset", "scale", "seed", "out"}},
+      {"validate", CmdValidate, {"graph", "schema", "strict"}},
+      {"client", CmdClient,
+       with_knobs({"graph", "port", "port-file", "batches", "out", "loose",
+                   "stop-after", "save-state", "load-state", "session",
+                   "changefeed-out"})},
+      {"changefeed", CmdChangefeed, {"feed"}},
+      {"drift", CmdDrift,
+       {"feed", "port", "port-file", "session", "from", "timeout-ms",
+        "fail-on-alert"}},
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = ParseArgs(argc, argv);
-  if (args.command == "discover") return CmdDiscover(args);
-  if (args.command == "import") return CmdImport(args);
-  if (args.command == "generate") return CmdGenerate(args);
-  if (args.command == "validate") return CmdValidate(args);
-  if (args.command == "client") return CmdClient(args);
-  if (args.command == "changefeed") return CmdChangefeed(args);
-  if (args.command == "drift") return CmdDrift(args);
+  const std::string name = argc >= 2 ? argv[1] : "";
+  for (const Command& command : Commands()) {
+    if (name != command.name) continue;
+    auto args = ParseArgs(argc, argv, command);
+    if (!args.ok()) return Fail(args.status().message());
+    return command.run(*args);
+  }
   std::fprintf(stderr,
                "usage: pghive"
                " <discover|import|generate|validate|client|changefeed|drift>"
                " [options]\n"
                "  discover --graph FILE [--method elsh|minhash] [--batches N]"
-               " [--out PREFIX] [--loose] [--threads N] [--pipeline-depth D]"
-               " [--data-plane columnar|row] [--shards N]"
-               " [--checkpoint-to FILE [--checkpoint-every K]]"
+               " [--out PREFIX] [--loose] [--sample-datatypes] [--threads N]"
+               " [--pipeline-depth D] [--data-plane columnar|row] [--seed N]"
+               " [--checkpoint-to FILE [--checkpoint-every K] [--stop-after K]]"
                " [--resume-from FILE] [--changefeed FILE]\n"
                "  import   --nodes a.csv,b.csv --edges rels.csv --out g.pg\n"
                "  generate --dataset POLE [--scale 1.0] [--seed 42] --out g.pg\n"
@@ -694,5 +749,5 @@ int main(int argc, char** argv) {
                "  drift    (--feed FILE | (--port N | --port-file FILE)"
                " --session ID) [--from V] [--timeout-ms T]"
                " [--fail-on-alert]\n");
-  return args.command.empty() ? 1 : 1;
+  return 1;
 }
