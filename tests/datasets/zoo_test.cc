@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "datasets/generator.h"
@@ -31,6 +32,10 @@ struct Shape {
   size_t node_types, edge_types, node_labels;
   bool real;
 };
+
+// Names each case by its dataset, not by the struct's raw bytes (which hold
+// a pointer and so change from build to build).
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
 
 class ZooShapeTest : public ::testing::TestWithParam<Shape> {};
 

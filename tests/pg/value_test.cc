@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace pghive::pg {
 namespace {
 
@@ -43,6 +45,13 @@ struct InferCase {
   const char* literal;
   DataType expected;
 };
+
+// Names each case by its contents: without a printer GoogleTest dumps the
+// struct's raw bytes, pointer included, and the ctest names would change
+// from build to build.
+void PrintTo(const InferCase& c, std::ostream* os) {
+  *os << '"' << c.literal << "\" as " << DataTypeName(c.expected);
+}
 
 class StringInferenceTest : public ::testing::TestWithParam<InferCase> {};
 
