@@ -3,25 +3,15 @@
 // training, GMM EM steps, the type-extraction merge, and thread sweeps of
 // the parallel vectorize/cluster stages.
 //
-// Besides the google-benchmark CLI, the binary has two perf-tracking modes:
+// Besides the google-benchmark CLI, the binary has a perf-tracking mode:
 //
 //   bench_micro --speedup_json=FILE [--speedup_scale=S]
 //
 // runs embed (Word2Vec training) + vectorize + cluster + group (signature
 // group-by in isolation) + ingest (multi-batch pipelined incremental
 // discovery) on an LDBC-like graph (>= 100k elements at the default scale)
-// at 1/2/4/hw threads and writes per-stage speedup JSON. Every entry also
-// carries "eps" (absolute single-run throughput in elements/sec) so
-// bench_diff --mode=eps can gate on throughput drops the ratio gate misses.
-//
-//   bench_micro --rowcol_json=PREFIX [--speedup_scale=S]
-//
-// times the four data-plane stages (vectorize, hash, group, embed) single-
-// threaded on the row path and the columnar path of the same graph, writing
-// PREFIX.row.json and PREFIX.col.json in the sweep format; bench_diff
-// ROW.json COL.json --mode=eps then gates "columnar not slower than row" —
-// a same-run, same-machine comparison, so the absolute gate is sound even
-// on heterogeneous CI runners.
+// at 1/2/4/hw threads and writes per-stage speedup JSON, the input of
+// bench_diff --mode=speedup.
 
 #include <benchmark/benchmark.h>
 
@@ -256,13 +246,11 @@ struct StageTimes {
   const char* stage;
   std::vector<size_t> threads;
   std::vector<double> ms;
-  /// Elements one run of this stage processes; elements/sec = this / (ms/1e3).
-  size_t elements = 0;
 };
 
-double MinMillis(int reps, const std::function<void()>& fn) {
+double MinMillisOf3(const std::function<void()>& fn) {
   double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = 0; rep < 3; ++rep) {
     util::Timer timer;
     fn();
     best = std::min(best, timer.ElapsedMillis());
@@ -270,17 +258,8 @@ double MinMillis(int reps, const std::function<void()>& fn) {
   return best;
 }
 
-double MinMillisOf3(const std::function<void()>& fn) {
-  return MinMillis(3, fn);
-}
-
-double ElementsPerSec(size_t elements, double ms) {
-  return static_cast<double>(elements) * 1000.0 / std::max(1e-9, ms);
-}
-
 /// Writes stages in the sweep JSON format bench_diff's ParseBenchJson reads
-/// (entry names "<stage>/threads=<n>"). Shared by the thread sweep and the
-/// row-vs-columnar artifacts so both gate through the same parser.
+/// (entry names "<stage>/threads=<n>").
 int WriteStagesJson(const std::string& json_path, const char* benchmark_name,
                     double scale, size_t nodes, size_t edges,
                     const StageTimes* const* stages, size_t num_stages) {
@@ -302,10 +281,9 @@ int WriteStagesJson(const std::string& json_path, const char* benchmark_name,
     for (size_t i = 0; i < st.threads.size(); ++i) {
       std::fprintf(out,
                    "%s\n      {\"threads\": %zu, \"ms\": %.3f, "
-                   "\"speedup\": %.3f, \"eps\": %.1f}",
+                   "\"speedup\": %.3f}",
                    i ? "," : "", st.threads[i], st.ms[i],
-                   st.ms[0] / std::max(1e-9, st.ms[i]),
-                   ElementsPerSec(st.elements, st.ms[i]));
+                   st.ms[0] / std::max(1e-9, st.ms[i]));
     }
     std::fprintf(out, "\n    ]}");
   }
@@ -354,13 +332,11 @@ int RunSpeedupSweep(const std::string& json_path, double scale) {
   std::vector<pg::GraphBatch> ingest_batches =
       pg::SplitIntoBatches(ingest_dataset.graph, 6, 17);
 
-  StageTimes embed_stage{"embed", {}, {}, corpus.sentences.size()};
-  StageTimes vectorize{"vectorize", {}, {}, elements};
-  StageTimes cluster{"cluster", {}, {}, elements};
-  StageTimes group{"group", {}, {}, warm_nodes.num + warm_edges.num};
-  StageTimes ingest{"ingest", {}, {},
-                    ingest_dataset.graph.num_nodes() +
-                        ingest_dataset.graph.num_edges()};
+  StageTimes embed_stage{"embed", {}, {}};
+  StageTimes vectorize{"vectorize", {}, {}};
+  StageTimes cluster{"cluster", {}, {}};
+  StageTimes group{"group", {}, {}};
+  StageTimes ingest{"ingest", {}, {}};
   for (size_t threads : counts) {
     util::ThreadPool pool(threads);
     util::ThreadPool* p = threads > 1 ? &pool : nullptr;
@@ -436,143 +412,19 @@ int RunSpeedupSweep(const std::string& json_path, double scale) {
   return 0;
 }
 
-// ---- Row-vs-columnar data-plane bench (single-threaded throughput) ------
-
-int RunRowColBench(const std::string& prefix, double scale) {
-  // The row and columnar sides race each other within one run, so the
-  // eps gate sees their raw delta directly; min-of-7 (vs the sweep's
-  // min-of-3) squeezes timer noise on the sub-10ms stages.
-  constexpr int kRowColReps = 7;
-  datasets::Dataset dataset = datasets::Generate(datasets::LdbcSpec(), scale, 7);
-  pg::GraphBatch batch = pg::FullBatch(dataset.graph);
-  const size_t elements = batch.node_ids.size() + batch.edge_ids.size();
-  std::fprintf(stderr, "rowcol bench: %zu nodes + %zu edges = %zu elements\n",
-               batch.node_ids.size(), batch.edge_ids.size(), elements);
-
-  embed::HashEmbedder embedder(&dataset.graph.vocab(), 8, 11);
-  // Intern every token once so both planes measure steady-state throughput,
-  // not first-touch vocabulary growth.
-  {
-    core::Vectorizer warmup(&dataset.graph, &embedder, nullptr);
-    auto nf = warmup.NodeFeatures(batch);
-    auto ef = warmup.EdgeFeatures(batch);
-    benchmark::DoNotOptimize(nf);
-    benchmark::DoNotOptimize(ef);
-  }
-  lsh::EuclideanLshParams lsh_params;
-  lsh_params.num_tables = 20;
-  lsh::MinHashParams minhash_params;
-
-  for (int plane = 0; plane < 2; ++plane) {
-    const bool columnar = plane == 1;
-    StageTimes vectorize{"vectorize", {1}, {}, elements};
-    StageTimes hash{"hash", {1}, {}, elements};
-    StageTimes group{"group", {1}, {}, elements};
-    StageTimes embed_stage{"embed", {1}, {}, 0};
-
-    // Vectorize from a fresh instance per rep, so the columnar side is
-    // charged for building its column stores, not just sweeping them.
-    vectorize.ms.push_back(MinMillis(kRowColReps, [&] {
-      core::Vectorizer v(&dataset.graph, &embedder, nullptr, columnar);
-      auto nf = v.NodeFeatures(batch);
-      auto ef = v.EdgeFeatures(batch);
-      benchmark::DoNotOptimize(nf);
-      benchmark::DoNotOptimize(ef);
-    }));
-
-    // The remaining stages run on fixed precomputed inputs of their plane.
-    core::Vectorizer vectorizer(&dataset.graph, &embedder, nullptr, columnar);
-    core::FeatureMatrix node_features = vectorizer.NodeFeatures(batch);
-    core::FeatureMatrix edge_features = vectorizer.EdgeFeatures(batch);
-    lsh::EuclideanLsh node_hasher(node_features.dim, lsh_params);
-    lsh::EuclideanLsh edge_hasher(edge_features.dim, lsh_params);
-    lsh::MinHashLsh minhasher(minhash_params);
-    std::vector<std::vector<uint64_t>> node_sets, edge_sets;
-    core::ElementSetCsr node_csr, edge_csr;
-    if (columnar) {
-      node_csr = vectorizer.NodeSetSpans(batch);
-      edge_csr = vectorizer.EdgeSetSpans(batch);
-    } else {
-      node_sets = vectorizer.NodeSets(batch);
-      edge_sets = vectorizer.EdgeSets(batch);
-    }
-    std::vector<uint64_t> node_sigs, edge_sigs;
-    hash.ms.push_back(MinMillis(kRowColReps, [&] {
-      node_sigs = node_hasher.HashAll(node_features.data, node_features.num);
-      edge_sigs = edge_hasher.HashAll(edge_features.data, edge_features.num);
-      std::vector<uint64_t> node_min, edge_min;
-      if (columnar) {
-        node_min = minhasher.SignatureAll(lsh::SetSpans{
-            node_csr.elements.data(), node_csr.offsets.data(),
-            node_csr.num()});
-        edge_min = minhasher.SignatureAll(lsh::SetSpans{
-            edge_csr.elements.data(), edge_csr.offsets.data(),
-            edge_csr.num()});
-      } else {
-        node_min = minhasher.SignatureAll(node_sets);
-        edge_min = minhasher.SignatureAll(edge_sets);
-      }
-      benchmark::DoNotOptimize(node_min);
-      benchmark::DoNotOptimize(edge_min);
-    }));
-    group.ms.push_back(MinMillis(kRowColReps, [&] {
-      auto ng = lsh::ClusterBySignature(node_sigs, node_features.num,
-                                        lsh_params.num_tables, nullptr);
-      auto eg = lsh::ClusterBySignature(edge_sigs, edge_features.num,
-                                        lsh_params.num_tables, nullptr);
-      benchmark::DoNotOptimize(ng);
-      benchmark::DoNotOptimize(eg);
-    }));
-    // Corpus construction (the Word2Vec input build; training itself is
-    // plane-independent). The columnar overload reads prebuilt token
-    // columns; the row overload walks rows. The vocabulary is fully warm,
-    // so the row side mutates nothing either.
-    embed_stage.ms.push_back(MinMillis(kRowColReps, [&] {
-      embed::LabelCorpus corpus =
-          columnar ? embed::BuildLabelCorpus(dataset.graph,
-                                             vectorizer.EdgeColumns(batch),
-                                             vectorizer.NodeColumns(batch))
-                   : embed::BuildLabelCorpus(dataset.graph, batch);
-      embed_stage.elements = corpus.sentences.size();
-      benchmark::DoNotOptimize(corpus);
-    }));
-
-    const StageTimes* stages[] = {&vectorize, &hash, &group, &embed_stage};
-    const size_t num_stages = sizeof(stages) / sizeof(stages[0]);
-    const std::string path =
-        prefix + (columnar ? ".col.json" : ".row.json");
-    if (WriteStagesJson(path, columnar ? "pghive_rowcol_columnar"
-                                       : "pghive_rowcol_row",
-                        scale, batch.node_ids.size(), batch.edge_ids.size(),
-                        stages, num_stages) != 0) {
-      return 1;
-    }
-    for (size_t s = 0; s < num_stages; ++s) {
-      const StageTimes& st = *stages[s];
-      std::fprintf(stderr, "  %-10s %-8s  %8.2f ms  %12.0f elements/sec\n",
-                   st.stage, columnar ? "columnar" : "row", st.ms[0],
-                   ElementsPerSec(st.elements, st.ms[0]));
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path, rowcol_prefix;
+  std::string json_path;
   double scale = 8.0;  // >= 100k elements on the LDBC-like zoo graph.
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--speedup_json=", 15) == 0) {
       json_path = argv[i] + 15;
-    } else if (std::strncmp(argv[i], "--rowcol_json=", 14) == 0) {
-      rowcol_prefix = argv[i] + 14;
     } else if (std::strncmp(argv[i], "--speedup_scale=", 16) == 0) {
       scale = std::atof(argv[i] + 16);
     }
   }
   if (!json_path.empty()) return RunSpeedupSweep(json_path, scale);
-  if (!rowcol_prefix.empty()) return RunRowColBench(rowcol_prefix, scale);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

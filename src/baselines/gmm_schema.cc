@@ -90,8 +90,8 @@ void SplitRecursive(const GaussianMixture& gmm, const GmmOptions& gmm_opts,
   std::vector<float> part[2];
   size_t counts[2] = {0, 0};
   for (size_t i = 0; i < num; ++i) {
-    part[assign[i]].insert(part[assign[i]].end(), &data[i * dim],
-                           &data[(i + 1) * dim]);
+    part[assign[i]].insert(part[assign[i]].end(), data.data() + i * dim,
+                           data.data() + (i + 1) * dim);
     ++counts[assign[i]];
   }
   if (counts[0] == 0 || counts[1] == 0) {
@@ -186,8 +186,8 @@ util::StatusOr<GmmSchemaResult> GmmSchema::Discover(
     size_t count = 0;
     for (size_t i = 0; i < fit_n; ++i) {
       if (base_assign[i] != c) continue;
-      members.insert(members.end(), &(*fit_data)[i * dim],
-                     &(*fit_data)[(i + 1) * dim]);
+      members.insert(members.end(), fit_data->data() + i * dim,
+                     fit_data->data() + (i + 1) * dim);
       ++count;
     }
     if (count == 0) continue;

@@ -31,7 +31,7 @@ namespace pghive::core {
 ///   2. Extract/merge (and optional per-batch post-processing) run strictly
 ///      in batch order on the calling thread, and read nothing the
 ///      overlapping preprocess writes: the prepared batch carries its own
-///      feature matrices, token caches, and endpoint tokens.
+///      feature matrices and column stores (with the endpoint tokens).
 ///
 /// Error handling: on a failed batch the pipeline stops; the preprocess
 /// thread may already have advanced vocabulary/embedder state for batches

@@ -70,15 +70,6 @@ util::Status ApplyOptionFlags(const std::map<std::string, std::string>& flags,
       auto parsed = ParseKnob(value, key);
       if (!parsed.ok()) return parsed.status();
       options->pipeline_depth = *parsed;
-    } else if (key == "data-plane") {
-      if (value == "row") {
-        options->columnar = false;
-      } else if (value == "columnar") {
-        options->columnar = true;
-      } else {
-        return util::Status::InvalidArgument(
-            "data-plane must be 'columnar' or 'row', got '" + value + "'");
-      }
     } else if (key == "sample-datatypes") {
       if (value != "true" && value != "false") {
         return util::Status::InvalidArgument(

@@ -20,8 +20,8 @@ inline constexpr size_t kMaxPipelineDepth = 64;
 /// a graph discovered over the wire runs with exactly the options the
 /// one-shot CLI would have used. Recognized keys (all optional):
 ///
-///   method=elsh|minhash      threads=N          pipeline-depth=N
-///   data-plane=columnar|row  sample-datatypes=true    seed=N
+///   method=elsh|minhash   threads=N   pipeline-depth=N
+///   sample-datatypes=true|false   seed=N
 ///
 /// Unknown keys are rejected (InvalidArgument) so typos fail loudly. Parse
 /// errors surface as ParseError; range violations come from

@@ -101,15 +101,10 @@ lsh::ClusterSet PgHive::Cluster(const pg::GraphBatch& batch,
   params.seed = options_.seed ^ (nodes ? 0x517 : 0x527);
   params.amplification = options_.amplification;
   lsh::MinHashLsh hasher(params);
-  if (options_.columnar) {
-    ElementSetCsr csr = nodes ? vectorizer->NodeSetSpans(batch)
-                              : vectorizer->EdgeSetSpans(batch);
-    return hasher.Cluster(
-        lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
-        pool_);
-  }
+  ElementSetCsr csr = nodes ? vectorizer->NodeSetSpans(batch)
+                            : vectorizer->EdgeSetSpans(batch);
   return hasher.Cluster(
-      nodes ? vectorizer->NodeSets(batch) : vectorizer->EdgeSets(batch),
+      lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
       pool_);
 }
 
@@ -126,34 +121,27 @@ PgHive::PreparedBatch PgHive::PreprocessBatch(pg::GraphBatch batch) {
 
   // (b) Preprocess: train/refresh the label embedding on this batch, then
   // build representation vectors. Everything that advances cross-batch state
-  // happens here, in a fixed order: the corpus build and the vectorizer's
-  // intern pre-passes (column builds, in columnar mode) assign label-set
-  // token ids, and Train continues the incremental Word2Vec model — so as
-  // long as batches preprocess in order, ids and weights are identical
-  // whether or not later stages overlap.
-  prepared.vectorizer = std::make_unique<Vectorizer>(
-      graph_, embedder_.get(), pool_, options_.columnar);
+  // happens here, in a fixed order: the vectorizer's column builds assign
+  // label-set token ids, and Train continues the incremental Word2Vec model
+  // — so as long as batches preprocess in order, ids and weights are
+  // identical whether or not later stages overlap.
+  prepared.vectorizer =
+      std::make_unique<Vectorizer>(graph_, embedder_.get(), pool_);
   if (word2vec_ != nullptr) {
-    embed::LabelCorpus corpus;
-    if (options_.columnar) {
-      // Edge columns before node columns: the edge build interns per edge in
-      // the corpus sentence order (src, edge, dst), then the node build
-      // interns the remaining (isolated-node) tokens in row order — the same
-      // first-seen token-id sequence the row-path corpus walk produces.
-      const pg::ColumnStore& edge_cols = prepared.vectorizer->EdgeColumns(b);
-      const pg::ColumnStore& node_cols = prepared.vectorizer->NodeColumns(b);
-      corpus = embed::BuildLabelCorpus(*graph_, edge_cols, node_cols);
-    } else {
-      corpus = embed::BuildLabelCorpus(*graph_, b);
-    }
-    word2vec_->Train(corpus, pool_);
+    // Edge columns before node columns: the edge build interns per edge in
+    // the corpus sentence order (src, edge, dst), then the node build
+    // interns the remaining (isolated-node) tokens in row order.
+    const pg::ColumnStore& edge_cols = prepared.vectorizer->EdgeColumns(b);
+    const pg::ColumnStore& node_cols = prepared.vectorizer->NodeColumns(b);
+    word2vec_->Train(embed::BuildLabelCorpus(*graph_, edge_cols, node_cols),
+                     pool_);
   }
   prepared.node_features = prepared.vectorizer->NodeFeatures(b);
   prepared.edge_features = prepared.vectorizer->EdgeFeatures(b);
   // The feature matrices snapshot the embedder, and the vectorizer's
-  // intern pre-passes (inside NodeFeatures/EdgeFeatures) snapshot the
-  // vocabulary into its token caches: after this point nothing downstream
-  // of this batch reads either, so the next batch is free to mutate both.
+  // column stores (built by NodeFeatures/EdgeFeatures at the latest)
+  // snapshot the vocabulary: after this point nothing downstream of this
+  // batch reads either, so the next batch is free to mutate both.
   prepared.preprocess_ms = timer.ElapsedMillis();
   return prepared;
 }

@@ -54,14 +54,6 @@ struct PgHiveOptions {
   /// Data type inference sampling (§4.4).
   DataTypeOptions datatype_options;
 
-  /// Columnar data plane: build a per-batch pg::ColumnStore in preprocess
-  /// and run the vectorize / LSH / corpus inner loops over contiguous
-  /// columns instead of per-row PropertyMap walks. The discovered schema is
-  /// byte-identical either way (the column build interns tokens in the row
-  /// path's canonical order); false keeps the row-at-a-time loops for
-  /// equivalence tests and benchmarking.
-  bool columnar = true;
-
   /// Scales the adaptive multiplier on alpha when sweeping Fig. 6's grid
   /// (1.0 = the paper's heuristic).
   double alpha_scale = 1.0;
@@ -155,7 +147,7 @@ class PgHive {
 
   /// The output of the preprocess stage, ready for cluster + extract. Owns
   /// everything the later stages need (feature matrices, the vectorizer
-  /// with its warmed token caches — including the edge endpoint tokens the
+  /// with its built column stores — including the edge endpoint tokens the
   /// candidate builder reads), so ProcessPrepared never touches the
   /// vocabulary or the embedder — the two pieces of state the *next*
   /// batch's PreprocessBatch mutates.
@@ -232,8 +224,8 @@ class PgHive {
   /// Restores a SaveState snapshot into a freshly created hive: same
   /// discovery-relevant options (method, embedder, dim, LSH parameters,
   /// thresholds, datatype sampling, seed — execution-plan knobs like
-  /// threads/pipeline-depth/data-plane may differ, their byte-identity
-  /// contracts make them free to change across a resume), zero
+  /// threads/pipeline-depth may differ, their byte-identity contracts make
+  /// them free to change across a resume), zero
   /// batches processed, and a graph whose vocabulary is position-consistent
   /// with the snapshot (empty, or reloaded from the same graph file).
   /// Returns the number of batches the snapshotted run had already merged;

@@ -51,7 +51,9 @@ std::string SerializeOptionsPayload(const PgHiveOptions& o) {
   util::PutF64(&out, o.datatype_options.sample_fraction);
   util::PutU64(&out, o.datatype_options.min_sample);
   util::PutU64(&out, o.datatype_options.seed);
-  util::PutU8(&out, o.columnar ? 1 : 0);
+  // Retired slot: the data-plane flag of older writers (1 = columnar, the
+  // one plane). Read back and ignored.
+  util::PutU8(&out, 1);
   util::PutF64(&out, o.alpha_scale);
   util::PutU64(&out, o.num_threads);
   util::PutU64(&out, o.pipeline_depth);
@@ -79,7 +81,7 @@ util::StatusOr<PgHiveOptions> ParseOptionsPayload(std::string_view payload) {
   o.datatype_options.sample_fraction = in.ReadF64();
   o.datatype_options.min_sample = in.ReadU64();
   o.datatype_options.seed = in.ReadU64();
-  o.columnar = in.ReadU8() != 0;
+  in.ReadU8();  // Retired data-plane slot (see SerializeOptionsPayload).
   o.alpha_scale = in.ReadF64();
   o.num_threads = in.ReadU64();
   o.pipeline_depth = in.ReadU64();
@@ -142,9 +144,9 @@ void ReadStats(util::ByteReader* in, PipelineStats* s) {
 
 /// Knobs that change what schema discovery computes — a resume with any of
 /// these differing would not reproduce the uninterrupted run. Execution-plan
-/// knobs (threads, pipeline depth, data plane) are deliberately
-/// excluded: their byte-identity contracts are pinned by the determinism
-/// suites, so a snapshot taken at --threads 8 restores fine at --threads 1.
+/// knobs (threads, pipeline depth) are deliberately excluded: their
+/// byte-identity contracts are pinned by the determinism suites, so a
+/// snapshot taken at --threads 8 restores fine at --threads 1.
 util::Status CheckDiscoveryOptionsMatch(const PgHiveOptions& have,
                                         const PgHiveOptions& snap) {
   auto mismatch = [](const std::string& knob) {

@@ -1,7 +1,5 @@
 #include "core/vectorizer.h"
 
-#include <algorithm>
-
 namespace pghive::core {
 
 namespace {
@@ -24,212 +22,75 @@ uint64_t MinHashKeyElement(uint32_t key) { return kKeyTag | key; }
 
 Vectorizer::Vectorizer(pg::PropertyGraph* graph,
                        const embed::LabelEmbedder* embedder,
-                       util::ThreadPool* pool, bool columnar)
-    : graph_(graph), embedder_(embedder), pool_(pool), columnar_(columnar) {}
-
-// The token-intern pre-passes. Interning assigns token ids in first-seen
-// order, so these must stay sequential (and in row order) to keep ids
-// independent of the thread count; afterwards every token of the batch is
-// present, which is what makes the parallel phases' (and the later
-// node/edge tracks') vocabulary accesses read-only.
-
-const std::vector<pg::LabelSetToken>& Vectorizer::NodeTokens(
-    const pg::GraphBatch& batch) {
-  if (!node_tokens_valid_ || node_token_ids_ != batch.node_ids) {
-    pg::Vocabulary& vocab = graph_->vocab();
-    node_tokens_.assign(batch.node_ids.size(), pg::kNoToken);
-    for (size_t i = 0; i < node_tokens_.size(); ++i) {
-      node_tokens_[i] =
-          vocab.TokenForLabelSet(graph_->node(batch.node_ids[i]).labels);
-    }
-    node_token_ids_ = batch.node_ids;
-    node_tokens_valid_ = true;
-  }
-  return node_tokens_;
-}
-
-const std::vector<Vectorizer::EdgeTokens>& Vectorizer::EdgeTokensFor(
-    const pg::GraphBatch& batch) {
-  if (!edge_tokens_valid_ || edge_token_ids_ != batch.edge_ids) {
-    pg::Vocabulary& vocab = graph_->vocab();
-    edge_tokens_.assign(batch.edge_ids.size(), EdgeTokens{});
-    for (size_t i = 0; i < edge_tokens_.size(); ++i) {
-      const pg::Edge& e = graph_->edge(batch.edge_ids[i]);
-      // Intern in (src, edge, dst) order — the corpus-builder sentence order,
-      // and the order pg::ColumnStore::ForEdges uses, so token ids agree
-      // between the row and columnar paths wherever this pass interns first.
-      edge_tokens_[i].src = vocab.TokenForLabelSet(graph_->node(e.src).labels);
-      edge_tokens_[i].edge = vocab.TokenForLabelSet(e.labels);
-      edge_tokens_[i].dst = vocab.TokenForLabelSet(graph_->node(e.dst).labels);
-    }
-    edge_token_ids_ = batch.edge_ids;
-    edge_tokens_valid_ = true;
-  }
-  return edge_tokens_;
-}
+                       util::ThreadPool* pool)
+    : graph_(graph), embedder_(embedder), pool_(pool) {}
 
 const pg::ColumnStore& Vectorizer::NodeColumns(const pg::GraphBatch& batch) {
-  if (!node_cols_valid_ || node_col_ids_ != batch.node_ids) {
+  if (node_cols_.ids() != batch.node_ids) {
     node_cols_ = pg::ColumnStore::ForNodes(*graph_, batch.node_ids);
-    node_col_ids_ = batch.node_ids;
-    node_cols_valid_ = true;
   }
   return node_cols_;
 }
 
 const pg::ColumnStore& Vectorizer::EdgeColumns(const pg::GraphBatch& batch) {
-  if (!edge_cols_valid_ || edge_col_ids_ != batch.edge_ids) {
+  if (edge_cols_.ids() != batch.edge_ids) {
     edge_cols_ = pg::ColumnStore::ForEdges(*graph_, batch.edge_ids);
-    edge_col_ids_ = batch.edge_ids;
-    edge_cols_valid_ = true;
   }
   return edge_cols_;
 }
 
 FeatureMatrix Vectorizer::NodeFeatures(const pg::GraphBatch& batch) {
-  pg::Vocabulary& vocab = graph_->vocab();
   const size_t d = embedder_->dim();
-  const size_t k = vocab.num_keys();
+  const size_t k = graph_->vocab().num_keys();
   FeatureMatrix m;
   m.num = batch.node_ids.size();
   m.dim = d + k;
   m.data.assign(m.num * m.dim, 0.0f);
-  if (columnar_) {
-    const pg::ColumnStore& cols = NodeColumns(batch);
-    const std::vector<pg::LabelSetToken>& tokens = cols.tokens();
-    util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        embedder_->Embed(tokens[i], &m.data[i * m.dim]);
-      }
-      cols.FillBinaryBlock(lo, hi, k, &m.data[lo * m.dim], m.dim, d);
-    });
-    return m;
-  }
-  const std::vector<pg::LabelSetToken>& tokens = NodeTokens(batch);
-  const pg::PropertyGraph& graph = *graph_;
+  const pg::ColumnStore& cols = NodeColumns(batch);
+  const std::vector<pg::LabelSetToken>& tokens = cols.tokens();
   util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      const pg::Node& n = graph.node(batch.node_ids[i]);
-      float* row = &m.data[i * m.dim];
-      embedder_->Embed(tokens[i], row);
-      for (const auto& [key, value] : n.properties.entries()) {
-        if (key < k) row[d + key] = 1.0f;
-      }
+      embedder_->Embed(tokens[i], &m.data[i * m.dim]);
     }
+    cols.FillBinaryBlock(lo, hi, k, &m.data[lo * m.dim], m.dim, d);
   });
   return m;
 }
 
 FeatureMatrix Vectorizer::EdgeFeatures(const pg::GraphBatch& batch) {
-  pg::Vocabulary& vocab = graph_->vocab();
   const size_t d = embedder_->dim();
-  const size_t q = vocab.num_keys();
+  const size_t q = graph_->vocab().num_keys();
   FeatureMatrix m;
   m.num = batch.edge_ids.size();
   m.dim = 3 * d + q;
   m.data.assign(m.num * m.dim, 0.0f);
-  if (columnar_) {
-    const pg::ColumnStore& cols = EdgeColumns(batch);
-    util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        float* row = &m.data[i * m.dim];
-        embedder_->Embed(cols.tokens()[i], row);
-        embedder_->Embed(cols.src_tokens()[i], row + d);
-        embedder_->Embed(cols.dst_tokens()[i], row + 2 * d);
-      }
-      cols.FillBinaryBlock(lo, hi, q, &m.data[lo * m.dim], m.dim, 3 * d);
-    });
-    return m;
-  }
-  const std::vector<EdgeTokens>& tokens = EdgeTokensFor(batch);
-  const pg::PropertyGraph& graph = *graph_;
+  const pg::ColumnStore& cols = EdgeColumns(batch);
   util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      const pg::Edge& e = graph.edge(batch.edge_ids[i]);
       float* row = &m.data[i * m.dim];
-      embedder_->Embed(tokens[i].edge, row);
-      embedder_->Embed(tokens[i].src, row + d);
-      embedder_->Embed(tokens[i].dst, row + 2 * d);
-      for (const auto& [key, value] : e.properties.entries()) {
-        if (key < q) row[3 * d + key] = 1.0f;
-      }
+      embedder_->Embed(cols.tokens()[i], row);
+      embedder_->Embed(cols.src_tokens()[i], row + d);
+      embedder_->Embed(cols.dst_tokens()[i], row + 2 * d);
     }
+    cols.FillBinaryBlock(lo, hi, q, &m.data[lo * m.dim], m.dim, 3 * d);
   });
   return m;
 }
 
 std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>
 Vectorizer::EdgeEndpointTokens(const pg::GraphBatch& batch) {
+  const pg::ColumnStore& cols = EdgeColumns(batch);
   std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>> out;
-  if (columnar_) {
-    const pg::ColumnStore& cols = EdgeColumns(batch);
-    out.reserve(cols.num_rows());
-    for (size_t i = 0; i < cols.num_rows(); ++i) {
-      out.emplace_back(cols.src_tokens()[i], cols.dst_tokens()[i]);
-    }
-    return out;
+  out.reserve(cols.num_rows());
+  for (size_t i = 0; i < cols.num_rows(); ++i) {
+    out.emplace_back(cols.src_tokens()[i], cols.dst_tokens()[i]);
   }
-  const std::vector<EdgeTokens>& tokens = EdgeTokensFor(batch);
-  out.reserve(tokens.size());
-  for (const EdgeTokens& t : tokens) out.emplace_back(t.src, t.dst);
   return out;
 }
 
-std::vector<std::vector<uint64_t>> Vectorizer::NodeSets(
-    const pg::GraphBatch& batch) {
-  const size_t num = batch.node_ids.size();
-  const std::vector<pg::LabelSetToken>& tokens = NodeTokens(batch);
-  std::vector<std::vector<uint64_t>> sets(num);
-  const pg::PropertyGraph& graph = *graph_;
-  util::ParallelFor(pool_, 0, num, kRowGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const pg::Node& n = graph.node(batch.node_ids[i]);
-      auto& set = sets[i];
-      if (tokens[i] != pg::kNoToken) {
-        set.push_back(MinHashLabelElement(tokens[i]));
-      }
-      for (const auto& [key, value] : n.properties.entries()) {
-        set.push_back(MinHashKeyElement(key));
-      }
-      std::sort(set.begin(), set.end());
-    }
-  });
-  return sets;
-}
-
-std::vector<std::vector<uint64_t>> Vectorizer::EdgeSets(
-    const pg::GraphBatch& batch) {
-  const size_t num = batch.edge_ids.size();
-  const std::vector<EdgeTokens>& tokens = EdgeTokensFor(batch);
-  std::vector<std::vector<uint64_t>> sets(num);
-  const pg::PropertyGraph& graph = *graph_;
-  util::ParallelFor(pool_, 0, num, kRowGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const pg::Edge& e = graph.edge(batch.edge_ids[i]);
-      auto& set = sets[i];
-      if (tokens[i].edge != pg::kNoToken) {
-        set.push_back(MinHashLabelElement(tokens[i].edge));
-      }
-      if (tokens[i].src != pg::kNoToken) {
-        set.push_back(MinHashSrcElement(tokens[i].src));
-      }
-      if (tokens[i].dst != pg::kNoToken) {
-        set.push_back(MinHashDstElement(tokens[i].dst));
-      }
-      for (const auto& [key, value] : e.properties.entries()) {
-        set.push_back(MinHashKeyElement(key));
-      }
-      std::sort(set.begin(), set.end());
-    }
-  });
-  return sets;
-}
-
-// The columnar set producers fill one flat CSR from the column store. Push
-// order per row is (label, src, dst, keys): the tags ascend in that order
-// and key ids ascend within a row, so every row is emitted pre-sorted and
-// the per-row sort of the nested producers has nothing to do — the spans
-// equal the sorted sets element for element.
+// The set producers fill one flat CSR from the column store. Push order per
+// row is (label, src, dst, keys): the tags ascend in that order and key ids
+// ascend within a row, so every row is emitted already sorted.
 
 ElementSetCsr Vectorizer::NodeSetSpans(const pg::GraphBatch& batch) {
   const pg::ColumnStore& cols = NodeColumns(batch);

@@ -23,8 +23,7 @@ struct FeatureMatrix {
 };
 
 /// An owning CSR of MinHash element sets: set i's elements are
-/// elements[offsets[i] .. offsets[i+1]). The columnar producers emit this
-/// flat layout instead of vector<vector<uint64_t>>; lsh::SetSpans views it.
+/// elements[offsets[i] .. offsets[i+1]); lsh::SetSpans views it.
 struct ElementSetCsr {
   std::vector<uint64_t> elements;
   std::vector<uint32_t> offsets;  // num() + 1 entries; empty when num() == 0.
@@ -42,26 +41,21 @@ struct ElementSetCsr {
 /// block. The binary block uses a global key-id -> column map shared by all
 /// rows of one call so identical patterns produce identical vectors.
 ///
-/// With a thread pool, rows are sharded across workers. Label-set tokens are
-/// interned in a sequential pre-pass (in row order, so token ids never depend
-/// on the thread count); the parallel phase then only reads the graph and the
-/// embedder, and each row writes its own slice of the matrix — output is
+/// The sweep runs over per-batch pg::ColumnStore tables: the embed block
+/// reads the contiguous token arrays and the binary block is filled from
+/// the key CSR, with no per-row PropertyMap access in the hot loops. With a
+/// thread pool, rows are sharded across workers. The column build is the
+/// sequential intern pre-pass (in row order, so token ids never depend on
+/// the thread count); the parallel phase then only reads the columns and
+/// the embedder, and each row writes its own slice of the output —
 /// bit-identical at every pool size. As a side effect, every token of the
 /// batch (including edge endpoint tokens) is interned once NodeFeatures and
-/// EdgeFeatures have run, which is what lets the later node/edge tracks share
-/// the vocabulary read-only.
-///
-/// In columnar mode (the default) the sweep runs over a per-batch
-/// pg::ColumnStore instead of the rows: the embed block reads the contiguous
-/// token array and the binary block is a per-column presence-bitmap sweep,
-/// with no per-row PropertyMap access in the hot loop. The column build is
-/// the sequential intern pre-pass, in the same canonical order as the row
-/// path, so features, sets and every downstream schema are byte-identical
-/// between the two modes (pinned by tests).
+/// EdgeFeatures have run, which is what lets the later node/edge tracks
+/// share the vocabulary read-only.
 class Vectorizer {
  public:
   Vectorizer(pg::PropertyGraph* graph, const embed::LabelEmbedder* embedder,
-             util::ThreadPool* pool = nullptr, bool columnar = true);
+             util::ThreadPool* pool = nullptr);
 
   /// Feature vectors for the batch's nodes (row i corresponds to
   /// batch.node_ids[i]).
@@ -70,68 +64,36 @@ class Vectorizer {
   /// Feature vectors for the batch's edges.
   FeatureMatrix EdgeFeatures(const pg::GraphBatch& batch);
 
-  /// MinHash element sets for nodes: the label-set token plus property keys,
-  /// disambiguated into one uint64 universe.
-  std::vector<std::vector<uint64_t>> NodeSets(const pg::GraphBatch& batch);
-
-  /// MinHash element sets for edges: edge token, source token, target token,
-  /// plus edge property keys.
-  std::vector<std::vector<uint64_t>> EdgeSets(const pg::GraphBatch& batch);
-
-  /// Columnar MinHash element sets: one flat CSR filled from the batch's
-  /// column store. Element multisets per row equal NodeSets/EdgeSets, and
-  /// rows come out pre-sorted for free: the tag constants ascend in push
-  /// order (label < src < dst < key) and key ids ascend within a row, so the
-  /// per-row sort of the nested producers is skipped entirely.
+  /// MinHash element sets, one flat CSR per batch. Nodes: the label-set
+  /// token plus property keys; edges: edge token, source token, target
+  /// token, plus edge property keys — disambiguated into one uint64
+  /// universe. Rows come out sorted: the tag constants ascend in push order
+  /// (label < src < dst < key) and key ids ascend within a row.
   ElementSetCsr NodeSetSpans(const pg::GraphBatch& batch);
   ElementSetCsr EdgeSetSpans(const pg::GraphBatch& batch);
 
-  /// The batch's column stores (built on first use, cached per id list; the
-  /// build is the sequential token-intern pre-pass of columnar mode).
+  /// The batch's column stores, built on first use and cached until a call
+  /// names a different id list.
   const pg::ColumnStore& NodeColumns(const pg::GraphBatch& batch);
   const pg::ColumnStore& EdgeColumns(const pg::GraphBatch& batch);
 
-  bool columnar() const { return columnar_; }
-
-  /// Per-edge (src, dst) label-set token pairs from the cached intern
-  /// pre-pass (row i corresponds to batch.edge_ids[i]). After EdgeFeatures
-  /// or EdgeSets ran on the same batch this is a pure read, which is how the
-  /// pipelined executor hands the extract stage everything it needs without
-  /// touching the vocabulary again.
+  /// Per-edge (src, dst) label-set token pairs from the cached edge store
+  /// (row i corresponds to batch.edge_ids[i]). After EdgeFeatures or
+  /// EdgeSetSpans ran on the same batch this is a pure read, which is how
+  /// the pipelined executor hands the extract stage everything it needs
+  /// without touching the vocabulary again.
   std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>
   EdgeEndpointTokens(const pg::GraphBatch& batch);
 
  private:
-  struct EdgeTokens {
-    pg::LabelSetToken edge, src, dst;
-  };
-
-  /// The sequential token-intern pre-passes, cached per id list: a token
-  /// depends only on the element's labels, so as long as the graph is
-  /// unchanged (which the vectorizer assumes for its lifetime — vocabulary
-  /// dimensions must stay fixed anyway) the same ids yield the same tokens.
-  /// The cache spares the MinHash path a second serial pass when
-  /// NodeSets/EdgeSets follow NodeFeatures/EdgeFeatures on the same batch.
-  const std::vector<pg::LabelSetToken>& NodeTokens(const pg::GraphBatch& batch);
-  const std::vector<EdgeTokens>& EdgeTokensFor(const pg::GraphBatch& batch);
-
   pg::PropertyGraph* graph_;
   const embed::LabelEmbedder* embedder_;
   util::ThreadPool* pool_;
-  bool columnar_;
-  std::vector<pg::NodeId> node_token_ids_;
-  std::vector<pg::LabelSetToken> node_tokens_;
-  bool node_tokens_valid_ = false;
-  std::vector<pg::EdgeId> edge_token_ids_;
-  std::vector<EdgeTokens> edge_tokens_;
-  bool edge_tokens_valid_ = false;
-  // Columnar-mode caches, keyed by the batch id lists like the token caches.
-  std::vector<pg::NodeId> node_col_ids_;
+  // Keyed by their own ids(): the graph is unchanged for the vectorizer's
+  // lifetime (vocabulary dimensions must stay fixed anyway), so the same
+  // ids yield the same store.
   pg::ColumnStore node_cols_;
-  bool node_cols_valid_ = false;
-  std::vector<pg::EdgeId> edge_col_ids_;
   pg::ColumnStore edge_cols_;
-  bool edge_cols_valid_ = false;
 };
 
 /// Element-universe tags for MinHash sets (exposed for tests).

@@ -1,51 +1,8 @@
 #include "embed/corpus.h"
 
+#include "pg/batch.h"
+
 namespace pghive::embed {
-
-namespace {
-
-LabelCorpus BuildFromIds(pg::PropertyGraph& graph,
-                         const std::vector<pg::NodeId>& node_ids,
-                         const std::vector<pg::EdgeId>& edge_ids) {
-  LabelCorpus corpus;
-  pg::Vocabulary& vocab = graph.vocab();
-  std::vector<bool> node_in_edge(graph.num_nodes(), false);
-
-  for (pg::EdgeId eid : edge_ids) {
-    const pg::Edge& e = graph.edge(eid);
-    pg::LabelSetToken src = vocab.TokenForLabelSet(graph.node(e.src).labels);
-    pg::LabelSetToken et = vocab.TokenForLabelSet(e.labels);
-    pg::LabelSetToken dst = vocab.TokenForLabelSet(graph.node(e.dst).labels);
-    std::vector<pg::LabelSetToken> sentence;
-    if (src != pg::kNoToken) sentence.push_back(src);
-    if (et != pg::kNoToken) sentence.push_back(et);
-    if (dst != pg::kNoToken) sentence.push_back(dst);
-    if (sentence.size() >= 2) corpus.sentences.push_back(std::move(sentence));
-    node_in_edge[e.src] = true;
-    node_in_edge[e.dst] = true;
-  }
-
-  for (pg::NodeId nid : node_ids) {
-    if (node_in_edge[nid]) continue;
-    pg::LabelSetToken t = vocab.TokenForLabelSet(graph.node(nid).labels);
-    if (t != pg::kNoToken) corpus.sentences.push_back({t});
-  }
-
-  corpus.vocab_size = vocab.num_tokens();
-  return corpus;
-}
-
-}  // namespace
-
-LabelCorpus BuildLabelCorpus(pg::PropertyGraph& graph) {
-  pg::GraphBatch batch = pg::FullBatch(graph);
-  return BuildFromIds(graph, batch.node_ids, batch.edge_ids);
-}
-
-LabelCorpus BuildLabelCorpus(pg::PropertyGraph& graph,
-                             const pg::GraphBatch& batch) {
-  return BuildFromIds(graph, batch.node_ids, batch.edge_ids);
-}
 
 LabelCorpus BuildLabelCorpus(const pg::PropertyGraph& graph,
                              const pg::ColumnStore& edge_cols,
@@ -76,6 +33,15 @@ LabelCorpus BuildLabelCorpus(const pg::PropertyGraph& graph,
 
   corpus.vocab_size = graph.vocab().num_tokens();
   return corpus;
+}
+
+LabelCorpus BuildLabelCorpus(pg::PropertyGraph& graph) {
+  const pg::GraphBatch batch = pg::FullBatch(graph);
+  const pg::ColumnStore edge_cols =
+      pg::ColumnStore::ForEdges(graph, batch.edge_ids);
+  const pg::ColumnStore node_cols =
+      pg::ColumnStore::ForNodes(graph, batch.node_ids);
+  return BuildLabelCorpus(graph, edge_cols, node_cols);
 }
 
 }  // namespace pghive::embed

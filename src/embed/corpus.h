@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "pg/batch.h"
 #include "pg/column_store.h"
 #include "pg/graph.h"
 
@@ -26,22 +25,19 @@ struct LabelCorpus {
   size_t vocab_size = 0;
 };
 
-/// Builds the corpus from a whole graph.
-LabelCorpus BuildLabelCorpus(pg::PropertyGraph& graph);
-
-/// Builds the corpus from a single batch (incremental mode trains/updates
-/// per batch on the data seen so far).
-LabelCorpus BuildLabelCorpus(pg::PropertyGraph& graph,
-                             const pg::GraphBatch& batch);
-
-/// Columnar form: reads the already-interned token-id and endpoint-id
-/// columns instead of walking rows, so no vocabulary mutation happens here.
-/// Produces exactly the sentences of the row overload for the same batch
-/// (the column builder interns per edge in the same (src, edge, dst) order
-/// this builder emits).
+/// Builds the corpus of a batch from its column stores
+/// (pg::ColumnStore::ForEdges / ForNodes). Reads the already-interned token
+/// and endpoint-id columns, so no vocabulary mutation happens here.
+/// Build the edge store before the node store: it interns per edge in the
+/// (src, edge, dst) order this builder emits, and the node store then adds
+/// only the isolated nodes' tokens, so token ids follow the sentence order.
 LabelCorpus BuildLabelCorpus(const pg::PropertyGraph& graph,
                              const pg::ColumnStore& edge_cols,
                              const pg::ColumnStore& node_cols);
+
+/// Whole-graph form: builds both stores in that order and calls the one
+/// above.
+LabelCorpus BuildLabelCorpus(pg::PropertyGraph& graph);
 
 }  // namespace pghive::embed
 

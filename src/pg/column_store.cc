@@ -1,65 +1,9 @@
 #include "pg/column_store.h"
 
-#include <algorithm>
-#include <bit>
-#include <cassert>
-#include <utility>
-
 namespace pghive::pg {
 
-size_t PresenceBitmap::RankBefore(size_t row) const {
-  size_t rank = 0;
-  const size_t full = row >> 6;
-  for (size_t w = 0; w < full; ++w) {
-    rank += static_cast<size_t>(std::popcount(words_[w]));
-  }
-  if ((row & 63) != 0) {
-    const uint64_t mask = (1ULL << (row & 63)) - 1;
-    rank += static_cast<size_t>(std::popcount(words_[full] & mask));
-  }
-  return rank;
-}
-
-Value PropertyColumn::ValueAt(size_t row) const {
-  assert(present.Test(row));
-  if (!valid.Test(row)) return Value();
-  const size_t rank = present.RankBefore(row);
-  switch (kind) {
-    case ColumnKind::kBool:
-      return Value(static_cast<bool>(bools[rank]));
-    case ColumnKind::kInt:
-      return Value(ints[rank]);
-    case ColumnKind::kFloat:
-      return Value(floats[rank]);
-    case ColumnKind::kString:
-      return Value(strings[rank]);
-    case ColumnKind::kMixed:
-      return values[rank];
-    case ColumnKind::kEmpty:
-      break;
-  }
-  return Value();
-}
-
-namespace {
-
-/// The ColumnKind a single non-null Value stores as.
-ColumnKind KindOf(const Value& v) {
-  if (v.is_bool()) return ColumnKind::kBool;
-  if (v.is_int()) return ColumnKind::kInt;
-  if (v.is_float()) return ColumnKind::kFloat;
-  return ColumnKind::kString;
-}
-
-}  // namespace
-
-void ColumnStore::BuildPropertyColumns(
-    const std::vector<const PropertyMap*>& rows, bool with_values) {
+void ColumnStore::BuildKeyCsr(const std::vector<const PropertyMap*>& rows) {
   const size_t n = rows.size();
-  has_values_ = with_values;
-
-  // Key CSR + the distinct-key universe in one pass; each row is already
-  // sorted by key id.
   key_offsets_.assign(n + 1, 0);
   size_t total_keys = 0;
   for (size_t r = 0; r < n; ++r) {
@@ -67,137 +11,26 @@ void ColumnStore::BuildPropertyColumns(
     key_offsets_[r + 1] = static_cast<uint32_t>(total_keys);
   }
   key_ids_.reserve(total_keys);
-  PropKeyId max_key = 0;
-  for (size_t r = 0; r < n; ++r) {
-    for (const auto& [key, value] : rows[r]->entries()) {
-      key_ids_.push_back(key);
-      max_key = std::max(max_key, key);
-    }
+  // entries() is sorted by key id, so each row's run ascends.
+  for (const PropertyMap* row : rows) {
+    for (const auto& [key, value] : row->entries()) key_ids_.push_back(key);
   }
-
-  // Key ids come from the vocabulary — a small dense universe — so the
-  // distinct set and the key -> column mapping are one O(max_key) scratch
-  // table instead of an O(total log total) sort + per-entry binary search.
-  std::vector<uint32_t> col_of;
-  if (total_keys > 0) {
-    constexpr uint32_t kAbsent = UINT32_MAX;
-    col_of.assign(static_cast<size_t>(max_key) + 1, kAbsent);
-    for (const PropKeyId key : key_ids_) col_of[key] = 0;
-    uint32_t num_columns = 0;
-    for (uint32_t& slot : col_of) {
-      if (slot != kAbsent) slot = num_columns++;
-    }
-    columns_.resize(num_columns);
-    for (size_t k = 0; k < col_of.size(); ++k) {
-      if (col_of[k] == kAbsent) continue;
-      PropertyColumn& col = columns_[col_of[k]];
-      col.key = static_cast<PropKeyId>(k);
-      col.present = PresenceBitmap(n);
-      col.valid = PresenceBitmap(n);
-    }
-  }
-  auto column_index = [&](PropKeyId key) {
-    return static_cast<size_t>(col_of[key]);
-  };
-  for (size_t r = 0; r < n; ++r) {
-    for (const auto& [key, value] : rows[r]->entries()) {
-      PropertyColumn& col = columns_[column_index(key)];
-      col.present.Set(r);
-      if (!value.is_null()) col.valid.Set(r);
-    }
-  }
-
-  if (!with_values) return;
-
-  // Value pass: settle each column's kind over its non-null cells, then lay
-  // the cells out densely (one slot per present row, defaults for nulls).
-  std::vector<std::vector<const Value*>> cells(columns_.size());
-  for (size_t r = 0; r < n; ++r) {
-    for (const auto& [key, value] : rows[r]->entries()) {
-      const size_t c = column_index(key);
-      cells[c].push_back(&value);
-      if (value.is_null()) continue;
-      const ColumnKind k = KindOf(value);
-      if (columns_[c].kind == ColumnKind::kEmpty) {
-        columns_[c].kind = k;
-      } else if (columns_[c].kind != k) {
-        columns_[c].kind = ColumnKind::kMixed;
-      }
-    }
-  }
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    PropertyColumn& col = columns_[c];
-    const size_t slots = cells[c].size();
-    switch (col.kind) {
-      case ColumnKind::kBool:
-        col.bools.reserve(slots);
-        for (const Value* v : cells[c]) {
-          col.bools.push_back(v->is_null() ? 0 : (v->AsBool() ? 1 : 0));
-        }
-        break;
-      case ColumnKind::kInt:
-        col.ints.reserve(slots);
-        for (const Value* v : cells[c]) {
-          col.ints.push_back(v->is_null() ? 0 : v->AsInt());
-        }
-        break;
-      case ColumnKind::kFloat:
-        col.floats.reserve(slots);
-        for (const Value* v : cells[c]) {
-          col.floats.push_back(v->is_null() ? 0.0 : v->AsFloat());
-        }
-        break;
-      case ColumnKind::kString:
-        col.strings.reserve(slots);
-        for (const Value* v : cells[c]) {
-          col.strings.push_back(v->is_null() ? std::string() : v->AsString());
-        }
-        break;
-      case ColumnKind::kMixed:
-        col.values.reserve(slots);
-        for (const Value* v : cells[c]) col.values.push_back(*v);
-        break;
-      case ColumnKind::kEmpty:
-        break;
-    }
-  }
-}
-
-const PropertyColumn* ColumnStore::FindColumn(PropKeyId key) const {
-  auto it = std::lower_bound(
-      columns_.begin(), columns_.end(), key,
-      [](const PropertyColumn& c, PropKeyId k) { return c.key < k; });
-  if (it == columns_.end() || it->key != key) return nullptr;
-  return &*it;
 }
 
 void ColumnStore::FillBinaryBlock(size_t lo, size_t hi, size_t max_key,
                                   float* data, size_t stride,
                                   size_t offset) const {
-  for (const PropertyColumn& col : columns_) {
-    if (col.key >= max_key) break;  // Columns are sorted by key id.
-    const size_t key = col.key;
-    col.present.ForEachSet(lo, hi, [&](size_t row) {
-      data[(row - lo) * stride + offset + key] = 1.0f;
-    });
+  for (size_t row = lo; row < hi; ++row) {
+    float* out = data + (row - lo) * stride + offset;
+    for (uint32_t k = key_offsets_[row]; k < key_offsets_[row + 1]; ++k) {
+      if (key_ids_[k] >= max_key) break;  // Keys ascend within a row.
+      out[key_ids_[k]] = 1.0f;
+    }
   }
-}
-
-PropertyMap ColumnStore::RowProperties(size_t row) const {
-  assert(has_values_);
-  PropertyMap out;
-  const uint32_t begin = key_offsets_[row];
-  const uint32_t end = key_offsets_[row + 1];
-  for (uint32_t k = begin; k < end; ++k) {
-    const PropertyColumn* col = FindColumn(key_ids_[k]);
-    out.Set(key_ids_[k], col->ValueAt(row));
-  }
-  return out;
 }
 
 ColumnStore ColumnStore::ForNodes(PropertyGraph& graph,
-                                  const std::vector<NodeId>& ids,
-                                  bool with_values) {
+                                  const std::vector<NodeId>& ids) {
   ColumnStore store;
   store.ids_ = ids;
   store.tokens_.reserve(ids.size());
@@ -208,13 +41,12 @@ ColumnStore ColumnStore::ForNodes(PropertyGraph& graph,
     store.tokens_.push_back(graph.vocab().TokenForLabelSet(n.labels));
     rows.push_back(&n.properties);
   }
-  store.BuildPropertyColumns(rows, with_values);
+  store.BuildKeyCsr(rows);
   return store;
 }
 
 ColumnStore ColumnStore::ForEdges(PropertyGraph& graph,
-                                  const std::vector<EdgeId>& ids,
-                                  bool with_values) {
+                                  const std::vector<EdgeId>& ids) {
   ColumnStore store;
   store.ids_ = ids;
   store.tokens_.reserve(ids.size());
@@ -239,18 +71,8 @@ ColumnStore ColumnStore::ForEdges(PropertyGraph& graph,
     store.dst_ids_.push_back(e.dst);
     rows.push_back(&e.properties);
   }
-  store.BuildPropertyColumns(rows, with_values);
+  store.BuildKeyCsr(rows);
   return store;
-}
-
-ColumnStore PropertyGraph::BuildNodeColumns(const std::vector<NodeId>& ids,
-                                            bool with_values) {
-  return ColumnStore::ForNodes(*this, ids, with_values);
-}
-
-ColumnStore PropertyGraph::BuildEdgeColumns(const std::vector<EdgeId>& ids,
-                                            bool with_values) {
-  return ColumnStore::ForEdges(*this, ids, with_values);
 }
 
 }  // namespace pghive::pg

@@ -3,120 +3,25 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "pg/graph.h"
-#include "pg/property_map.h"
-#include "pg/value.h"
 
 namespace pghive::pg {
 
-/// One presence bit per row of a ColumnStore, packed into 64-bit words.
-class PresenceBitmap {
- public:
-  PresenceBitmap() = default;
-  explicit PresenceBitmap(size_t rows)
-      : rows_(rows), words_((rows + 63) / 64, 0) {}
-
-  size_t rows() const { return rows_; }
-  const std::vector<uint64_t>& words() const { return words_; }
-
-  void Set(size_t row) { words_[row >> 6] |= 1ULL << (row & 63); }
-  bool Test(size_t row) const {
-    return (words_[row >> 6] >> (row & 63)) & 1ULL;
-  }
-
-  /// Number of set bits in [0, row) — the dense-array index ("present rank")
-  /// of `row` in an Arrow-style column.
-  size_t RankBefore(size_t row) const;
-
-  /// Total set bits.
-  size_t Count() const { return RankBefore(rows_); }
-
-  /// Invokes fn(row) for every set bit in [lo, hi), ascending. Scans whole
-  /// words, so absent stretches cost one test per 64 rows.
-  template <typename Fn>
-  void ForEachSet(size_t lo, size_t hi, Fn&& fn) const {
-    if (lo >= hi) return;
-    size_t w = lo >> 6;
-    const size_t w_end = (hi + 63) >> 6;
-    for (; w < w_end; ++w) {
-      uint64_t word = words_[w];
-      if (word == 0) continue;
-      // Mask off bits outside [lo, hi) in the boundary words.
-      if (w == (lo >> 6) && (lo & 63) != 0) {
-        word &= ~0ULL << (lo & 63);
-      }
-      if (w == (hi >> 6) && (hi & 63) != 0) {
-        word &= (1ULL << (hi & 63)) - 1;
-      }
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        fn((w << 6) + static_cast<size_t>(bit));
-        word &= word - 1;
-      }
-    }
-  }
-
- private:
-  size_t rows_ = 0;
-  std::vector<uint64_t> words_;
-};
-
-/// Storage kind of a property column: the single Value alternative every
-/// non-null cell holds, or kMixed when the key carries several.
-enum class ColumnKind : uint8_t {
-  kEmpty,   ///< All present cells are null.
-  kBool,
-  kInt,
-  kFloat,
-  kString,
-  kMixed,
-};
-
-/// A struct-of-arrays property column: the rows of one ColumnStore that
-/// carry `key`, Arrow-style. `present` marks rows carrying the key at all;
-/// `valid` additionally clears rows whose stored value is null. Non-null
-/// cell payloads live in exactly one typed dense array (per `kind`), with
-/// one slot per *present* row — null cells keep a default-valued slot so the
-/// present-rank of a row indexes the array directly.
-///
-/// Value columns are only materialized when the store is built with
-/// with_values = true (round-trip, statistics, future datatype-inference
-/// migration); the hot pipeline consumers read only tokens, the key CSR and
-/// the presence bitmaps.
-struct PropertyColumn {
-  PropKeyId key = 0;
-  ColumnKind kind = ColumnKind::kEmpty;
-  PresenceBitmap present;
-  PresenceBitmap valid;
-  std::vector<uint8_t> bools;
-  std::vector<int64_t> ints;
-  std::vector<double> floats;
-  std::vector<std::string> strings;
-  /// kMixed fallback: the untyped cells, one per present row.
-  std::vector<Value> values;
-
-  /// Reconstructs the cell at `row` (which must be present): the stored
-  /// Value, or a null Value for a null cell.
-  Value ValueAt(size_t row) const;
-};
-
 /// A struct-of-arrays snapshot of one batch's elements (nodes or edges, in
-/// batch order): interned label-set token-id arrays, a CSR of the per-row
-/// sorted property-key sets, and one presence-bitmapped column per distinct
-/// key — the contiguous layout the vectorize / LSH / corpus inner loops scan
-/// instead of chasing per-row PropertyMap allocations (the
+/// batch order): interned label-set token-id arrays and a CSR of the per-row
+/// sorted property-key sets — everything the §4.1 representation vectors
+/// read, laid out contiguously so the vectorize / LSH / corpus inner loops
+/// scan arrays instead of chasing per-row PropertyMap allocations (the
 /// Arrow-table-per-property-set idea of KatanaGraph's RDGCore, scoped to a
-/// batch).
+/// batch). Property values are not copied: discovery only reads which keys
+/// a row carries.
 ///
-/// Built once per batch from the row representation, which stays the source
-/// of truth — row-oriented callers keep working unchanged. Building interns
-/// label-set tokens sequentially in a canonical order (edges: src, edge, dst
-/// per edge; nodes: row order), the same order the row path uses, so token
-/// ids — and therefore every downstream schema — are identical whichever
-/// representation feeds the pipeline.
+/// Built once per batch from the rows, which stay the source of truth.
+/// Building interns label-set tokens sequentially in a canonical order
+/// (edges: src, edge, dst per edge; nodes: row order), so token ids — and
+/// therefore every downstream schema — never depend on the thread count.
 class ColumnStore {
  public:
   ColumnStore() = default;
@@ -136,48 +41,32 @@ class ColumnStore {
   const std::vector<NodeId>& src_ids() const { return src_ids_; }
   const std::vector<NodeId>& dst_ids() const { return dst_ids_; }
 
-  /// CSR of the per-row property-key sets: row i's sorted keys are
-  /// key_ids()[key_offsets()[i] .. key_offsets()[i+1]).
+  /// CSR of the per-row property-key sets: row i's keys, ascending, are
+  /// key_ids()[key_offsets()[i] .. key_offsets()[i+1]). A key set to an
+  /// explicit null is present; an erased key is not.
   const std::vector<uint32_t>& key_offsets() const { return key_offsets_; }
   const std::vector<PropKeyId>& key_ids() const { return key_ids_; }
 
-  /// Property columns, sorted by key id.
-  const std::vector<PropertyColumn>& columns() const { return columns_; }
-
-  /// The column for `key`, or nullptr if no row carries it.
-  const PropertyColumn* FindColumn(PropKeyId key) const;
-
-  bool has_values() const { return has_values_; }
-
   /// Writes 1.0f into data[(row - lo) * stride + offset + key] for every
-  /// (row, key) presence pair with key < max_key and row in [lo, hi) — the
-  /// binary block of the §4.1 representation vectors as a per-column bitmap
-  /// sweep. `data` points at the feature row of `lo`.
+  /// key of every row in [lo, hi) with key < max_key — the binary block of
+  /// the §4.1 representation vectors. `data` points at the feature row of
+  /// `lo`.
   void FillBinaryBlock(size_t lo, size_t hi, size_t max_key, float* data,
                        size_t stride, size_t offset) const;
 
-  /// Reconstructs row `row`'s PropertyMap from the columns (requires
-  /// with_values). Round-trip identity with the source rows is pinned by
-  /// tests/pg/column_store_test.cc.
-  PropertyMap RowProperties(size_t row) const;
-
-  /// Builds the store for `ids` (in order) against `graph`. Interns any
-  /// unseen label-set tokens (nodes: row order). with_values materializes
-  /// the typed value arrays; the pipeline leaves them off.
+  /// Builds the store for `ids` (in order) against `graph`, interning any
+  /// unseen label-set tokens in row order.
   static ColumnStore ForNodes(PropertyGraph& graph,
-                              const std::vector<NodeId>& ids,
-                              bool with_values = false);
+                              const std::vector<NodeId>& ids);
 
   /// Edge version; also captures endpoint tokens and ids. Interning order
   /// per edge is (src, edge, dst) — the corpus-builder order the Word2Vec
   /// token-id history depends on.
   static ColumnStore ForEdges(PropertyGraph& graph,
-                              const std::vector<EdgeId>& ids,
-                              bool with_values = false);
+                              const std::vector<EdgeId>& ids);
 
  private:
-  void BuildPropertyColumns(
-      const std::vector<const PropertyMap*>& rows, bool with_values);
+  void BuildKeyCsr(const std::vector<const PropertyMap*>& rows);
 
   std::vector<uint64_t> ids_;
   std::vector<LabelSetToken> tokens_;
@@ -187,8 +76,6 @@ class ColumnStore {
   std::vector<NodeId> dst_ids_;
   std::vector<uint32_t> key_offsets_;
   std::vector<PropKeyId> key_ids_;
-  std::vector<PropertyColumn> columns_;
-  bool has_values_ = false;
 };
 
 }  // namespace pghive::pg

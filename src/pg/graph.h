@@ -12,8 +12,6 @@
 
 namespace pghive::pg {
 
-class ColumnStore;
-
 using NodeId = uint64_t;
 using EdgeId = uint64_t;
 
@@ -89,15 +87,6 @@ class PropertyGraph {
   /// Out-/in-edge id lists (built lazily, invalidated by AddEdge).
   const std::vector<EdgeId>& OutEdges(NodeId id) const;
   const std::vector<EdgeId>& InEdges(NodeId id) const;
-
-  /// Builds a struct-of-arrays snapshot of the given elements (see
-  /// pg::ColumnStore). The rows stay the source of truth; the snapshot
-  /// interns any unseen label-set tokens in canonical order. Defined in
-  /// column_store.cc.
-  ColumnStore BuildNodeColumns(const std::vector<NodeId>& ids,
-                               bool with_values = false);
-  ColumnStore BuildEdgeColumns(const std::vector<EdgeId>& ids,
-                               bool with_values = false);
 
   /// Summary statistics used by Table 2 and the adaptive parameterization.
   struct Stats {

@@ -1,5 +1,6 @@
 #include "service/job_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace pghive::service {
@@ -34,6 +35,8 @@ void JobQueue::RunLane(const std::string& lane) {
       std::lock_guard<std::mutex> lock(mutex_);
       Lane& l = lanes_[lane];
       if (l.jobs.empty()) {
+        // The last touch of the queue: Drain() returns only once no lane is
+        // running, and the waiter cannot wake before this lock is released.
         l.running = false;
         idle_.notify_all();
         return;
@@ -66,7 +69,13 @@ void JobQueue::DrainLane(const std::string& lane) {
 
 void JobQueue::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [&] { return pending_ == 0; });
+  // pending_ reaches 0 while the runner that ran the last job still has to
+  // re-lock the queue, so wait for every runner to finish too.
+  idle_.wait(lock, [&] {
+    return pending_ == 0 &&
+           std::none_of(lanes_.begin(), lanes_.end(),
+                        [](const auto& lane) { return lane.second.running; });
+  });
 }
 
 void JobQueue::Shutdown() {

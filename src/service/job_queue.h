@@ -42,7 +42,8 @@ class JobQueue {
   /// has finished. Jobs submitted concurrently may or may not be included.
   void DrainLane(const std::string& lane);
 
-  /// Blocks until all lanes are idle.
+  /// Blocks until all lanes are idle and every lane runner has finished
+  /// with the queue, so the caller may destroy it on return.
   void Drain();
 
   /// Drains everything, then rejects further submissions. Idempotent.
@@ -54,6 +55,8 @@ class JobQueue {
  private:
   struct Lane {
     std::deque<Job> jobs;
+    /// A runner is dispatched for this lane. The runner clears it under
+    /// mutex_ as its last use of the queue.
     bool running = false;
   };
 

@@ -85,11 +85,18 @@ std::string ResumeAndFinish(const std::string& snapshot,
   return FinishAndSerialize(&hive, dataset.graph);
 }
 
-// Re-frames `snapshot` with the retired options slot (the u64 before the
-// trailing seed, once the in-process shard count) set to `value`, and
-// returns the slot's previous value through `*old`.
-std::string WithRetiredSlot(const std::string& snapshot, uint64_t value,
-                            uint64_t* old) {
+// The options section ends with the u8 data-plane slot, alpha_scale,
+// threads, pipeline depth, the u64 shard-count slot and the seed; both slots
+// are retired (written as 1, ignored on read). Offsets count back from the
+// section's end.
+constexpr size_t kDataPlaneSlotFromEnd = 41;
+constexpr size_t kShardSlotFromEnd = 16;
+
+// Re-frames `snapshot` with the options-section bytes that start `from_end`
+// bytes before the section's end overwritten by `bytes`, and returns the
+// bytes they replaced through `*old`.
+std::string WithOptionsBytes(const std::string& snapshot, size_t from_end,
+                             const std::string& bytes, std::string* old) {
   util::ByteReader in(snapshot);
   std::string out(in.ReadBytes(8));  // "PGHS" + u32 version.
   uint32_t id = 0;
@@ -97,11 +104,9 @@ std::string WithRetiredSlot(const std::string& snapshot, uint64_t value,
   while (util::ReadSection(&in, &id, &view)) {
     std::string payload(view);
     if (id == 1) {  // The options section.
-      const size_t at = payload.size() - 16;
-      *old = util::ByteReader(view.substr(at)).ReadU64();
-      std::string slot;
-      util::PutU64(&slot, value);
-      payload.replace(at, slot.size(), slot);
+      const size_t at = payload.size() - from_end;
+      *old = payload.substr(at, bytes.size());
+      payload.replace(at, bytes.size(), bytes);
     }
     util::AppendSection(&out, id, payload);
   }
@@ -310,10 +315,27 @@ TEST(StateSnapshotTest, RetiredShardSlotIsWrittenAsOneAndIgnoredOnRead) {
                                           /*checkpoint_at=*/2);
   // A checkpoint from an older `discover --shards 4` holds 4 in the slot;
   // it resumes to the uninterrupted bytes.
-  uint64_t written = 0;
-  const std::string sharded = WithRetiredSlot(run.snapshot, 4, &written);
-  EXPECT_EQ(written, 1u);  // Older readers reject 0 there.
+  std::string four, written;
+  util::PutU64(&four, 4);
+  const std::string sharded =
+      WithOptionsBytes(run.snapshot, kShardSlotFromEnd, four, &written);
+  // Written as 1: older readers reject 0 there.
+  EXPECT_EQ(util::ByteReader(written).ReadU64(), 1u);
   EXPECT_EQ(ResumeAndFinish(sharded, options, 4), run.final_schema);
+}
+
+TEST(StateSnapshotTest, RetiredDataPlaneSlotIsWrittenAsOneAndIgnoredOnRead) {
+  PgHiveOptions options = BaseOptions(EmbedderKind::kWord2Vec);
+  CheckpointedRun run = RunWithCheckpoint(options, /*num_batches=*/4,
+                                          /*checkpoint_at=*/2);
+  // A checkpoint from an older `discover --data-plane row` holds 0 in the
+  // slot (1 meant columnar); it resumes to the uninterrupted bytes.
+  std::string written;
+  const std::string row = WithOptionsBytes(
+      run.snapshot, kDataPlaneSlotFromEnd, std::string(1, '\0'), &written);
+  EXPECT_EQ(written, std::string(1, '\1'));
+  EXPECT_TRUE(ReadSnapshotOptions(row).ok());
+  EXPECT_EQ(ResumeAndFinish(row, options, 4), run.final_schema);
 }
 
 TEST(StateSnapshotTest, FailedHiveRefusesToSnapshot) {

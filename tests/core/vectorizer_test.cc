@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "datasets/generator.h"
 #include "datasets/zoo.h"
 #include "embed/hash_embedder.h"
@@ -98,17 +101,23 @@ TEST(VectorizerTest, IdenticalPatternsProduceIdenticalVectors) {
   }
 }
 
+/// Row i of a set CSR as a vector.
+std::vector<uint64_t> Span(const ElementSetCsr& csr, size_t i) {
+  return std::vector<uint64_t>(csr.elements.begin() + csr.offsets[i],
+                               csr.elements.begin() + csr.offsets[i + 1]);
+}
+
 TEST(VectorizerTest, NodeSetsContainLabelAndKeys) {
   Fixture f;
   Vectorizer vectorizer(&f.graph, f.embedder.get());
-  auto sets = vectorizer.NodeSets(pg::FullBatch(f.graph));
-  ASSERT_EQ(sets.size(), 3u);
+  ElementSetCsr sets = vectorizer.NodeSetSpans(pg::FullBatch(f.graph));
+  ASSERT_EQ(sets.num(), 3u);
   // Bob: label token + 2 keys.
-  EXPECT_EQ(sets[0].size(), 3u);
+  EXPECT_EQ(Span(sets, 0).size(), 3u);
   // Alice: no label token, 1 key.
-  EXPECT_EQ(sets[1].size(), 1u);
+  EXPECT_EQ(Span(sets, 1).size(), 1u);
   // Org: label only.
-  EXPECT_EQ(sets[2].size(), 1u);
+  EXPECT_EQ(Span(sets, 2).size(), 1u);
 }
 
 TEST(VectorizerTest, EdgeSetsDistinguishEndpointRoles) {
@@ -120,61 +129,142 @@ TEST(VectorizerTest, EdgeSetsDistinguishEndpointRoles) {
   g.AddEdge(b, a, {"R"});
   embed::HashEmbedder embedder(&g.vocab(), 4, 3);
   Vectorizer vectorizer(&g, &embedder);
-  auto sets = vectorizer.EdgeSets(pg::FullBatch(g));
-  ASSERT_EQ(sets.size(), 2u);
-  EXPECT_NE(sets[0], sets[1]);
+  ElementSetCsr sets = vectorizer.EdgeSetSpans(pg::FullBatch(g));
+  ASSERT_EQ(sets.num(), 2u);
+  EXPECT_NE(Span(sets, 0), Span(sets, 1));
 }
 
-// ---- Columnar-vs-row equivalence --------------------------------------
+// ---- Equivalence with the §4.1 definitions ------------------------------
 //
-// The columnar sweep is an optimization of the row loops, never a semantic
-// change: identical feature bytes, identical MinHash element multisets,
-// identical endpoint tokens. Pinned on generated zoo graphs so label
-// overlap, unlabeled elements and property holes all occur.
+// The column sweeps must equal the vectors and sets written down one row at
+// a time from each element's labels and PropertyMap: identical feature
+// bytes, identical sorted MinHash sets, identical endpoint tokens. Pinned on
+// generated zoo graphs so label overlap, unlabeled elements and property
+// holes all occur. The references run after the vectorizer, so every token
+// they look up is already interned.
+
+FeatureMatrix NaiveNodeFeatures(pg::PropertyGraph& graph,
+                                const embed::LabelEmbedder& embedder,
+                                const pg::GraphBatch& batch) {
+  const size_t d = embedder.dim();
+  FeatureMatrix m;
+  m.num = batch.node_ids.size();
+  m.dim = d + graph.vocab().num_keys();
+  m.data.assign(m.num * m.dim, 0.0f);
+  for (size_t i = 0; i < m.num; ++i) {
+    const pg::Node& n = graph.node(batch.node_ids[i]);
+    float* row = &m.data[i * m.dim];
+    embedder.Embed(graph.vocab().TokenForLabelSet(n.labels), row);
+    for (const auto& [key, value] : n.properties.entries()) {
+      row[d + key] = 1.0f;
+    }
+  }
+  return m;
+}
+
+FeatureMatrix NaiveEdgeFeatures(pg::PropertyGraph& graph,
+                                const embed::LabelEmbedder& embedder,
+                                const pg::GraphBatch& batch) {
+  const size_t d = embedder.dim();
+  pg::Vocabulary& vocab = graph.vocab();
+  FeatureMatrix m;
+  m.num = batch.edge_ids.size();
+  m.dim = 3 * d + vocab.num_keys();
+  m.data.assign(m.num * m.dim, 0.0f);
+  for (size_t i = 0; i < m.num; ++i) {
+    const pg::Edge& e = graph.edge(batch.edge_ids[i]);
+    float* row = &m.data[i * m.dim];
+    embedder.Embed(vocab.TokenForLabelSet(e.labels), row);
+    embedder.Embed(vocab.TokenForLabelSet(graph.node(e.src).labels), row + d);
+    embedder.Embed(vocab.TokenForLabelSet(graph.node(e.dst).labels),
+                   row + 2 * d);
+    for (const auto& [key, value] : e.properties.entries()) {
+      row[3 * d + key] = 1.0f;
+    }
+  }
+  return m;
+}
+
+std::vector<uint64_t> NaiveNodeSet(pg::PropertyGraph& graph, pg::NodeId id) {
+  const pg::Node& n = graph.node(id);
+  std::vector<uint64_t> set;
+  const pg::LabelSetToken token = graph.vocab().TokenForLabelSet(n.labels);
+  if (token != pg::kNoToken) set.push_back(MinHashLabelElement(token));
+  for (const auto& [key, value] : n.properties.entries()) {
+    set.push_back(MinHashKeyElement(key));
+  }
+  std::sort(set.begin(), set.end());
+  return set;
+}
+
+std::vector<uint64_t> NaiveEdgeSet(pg::PropertyGraph& graph, pg::EdgeId id) {
+  const pg::Edge& e = graph.edge(id);
+  pg::Vocabulary& vocab = graph.vocab();
+  std::vector<uint64_t> set;
+  const pg::LabelSetToken own = vocab.TokenForLabelSet(e.labels);
+  const pg::LabelSetToken src =
+      vocab.TokenForLabelSet(graph.node(e.src).labels);
+  const pg::LabelSetToken dst =
+      vocab.TokenForLabelSet(graph.node(e.dst).labels);
+  if (own != pg::kNoToken) set.push_back(MinHashLabelElement(own));
+  if (src != pg::kNoToken) set.push_back(MinHashSrcElement(src));
+  if (dst != pg::kNoToken) set.push_back(MinHashDstElement(dst));
+  for (const auto& [key, value] : e.properties.entries()) {
+    set.push_back(MinHashKeyElement(key));
+  }
+  std::sort(set.begin(), set.end());
+  return set;
+}
 
 TEST(VectorizerEquivalenceTest, ColumnarFeaturesMatchRowFeaturesExactly) {
   for (const datasets::DatasetSpec& spec :
        {datasets::PoleSpec(), datasets::IcijSpec()}) {
     datasets::Dataset dataset = datasets::Generate(spec, 0.05, 23);
-    embed::HashEmbedder embedder(&dataset.graph.vocab(), 8, 5);
-    pg::GraphBatch batch = pg::FullBatch(dataset.graph);
-    Vectorizer row(&dataset.graph, &embedder, nullptr, /*columnar=*/false);
-    Vectorizer col(&dataset.graph, &embedder, nullptr, /*columnar=*/true);
-    ASSERT_FALSE(row.columnar());
-    ASSERT_TRUE(col.columnar());
-    FeatureMatrix row_nodes = row.NodeFeatures(batch);
-    FeatureMatrix col_nodes = col.NodeFeatures(batch);
-    EXPECT_EQ(col_nodes.num, row_nodes.num);
-    EXPECT_EQ(col_nodes.dim, row_nodes.dim);
-    EXPECT_EQ(col_nodes.data, row_nodes.data);
-    FeatureMatrix row_edges = row.EdgeFeatures(batch);
-    FeatureMatrix col_edges = col.EdgeFeatures(batch);
-    EXPECT_EQ(col_edges.dim, row_edges.dim);
-    EXPECT_EQ(col_edges.data, row_edges.data);
-    EXPECT_EQ(col.EdgeEndpointTokens(batch), row.EdgeEndpointTokens(batch));
+    pg::PropertyGraph& graph = dataset.graph;
+    embed::HashEmbedder embedder(&graph.vocab(), 8, 5);
+    pg::GraphBatch batch = pg::FullBatch(graph);
+    Vectorizer vectorizer(&graph, &embedder);
+    FeatureMatrix nodes = vectorizer.NodeFeatures(batch);
+    FeatureMatrix edges = vectorizer.EdgeFeatures(batch);
+    FeatureMatrix want_nodes = NaiveNodeFeatures(graph, embedder, batch);
+    EXPECT_EQ(nodes.num, want_nodes.num);
+    EXPECT_EQ(nodes.dim, want_nodes.dim);
+    EXPECT_EQ(nodes.data, want_nodes.data);
+    FeatureMatrix want_edges = NaiveEdgeFeatures(graph, embedder, batch);
+    EXPECT_EQ(edges.dim, want_edges.dim);
+    EXPECT_EQ(edges.data, want_edges.data);
+    auto endpoints = vectorizer.EdgeEndpointTokens(batch);
+    ASSERT_EQ(endpoints.size(), batch.edge_ids.size());
+    for (size_t i = 0; i < endpoints.size(); ++i) {
+      const pg::Edge& e = graph.edge(batch.edge_ids[i]);
+      EXPECT_EQ(endpoints[i].first,
+                graph.vocab().TokenForLabelSet(graph.node(e.src).labels));
+      EXPECT_EQ(endpoints[i].second,
+                graph.vocab().TokenForLabelSet(graph.node(e.dst).labels));
+    }
   }
 }
 
 TEST(VectorizerEquivalenceTest, SetSpansMatchNestedSetsRowForRow) {
   datasets::Dataset dataset = datasets::Generate(datasets::LdbcSpec(), 0.05, 29);
-  embed::HashEmbedder embedder(&dataset.graph.vocab(), 8, 5);
-  pg::GraphBatch batch = pg::FullBatch(dataset.graph);
-  Vectorizer row(&dataset.graph, &embedder, nullptr, /*columnar=*/false);
-  Vectorizer col(&dataset.graph, &embedder, nullptr, /*columnar=*/true);
-
-  auto check = [](const std::vector<std::vector<uint64_t>>& sets,
-                  const ElementSetCsr& csr) {
-    ASSERT_EQ(csr.num(), sets.size());
-    for (size_t i = 0; i < sets.size(); ++i) {
-      // Nested sets come out sorted; the CSR emits rows pre-sorted, so the
-      // spans must match element for element, not just as multisets.
-      std::vector<uint64_t> span(csr.elements.begin() + csr.offsets[i],
-                                 csr.elements.begin() + csr.offsets[i + 1]);
-      ASSERT_EQ(span, sets[i]) << "row " << i;
-    }
-  };
-  check(row.NodeSets(batch), col.NodeSetSpans(batch));
-  check(row.EdgeSets(batch), col.EdgeSetSpans(batch));
+  pg::PropertyGraph& graph = dataset.graph;
+  embed::HashEmbedder embedder(&graph.vocab(), 8, 5);
+  pg::GraphBatch batch = pg::FullBatch(graph);
+  Vectorizer vectorizer(&graph, &embedder);
+  ElementSetCsr nodes = vectorizer.NodeSetSpans(batch);
+  ElementSetCsr edges = vectorizer.EdgeSetSpans(batch);
+  // The spans must come out sorted, so they match element for element, not
+  // just as multisets.
+  ASSERT_EQ(nodes.num(), batch.node_ids.size());
+  for (size_t i = 0; i < nodes.num(); ++i) {
+    ASSERT_EQ(Span(nodes, i), NaiveNodeSet(graph, batch.node_ids[i]))
+        << "node row " << i;
+  }
+  ASSERT_EQ(edges.num(), batch.edge_ids.size());
+  for (size_t i = 0; i < edges.num(); ++i) {
+    ASSERT_EQ(Span(edges, i), NaiveEdgeSet(graph, batch.edge_ids[i]))
+        << "edge row " << i;
+  }
 }
 
 TEST(VectorizerEquivalenceTest, ColumnCachesRebuildWhenBatchChanges) {

@@ -50,10 +50,9 @@ TEST(CorpusTest, BatchRestrictsScope) {
   pg::NodeId b = g.AddNode({"B"});
   g.AddNode({"C"});  // Not in batch.
   g.AddEdge(a, b, {"R"});
-  pg::GraphBatch batch;
-  batch.node_ids = {a, b};
-  batch.edge_ids = {0};
-  LabelCorpus corpus = BuildLabelCorpus(g, batch);
+  const pg::ColumnStore edges = pg::ColumnStore::ForEdges(g, {0});
+  const pg::ColumnStore nodes = pg::ColumnStore::ForNodes(g, {a, b});
+  LabelCorpus corpus = BuildLabelCorpus(g, edges, nodes);
   EXPECT_EQ(corpus.sentences.size(), 1u);
 }
 

@@ -1,8 +1,8 @@
 // ColumnStore is a derived, struct-of-arrays view of the row representation,
 // so every test here is an equivalence pin: whatever random rows say, the
-// columns must say byte for byte — round-trip through RowProperties, CSR key
-// order vs entries() order, null/overwrite/erase semantics, and the
-// FillBinaryBlock sweep against the naive per-row loop.
+// columns must say too — CSR key order vs entries() order, endpoint ids and
+// tokens, null/overwrite/erase semantics, and the FillBinaryBlock sweep
+// against the naive per-row loop.
 
 #include "pg/column_store.h"
 
@@ -87,76 +87,21 @@ std::vector<EdgeId> AllEdges(const PropertyGraph& graph) {
   return ids;
 }
 
-TEST(PresenceBitmapTest, RankBeforeMatchesNaiveCount) {
-  util::Rng rng(7);
-  const size_t rows = 300;  // Crosses several word boundaries.
-  PresenceBitmap bitmap(rows);
-  std::vector<bool> naive(rows, false);
-  for (size_t i = 0; i < rows; ++i) {
-    if (rng.NextBounded(3) == 0) {
-      bitmap.Set(i);
-      naive[i] = true;
-    }
-  }
-  size_t rank = 0;
-  for (size_t i = 0; i < rows; ++i) {
-    EXPECT_EQ(bitmap.Test(i), naive[i]) << i;
-    EXPECT_EQ(bitmap.RankBefore(i), rank) << i;
-    if (naive[i]) ++rank;
-  }
-  EXPECT_EQ(bitmap.Count(), rank);
-}
-
-TEST(PresenceBitmapTest, ForEachSetHonorsRangeBoundaries) {
-  util::Rng rng(11);
-  const size_t rows = 200;
-  PresenceBitmap bitmap(rows);
-  std::vector<bool> naive(rows, false);
-  for (size_t i = 0; i < rows; ++i) {
-    if (rng.NextBounded(2) == 0) {
-      bitmap.Set(i);
-      naive[i] = true;
-    }
-  }
-  // Ranges chosen to hit word-aligned, word-straddling, single-word and
-  // empty cases.
-  const std::pair<size_t, size_t> ranges[] = {
-      {0, rows}, {0, 0},   {0, 1},    {0, 63},   {0, 64},  {1, 64},
-      {63, 65},  {64, 64}, {64, 128}, {65, 127}, {100, 101}, {130, rows}};
-  for (const auto& [lo, hi] : ranges) {
-    std::vector<size_t> got, want;
-    bitmap.ForEachSet(lo, hi, [&](size_t row) { got.push_back(row); });
-    for (size_t i = lo; i < hi; ++i) {
-      if (naive[i]) want.push_back(i);
-    }
-    EXPECT_EQ(got, want) << "[" << lo << ", " << hi << ")";
-  }
-}
-
-TEST(ColumnStoreTest, NodeRowsRoundTripThroughColumns) {
-  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    PropertyGraph graph = RandomGraph(seed, 120, 0);
-    ColumnStore cols =
-        graph.BuildNodeColumns(AllNodes(graph), /*with_values=*/true);
-    ASSERT_EQ(cols.num_rows(), graph.num_nodes());
-    EXPECT_TRUE(cols.has_values());
-    for (size_t row = 0; row < cols.num_rows(); ++row) {
-      const PropertyMap& want = graph.node(row).properties;
-      PropertyMap got = cols.RowProperties(row);
-      EXPECT_EQ(got.entries(), want.entries()) << "seed " << seed
-                                               << " row " << row;
-    }
-  }
+/// Row `row`'s key set as the store's CSR holds it.
+std::vector<KeyId> CsrKeys(const ColumnStore& cols, size_t row) {
+  return std::vector<KeyId>(
+      cols.key_ids().begin() + cols.key_offsets()[row],
+      cols.key_ids().begin() + cols.key_offsets()[row + 1]);
 }
 
 TEST(ColumnStoreTest, EdgeRowsRoundTripThroughColumns) {
   PropertyGraph graph = RandomGraph(6, 40, 150);
-  ColumnStore cols =
-      graph.BuildEdgeColumns(AllEdges(graph), /*with_values=*/true);
+  ColumnStore cols = ColumnStore::ForEdges(graph, AllEdges(graph));
   ASSERT_EQ(cols.num_rows(), graph.num_edges());
+  EXPECT_EQ(cols.ids(), AllEdges(graph));
   for (size_t row = 0; row < cols.num_rows(); ++row) {
     const Edge& e = graph.edge(row);
-    EXPECT_EQ(cols.RowProperties(row).entries(), e.properties.entries());
+    EXPECT_EQ(CsrKeys(cols, row), e.properties.Keys()) << "row " << row;
     EXPECT_EQ(cols.src_ids()[row], e.src);
     EXPECT_EQ(cols.dst_ids()[row], e.dst);
     EXPECT_EQ(cols.src_tokens()[row],
@@ -168,40 +113,13 @@ TEST(ColumnStoreTest, EdgeRowsRoundTripThroughColumns) {
 
 TEST(ColumnStoreTest, KeyCsrMatchesRowKeyOrder) {
   PropertyGraph graph = RandomGraph(8, 100, 0);
-  ColumnStore cols = graph.BuildNodeColumns(AllNodes(graph));
+  ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
   ASSERT_EQ(cols.key_offsets().size(), cols.num_rows() + 1);
   for (size_t row = 0; row < cols.num_rows(); ++row) {
-    const std::vector<KeyId> want = graph.node(row).properties.Keys();
-    std::vector<KeyId> got(
-        cols.key_ids().begin() + cols.key_offsets()[row],
-        cols.key_ids().begin() + cols.key_offsets()[row + 1]);
-    EXPECT_EQ(got, want) << "row " << row;  // entries() is sorted by key.
+    // Keys() is sorted by key id, so this also pins ascending rows.
+    EXPECT_EQ(CsrKeys(cols, row), graph.node(row).properties.Keys())
+        << "row " << row;
   }
-}
-
-TEST(ColumnStoreTest, ColumnsSortedByKeyAndFindColumnAgrees) {
-  PropertyGraph graph = RandomGraph(9, 150, 0);
-  ColumnStore cols =
-      graph.BuildNodeColumns(AllNodes(graph), /*with_values=*/true);
-  ASSERT_FALSE(cols.columns().empty());
-  for (size_t c = 1; c < cols.columns().size(); ++c) {
-    EXPECT_LT(cols.columns()[c - 1].key, cols.columns()[c].key);
-  }
-  for (const PropertyColumn& col : cols.columns()) {
-    EXPECT_EQ(cols.FindColumn(col.key), &col);
-    // Presence bits reproduce exactly the rows carrying the key, and the
-    // valid subset the rows whose stored value is non-null.
-    for (size_t row = 0; row < cols.num_rows(); ++row) {
-      const Value* v = graph.node(row).properties.Get(col.key);
-      EXPECT_EQ(col.present.Test(row), v != nullptr);
-      EXPECT_EQ(col.valid.Test(row), v != nullptr && !v->is_null());
-      if (v != nullptr) {
-        EXPECT_EQ(col.ValueAt(row), *v);
-      }
-    }
-  }
-  // A key no row carries.
-  EXPECT_EQ(cols.FindColumn(static_cast<PropKeyId>(10000)), nullptr);
 }
 
 TEST(ColumnStoreTest, OverwriteEraseAndNullSemantics) {
@@ -214,56 +132,33 @@ TEST(ColumnStoreTest, OverwriteEraseAndNullSemantics) {
   graph.SetNodeProperty(a, "gone", Value(true));
   graph.SetNodeProperty(b, "age", Value(static_cast<int64_t>(40)));
   graph.SetNodeProperty(b, "hole", Value());  // explicit null
-  ASSERT_TRUE(graph.node(a).properties.Erase(
-      graph.node(a).properties.Keys()[1]));  // erase "gone"
+  const KeyId age = graph.vocab().FindKey("age");
+  const KeyId gone = graph.vocab().FindKey("gone");
+  const KeyId hole = graph.vocab().FindKey("hole");
+  ASSERT_TRUE(graph.node(a).properties.Erase(gone));
 
-  ColumnStore cols =
-      graph.BuildNodeColumns({a, b, c}, /*with_values=*/true);
-  // "gone" was erased before the build: no row carries it, so no column.
-  ASSERT_EQ(cols.columns().size(), 2u);
+  ColumnStore cols = ColumnStore::ForNodes(graph, {a, b, c});
+  // The overwrite keeps one entry; the erased key is absent.
+  EXPECT_EQ(CsrKeys(cols, 0), std::vector<KeyId>{age});
+  // The explicit null is a present key.
+  EXPECT_EQ(CsrKeys(cols, 1), (std::vector<KeyId>{age, hole}));
+  EXPECT_TRUE(CsrKeys(cols, 2).empty());
 
-  const PropertyColumn* age = &cols.columns()[0];
-  EXPECT_EQ(age->kind, ColumnKind::kMixed);  // string row + int row
-  EXPECT_EQ(age->ValueAt(0), Value("thirty"));
-  EXPECT_EQ(age->ValueAt(1), Value(static_cast<int64_t>(40)));
-  EXPECT_FALSE(age->present.Test(2));
-
-  const PropertyColumn* hole = &cols.columns()[1];
-  EXPECT_TRUE(hole->present.Test(1));   // key present...
-  EXPECT_FALSE(hole->valid.Test(1));    // ...value null
-  EXPECT_TRUE(hole->ValueAt(1).is_null());
-  EXPECT_EQ(hole->kind, ColumnKind::kEmpty);  // only null cells
-
-  // Round-trip reproduces the null entry and the erased key's absence.
-  EXPECT_EQ(cols.RowProperties(0).entries(),
-            graph.node(a).properties.entries());
-  EXPECT_EQ(cols.RowProperties(1).entries(),
-            graph.node(b).properties.entries());
-  EXPECT_TRUE(cols.RowProperties(2).empty());
-}
-
-TEST(ColumnStoreTest, SingleTypeColumnsUseTypedArrays) {
-  PropertyGraph graph;
-  for (int i = 0; i < 5; ++i) {
-    NodeId id = graph.AddNode({"N"});
-    graph.SetNodeProperty(id, "i", Value(static_cast<int64_t>(i)));
-    graph.SetNodeProperty(id, "f", Value(0.5 * i));
-    graph.SetNodeProperty(id, "b", Value(i % 2 == 0));
-    graph.SetNodeProperty(id, "s", Value("v" + std::to_string(i)));
+  const size_t stride = graph.vocab().num_keys();
+  std::vector<float> block(3 * stride, 0.0f);
+  cols.FillBinaryBlock(0, 3, stride, block.data(), stride, 0);
+  EXPECT_EQ(block[0 * stride + age], 1.0f);
+  EXPECT_EQ(block[0 * stride + gone], 0.0f);
+  EXPECT_EQ(block[1 * stride + hole], 1.0f);
+  EXPECT_EQ(block[1 * stride + gone], 0.0f);
+  for (size_t key = 0; key < stride; ++key) {
+    EXPECT_EQ(block[2 * stride + key], 0.0f) << key;
   }
-  ColumnStore cols =
-      graph.BuildNodeColumns(AllNodes(graph), /*with_values=*/true);
-  ASSERT_EQ(cols.columns().size(), 4u);
-  EXPECT_EQ(cols.columns()[0].kind, ColumnKind::kInt);
-  EXPECT_EQ(cols.columns()[0].ints.size(), 5u);
-  EXPECT_EQ(cols.columns()[1].kind, ColumnKind::kFloat);
-  EXPECT_EQ(cols.columns()[2].kind, ColumnKind::kBool);
-  EXPECT_EQ(cols.columns()[3].kind, ColumnKind::kString);
 }
 
 TEST(ColumnStoreTest, FillBinaryBlockMatchesNaiveRowSweep) {
   PropertyGraph graph = RandomGraph(13, 230, 0);
-  ColumnStore cols = graph.BuildNodeColumns(AllNodes(graph));
+  ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
   const size_t num = cols.num_rows();
   const size_t max_key = 5;  // Smaller than the key universe on purpose.
   const size_t offset = 3, stride = offset + max_key + 2;
@@ -284,35 +179,35 @@ TEST(ColumnStoreTest, FillBinaryBlockMatchesNaiveRowSweep) {
 
 TEST(ColumnStoreTest, EmptyAndValuelessStores) {
   PropertyGraph graph = RandomGraph(17, 20, 10);
-  ColumnStore empty = graph.BuildNodeColumns({});
+  ColumnStore empty = ColumnStore::ForNodes(graph, {});
   EXPECT_EQ(empty.num_rows(), 0u);
-  EXPECT_TRUE(empty.columns().empty());
+  EXPECT_EQ(empty.key_offsets(), std::vector<uint32_t>{0});
+  EXPECT_TRUE(empty.key_ids().empty());
   std::vector<float> untouched(8, -1.0f);
   empty.FillBinaryBlock(0, 0, 4, untouched.data(), 8, 0);
   EXPECT_EQ(untouched, std::vector<float>(8, -1.0f));
 
-  // Default build skips the value arrays but keeps presence exact.
-  ColumnStore lean = graph.BuildNodeColumns(AllNodes(graph));
-  EXPECT_FALSE(lean.has_values());
-  for (const PropertyColumn& col : lean.columns()) {
-    EXPECT_TRUE(col.bools.empty() && col.ints.empty() && col.floats.empty() &&
-                col.strings.empty() && col.values.empty());
-    size_t present = 0;
-    for (size_t row = 0; row < lean.num_rows(); ++row) {
-      if (graph.node(row).properties.Has(col.key)) ++present;
-    }
-    EXPECT_EQ(col.present.Count(), present);
-  }
+  // Rows without properties: every CSR run is empty and the binary block
+  // stays zero.
+  PropertyGraph bare;
+  const NodeId x = bare.AddNode({"X"});
+  const NodeId y = bare.AddNode({});
+  ColumnStore valueless = ColumnStore::ForNodes(bare, {x, y});
+  EXPECT_EQ(valueless.key_offsets(), (std::vector<uint32_t>{0, 0, 0}));
+  EXPECT_TRUE(valueless.key_ids().empty());
+  std::vector<float> zeros(2 * 4, 0.0f);
+  valueless.FillBinaryBlock(0, 2, 4, zeros.data(), 4, 0);
+  EXPECT_EQ(zeros, std::vector<float>(2 * 4, 0.0f));
 }
 
 TEST(ColumnStoreTest, TokensMatchRowOrderInterning) {
   PropertyGraph graph = RandomGraph(19, 60, 80);
-  ColumnStore node_cols = graph.BuildNodeColumns(AllNodes(graph));
+  ColumnStore node_cols = ColumnStore::ForNodes(graph, AllNodes(graph));
   for (size_t row = 0; row < node_cols.num_rows(); ++row) {
     EXPECT_EQ(node_cols.tokens()[row],
               graph.vocab().TokenForLabelSet(graph.node(row).labels));
   }
-  ColumnStore edge_cols = graph.BuildEdgeColumns(AllEdges(graph));
+  ColumnStore edge_cols = ColumnStore::ForEdges(graph, AllEdges(graph));
   for (size_t row = 0; row < edge_cols.num_rows(); ++row) {
     EXPECT_EQ(edge_cols.tokens()[row],
               graph.vocab().TokenForLabelSet(graph.edge(row).labels));

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -114,6 +115,25 @@ TEST(JobQueueTest, ShutdownRejectsFurtherSubmissions) {
   EXPECT_FALSE(queue.Submit("lane", [&] { ++ran; }));
   EXPECT_EQ(ran.load(), 1);  // Rejected job never ran.
   queue.Shutdown();          // Idempotent.
+}
+
+// Drain() is the teardown barrier (~JobQueue, ~SessionManager): once it
+// returns, no lane runner may touch the queue again. A runner re-locks the
+// queue after its last job has been counted done, so Drain must also wait
+// for the runners; if it did not, a sanitizer build would report the
+// destroyed queue's reuse here as a heap-use-after-free.
+TEST(JobQueueTest, DestroyingPooledQueueRightAfterDrainIsSafe) {
+  util::ThreadPool pool(4);
+  for (int round = 0; round < 300; ++round) {
+    auto queue = std::make_unique<JobQueue>(&pool);
+    std::atomic<int> ran{0};
+    for (int lane = 0; lane < 8; ++lane) {
+      ASSERT_TRUE(queue->Submit("l" + std::to_string(lane), [&] { ++ran; }));
+    }
+    queue->Drain();
+    EXPECT_EQ(ran.load(), 8);
+    queue.reset();
+  }
 }
 
 TEST(JobQueueTest, JobExceptionDoesNotWedgeTheLane) {

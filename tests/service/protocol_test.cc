@@ -155,6 +155,9 @@ TEST_F(HandlerTest, CreateSessionParsesKnobsAndRejectsBadOnes) {
   Response shards = Run("create-session shards=2");
   EXPECT_EQ(shards.status.code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(shards.status.message().find("shards"), std::string::npos);
+  Response plane = Run("create-session data-plane=row");
+  EXPECT_EQ(plane.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(plane.status.message().find("data-plane"), std::string::npos);
 }
 
 TEST_F(HandlerTest, CreateSessionProtocolHandshake) {

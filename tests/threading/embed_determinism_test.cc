@@ -14,6 +14,7 @@
 #include "embed/corpus.h"
 #include "embed/word2vec.h"
 #include "pg/batch.h"
+#include "pg/column_store.h"
 #include "util/thread_pool.h"
 
 namespace pghive {
@@ -86,9 +87,12 @@ TEST(EmbedDeterminismTest, IncrementalTrainIdenticalAcrossThreadCounts) {
     util::ThreadPool pool(num_threads == 0 ? 1 : num_threads);
     for (const auto& batch :
          pg::SplitIntoBatches(dataset.graph, /*num_batches=*/4, /*seed=*/5)) {
-      embed::LabelCorpus corpus =
-          embed::BuildLabelCorpus(dataset.graph, batch);
-      model.Train(corpus, num_threads == 0 ? nullptr : &pool);
+      const pg::ColumnStore edges =
+          pg::ColumnStore::ForEdges(dataset.graph, batch.edge_ids);
+      const pg::ColumnStore nodes =
+          pg::ColumnStore::ForNodes(dataset.graph, batch.node_ids);
+      model.Train(embed::BuildLabelCorpus(dataset.graph, edges, nodes),
+                  num_threads == 0 ? nullptr : &pool);
     }
     return AllEmbeddings(model, dataset.graph.vocab().num_tokens());
   };

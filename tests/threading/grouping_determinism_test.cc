@@ -65,7 +65,9 @@ TEST(GroupingDeterminismTest, MinHashBandingAcrossThreadCounts) {
   embed::HashEmbedder embedder(&dataset.graph.vocab(), 8, 17);
   core::Vectorizer vectorizer(&dataset.graph, &embedder, nullptr);
   pg::GraphBatch batch = pg::FullBatch(dataset.graph);
-  auto sets = vectorizer.NodeSets(batch);
+  core::ElementSetCsr csr = vectorizer.NodeSetSpans(batch);
+  const lsh::SetSpans sets{csr.elements.data(), csr.offsets.data(),
+                           csr.num()};
   lsh::MinHashParams params;
   params.num_hashes = 24;
   params.rows_per_band = 4;

@@ -160,99 +160,6 @@ TEST(IsRegressionTest, SpeedupRatioMode) {
   EXPECT_FALSE(IsRegression(no_ratio, 10.0, GateMode::kSpeedupRatio));
 }
 
-TEST(ParseBenchJsonTest, SweepEntriesCarryThroughput) {
-  auto parsed = ParseBenchJson(R"({
-    "stages": [
-      {"stage": "vectorize", "results": [
-        {"threads": 1, "ms": 100.0, "speedup": 1.0, "eps": 250000.5},
-        {"threads": 2, "ms": 55.0, "speedup": 1.818}
-      ]}
-    ]
-  })");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const auto& entries = *parsed;
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_DOUBLE_EQ(entries[0].eps, 250000.5);
-  EXPECT_DOUBLE_EQ(entries[1].eps, 0.0);  // "eps" is optional.
-}
-
-TEST(DiffEntriesTest, CarriesThroughputWhenBothSidesHaveIt) {
-  std::vector<BenchEntry> baseline = {{"v", 100.0, 1.0, 200000.0},
-                                      {"plain", 10.0, 0.0, 0.0}};
-  std::vector<BenchEntry> current = {{"v", 125.0, 1.0, 160000.0},
-                                     {"plain", 10.0, 0.0, 123.0}};
-  auto rows = DiffEntries(baseline, current);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows[0].base_eps, 200000.0);
-  EXPECT_DOUBLE_EQ(rows[0].cur_eps, 160000.0);
-  EXPECT_DOUBLE_EQ(rows[0].eps_drop_pct, 20.0);  // 200k -> 160k e/s.
-  EXPECT_DOUBLE_EQ(rows[1].base_eps, 0.0);  // One-sided data: no comparison.
-}
-
-TEST(IsRegressionTest, ThroughputMode) {
-  // Scaling intact (speedups equal) while every thread count got uniformly
-  // slower — invisible to the ratio gate, exactly what eps mode catches.
-  DiffRow uniform_slowdown{"x", 100.0, 125.0, 25.0, 1.0,     1.0,
-                           0.0, 200000.0, 160000.0, 20.0};
-  EXPECT_FALSE(IsRegression(uniform_slowdown, 10.0, GateMode::kSpeedupRatio));
-  EXPECT_TRUE(IsRegression(uniform_slowdown, 10.0, GateMode::kThroughput));
-  EXPECT_FALSE(IsRegression(uniform_slowdown, 20.0,
-                            GateMode::kThroughput));  // Strict threshold.
-
-  DiffRow improved{"x", 100.0, 80.0, -20.0, 1.0, 1.0, 0.0,
-                   200000.0, 250000.0, -25.0};
-  EXPECT_FALSE(IsRegression(improved, 10.0, GateMode::kThroughput));
-
-  // Entries without throughput data never regress in eps mode.
-  DiffRow no_eps{"x", 100.0, 900.0, 800.0};
-  EXPECT_FALSE(IsRegression(no_eps, 10.0, GateMode::kThroughput));
-}
-
-TEST(IsIdenticalCodeStageTest, MatchesStagePrefix) {
-  EXPECT_TRUE(IsIdenticalCodeStage("group"));
-  EXPECT_TRUE(IsIdenticalCodeStage("group/threads=1"));
-  EXPECT_TRUE(IsIdenticalCodeStage("group/threads=8"));
-  EXPECT_FALSE(IsIdenticalCodeStage("vectorize/threads=1"));
-  EXPECT_FALSE(IsIdenticalCodeStage("grouping/threads=1"));  // Exact stage.
-  EXPECT_FALSE(IsIdenticalCodeStage("hash"));
-  EXPECT_FALSE(IsIdenticalCodeStage(""));
-}
-
-// The group stage runs identical code on both data planes, so a huge eps
-// swing there is pure noise: never a throughput regression, while the same
-// numbers on a real stage still trip the gate — and other gate modes are
-// unaffected by the skip list.
-TEST(IsRegressionTest, ThroughputModeSkipsIdenticalCodeStages) {
-  DiffRow noisy_group{"group/threads=2", 100.0, 150.0, 50.0, 0.0, 0.0,
-                      0.0, 200000.0, 100000.0, 50.0};
-  EXPECT_FALSE(IsRegression(noisy_group, 10.0, GateMode::kThroughput));
-  EXPECT_TRUE(IsRegression(noisy_group, 10.0, GateMode::kAbsoluteMs));
-
-  DiffRow same_numbers_real_stage{"vectorize/threads=2", 100.0, 150.0, 50.0,
-                                  0.0, 0.0, 0.0, 200000.0, 100000.0, 50.0};
-  EXPECT_TRUE(
-      IsRegression(same_numbers_real_stage, 10.0, GateMode::kThroughput));
-
-  EXPECT_TRUE(RegressedNames({noisy_group, same_numbers_real_stage}, 10.0,
-                             GateMode::kThroughput) ==
-              std::vector<std::string>{"vectorize/threads=2"});
-}
-
-TEST(MarkdownTableTest, ThroughputModeShowsElementsPerSec) {
-  std::vector<DiffRow> rows = {
-      {"vectorize/threads=1", 100.0, 125.0, 25.0, 0.0, 0.0, 0.0,
-       200000.0, 160000.0, 20.0},
-      {"embed/threads=1", 30.0, 29.0, -3.3, 0.0, 0.0, 0.0,
-       400000.0, 410000.0, -2.5},
-  };
-  std::string table = MarkdownTable(rows, 10.0, GateMode::kThroughput);
-  EXPECT_NE(table.find("elem/s"), std::string::npos);
-  EXPECT_NE(table.find("| vectorize/threads=1 | 200000 | 160000 | +20.0% |"),
-            std::string::npos);
-  EXPECT_NE(table.find("regression"), std::string::npos);
-  EXPECT_NE(table.find("✅ ok"), std::string::npos);
-}
-
 TEST(RegressedNamesTest, CollectsFlaggedRowsInOrder) {
   std::vector<DiffRow> rows = {
       {"a", 100.0, 150.0, 50.0},

@@ -1,7 +1,7 @@
 // bench_diff — the CI bench-regression gate.
 //
 //   bench_diff BASELINE.json CURRENT.json [--threshold=PCT]
-//              [--mode=ms|speedup|eps] [--markdown_out=FILE]
+//              [--mode=ms|speedup] [--markdown_out=FILE]
 //              [--warn_state_in=FILE] [--warn_state_out=FILE]
 //
 // Compares two bench JSON artifacts (either the bench_micro --speedup_json
@@ -11,11 +11,7 @@
 //
 // --mode=ms (default) gates on absolute per-entry milliseconds; --mode=speedup
 // gates on the drop in parallel speedup ratios, which divide out the host —
-// the robust setting for heterogeneous hosted CI runners. --mode=eps gates on
-// drops in absolute throughput (the sweep entries' "eps" elements/sec field),
-// which catches a uniform slowdown the ratio gate can't see; like --mode=ms
-// it wants fixed hardware or a same-run baseline such as the bench_micro
-// --rowcol_json row-vs-columnar pair.
+// the robust setting for heterogeneous hosted CI runners.
 //
 // With --warn_state_in / --warn_state_out the gate is warn-then-fail: a
 // regression only fails when the same entry is also listed in the state file
@@ -60,7 +56,7 @@ std::vector<std::string> ReadLines(const std::string& path) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s BASELINE.json CURRENT.json [--threshold=PCT] "
-               "[--mode=ms|speedup|eps] [--markdown_out=FILE] "
+               "[--mode=ms|speedup] [--markdown_out=FILE] "
                "[--warn_state_in=FILE] [--warn_state_out=FILE]\n",
                argv0);
   return 2;
@@ -86,8 +82,6 @@ int main(int argc, char** argv) {
         mode = pghive::tools::GateMode::kAbsoluteMs;
       } else if (std::strcmp(argv[i] + 7, "speedup") == 0) {
         mode = pghive::tools::GateMode::kSpeedupRatio;
-      } else if (std::strcmp(argv[i] + 7, "eps") == 0) {
-        mode = pghive::tools::GateMode::kThroughput;
       } else {
         std::fprintf(stderr, "invalid --mode value: %s\n", argv[i] + 7);
         return 2;
@@ -151,7 +145,6 @@ int main(int argc, char** argv) {
                       : regressed;
 
   const bool speedup_mode = mode == pghive::tools::GateMode::kSpeedupRatio;
-  const bool eps_mode = mode == pghive::tools::GateMode::kThroughput;
   for (const auto& row : rows) {
     const char* flag = "";
     if (pghive::tools::IsRegression(row, threshold, mode)) {
@@ -163,9 +156,6 @@ int main(int argc, char** argv) {
       std::printf("%-40s %9.2fx -> %9.2fx     %+7.1f%%%s\n", row.name.c_str(),
                   row.base_speedup, row.cur_speedup, row.speedup_drop_pct,
                   flag);
-    } else if (eps_mode) {
-      std::printf("%-40s %12.0f -> %12.0f e/s %+7.1f%%%s\n", row.name.c_str(),
-                  row.base_eps, row.cur_eps, row.eps_drop_pct, flag);
     } else {
       std::printf("%-40s %10.3f -> %10.3f ms  %+7.1f%%%s\n", row.name.c_str(),
                   row.base_ms, row.cur_ms, row.delta_pct, flag);
@@ -192,10 +182,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     md << "### Bench regression gate ("
-       << (speedup_mode ? "speedup ratios"
-                        : (eps_mode ? "throughput (elements/sec)"
-                                    : "absolute ms"))
-       << ", threshold "
+       << (speedup_mode ? "speedup ratios" : "absolute ms") << ", threshold "
        << threshold << "%"
        << (warn_then_fail ? ", warn-then-fail" : "") << ")\n\n"
        << pghive::tools::MarkdownTable(rows, threshold, mode,

@@ -224,12 +224,10 @@ bool ExtractSweepStages(const JsonValue& root, std::vector<BenchEntry>* out,
         return false;
       }
       const JsonValue* speedup = result.Get("speedup");
-      const JsonValue* eps = result.Get("eps");
       out->push_back(
           {name->string + "/threads=" +
                std::to_string(static_cast<long long>(threads->number)),
-           ms->number, speedup == nullptr ? 0.0 : speedup->number,
-           eps == nullptr ? 0.0 : eps->number});
+           ms->number, speedup == nullptr ? 0.0 : speedup->number});
     }
   }
   return true;
@@ -303,34 +301,14 @@ std::vector<DiffRow> DiffEntries(const std::vector<BenchEntry>& baseline,
       row.speedup_drop_pct =
           (base.speedup - cur.speedup) / base.speedup * 100.0;
     }
-    if (base.eps > 0 && cur.eps > 0) {
-      row.base_eps = base.eps;
-      row.cur_eps = cur.eps;
-      row.eps_drop_pct = (base.eps - cur.eps) / base.eps * 100.0;
-    }
     rows.push_back(std::move(row));
   }
   return rows;
 }
 
-bool IsIdenticalCodeStage(const std::string& entry_name) {
-  // Stages whose row and columnar implementations are the same code path,
-  // so any eps delta between the planes is measurement noise.
-  static constexpr const char* kIdenticalCodeStages[] = {"group"};
-  const std::string stage = entry_name.substr(0, entry_name.find('/'));
-  for (const char* skip : kIdenticalCodeStages) {
-    if (stage == skip) return true;
-  }
-  return false;
-}
-
 bool IsRegression(const DiffRow& row, double threshold_pct, GateMode mode) {
   if (mode == GateMode::kSpeedupRatio) {
     return row.base_speedup > 0 && row.speedup_drop_pct > threshold_pct;
-  }
-  if (mode == GateMode::kThroughput) {
-    if (IsIdenticalCodeStage(row.name)) return false;
-    return row.base_eps > 0 && row.eps_drop_pct > threshold_pct;
   }
   return row.base_ms > 0 && row.delta_pct > threshold_pct;
 }
@@ -374,11 +352,6 @@ std::string MarkdownTable(const std::vector<DiffRow>& rows,
           "| benchmark | baseline speedup | current speedup | drop "
           "| status |\n|---|---:|---:|---:|:---|\n";
       break;
-    case GateMode::kThroughput:
-      out =
-          "| benchmark | baseline (elem/s) | current (elem/s) | drop "
-          "| status |\n|---|---:|---:|---:|:---|\n";
-      break;
     case GateMode::kAbsoluteMs:
       out =
           "| benchmark | baseline (ms) | current (ms) | delta "
@@ -390,9 +363,6 @@ std::string MarkdownTable(const std::vector<DiffRow>& rows,
     if (mode == GateMode::kSpeedupRatio) {
       std::snprintf(buf, sizeof(buf), " | %.2fx | %.2fx | %+.1f%% | ",
                     row.base_speedup, row.cur_speedup, row.speedup_drop_pct);
-    } else if (mode == GateMode::kThroughput) {
-      std::snprintf(buf, sizeof(buf), " | %.0f | %.0f | %+.1f%% | ",
-                    row.base_eps, row.cur_eps, row.eps_drop_pct);
     } else {
       std::snprintf(buf, sizeof(buf), " | %.3f | %.3f | %+.1f%% | ",
                     row.base_ms, row.cur_ms, row.delta_pct);

@@ -17,9 +17,6 @@ struct BenchEntry {
   /// Parallel speedup over the 1-thread run of the same stage. Only the
   /// sweep format carries it; 0 means absent.
   double speedup = 0.0;
-  /// Absolute throughput in elements per second. Only sweep entries that
-  /// carry an "eps" field have it; 0 means absent.
-  double eps = 0.0;
 };
 
 /// A matched (baseline, current) pair with its relative deltas.
@@ -32,24 +29,14 @@ struct DiffRow {
   double cur_speedup = 0.0;
   /// (base - cur) / base * 100 on the speedups; + means scaling got worse.
   double speedup_drop_pct = 0.0;
-  double base_eps = 0.0;  ///< 0 when either side lacks a throughput.
-  double cur_eps = 0.0;
-  /// (base - cur) / base * 100 on the throughputs; + means fewer elements
-  /// per second now.
-  double eps_drop_pct = 0.0;
 };
 
 /// What the gate compares. Absolute per-entry milliseconds are only
 /// meaningful on fixed hardware; speedup ratios divide out the machine, so
-/// they are the robust choice on heterogeneous CI runners. Throughput gates
-/// on drops in absolute elements/sec — the counter that catches a data-plane
-/// regression the ratio gate can't see (a change that slows every thread
-/// count equally keeps its speedups intact); like absolute ms it needs fixed
-/// hardware or a same-run baseline (e.g. the row-vs-columnar comparison).
+/// they are the robust choice on heterogeneous CI runners.
 enum class GateMode {
   kAbsoluteMs,
   kSpeedupRatio,
-  kThroughput,
 };
 
 /// Parses either supported bench JSON format, detected by its top-level key:
@@ -67,22 +54,11 @@ util::StatusOr<std::vector<BenchEntry>> ParseBenchJson(const std::string& text);
 std::vector<DiffRow> DiffEntries(const std::vector<BenchEntry>& baseline,
                                  const std::vector<BenchEntry>& current);
 
-/// True when the entry belongs to a stage that runs identical code on both
-/// sides of the row-vs-columnar comparison (currently the `group` stage:
-/// signature grouping never touches the data plane, so its elements/sec
-/// delta in the --rowcol_json artifact is pure measurement noise). The
-/// kThroughput gate skips these entries instead of gating on noise; they
-/// still appear in diff tables. Matches the stage prefix of sweep-format
-/// names ("group" and "group/threads=8" both match).
-bool IsIdenticalCodeStage(const std::string& entry_name);
-
 /// The gate predicate. kAbsoluteMs: the row slowed down by strictly more
 /// than threshold_pct percent. kSpeedupRatio: the row's parallel speedup
-/// dropped by strictly more than threshold_pct percent. kThroughput: the
-/// row's elements/sec dropped by strictly more than threshold_pct percent,
-/// except for IsIdenticalCodeStage entries, which never regress in this
-/// mode. Rows without a meaningful ratio (non-positive baseline ms, or a
-/// side missing speedup/eps data) never regress.
+/// dropped by strictly more than threshold_pct percent. Rows without a
+/// meaningful ratio (non-positive baseline ms, or a side missing speedup
+/// data) never regress.
 bool IsRegression(const DiffRow& row, double threshold_pct,
                   GateMode mode = GateMode::kAbsoluteMs);
 

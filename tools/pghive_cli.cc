@@ -3,13 +3,11 @@
 // Subcommands:
 //   discover  --graph FILE [--method elsh|minhash] [--batches N]
 //             [--out PREFIX] [--loose] [--sample-datatypes] [--threads N]
-//             [--pipeline-depth D] [--data-plane columnar|row] [--seed N]
+//             [--pipeline-depth D] [--seed N]
 //       --threads 0 (default) uses every hardware thread; --threads 1 runs
 //       serially. --pipeline-depth D (default 1) overlaps batch i+1's
 //       preprocess with batch i's extract during multi-batch ingest; the
 //       discovered schema is identical for every threads/depth combination.
-//       --data-plane row keeps the row-at-a-time inner loops instead of the
-//       columnar ones; the schema is byte-identical either way.
 //       Discovers the schema of a graph file (pg::SaveGraphFile format) and
 //       prints it; with --out also writes PREFIX.pgs and PREFIX.xsd.
 //       Durability: --checkpoint-to FILE snapshots the full discovery state
@@ -102,7 +100,7 @@ struct Args {
 /// The discovery knobs `discover` and `client` forward to
 /// core::ApplyOptionFlags, besides the --sample-datatypes switch.
 constexpr const char* kKnobFlags[] = {"method", "threads", "pipeline-depth",
-                                      "data-plane", "seed"};
+                                      "seed"};
 
 /// Flags that take no value; every other flag needs one (--key V or
 /// --key=V).
@@ -735,7 +733,7 @@ int main(int argc, char** argv) {
                " [options]\n"
                "  discover --graph FILE [--method elsh|minhash] [--batches N]"
                " [--out PREFIX] [--loose] [--sample-datatypes] [--threads N]"
-               " [--pipeline-depth D] [--data-plane columnar|row] [--seed N]"
+               " [--pipeline-depth D] [--seed N]"
                " [--checkpoint-to FILE [--checkpoint-every K] [--stop-after K]]"
                " [--resume-from FILE] [--changefeed FILE]\n"
                "  import   --nodes a.csv,b.csv --edges rels.csv --out g.pg\n"
