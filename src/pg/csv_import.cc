@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string_view>
 
 namespace pghive::pg {
 
@@ -71,16 +72,20 @@ std::vector<std::string> SplitLabels(const std::string& cell) {
 Value ParseCsvValue(const std::string& cell, const std::string& type_name) {
   std::string t = ToLower(type_name);
   if (t == "int" || t == "long") {
-    if (LooksLikeInteger(cell)) {
-      return Value(static_cast<int64_t>(std::stoll(cell)));
-    }
-    return Value(cell);
+    int64_t i = 0;
+    return ParseIntegerLiteral(cell, &i) ? Value(i) : Value(cell);
   }
   if (t == "float" || t == "double") {
-    if (LooksLikeFloat(cell) || LooksLikeInteger(cell)) {
-      return Value(std::stod(cell));
-    }
-    return Value(cell);
+    // Integer literals widen; words std::from_chars also reads ("inf",
+    // "nan") stay text, as do literals out of range.
+    double d = 0.0;
+    const bool parsed =
+        LooksLikeInteger(cell)
+            ? ParseFloatLiteral(std::string_view(cell).substr(cell[0] == '+'),
+                                &d)
+            : ParseFloatLiteral(cell, &d) &&
+                  cell.find_first_of(".eE") != std::string::npos;
+    return parsed ? Value(d) : Value(cell);
   }
   if (t == "boolean" || t == "bool") {
     if (LooksLikeBoolean(cell)) {

@@ -73,17 +73,28 @@ bool LooksLikeInteger(std::string_view s) {
 }
 
 bool LooksLikeFloat(std::string_view s) {
-  if (s.empty()) return false;
-  const char* begin = s.data();
-  const char* end = s.data() + s.size();
   double out = 0.0;
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc() || ptr != end) return false;
+  if (!ParseFloatLiteral(s, &out)) return false;
   // Must contain a '.' 'e' or 'E' to be distinct from an integer literal.
-  for (char c : s) {
-    if (c == '.' || c == 'e' || c == 'E') return true;
+  return s.find_first_of(".eE") != std::string_view::npos;
+}
+
+bool ParseIntegerLiteral(std::string_view s, int64_t* out) {
+  // from_chars takes no '+'; skip one only where a digit follows, so "+-1"
+  // stays text.
+  if (s.size() > 1 && s[0] == '+' &&
+      std::isdigit(static_cast<unsigned char>(s[1]))) {
+    s.remove_prefix(1);
   }
-  return false;
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+bool ParseFloatLiteral(std::string_view s, double* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 bool LooksLikeBoolean(std::string_view s) {

@@ -85,6 +85,16 @@ bool LooksLikeFloat(std::string_view s);
 /// True if `s` is "true" or "false" (case-insensitive).
 bool LooksLikeBoolean(std::string_view s);
 
+/// Parses all of `s` as a decimal integer: an optional '+' or '-', then
+/// digits. False, leaving `*out` alone, for any other text and for a literal
+/// outside the int64_t range.
+bool ParseIntegerLiteral(std::string_view s, int64_t* out);
+
+/// Parses all of `s` as a floating-point literal, as std::from_chars reads
+/// one (so no leading '+'). False, leaving `*out` alone, for any other text
+/// and for a literal outside the double range.
+bool ParseFloatLiteral(std::string_view s, double* out);
+
 }  // namespace pghive::pg
 
 #endif  // PGHIVE_PG_VALUE_H_

@@ -9,6 +9,8 @@ namespace pghive::pg {
 
 LabelSetToken Vocabulary::TokenForLabelSet(const std::vector<LabelId>& labels) {
   if (labels.empty()) return kNoToken;
+  // A one-label set's token is the label's name: look it up as it is.
+  if (labels.size() == 1) return tokens_.Intern(labels_.Get(labels[0]));
   std::vector<std::string_view> names;
   names.reserve(labels.size());
   for (LabelId id : labels) names.push_back(labels_.Get(id));

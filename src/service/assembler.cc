@@ -1,11 +1,9 @@
 #include "service/assembler.h"
 
-#include <sstream>
 #include <utility>
 
 #include "pg/graph_io.h"
 #include "util/binio.h"
-#include "util/parse.h"
 
 namespace pghive::service {
 
@@ -17,15 +15,6 @@ namespace {
 /// any real dataset while keeping the worst-case placeholder allocation in
 /// the low gigabytes.
 constexpr uint64_t kMaxDeclaredElements = uint64_t{1} << 28;
-
-util::StatusOr<uint64_t> ParseId(const std::string& text,
-                                 const std::string& what) {
-  auto parsed = util::ParseInt64(text);
-  if (!parsed.ok() || *parsed < 0) {
-    return util::Status::ParseError("bad " + what + " '" + text + "'");
-  }
-  return static_cast<uint64_t>(*parsed);
-}
 
 void PutBitmap(std::string* out, const std::vector<bool>& bits) {
   util::PutU64(out, bits.size());
@@ -60,9 +49,9 @@ bool ReadBitmap(util::ByteReader* in, std::vector<bool>* bits) {
 
 util::Status GraphAssembler::ApplyPayload(const std::string& payload,
                                           pg::GraphBatch* batch) {
-  std::istringstream in(payload);
-  std::string line;
-  while (std::getline(in, line)) {
+  std::string_view rest = payload;
+  while (!rest.empty()) {
+    const std::string_view line = pg::TakeLine(&rest);
     if (line.empty() || line[0] == '#') continue;
     util::Status status = ApplyLine(line, batch);
     if (!status.ok()) return status;
@@ -70,51 +59,62 @@ util::Status GraphAssembler::ApplyPayload(const std::string& payload,
   return util::Status::Ok();
 }
 
-util::Status GraphAssembler::ApplyLine(const std::string& line,
+util::Status GraphAssembler::ApplyLine(std::string_view line,
                                        pg::GraphBatch* batch) {
-  switch (line[0]) {
-    case 'G':
-      return ApplyHeader(line);
-    case 'V':
-      return ApplyVocab(line);
-    case 'N':
-      return MaterializeNode(line, /*member=*/true, batch);
-    case 'R':
-      return MaterializeNode(line, /*member=*/false, batch);
-    case 'M': {
-      if (line.size() < 3 || line[1] != ' ') {
-        return util::Status::ParseError("bad member line '" + line + "'");
+  // Every record kind is one character at the start of the line.
+  std::string_view fields = line;
+  if (pg::TakeField(&fields).size() == 1) {
+    switch (line[0]) {
+      case 'G':
+        return ApplyHeader(line, fields);
+      case 'V':
+        return ApplyVocab(line);
+      case 'N':
+        return MaterializeNode(line, /*member=*/true, batch);
+      case 'R':
+        return MaterializeNode(line, /*member=*/false, batch);
+      case 'M': {
+        uint64_t id = 0;
+        if (!pg::ParseId(pg::TakeField(&fields), &id) ||
+            !pg::TakeField(&fields).empty()) {
+          return util::Status::ParseError("bad member line '" +
+                                          std::string(line) + "'");
+        }
+        if (id >= node_filled_.size() || !node_filled_[id]) {
+          return util::Status::ParseError(
+              "member marker for unmaterialized node " + std::to_string(id));
+        }
+        batch->node_ids.push_back(id);
+        return util::Status::Ok();
       }
-      auto id = ParseId(line.substr(2), "member id");
-      if (!id.ok()) return id.status();
-      if (*id >= node_filled_.size() || !node_filled_[*id]) {
-        return util::Status::ParseError(
-            "member marker for unmaterialized node " + std::to_string(*id));
-      }
-      batch->node_ids.push_back(*id);
-      return util::Status::Ok();
+      case 'E':
+        return MaterializeEdge(line, batch);
+      default:
+        break;
     }
-    case 'E':
-      return MaterializeEdge(line, batch);
-    default:
-      return util::Status::ParseError("unknown ingest record '" + line + "'");
   }
+  return util::Status::ParseError("unknown ingest record '" +
+                                  std::string(line) + "'");
 }
 
-util::Status GraphAssembler::ApplyHeader(const std::string& line) {
+util::Status GraphAssembler::ApplyHeader(std::string_view line,
+                                         std::string_view fields) {
   if (sized_) {
     return util::Status::FailedPrecondition("duplicate G header");
   }
   if (graph_->num_nodes() != 0 || graph_->num_edges() != 0) {
     return util::Status::FailedPrecondition("G header on a non-empty graph");
   }
-  std::istringstream ls(line);
-  std::string kind;
-  uint64_t num_nodes = 0, num_edges = 0;
-  if (!(ls >> kind >> num_nodes) || kind != "G") {
-    return util::Status::ParseError("bad G header '" + line + "'");
+  // "G <num_nodes> [<num_edges>]".
+  uint64_t num_nodes = 0;
+  uint64_t num_edges = 0;
+  const bool nodes_ok = pg::ParseId(pg::TakeField(&fields), &num_nodes);
+  const std::string_view edges = pg::TakeField(&fields);
+  if (!nodes_ok || (!edges.empty() && !pg::ParseId(edges, &num_edges)) ||
+      !pg::TakeField(&fields).empty()) {
+    return util::Status::ParseError("bad G header '" + std::string(line) +
+                                    "'");
   }
-  ls >> num_edges;
   if (num_edges > 0 && num_nodes == 0) {
     return util::Status::ParseError("edges declared on a node-less graph");
   }
@@ -138,12 +138,13 @@ util::Status GraphAssembler::ApplyHeader(const std::string& line) {
   return util::Status::Ok();
 }
 
-util::Status GraphAssembler::ApplyVocab(const std::string& line) {
+util::Status GraphAssembler::ApplyVocab(std::string_view line) {
   // "V L <name>" / "V K <name>"; the name is the rest of the line, unescaped,
   // so label names with spaces survive.
   if (line.size() < 5 || line[1] != ' ' || line[3] != ' ' ||
       (line[2] != 'L' && line[2] != 'K')) {
-    return util::Status::ParseError("bad vocab line '" + line + "'");
+    return util::Status::ParseError("bad vocab line '" + std::string(line) +
+                                    "'");
   }
   const std::string name = pg::UnescapeField(line.substr(4));
   if (line[2] == 'L') {
@@ -154,19 +155,18 @@ util::Status GraphAssembler::ApplyVocab(const std::string& line) {
   return util::Status::Ok();
 }
 
-util::Status GraphAssembler::MaterializeNode(const std::string& line,
+util::Status GraphAssembler::MaterializeNode(std::string_view line,
                                              bool member,
                                              pg::GraphBatch* batch) {
   if (!sized_) {
     return util::Status::FailedPrecondition(
         "node record before the G header");
   }
-  // R lines share the node-line shape; normalize the tag for the parser.
-  std::string node_line = line;
-  node_line[0] = 'N';
-  auto parsed = pg::ParseElementLine(node_line);
-  if (!parsed.ok()) return parsed.status();
-  const pg::ElementRecord& record = *parsed;
+  // R lines share the node-line shape; the parser skips the kind.
+  pg::ElementRecord record;
+  util::Status parsed = pg::ParseElementLine(line, /*is_edge=*/false,
+                                             &graph_->vocab(), &record);
+  if (!parsed.ok()) return parsed;
   if (record.id >= node_filled_.size()) {
     return util::Status::OutOfRange("node id " + std::to_string(record.id) +
                                     " outside the declared graph");
@@ -175,31 +175,25 @@ util::Status GraphAssembler::MaterializeNode(const std::string& line,
     return util::Status::FailedPrecondition(
         "node " + std::to_string(record.id) + " materialized twice");
   }
-  std::vector<pg::LabelId> labels;
-  labels.reserve(record.labels.size());
-  for (const std::string& name : record.labels) {
-    labels.push_back(graph_->vocab().InternLabel(name));
-  }
-  pg::NormalizeLabels(&labels);
-  graph_->node(record.id).labels = std::move(labels);
-  for (const auto& [key, value] : record.properties) {
-    graph_->SetNodeProperty(record.id, key, value);
-  }
+  pg::Node& node = graph_->node(record.id);
+  node.labels = std::move(record.labels);
+  node.properties = std::move(record.properties);
   node_filled_[record.id] = true;
   ++nodes_filled_;
   if (member) batch->node_ids.push_back(record.id);
   return util::Status::Ok();
 }
 
-util::Status GraphAssembler::MaterializeEdge(const std::string& line,
+util::Status GraphAssembler::MaterializeEdge(std::string_view line,
                                              pg::GraphBatch* batch) {
   if (!sized_) {
     return util::Status::FailedPrecondition(
         "edge record before the G header");
   }
-  auto parsed = pg::ParseElementLine(line);
-  if (!parsed.ok()) return parsed.status();
-  const pg::ElementRecord& record = *parsed;
+  pg::ElementRecord record;
+  util::Status parsed = pg::ParseElementLine(line, /*is_edge=*/true,
+                                             &graph_->vocab(), &record);
+  if (!parsed.ok()) return parsed;
   if (record.id >= edge_filled_.size()) {
     return util::Status::OutOfRange("edge id " + std::to_string(record.id) +
                                     " outside the declared graph");
@@ -219,19 +213,11 @@ util::Status GraphAssembler::MaterializeEdge(const std::string& line,
         "edge " + std::to_string(record.id) +
         " references an unmaterialized endpoint");
   }
-  std::vector<pg::LabelId> labels;
-  labels.reserve(record.labels.size());
-  for (const std::string& name : record.labels) {
-    labels.push_back(graph_->vocab().InternLabel(name));
-  }
-  pg::NormalizeLabels(&labels);
   pg::Edge& edge = graph_->edge(record.id);
   edge.src = record.src;
   edge.dst = record.dst;
-  edge.labels = std::move(labels);
-  for (const auto& [key, value] : record.properties) {
-    graph_->SetEdgeProperty(record.id, key, value);
-  }
+  edge.labels = std::move(record.labels);
+  edge.properties = std::move(record.properties);
   edge_filled_[record.id] = true;
   ++edges_filled_;
   batch->edge_ids.push_back(record.id);

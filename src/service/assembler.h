@@ -61,12 +61,12 @@ class GraphAssembler {
   util::Status RestoreState(std::string_view bytes);
 
  private:
-  util::Status ApplyLine(const std::string& line, pg::GraphBatch* batch);
-  util::Status ApplyHeader(const std::string& line);
-  util::Status ApplyVocab(const std::string& line);
-  util::Status MaterializeNode(const std::string& line, bool member,
+  util::Status ApplyLine(std::string_view line, pg::GraphBatch* batch);
+  util::Status ApplyHeader(std::string_view line, std::string_view fields);
+  util::Status ApplyVocab(std::string_view line);
+  util::Status MaterializeNode(std::string_view line, bool member,
                                pg::GraphBatch* batch);
-  util::Status MaterializeEdge(const std::string& line, pg::GraphBatch* batch);
+  util::Status MaterializeEdge(std::string_view line, pg::GraphBatch* batch);
 
   pg::PropertyGraph* graph_;
   bool sized_ = false;

@@ -23,25 +23,26 @@ std::vector<std::string> BuildIngestPayloads(const pg::PropertyGraph& graph,
   payloads.reserve(batches.size());
   std::vector<bool> sent(graph.num_nodes(), false);
   for (size_t b = 0; b < batches.size(); ++b) {
-    std::ostringstream out;
+    std::string out;
     if (b == 0) {
-      out << "G " << graph.num_nodes() << ' ' << graph.num_edges() << '\n';
+      out += "G " + std::to_string(graph.num_nodes()) + ' ' +
+             std::to_string(graph.num_edges()) + '\n';
       // Vocabulary preamble: the label/key id permutation decides the
       // feature-column layout, so the server must intern in exactly the
       // order the one-shot load did.
       const pg::Vocabulary& vocab = graph.vocab();
       for (pg::LabelId l = 0; l < vocab.num_labels(); ++l) {
-        out << "V L " << pg::EscapeField(vocab.LabelName(l)) << '\n';
+        out += "V L " + pg::EscapeField(vocab.LabelName(l)) + '\n';
       }
       for (pg::PropKeyId k = 0; k < vocab.num_keys(); ++k) {
-        out << "V K " << pg::EscapeField(vocab.KeyName(k)) << '\n';
+        out += "V K " + pg::EscapeField(vocab.KeyName(k)) + '\n';
       }
     }
     for (pg::NodeId id : batches[b].node_ids) {
       if (sent[id]) {
-        out << "M " << id << '\n';
+        out += "M " + std::to_string(id) + '\n';
       } else {
-        out << pg::FormatNodeLine(graph, graph.node(id)) << '\n';
+        out += pg::FormatNodeLine(graph, graph.node(id)) + '\n';
         sent[id] = true;
       }
     }
@@ -51,16 +52,15 @@ std::vector<std::string> BuildIngestPayloads(const pg::PropertyGraph& graph,
         if (!sent[endpoint]) {
           // Edge before its endpoints' batches: ship the endpoint now as a
           // reference so its labels are resolvable, membership comes later.
-          std::string line =
-              pg::FormatNodeLine(graph, graph.node(endpoint));
-          line[0] = 'R';
-          out << line << '\n';
+          const size_t record = out.size();
+          out += pg::FormatNodeLine(graph, graph.node(endpoint)) + '\n';
+          out[record] = 'R';
           sent[endpoint] = true;
         }
       }
-      out << pg::FormatEdgeLine(graph, edge) << '\n';
+      out += pg::FormatEdgeLine(graph, edge) + '\n';
     }
-    payloads.push_back(out.str());
+    payloads.push_back(std::move(out));
   }
   return payloads;
 }

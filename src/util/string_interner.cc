@@ -5,7 +5,7 @@
 namespace pghive::util {
 
 uint32_t StringInterner::Intern(std::string_view s) {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it != index_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(strings_.size());
   strings_.emplace_back(s);
@@ -14,7 +14,7 @@ uint32_t StringInterner::Intern(std::string_view s) {
 }
 
 uint32_t StringInterner::Find(std::string_view s) const {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it == index_.end()) return kInvalidId;
   return it->second;
 }
@@ -25,7 +25,7 @@ const std::string& StringInterner::Get(uint32_t id) const {
 }
 
 bool StringInterner::Rebuild(std::vector<std::string> strings) {
-  std::unordered_map<std::string, uint32_t> index;
+  Index index;
   index.reserve(strings.size());
   for (size_t i = 0; i < strings.size(); ++i) {
     if (!index.emplace(strings[i], static_cast<uint32_t>(i)).second) {

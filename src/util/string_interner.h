@@ -2,6 +2,7 @@
 #define PGHIVE_UTIL_STRING_INTERNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -44,7 +45,18 @@ class StringInterner {
   bool Rebuild(std::vector<std::string> strings);
 
  private:
-  std::unordered_map<std::string, uint32_t> index_;
+  // Transparent hashing lets Intern and Find look a string_view up without
+  // building a std::string.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using Index =
+      std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>>;
+
+  Index index_;
   std::vector<std::string> strings_;
 };
 

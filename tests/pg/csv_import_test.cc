@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace pghive::pg {
 namespace {
 
@@ -111,6 +113,20 @@ TEST(ParseCsvValueTest, TypedParsing) {
   EXPECT_FALSE(ParseCsvValue("false", "bool").AsBool());
   EXPECT_TRUE(ParseCsvValue("2020-01-01", "date").is_string());
   EXPECT_TRUE(ParseCsvValue("anything", "").is_string());
+}
+
+TEST(ParseCsvValueTest, OutOfRangeNumbersStayText) {
+  const std::string huge = "99999999999999999999";
+  EXPECT_EQ(ParseCsvValue(huge, "int"), Value(huge));
+  EXPECT_EQ(ParseCsvValue("-" + huge, "long"), Value("-" + huge));
+  const std::string too_big = "1" + std::string(400, '0');
+  EXPECT_EQ(ParseCsvValue(too_big, "double"), Value(too_big));
+  EXPECT_EQ(ParseCsvValue("1e999", "float"), Value("1e999"));
+  // In range, an integer literal widens to float, sign included.
+  EXPECT_EQ(ParseCsvValue(huge, "double"), Value(1e20));
+  EXPECT_EQ(ParseCsvValue("+42", "float"), Value(42.0));
+  EXPECT_EQ(ParseCsvValue("+42", "int"), Value(int64_t{42}));
+  EXPECT_EQ(ParseCsvValue("inf", "double"), Value("inf"));
 }
 
 TEST(ParseCsvValueTest, MalformedTypedCellsFallBackToString) {

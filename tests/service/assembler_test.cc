@@ -242,8 +242,7 @@ TEST(GraphAssemblerTest, RestoreStateRejectsMismatchAndCorruption) {
 
 TEST(GraphAssemblerTest, VocabPreambleSurvivesNamesWithSpaces) {
   // V lines carry the name as the rest of the line, so vocabulary entries
-  // with spaces intern in the right order (N/E record fields are
-  // whitespace-delimited and cannot carry them — same as graph text files).
+  // with spaces intern in the right order.
   pg::PropertyGraph g;
   GraphAssembler assembler(&g);
   pg::GraphBatch batch;
@@ -254,6 +253,55 @@ TEST(GraphAssemblerTest, VocabPreambleSurvivesNamesWithSpaces) {
   EXPECT_EQ(g.vocab().LabelName(0), "Known For");
   ASSERT_EQ(g.vocab().num_keys(), 1u);
   EXPECT_EQ(g.vocab().KeyName(0), "full name");
+}
+
+TEST(GraphAssemblerTest, RecordsWithBlanksAndOutOfRangeIntegersRebuild) {
+  // N, R and E records go through the graph-text record parser: escaped
+  // blanks in labels, blanks in keys and values, and an integer literal
+  // beyond int64_t (kept as text) all arrive intact.
+  pg::PropertyGraph original;
+  auto ada = original.AddNode({"Known For", "Person"});
+  original.SetNodeProperty(ada, "full name", pg::Value("Ada Lovelace"));
+  original.SetNodeProperty(ada, "big", pg::Value("99999999999999999999"));
+  auto work = original.AddNode({"Note\tG"});
+  original.SetNodeProperty(work, "title", pg::Value("Note G | 1843"));
+  auto e = original.AddEdge(work, ada, {"WRITTEN BY"});
+  original.SetEdgeProperty(e, "in year", pg::Value(static_cast<int64_t>(1843)));
+  for (size_t batches : {size_t{1}, size_t{2}}) {
+    pg::PropertyGraph rebuilt;
+    GraphAssembler assembler(&rebuilt);
+    for (const std::string& payload :
+         BuildIngestPayloads(original, batches, /*seed=*/3)) {
+      pg::GraphBatch batch;
+      ASSERT_TRUE(assembler.ApplyPayload(payload, &batch).ok()) << payload;
+    }
+    EXPECT_TRUE(assembler.CheckComplete().ok());
+    EXPECT_EQ(GraphText(rebuilt), GraphText(original)) << batches;
+    EXPECT_EQ(rebuilt.vocab().LabelName(rebuilt.node(0).labels[0]),
+              "Known For");
+  }
+}
+
+TEST(GraphAssemblerTest, RejectsMalformedRecordKindsAndCounts) {
+  pg::PropertyGraph g;
+  GraphAssembler assembler(&g);
+  pg::GraphBatch batch;
+  EXPECT_EQ(assembler.ApplyPayload("G 2x 0\n", &batch).code(),
+            util::StatusCode::kParseError);
+  EXPECT_EQ(assembler.ApplyPayload("G 2 0 junk\n", &batch).code(),
+            util::StatusCode::kParseError);
+  ASSERT_TRUE(assembler.ApplyPayload("G 2 0\nN 0 A -\n", &batch).ok());
+  EXPECT_EQ(assembler.ApplyPayload("NN 1 A -\n", &batch).code(),
+            util::StatusCode::kParseError);
+  EXPECT_EQ(assembler.ApplyPayload(" N 1 A -\n", &batch).code(),
+            util::StatusCode::kParseError);
+  EXPECT_EQ(assembler.ApplyPayload("N 1abc A\n", &batch).code(),
+            util::StatusCode::kParseError);
+  EXPECT_EQ(assembler.ApplyPayload("M 0 0\n", &batch).code(),
+            util::StatusCode::kParseError);
+  EXPECT_EQ(assembler.ApplyPayload("M +0\n", &batch).code(),
+            util::StatusCode::kParseError);
+  EXPECT_TRUE(assembler.ApplyPayload("M 0\n", &batch).ok());
 }
 
 }  // namespace

@@ -182,6 +182,27 @@ TEST(SessionTest, BadPayloadLatchesErrorAndRejectsFurtherIngest) {
   EXPECT_FALSE((*session)->FinalSnapshot().ok());
 }
 
+TEST(SessionTest, OutOfRangeIntegerIngestsAsText) {
+  // An integer literal beyond int64_t is a string value, so the batch
+  // commits and publishes version 1 instead of failing mid-payload.
+  SessionManager manager(nullptr);
+  auto session = manager.CreateSession({});
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)
+                  ->SubmitIngest("G 2 0\nN 0 Person big=99999999999999999999\n"
+                                 "N 1 Person big=7\n")
+                  .ok());
+  (*session)->Drain();
+  EXPECT_TRUE((*session)->status().ok()) << (*session)->status().ToString();
+  auto snapshot = (*session)->Snapshot();
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->version, 1u);
+  auto diffs =
+      (*session)->WaitForDiffs(/*after_version=*/0, /*timeout_ms=*/0);
+  ASSERT_TRUE(diffs.ok()) << diffs.status().ToString();
+  EXPECT_FALSE(diffs->empty());
+}
+
 TEST(SessionTest, FinalSnapshotFailsOnIncompleteStream) {
   SessionManager manager(nullptr);
   auto session = manager.CreateSession({});
