@@ -260,7 +260,7 @@ util::StatusOr<SchemaGraph> DiscoverSchema(pg::PropertyGraph* graph,
                                          const PgHiveOptions& options = {});
 
 /// Reads only the options section out of a PgHive::SaveState snapshot —
-/// how pghived's load-state path learns which options to construct the
+/// how a restarting pghived learns which options to construct the
 /// restored session with before any heavy state is touched. Verifies the
 /// header, the section framing/CRC, and the parsed options themselves
 /// (PgHiveOptions::Validate).

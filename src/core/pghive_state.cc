@@ -1,6 +1,6 @@
 // PgHive::SaveState / RestoreState — the full-state snapshot behind
-// `pghive discover --resume-from/--checkpoint-to` and the pghived
-// save-state/load-state verbs.
+// `pghive discover --resume-from/--checkpoint-to` and pghived's session
+// checkpoints.
 //
 // Layout: "PGHS" magic + u32 format version, then CRC-framed util/binio
 // sections (id + length + payload + CRC-32). Section ids are stable;

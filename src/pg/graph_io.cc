@@ -321,12 +321,8 @@ util::Status SaveGraphFile(const PropertyGraph& graph,
   return util::Status::Ok();
 }
 
-util::Status LoadGraphTextInto(const std::string& text,
-                               PropertyGraph* graph) {
-  if (graph->num_nodes() != 0 || graph->num_edges() != 0) {
-    return util::Status::FailedPrecondition(
-        "LoadGraphTextInto needs a graph without nodes or edges");
-  }
+util::StatusOr<PropertyGraph> LoadGraphText(const std::string& text) {
+  PropertyGraph graph;
   ElementRecord record;
   std::string_view rest = text;
   for (size_t line_no = 1; !rest.empty(); ++line_no) {
@@ -343,34 +339,27 @@ util::Status LoadGraphTextInto(const std::string& text,
     }
     const bool is_edge = kind == "E";
     util::Status parsed =
-        ParseElementLine(line, is_edge, &graph->vocab(), &record);
+        ParseElementLine(line, is_edge, &graph.vocab(), &record);
     if (!parsed.ok()) return error(parsed.message());
     if (!is_edge) {
-      if (record.id != graph->num_nodes()) {
+      if (record.id != graph.num_nodes()) {
         return error("node ids must be dense");
       }
-      const NodeId id = graph->AddNodeWithLabelIds(std::move(record.labels));
-      graph->node(id).properties = std::move(record.properties);
+      const NodeId id = graph.AddNodeWithLabelIds(std::move(record.labels));
+      graph.node(id).properties = std::move(record.properties);
     } else {
-      if (record.src >= graph->num_nodes() ||
-          record.dst >= graph->num_nodes()) {
+      if (record.src >= graph.num_nodes() ||
+          record.dst >= graph.num_nodes()) {
         return error("edge endpoint out of range");
       }
-      if (record.id != graph->num_edges()) {
+      if (record.id != graph.num_edges()) {
         return error("edge ids must be dense");
       }
-      const EdgeId id = graph->AddEdgeWithLabelIds(
+      const EdgeId id = graph.AddEdgeWithLabelIds(
           record.src, record.dst, std::move(record.labels));
-      graph->edge(id).properties = std::move(record.properties);
+      graph.edge(id).properties = std::move(record.properties);
     }
   }
-  return util::Status::Ok();
-}
-
-util::StatusOr<PropertyGraph> LoadGraphText(const std::string& text) {
-  PropertyGraph graph;
-  util::Status status = LoadGraphTextInto(text, &graph);
-  if (!status.ok()) return status;
   return graph;
 }
 

@@ -90,14 +90,6 @@ util::Status SaveGraphFile(const PropertyGraph& graph,
 /// Parses graph text.
 util::StatusOr<PropertyGraph> LoadGraphText(const std::string& text);
 
-/// Parses graph text into an existing graph that has no nodes or edges yet.
-/// The graph's vocabulary MAY already hold interned labels and keys —
-/// replayed records then resolve to their existing ids — which is how
-/// pghived's load-state path rebuilds a mid-stream graph after restoring the
-/// snapshotted vocabulary (whose id order the stream preamble had fixed).
-/// On error the graph is partly filled and should be discarded.
-util::Status LoadGraphTextInto(const std::string& text, PropertyGraph* graph);
-
 /// Reads a file written by SaveGraphFile.
 util::StatusOr<PropertyGraph> LoadGraphFile(const std::string& path);
 

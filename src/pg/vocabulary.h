@@ -70,11 +70,11 @@ class Vocabulary {
   /// Restores the interners from AppendStateTo bytes. Succeeds only when the
   /// current contents are position-consistent with the snapshot: every
   /// string interned so far must sit at the same id in the snapshot. That
-  /// holds for an empty vocabulary (the pghived load-state path) and for one
-  /// rebuilt by reloading the graph file the snapshotted run had loaded (the
-  /// CLI --resume-from path); anything else means the snapshot belongs to a
-  /// different graph and fails with FailedPrecondition, leaving the
-  /// vocabulary untouched. Corrupt bytes fail with ParseError.
+  /// holds for an empty vocabulary (a pghived session restored at restart)
+  /// and for one rebuilt by reloading the graph file the snapshotted run had
+  /// loaded (the CLI --resume-from path); anything else means the snapshot
+  /// belongs to a different graph and fails with FailedPrecondition, leaving
+  /// the vocabulary untouched. Corrupt bytes fail with ParseError.
   util::Status RestoreState(std::string_view bytes);
 
  private:

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "pg/graph_io.h"
-#include "util/binio.h"
 
 namespace pghive::service {
 
@@ -16,38 +15,9 @@ namespace {
 /// the low gigabytes.
 constexpr uint64_t kMaxDeclaredElements = uint64_t{1} << 28;
 
-void PutBitmap(std::string* out, const std::vector<bool>& bits) {
-  util::PutU64(out, bits.size());
-  uint8_t byte = 0;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) byte |= static_cast<uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      util::PutU8(out, byte);
-      byte = 0;
-    }
-  }
-  if (bits.size() % 8 != 0) util::PutU8(out, byte);
-}
-
-bool ReadBitmap(util::ByteReader* in, std::vector<bool>* bits) {
-  uint64_t n = in->ReadU64();
-  // Bit-packed: n bits need ceil(n/8) bytes of remaining input.
-  if (!in->ok() || !in->Has((n + 7) / 8)) {
-    in->Fail();
-    return false;
-  }
-  bits->assign(n, false);
-  uint8_t byte = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    if (i % 8 == 0) byte = in->ReadU8();
-    (*bits)[i] = (byte >> (i % 8)) & 1;
-  }
-  return in->ok();
-}
-
 }  // namespace
 
-util::Status GraphAssembler::ApplyPayload(const std::string& payload,
+util::Status GraphAssembler::ApplyPayload(std::string_view payload,
                                           pg::GraphBatch* batch) {
   std::string_view rest = payload;
   while (!rest.empty()) {
@@ -221,41 +191,6 @@ util::Status GraphAssembler::MaterializeEdge(std::string_view line,
   edge_filled_[record.id] = true;
   ++edges_filled_;
   batch->edge_ids.push_back(record.id);
-  return util::Status::Ok();
-}
-
-void GraphAssembler::AppendStateTo(std::string* out) const {
-  util::PutU8(out, sized_ ? 1 : 0);
-  PutBitmap(out, node_filled_);
-  PutBitmap(out, edge_filled_);
-}
-
-util::Status GraphAssembler::RestoreState(std::string_view bytes) {
-  util::ByteReader in(bytes);
-  uint8_t sized = in.ReadU8();
-  std::vector<bool> node_filled;
-  std::vector<bool> edge_filled;
-  if (sized > 1 || !ReadBitmap(&in, &node_filled) ||
-      !ReadBitmap(&in, &edge_filled) || !in.ok() || !in.AtEnd()) {
-    return util::Status::ParseError(
-        "assembler snapshot: truncated or corrupt");
-  }
-  if (node_filled.size() != graph_->num_nodes() ||
-      edge_filled.size() != graph_->num_edges()) {
-    return util::Status::FailedPrecondition(
-        "assembler snapshot does not match the replayed graph (" +
-        std::to_string(node_filled.size()) + "/" +
-        std::to_string(edge_filled.size()) + " vs " +
-        std::to_string(graph_->num_nodes()) + "/" +
-        std::to_string(graph_->num_edges()) + " elements)");
-  }
-  sized_ = sized != 0;
-  node_filled_ = std::move(node_filled);
-  edge_filled_ = std::move(edge_filled);
-  nodes_filled_ = 0;
-  for (bool b : node_filled_) nodes_filled_ += b ? 1 : 0;
-  edges_filled_ = 0;
-  for (bool b : edge_filled_) edges_filled_ += b ? 1 : 0;
   return util::Status::Ok();
 }
 

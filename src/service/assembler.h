@@ -34,6 +34,10 @@ namespace pghive::service {
 /// arrives because discovery only touches batch members and their endpoints,
 /// and the client materializes endpoints (R lines) before edges that use
 /// them. CheckComplete() verifies no placeholder survived the stream.
+///
+/// The payloads are also pghived's durable copy of the graph: a restarted
+/// session replays its ingest log through ApplyPayload, which rebuilds the
+/// graph and the fill bitmaps alike.
 class GraphAssembler {
  public:
   /// `graph` must be empty and outlive the assembler.
@@ -41,24 +45,13 @@ class GraphAssembler {
 
   /// Applies one ingest payload; member element ids append to `*batch` in
   /// payload order (which the client emits in SplitIntoBatches order).
-  util::Status ApplyPayload(const std::string& payload, pg::GraphBatch* batch);
+  util::Status ApplyPayload(std::string_view payload, pg::GraphBatch* batch);
 
   /// Ok when every declared element has been materialized.
   util::Status CheckComplete() const;
 
   size_t nodes_filled() const { return nodes_filled_; }
   size_t edges_filled() const { return edges_filled_; }
-
-  /// Appends the assembler's stream-progress state (sized flag and the two
-  /// fill bitmaps, bit-packed) — the assembler section of a pghived session
-  /// snapshot (util/binio framing). The graph contents themselves are saved
-  /// separately as graph text.
-  void AppendStateTo(std::string* out) const;
-
-  /// Restores AppendStateTo bytes. The attached graph must already hold the
-  /// replayed stream (bitmap sizes are validated against it); corrupt bytes
-  /// fail with ParseError, a size mismatch with FailedPrecondition.
-  util::Status RestoreState(std::string_view bytes);
 
  private:
   util::Status ApplyLine(std::string_view line, pg::GraphBatch* batch);

@@ -163,42 +163,6 @@ util::StatusOr<ValidationResult> PghivedClient::Validate(
   return result;
 }
 
-util::StatusOr<uint64_t> PghivedClient::SaveState(const std::string& session,
-                                                  const std::string& path) {
-  auto response = RoundTrip("save-state " + session + ' ' + path);
-  if (!response.ok()) return response.status();
-  std::istringstream info(response->info);
-  std::string tag, id, bytes_tag, bytes;
-  if (!(info >> tag >> id >> bytes_tag >> bytes) || tag != "saved" ||
-      bytes_tag != "bytes") {
-    return util::Status::ParseError("unexpected save-state reply '" +
-                                    response->info + "'");
-  }
-  auto parsed = util::ParseInt64(bytes);
-  if (!parsed.ok() || *parsed < 0) {
-    return util::Status::ParseError("bad snapshot size '" + bytes + "'");
-  }
-  return static_cast<uint64_t>(*parsed);
-}
-
-util::StatusOr<PghivedClient::RestoredSession> PghivedClient::LoadState(
-    const std::string& path) {
-  auto response = RoundTrip("load-state " + path);
-  if (!response.ok()) return response.status();
-  std::istringstream info(response->info);
-  std::string tag, id, batches_tag, batches;
-  if (!(info >> tag >> id >> batches_tag >> batches) || tag != "session" ||
-      batches_tag != "batches") {
-    return util::Status::ParseError("unexpected load-state reply '" +
-                                    response->info + "'");
-  }
-  auto parsed = util::ParseInt64(batches);
-  if (!parsed.ok() || *parsed < 0) {
-    return util::Status::ParseError("bad batch count '" + batches + "'");
-  }
-  return RestoredSession{id, static_cast<uint64_t>(*parsed)};
-}
-
 util::StatusOr<PghivedClient::RestoredSession> PghivedClient::SessionInfo(
     const std::string& session) {
   auto response = RoundTrip("session-info " + session);

@@ -52,24 +52,16 @@ class PghivedClient {
                                             bool strict,
                                             const std::string& pgs_text);
 
-  /// Serializes the session to `path` on the *server's* filesystem; returns
-  /// the snapshot size in bytes.
-  util::StatusOr<uint64_t> SaveState(const std::string& session,
-                                     const std::string& path);
-
-  /// A session restored by LoadState: its fresh id and how many batches the
-  /// snapshot already holds (the client skips that many payloads on resume).
+  /// An existing session's id and how many batches it already holds (the
+  /// client skips that many payloads on resume).
   struct RestoredSession {
     std::string id;
     uint64_t batches = 0;
   };
 
-  /// Restores a server-side SaveState file as a new session.
-  util::StatusOr<RestoredSession> LoadState(const std::string& path);
-
   /// Looks up an existing session's id and batch count — the resume
   /// handshake against a daemon that restored the session from its own
-  /// checkpoint dir (no LoadState round trip or snapshot file needed).
+  /// checkpoint dir.
   util::StatusOr<RestoredSession> SessionInfo(const std::string& session);
 
   /// Long-polls the session's schema changefeed; returns concatenated

@@ -1,8 +1,5 @@
 #include "service/protocol.h"
 
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -148,8 +145,6 @@ Response RequestHandler::Handle(const Request& request) {
   if (request.command == "ingest-batch") return HandleIngestBatch(request);
   if (request.command == "get-schema") return HandleGetSchema(request);
   if (request.command == "validate") return HandleValidate(request);
-  if (request.command == "save-state") return HandleSaveState(request);
-  if (request.command == "load-state") return HandleLoadState(request);
   if (request.command == "session-info") return HandleSessionInfo(request);
   if (request.command == "subscribe-changefeed") {
     return HandleSubscribeChangefeed(request);
@@ -251,48 +246,6 @@ Response RequestHandler::HandleValidate(const Request& request) {
                       result->report);
 }
 
-Response RequestHandler::HandleSaveState(const Request& request) {
-  if (request.args.size() != 2) {
-    return ErrorResponse(util::Status::InvalidArgument(
-        "usage: save-state <session> <path>"));
-  }
-  auto session = manager_->Lookup(request.args[0]);
-  if (!session.ok()) return ErrorResponse(session.status());
-  auto bytes = (*session)->SaveState();
-  if (!bytes.ok()) return ErrorResponse(bytes.status());
-  const std::string& path = request.args[1];
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(bytes->data(), static_cast<std::streamsize>(bytes->size()));
-    if (!out) return ErrorResponse(util::Status::IoError("cannot write " + tmp));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return ErrorResponse(
-        util::Status::IoError("cannot rename " + tmp + " to " + path));
-  }
-  return OkResponse("saved " + request.args[0] + " bytes " +
-                    std::to_string(bytes->size()));
-}
-
-Response RequestHandler::HandleLoadState(const Request& request) {
-  if (request.args.size() != 1) {
-    return ErrorResponse(
-        util::Status::InvalidArgument("usage: load-state <path>"));
-  }
-  std::ifstream in(request.args[0], std::ios::binary);
-  if (!in) {
-    return ErrorResponse(
-        util::Status::IoError("cannot open " + request.args[0]));
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  auto session = manager_->CreateSessionFromState(bytes);
-  if (!session.ok()) return ErrorResponse(session.status());
-  return OkResponse("session " + (*session)->id() + " batches " +
-                    std::to_string((*session)->batches_ingested()));
-}
-
 Response RequestHandler::HandleSessionInfo(const Request& request) {
   if (request.args.size() != 1) {
     return ErrorResponse(
@@ -300,8 +253,7 @@ Response RequestHandler::HandleSessionInfo(const Request& request) {
   }
   auto session = manager_->Lookup(request.args[0]);
   if (!session.ok()) return ErrorResponse(session.status());
-  // Mirrors the load-state response shape: the batch count tells a resuming
-  // client how many payloads to skip.
+  // The batch count tells a resuming client how many payloads to skip.
   return OkResponse("session " + (*session)->id() + " batches " +
                     std::to_string((*session)->batches_ingested()));
 }

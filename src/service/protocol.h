@@ -15,38 +15,56 @@ namespace pghive::service {
 /// enough to frame binary schema payloads.
 ///
 /// Requests (one line, space-separated tokens; <n> counts body bytes that
-/// follow the newline):
+/// follow the newline). Each connection has its own thread, and a verb runs
+/// either there ("connection thread") or as a job on the session's lane,
+/// which runs one job at a time in submission order ("lane job"). A session
+/// publishes an immutable snapshot and one changefeed record per committed
+/// batch; "published" below means state as of the latest such version.
 ///
 ///   ping
+///       Connection thread; touches no session.
 ///   create-session [proto=N] [key=value ...]  knobs as in `pghive discover`
 ///       proto declares the client's protocol version (absent = 1); the
 ///       server rejects versions newer than kProtocolVersion with a clear
 ///       FailedPrecondition instead of misparsing unknown requests later.
+///       Connection thread, under the session table's lock; the new id is
+///       visible to every connection once the reply is sent.
 ///   ingest-batch <session> <n>  + body  one ingest payload (see assembler)
+///       Connection thread enqueues a lane job and replies "OK batch <k>"
+///       at once: the batch is only scheduled. It becomes visible when its
+///       version is published; a failure latches into the session and
+///       fails later requests.
 ///   get-schema <session> <form> [snapshot]
 ///       form: pgs | pgs-loose | xsd | describe | binary
 ///       default waits for the stream to finish (enqueues Finish once) and
 ///       returns the final schema; `snapshot` returns the latest published
 ///       snapshot immediately without draining the session's lane.
+///       Default: the connection thread waits for the lane to drain, so it
+///       sees every batch submitted before it. snapshot: connection thread,
+///       published state only, never waits for the lane.
 ///   validate <session> <strict|loose> <n>  + body (a PG-Schema text)
-///   save-state <session> <path>         serialize the session to a server-
-///                                       side file (Session::SaveState)
-///   load-state <path>                   restore such a file as a NEW
-///                                       session; "OK session <id> batches
-///                                       <k>" tells the client how many
-///                                       payloads to skip when resuming
+///       Lane job; the connection thread waits for it. Sees the graph after
+///       every batch submitted before it, and parses against a copy of the
+///       vocabulary, so it changes nothing.
 ///   subscribe-changefeed <session> <after-version> [timeout-ms]
 ///       long-polls for schema-diff records with version > after-version;
 ///       the body is a core::ParseSchemaDiffStream byte stream (empty on
 ///       timeout). When the daemon runs with --checkpoint-dir, versions
 ///       older than the in-memory backlog are served from the session's
-///       feed segment file instead of OutOfRange.
+///       feed segment file instead of OutOfRange. Connection thread; sees
+///       published versions only, and waits for the next one at most
+///       timeout-ms (capped at 30 s).
 ///   session-info <session>              "OK session <id> batches <k>" for
 ///                                       an existing session — how a client
 ///                                       resumes against a daemon that
 ///                                       restored the session from its own
-///                                       checkpoint (no load-state needed)
+///                                       checkpoint
+///       Connection thread; k counts batches accepted, committed or not.
+///       After a restart it is the snapshot's count: the client re-sends
+///       every later batch.
 ///   close <session>
+///       Connection thread; removes the id at once, then waits for the
+///       session's queued jobs and deletes its files under --checkpoint-dir.
 ///
 /// Responses:
 ///
@@ -60,7 +78,9 @@ namespace pghive::service {
 ///   2 — adds proto= handshake, save-state, load-state, subscribe-changefeed.
 ///   3 — adds session-info; subscribe-changefeed can serve pre-backlog
 ///       versions from the daemon's checkpoint-dir feed segments.
-constexpr uint32_t kProtocolVersion = 3;
+///   4 — drops save-state and load-state (they answer "unknown command"):
+///       with --checkpoint-dir the daemon owns every session's durability.
+constexpr uint32_t kProtocolVersion = 4;
 struct Request {
   std::string command;
   std::vector<std::string> args;  ///< Tokens after the command.
@@ -103,8 +123,6 @@ class RequestHandler {
   Response HandleIngestBatch(const Request& request);
   Response HandleGetSchema(const Request& request);
   Response HandleValidate(const Request& request);
-  Response HandleSaveState(const Request& request);
-  Response HandleLoadState(const Request& request);
   Response HandleSessionInfo(const Request& request);
   Response HandleSubscribeChangefeed(const Request& request);
   Response HandleClose(const Request& request);

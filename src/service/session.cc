@@ -7,6 +7,7 @@
 #include <iterator>
 #include <future>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/options.h"
@@ -14,7 +15,6 @@
 #include "core/schema_diff.h"
 #include "core/serialize.h"
 #include "core/validator.h"
-#include "pg/graph_io.h"
 #include "util/binio.h"
 
 namespace pghive::service {
@@ -22,11 +22,12 @@ namespace pghive::service {
 namespace {
 
 constexpr char kSessionMagic[4] = {'P', 'G', 'H', 'D'};
-constexpr uint32_t kSessionVersion = 1;
+/// Version 2 holds no graph: the ingest log does. Version 1 snapshots
+/// embedded the graph text and are refused (see CreateFromState).
+constexpr uint32_t kSessionVersion = 2;
 
-// Session snapshot section ids ("PGHD" container). Never renumber.
-constexpr uint32_t kGraphTextSection = 1;
-constexpr uint32_t kAssemblerSection = 2;
+// Session snapshot section ids ("PGHD" container). Never renumber or reuse:
+// 1 (graph text) and 2 (assembler fill bitmaps) were version 1's, retired.
 constexpr uint32_t kHiveStateSection = 3;
 constexpr uint32_t kCountersSection = 4;
 
@@ -53,28 +54,80 @@ util::Status AtomicWriteFile(const std::string& path,
   return util::Status::Ok();
 }
 
-/// Reconciles a feed segment file with a restored session's version counter:
-/// keeps the longest clean prefix of records numbered contiguously
-/// 1..max_version and truncates everything past it — a torn tail from a
-/// crash, or versions the restored session will re-publish (and re-append)
-/// while replaying batches the checkpoint had not yet seen.
-util::Status TruncateFeedFile(const std::string& path, uint64_t max_version) {
+/// Reads all of `path`: NotFound when it cannot be opened (normally, it
+/// does not exist yet), IoError when reading fails midway.
+util::StatusOr<std::string> ReadWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::Ok();  // No segment yet: nothing to reconcile.
+  if (!in) return util::Status::NotFound("cannot open " + path);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   if (in.bad()) return util::Status::IoError("cannot read " + path);
-  size_t valid_prefix = 0;
-  auto records = core::ScanSchemaDiffStream(bytes, &valid_prefix);
+  return bytes;
+}
+
+/// Cuts `path`, whose contents are `bytes`, back to its first `keep` bytes
+/// (atomically; no-op when nothing lies past `keep`). The restore policy of
+/// both append-only files, the ingest log and the feed segment: keep the
+/// records the snapshot covers, drop a torn tail from a crash and every
+/// record the restored session will write again while the client re-sends
+/// the batches the snapshot had not yet seen.
+util::Status CutToPrefix(const std::string& path, const std::string& bytes,
+                         size_t keep) {
+  if (keep == bytes.size()) return util::Status::Ok();
+  return AtomicWriteFile(path, bytes.substr(0, keep));
+}
+
+/// Reconciles a feed segment file with a restored session's version counter:
+/// keeps the longest clean prefix of records numbered contiguously
+/// 1..max_version and cuts everything past it.
+util::Status TruncateFeedFile(const std::string& path, uint64_t max_version) {
+  auto bytes = ReadWholeFile(path);
+  if (bytes.status().code() == util::StatusCode::kNotFound) {
+    return util::Status::Ok();  // No segment yet: nothing to reconcile.
+  }
+  if (!bytes.ok()) return bytes.status();
   size_t keep = 0;
   uint64_t expect = 1;
-  for (const core::SchemaDiffRecord& record : records) {
+  for (const core::SchemaDiffRecord& record :
+       core::ScanSchemaDiffStream(*bytes, nullptr)) {
     if (expect > max_version || record.diff.version_to != expect) break;
     keep = record.offset + record.length;
     ++expect;
   }
-  if (keep == bytes.size()) return util::Status::Ok();
-  return AtomicWriteFile(path, bytes.substr(0, keep));
+  return CutToPrefix(path, *bytes, keep);
+}
+
+/// Replays ingest-log records 1..batches through `assembler`, rebuilding the
+/// graph and the fill bitmaps as of the snapshot, and returns the byte
+/// length of that prefix of the log. Every record must be CRC-clean, carry
+/// its batch number, and be accepted by the assembler; otherwise the error
+/// names the log.
+util::StatusOr<size_t> ReplayIngestLog(const std::string& path,
+                                       std::string_view bytes,
+                                       uint64_t batches,
+                                       GraphAssembler* assembler) {
+  util::ByteReader in(bytes);
+  for (uint64_t batch = 1; batch <= batches; ++batch) {
+    const std::string where = "ingest log " + path + ": record " +
+                              std::to_string(batch) + " of the snapshot's " +
+                              std::to_string(batches);
+    uint32_t id = 0;
+    std::string_view payload;
+    if (!util::ReadSection(&in, &id, &payload)) {
+      return util::Status::ParseError(where + " is missing, torn or corrupt");
+    }
+    if (id != batch) {
+      return util::Status::ParseError(where + " is out of sequence (found " +
+                                      std::to_string(id) + ")");
+    }
+    pg::GraphBatch members;
+    util::Status applied = assembler->ApplyPayload(payload, &members);
+    if (!applied.ok()) {
+      return util::Status(applied.code(),
+                          where + " is rejected: " + applied.message());
+    }
+  }
+  return in.pos();
 }
 
 }  // namespace
@@ -101,11 +154,10 @@ util::StatusOr<std::shared_ptr<Session>> Session::Create(
   // A fresh session owns its durability paths outright: stale files there
   // (say, from a session that published a feed but died before its first
   // checkpoint) must not leak into this one's history.
-  if (!durability.state_path.empty()) {
-    std::remove(durability.state_path.c_str());
-  }
-  if (!durability.feed_path.empty()) {
-    std::remove(durability.feed_path.c_str());
+  for (const std::string* path : {&durability.state_path,
+                                  &durability.log_path,
+                                  &durability.feed_path}) {
+    if (!path->empty()) std::remove(path->c_str());
   }
   return std::shared_ptr<Session>(new Session(std::move(id), *options, pool,
                                               queue, std::move(durability)));
@@ -145,6 +197,12 @@ void Session::IngestJob(const std::string& payload) {
   if (status.ok()) {
     status = hive_->ProcessBatch(batch);
   }
+  // Log before publishing: a checkpoint that counts this batch can only be
+  // written after this job, so a snapshot of k batches always finds log
+  // records 1..k on disk.
+  if (status.ok()) {
+    status = AppendLogRecord(hive_->batches_processed(), payload);
+  }
   if (!status.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (status_.ok()) status_ = status;
@@ -159,6 +217,23 @@ void Session::IngestJob(const std::string& payload) {
       if (status_.ok()) status_ = checkpointed;
     }
   }
+}
+
+util::Status Session::AppendLogRecord(uint64_t batch,
+                                      const std::string& payload) {
+  if (durability_.log_path.empty()) return util::Status::Ok();
+  if (!log_out_.is_open()) {
+    log_out_.open(durability_.log_path, std::ios::binary | std::ios::app);
+  }
+  std::string record;
+  util::AppendSection(&record, static_cast<uint32_t>(batch), payload);
+  log_out_.write(record.data(), static_cast<std::streamsize>(record.size()));
+  log_out_.flush();
+  if (!log_out_) {
+    return util::Status::IoError("cannot append ingest log " +
+                                 durability_.log_path);
+  }
+  return util::Status::Ok();
 }
 
 void Session::FinishJob() {
@@ -318,10 +393,6 @@ util::StatusOr<std::string> Session::BuildStateBytes() {
   std::string bytes;
   bytes.append(kSessionMagic, sizeof(kSessionMagic));
   util::PutU32(&bytes, kSessionVersion);
-  util::AppendSection(&bytes, kGraphTextSection, pg::SaveGraphText(*graph_));
-  std::string assembler;
-  assembler_->AppendStateTo(&assembler);
-  util::AppendSection(&bytes, kAssemblerSection, assembler);
   std::ostringstream hive;
   util::Status saved = hive_->SaveState(hive);
   if (!saved.ok()) return saved;
@@ -380,6 +451,12 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
   }
   in.ReadBytes(sizeof(kSessionMagic));
   uint32_t version = in.ReadU32();
+  if (in.ok() && version == 1) {
+    return util::Status::FailedPrecondition(
+        "session snapshot: version 1 embeds the graph text and was written "
+        "by an older build; finish or re-stream the session with that "
+        "build");
+  }
   // Forward compatible like the "PGHS" reader: newer writers may only append
   // optional sections, so any version >= ours restores; unknown section ids
   // below are skipped.
@@ -400,8 +477,7 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
                                       std::to_string(section_id));
     }
   }
-  for (uint32_t required : {kGraphTextSection, kAssemblerSection,
-                            kHiveStateSection, kCountersSection}) {
+  for (uint32_t required : {kHiveStateSection, kCountersSection}) {
     if (!sections.count(required)) {
       return util::Status::ParseError("session snapshot: missing section " +
                                       std::to_string(required));
@@ -410,49 +486,61 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
   const std::string hive_bytes(sections.at(kHiveStateSection));
   auto options = core::ReadSnapshotOptions(hive_bytes);
   if (!options.ok()) return options.status();
-
-  // Reconcile the feed segment with the snapshot before the session can
-  // publish: drop any torn tail and any versions past the checkpoint's
-  // counter — replaying the uncheckpointed batches re-appends those same
-  // versions, byte-identically, without duplication.
-  if (!durability.feed_path.empty()) {
-    util::ByteReader counters_peek(sections.at(kCountersSection));
-    counters_peek.ReadU64();  // batches
-    uint64_t published = counters_peek.ReadU64();
-    if (!counters_peek.ok()) {
-      return util::Status::ParseError(
-          "session snapshot: corrupt counters section");
-    }
-    util::Status truncated = TruncateFeedFile(durability.feed_path, published);
-    if (!truncated.ok()) return truncated;
+  util::ByteReader counters(sections.at(kCountersSection));
+  const uint64_t batches = counters.ReadU64();
+  const uint64_t versions_published = counters.ReadU64();
+  const uint8_t finish_submitted = counters.ReadU8();
+  if (!counters.ok() || !counters.AtEnd() || finish_submitted > 1) {
+    return util::Status::ParseError(
+        "session snapshot: corrupt counters section");
+  }
+  if (batches > 0 && durability.log_path.empty()) {
+    return util::Status::FailedPrecondition(
+        "session snapshot holds " + std::to_string(batches) +
+        " batches but the session has no ingest log to rebuild them from");
   }
 
   std::shared_ptr<Session> session(new Session(std::move(id), *options, pool,
                                                queue, std::move(durability)));
   // Order matters: the hive restore rebuilds the vocabulary first (trivially
-  // position-consistent with the empty graph), so the graph-text replay
-  // below resolves every label and key to its snapshotted id — the id order
-  // the stream preamble had fixed, which the feature layout depends on.
+  // position-consistent with the empty graph), so the log replay below
+  // resolves every label and key to its snapshotted id — the id order the
+  // stream preamble had fixed, which the feature layout depends on.
   std::istringstream hive_in(hive_bytes);
   auto restored = session->hive_->RestoreState(hive_in);
   if (!restored.ok()) return restored.status();
-  util::Status replayed = pg::LoadGraphTextInto(
-      std::string(sections.at(kGraphTextSection)), session->graph_.get());
-  if (!replayed.ok()) return replayed;
-  util::Status assembler =
-      session->assembler_->RestoreState(sections.at(kAssemblerSection));
-  if (!assembler.ok()) return assembler;
-
-  util::ByteReader counters(sections.at(kCountersSection));
-  uint64_t batches_submitted = counters.ReadU64();
-  uint64_t versions_published = counters.ReadU64();
-  uint8_t finish_submitted = counters.ReadU8();
-  if (!counters.ok() || !counters.AtEnd() || finish_submitted > 1 ||
-      batches_submitted != *restored) {
+  if (*restored != batches) {
     return util::Status::ParseError(
         "session snapshot: corrupt counters section");
   }
-  session->batches_submitted_ = batches_submitted;
+
+  // Rebuild the graph from log records 1..batches, then cut the log and the
+  // feed back to what the snapshot covers. Cutting last means a failed
+  // restore leaves every file as it found it.
+  const SessionDurability& paths = session->durability_;
+  if (!paths.log_path.empty()) {
+    auto log = ReadWholeFile(paths.log_path);
+    if (log.ok()) {
+      auto kept = ReplayIngestLog(paths.log_path, *log, batches,
+                                  session->assembler_.get());
+      if (!kept.ok()) return kept.status();
+      util::Status cut = CutToPrefix(paths.log_path, *log, *kept);
+      if (!cut.ok()) return cut;
+    } else if (batches > 0 ||
+               log.status().code() != util::StatusCode::kNotFound) {
+      return util::Status(log.status().code(),
+                          "ingest log: " + log.status().message() +
+                              " (the snapshot holds " +
+                              std::to_string(batches) + " batches)");
+    }
+  }
+  if (!paths.feed_path.empty()) {
+    util::Status truncated =
+        TruncateFeedFile(paths.feed_path, versions_published);
+    if (!truncated.ok()) return truncated;
+  }
+
+  session->batches_submitted_ = batches;
   session->versions_published_ = versions_published;
   session->finish_submitted_ = finish_submitted != 0;
   session->prev_schema_ = session->hive_->schema();
@@ -498,15 +586,10 @@ util::StatusOr<std::string> Session::ReadFeedFromDisk(
       std::to_string(after_version + 1) +
       "; refetch the schema and resubscribe from its version");
   if (durability_.feed_path.empty()) return pruned;
-  std::ifstream in(durability_.feed_path, std::ios::binary);
-  if (!in) return pruned;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return util::Status::IoError("cannot read changefeed segment " +
-                                 durability_.feed_path);
-  }
-  auto records = core::ScanSchemaDiffStream(bytes, nullptr);
+  auto bytes = ReadWholeFile(durability_.feed_path);
+  if (bytes.status().code() == util::StatusCode::kNotFound) return pruned;
+  if (!bytes.ok()) return bytes.status();
+  auto records = core::ScanSchemaDiffStream(*bytes, nullptr);
   std::string out;
   uint64_t expect = after_version + 1;
   for (const core::SchemaDiffRecord& record : records) {
@@ -516,7 +599,7 @@ util::StatusOr<std::string> Session::ReadFeedFromDisk(
     // truncates to a clean prefix, publish appends in order); any gap means
     // the requested range predates what survived.
     if (record.diff.version_to != expect) return pruned;
-    out.append(bytes, record.offset, record.length);
+    out.append(*bytes, record.offset, record.length);
     ++expect;
   }
   if (expect < until_version) return pruned;

@@ -42,15 +42,19 @@ struct ValidationResult {
   std::string report;
 };
 
-/// Daemon-owned durability for one session: where to checkpoint its "PGHD"
-/// snapshot, how often, and where to spill changefeed records evicted from
-/// the in-memory backlog. Default-constructed == fully in-memory (the
-/// pre-durability behavior). Paths are owned by the session: a fresh session
-/// deletes any stale files at them, a restored one reconciles the feed
-/// segment against the snapshot's version counter.
+/// Daemon-owned durability for one session: where to append its ingest log,
+/// where to checkpoint its "PGHD" snapshot and how often, and where to spill
+/// changefeed records evicted from the in-memory backlog. Default-constructed
+/// == fully in-memory (the pre-durability behavior). Paths are owned by the
+/// session: a fresh session deletes any stale files at them, a restored one
+/// cuts the log and the feed segment back to what the snapshot covers.
 struct SessionDurability {
   std::string state_path;  ///< "PGHD" snapshot target; empty = no scheduled
                            ///< checkpoints.
+  std::string log_path;    ///< Ingest log: every committed payload, CRC-framed
+                           ///< with its 1-based batch number — the durable
+                           ///< copy of the graph. Empty = none, and then only
+                           ///< a 0-batch snapshot can restore.
   std::string feed_path;   ///< Changefeed segment file (concatenated "PGHF"
                            ///< records); empty = in-memory backlog only.
   /// Checkpoint after every N committed batches (and always on Finish);
@@ -82,12 +86,16 @@ class Session {
       util::ThreadPool* pool, JobQueue* queue,
       SessionDurability durability = {});
 
-  /// Rebuilds a session from SaveState bytes (the pghived load-state verb):
-  /// restores the hive snapshot into a fresh hive (vocabulary first, so the
-  /// replayed graph text below resolves every label/key to its original id),
-  /// replays the graph text, and restores the assembler's fill bitmaps and
-  /// the session counters. Streaming the remaining batches afterwards
-  /// produces a schema byte-identical to the uninterrupted session's.
+  /// Rebuilds a session from SaveState bytes (a daemon restart): restores
+  /// the hive snapshot into a fresh hive (vocabulary first, so the replayed
+  /// payloads below resolve every label/key to its original id), then
+  /// replays records 1..k of durability.log_path through the assembler, k
+  /// being the snapshot's batch count. Any of those records missing, torn,
+  /// CRC-bad, out of sequence or rejected fails the restore with an error
+  /// naming the log. Log records past k, a torn log tail and feed versions
+  /// past the snapshot are cut off: the client re-sends those batches.
+  /// Streaming the remaining batches afterwards produces a schema
+  /// byte-identical to the uninterrupted session's.
   static util::StatusOr<std::shared_ptr<Session>> CreateFromState(
       std::string id, const std::string& bytes, util::ThreadPool* pool,
       JobQueue* queue, SessionDurability durability = {});
@@ -128,10 +136,10 @@ class Session {
   util::StatusOr<ValidationResult> Validate(const std::string& pgs_text,
                                             bool strict);
 
-  /// Serializes the session — graph text, assembler progress, the full
-  /// PgHive state, and the session counters — as a lane job, so the bytes
-  /// always describe a batch boundary ("PGHD" magic + u32 version +
-  /// CRC-framed util/binio sections). Restore with CreateFromState.
+  /// Serializes the session — the full PgHive state and the session
+  /// counters, not the graph, which the ingest log holds — as a lane job, so
+  /// the bytes always describe a batch boundary ("PGHD" magic + u32 version
+  /// + CRC-framed util/binio sections). Restore with CreateFromState.
   util::StatusOr<std::string> SaveState();
 
   /// Checkpoints the session to its durability state_path now, as a lane job
@@ -163,6 +171,9 @@ class Session {
           JobQueue* queue, SessionDurability durability);
 
   void IngestJob(const std::string& payload);
+  /// Appends `payload` to the ingest log as record `batch` and flushes; Ok
+  /// without a log_path. Lane jobs only.
+  util::Status AppendLogRecord(uint64_t batch, const std::string& payload);
   void FinishJob();
   /// Materializes every schema rendering from live state. Lane jobs only.
   std::shared_ptr<SchemaSnapshot> RenderSnapshot(bool is_final) const;
@@ -198,7 +209,9 @@ class Session {
   /// The schema as of the last published version; lane jobs only. Publish
   /// diffs the fresh schema against this to produce the changefeed record.
   core::SchemaGraph prev_schema_;
-  /// Appender for durability_.feed_path (lazily opened); lane jobs only.
+  /// Appenders for durability_.log_path and feed_path (lazily opened); lane
+  /// jobs only.
+  std::ofstream log_out_;
   std::ofstream feed_out_;
 
   mutable std::mutex mutex_;

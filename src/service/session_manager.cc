@@ -13,11 +13,14 @@ namespace pghive::service {
 
 namespace {
 
-/// Parses the numeric part of a checkpoint filename "s<k>.pghd" / "s<k>.feed"
-/// into *id; false for anything else (including foreign files in the dir).
+/// Parses the numeric part of a session filename "s<k>.pghd" / "s<k>.log" /
+/// "s<k>.feed" into *id; false for anything else (including foreign files
+/// in the dir).
 bool ParseCheckpointId(const std::string& stem, const std::string& extension,
                        uint64_t* id) {
-  if (extension != ".pghd" && extension != ".feed") return false;
+  if (extension != ".pghd" && extension != ".log" && extension != ".feed") {
+    return false;
+  }
   if (stem.size() < 2 || stem[0] != 's') return false;
   uint64_t value = 0;
   for (size_t i = 1; i < stem.size(); ++i) {
@@ -35,6 +38,7 @@ SessionDurability SessionManager::DurabilityFor(const std::string& id) const {
   durability.feed_backlog = options_.feed_backlog;
   if (options_.checkpoint_dir.empty()) return durability;
   durability.state_path = options_.checkpoint_dir + "/" + id + ".pghd";
+  durability.log_path = options_.checkpoint_dir + "/" + id + ".log";
   durability.feed_path = options_.checkpoint_dir + "/" + id + ".feed";
   durability.checkpoint_every = options_.checkpoint_every;
   return durability;
@@ -51,22 +55,6 @@ util::StatusOr<std::shared_ptr<Session>> SessionManager::CreateSession(
   std::string id = "s" + std::to_string(next_id_++);
   auto session =
       Session::Create(id, option_flags, pool_, &queue_, DurabilityFor(id));
-  if (!session.ok()) return session.status();
-  sessions_[id] = *session;
-  return *session;
-}
-
-util::StatusOr<std::shared_ptr<Session>> SessionManager::CreateSessionFromState(
-    const std::string& bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (sessions_.size() >= options_.max_sessions) {
-    return util::Status::FailedPrecondition(
-        "session limit reached (" + std::to_string(options_.max_sessions) +
-        "); close a session first");
-  }
-  std::string id = "s" + std::to_string(next_id_++);
-  auto session =
-      Session::CreateFromState(id, bytes, pool_, &queue_, DurabilityFor(id));
   if (!session.ok()) return session.status();
   sessions_[id] = *session;
   return *session;
@@ -93,9 +81,9 @@ util::Status SessionManager::RestoreFromCheckpointDir() {
                            entry.path().extension().string(), &id)) {
       continue;
     }
-    // Feed segments without a snapshot still reserve the id: a session that
-    // published but died before its first checkpoint must not have its feed
-    // file inherited by an unrelated new session.
+    // Logs and feed segments without a snapshot still reserve the id: a
+    // session that ingested but died before its first checkpoint must not
+    // have its files inherited by an unrelated new session.
     max_id = std::max(max_id, id);
     if (entry.path().extension() == ".pghd") {
       snapshots.emplace_back(id, entry.path().string());
@@ -171,6 +159,7 @@ util::Status SessionManager::Close(const std::string& id) {
   if (!options_.checkpoint_dir.empty()) {
     SessionDurability durability = DurabilityFor(id);
     std::remove(durability.state_path.c_str());
+    std::remove(durability.log_path.c_str());
     std::remove(durability.feed_path.c_str());
   }
   return util::Status::Ok();

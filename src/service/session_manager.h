@@ -21,9 +21,10 @@ class SessionManager {
  public:
   struct Options {
     size_t max_sessions = 64;  ///< Eviction backstop for runaway clients.
-    /// Directory for daemon-owned durability: every session checkpoints its
-    /// "PGHD" snapshot to <dir>/<id>.pghd and spills evicted changefeed
-    /// records to <dir>/<id>.feed. Empty = fully in-memory sessions.
+    /// Directory for daemon-owned durability: every session appends each
+    /// payload to <dir>/<id>.log, checkpoints its "PGHD" snapshot to
+    /// <dir>/<id>.pghd and spills evicted changefeed records to
+    /// <dir>/<id>.feed. Empty = fully in-memory sessions.
     std::string checkpoint_dir;
     /// Batches between scheduled checkpoints (Finish always checkpoints).
     uint64_t checkpoint_every = 1;
@@ -49,30 +50,24 @@ class SessionManager {
   util::StatusOr<std::shared_ptr<Session>> CreateSession(
       const std::map<std::string, std::string>& option_flags);
 
-  /// Restores a session from Session::SaveState bytes under a fresh id (the
-  /// load-state verb). The restored session continues exactly where the
-  /// saved one stopped; ids are never recycled, so the new id differs from
-  /// the one the state was saved under.
-  util::StatusOr<std::shared_ptr<Session>> CreateSessionFromState(
-      const std::string& bytes);
-
   /// NotFound if absent (or already closed).
   util::StatusOr<std::shared_ptr<Session>> Lookup(const std::string& id) const;
 
   /// Removes the session, waits for its queued jobs to finish, and deletes
-  /// its checkpoint and feed-segment files — an explicit close means the
-  /// client is done with the session's history.
+  /// its checkpoint, ingest-log and feed-segment files — an explicit close
+  /// means the client is done with the session's history.
   util::Status Close(const std::string& id);
 
   /// Waits for every session's queued jobs (graceful-shutdown path).
   void DrainAll();
 
   /// Restores every <id>.pghd snapshot found in checkpoint_dir (creating
-  /// the directory if absent) under its original id, so a restarted daemon
-  /// serves get-schema and subscribe-changefeed with no client load-state.
-  /// Fresh ids continue past every id seen on disk. Fails loudly on the
-  /// first unreadable or corrupt snapshot — silently dropping a tenant's
-  /// state is worse than refusing to start. No-op without a checkpoint_dir.
+  /// the directory if absent) under its original id, replaying each
+  /// session's ingest log, so a restarted daemon serves get-schema and
+  /// subscribe-changefeed on its own. Fresh ids continue past every id seen
+  /// on disk. Fails loudly on the first unreadable or corrupt snapshot or
+  /// log — silently dropping a tenant's state is worse than refusing to
+  /// start. No-op without a checkpoint_dir.
   util::Status RestoreFromCheckpointDir();
 
   /// Checkpoints every live session (the SIGTERM drain path). Returns the

@@ -69,27 +69,48 @@ void PutF32Vector(std::string* out, const std::vector<float>& v) {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+/// Slicing-by-8 tables: t[0] is the classic byte table, and t[k][i] advances
+/// the register over byte i followed by k zero bytes, so eight input bytes
+/// fold in with eight independent lookups instead of a chain of eight.
+struct Crc32Tables {
+  uint32_t t[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
     }
   }
 };
 
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.t;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t c = seed ^ 0xffffffffu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table.entries[(c ^ p[i]) & 0xff] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

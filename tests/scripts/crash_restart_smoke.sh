@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Crash-restart durability smoke on the real binaries: stream half the
-# batches into pghived, save the session state, SIGKILL the daemon (no drain,
-# no graceful anything), restart it, load the state back, stream the rest —
-# the resumed schema must be byte-identical to the one-shot run. The same
-# scenario runs in the CI release job; this CTest copy keeps it reproducible
-# locally (and keeps the client/daemon paths in the coverage report).
+# batches into a pghived running with --checkpoint-dir --checkpoint-every 2,
+# wait until batch 3 is published, SIGKILL the daemon (no drain, no graceful
+# anything), restart it over the same directory, and resume the session the
+# daemon restored on its own. At the kill the checkpoint holds 2 batches and
+# the ingest log 3, so every run takes the restore's cut-back path: batch 3
+# is cut from the log and the feed, and the client re-sends it. The resumed
+# schema and the full wire changefeed must be byte-identical to the one-shot
+# run. The same scenario runs in the CI release job; this CTest copy keeps
+# it reproducible locally.
 #
 # Usage: crash_restart_smoke.sh <pghive> <pghived> <workdir>
 set -eu
@@ -15,7 +19,8 @@ WORK=$3
 
 mkdir -p "$WORK"
 cd "$WORK"
-rm -f crash.port crash.state
+rm -rf crash.port ckpt
+mkdir -p ckpt
 
 cleanup() {
   [ -n "${daemon:-}" ] && kill -9 "$daemon" 2>/dev/null || true
@@ -34,24 +39,43 @@ wait_for_port() {
 
 "$PGHIVE" generate --dataset POLE --scale 0.05 --seed 7 --out smoke.pg \
   > /dev/null
-"$PGHIVE" discover --graph smoke.pg --batches 6 --out oneshot > /dev/null
+"$PGHIVE" discover --graph smoke.pg --batches 6 --out oneshot \
+  --changefeed oneshot.feed > /dev/null
 
-"$PGHIVED" --port 0 --port-file crash.port > pghived.log 2>&1 &
+"$PGHIVED" --port 0 --port-file crash.port --checkpoint-dir ckpt \
+  --checkpoint-every 2 > pghived.log 2>&1 &
 daemon=$!
 wait_for_port
 "$PGHIVE" client --graph smoke.pg --port-file crash.port --batches 6 \
-  --stop-after 3 --save-state crash.state
+  --stop-after 3
+
+# ingest-batch only schedules a batch. Version 3 on the changefeed means
+# batch 3 is committed: logged, published, and past the checkpoint of
+# batch 2.
+published=
+for _ in $(seq 1 100); do
+  if "$PGHIVE" drift --port-file crash.port --session s1 \
+      | grep -q " in 3 changefeed records"; then
+    published=1
+    break
+  fi
+  sleep 0.1
+done
+[ -n "$published" ] || { echo "batch 3 was never published" >&2; exit 1; }
 
 kill -KILL "$daemon"
 wait "$daemon" || true
 daemon=
 rm -f crash.port
 
-"$PGHIVED" --port 0 --port-file crash.port > pghived.log 2>&1 &
+"$PGHIVED" --port 0 --port-file crash.port --checkpoint-dir ckpt \
+  --checkpoint-every 2 > pghived.log 2>&1 &
 daemon=$!
 wait_for_port
 "$PGHIVE" client --graph smoke.pg --port-file crash.port --batches 6 \
-  --load-state crash.state --out resumed > /dev/null
+  --session s1 --out resumed --changefeed-out wire.feed > resumed.log
+# The restore rolled back to the checkpoint, not to the log's end.
+grep -q "resuming session s1 with 2 batches" resumed.log
 
 kill -TERM "$daemon"
 wait "$daemon"
@@ -59,4 +83,5 @@ daemon=
 
 cmp oneshot.pgs resumed.pgs
 cmp oneshot.xsd resumed.xsd
-echo "crash-restart resume is byte-identical to the one-shot run"
+cmp oneshot.feed wire.feed
+echo "crash-restart resume and changefeed are byte-identical to the one-shot run"

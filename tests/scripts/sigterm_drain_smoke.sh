@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # SIGTERM-drain durability smoke on the real binaries: stream half the
-# batches into a pghived running with --checkpoint-dir, SIGTERM it mid-stream
-# (NO client save-state), restart it over the same directory, and resume the
-# session the daemon restored on its own authority. The resumed schema must
-# be byte-identical to the one-shot run, and the full changefeed served over
-# the wire — including versions that predate the restart — must be
-# byte-identical to the feed file the one-shot `discover --changefeed`
-# writes. The same scenario runs in the CI release job; this CTest copy
-# keeps it reproducible locally.
+# batches into a pghived running with --checkpoint-dir, SIGTERM it mid-stream,
+# restart it over the same directory, and resume the session the daemon
+# restored on its own authority. The resumed schema must be byte-identical
+# to the one-shot run, and the full changefeed served over the wire —
+# including versions that predate the restart — must be byte-identical to
+# the feed file the one-shot `discover --changefeed` writes. The same
+# scenario runs in the CI release job; this CTest copy keeps it
+# reproducible locally.
 #
 # Usage: sigterm_drain_smoke.sh <pghive> <pghived> <workdir>
 set -eu
@@ -59,8 +59,8 @@ rm -f drain.port
   > pghived.log 2>&1 &
 daemon=$!
 wait_for_port
-# --session s1, not --load-state: the restarted daemon already restored the
-# session from ckpt/; the client only asks where to resume from.
+# --session s1: the restarted daemon already restored the session from
+# ckpt/; the client only asks where to resume from.
 "$PGHIVE" client --graph smoke.pg --port-file drain.port --batches 6 \
   --session s1 --out resumed --changefeed-out wire.feed > /dev/null
 

@@ -172,72 +172,34 @@ TEST(GraphAssemblerTest, StateRoundTripResumesMidStream) {
   pg::PropertyGraph original = SmallGraph();
   auto payloads = BuildIngestPayloads(original, /*num_batches=*/3);
 
-  // Stream the first batch, snapshot the progress bitmaps. (R lines pull
-  // edge endpoints forward, so even one batch may fill most of the graph —
-  // the bitmaps, not a count, are what the resume depends on.)
+  // Stream the first batch. (R lines pull edge endpoints forward, so even
+  // one batch may fill most of the graph — the fill bitmaps, not a count,
+  // are what the resume depends on.)
   pg::PropertyGraph first_graph;
   GraphAssembler first(&first_graph);
   {
     pg::GraphBatch batch;
     ASSERT_TRUE(first.ApplyPayload(payloads[0], &batch).ok());
   }
-  std::string state;
-  first.AppendStateTo(&state);
 
-  // Restore into a fresh assembler over the replayed graph; the remaining
+  // A restarted pghived replays its ingest log: the same first payload into
+  // a fresh assembler rebuilds the graph and the bitmaps, and the remaining
   // batches complete the stream exactly as the uninterrupted one would.
   pg::PropertyGraph replayed;
-  auto reload = pg::LoadGraphText(pg::SaveGraphText(first_graph));
-  ASSERT_TRUE(reload.ok());
-  replayed = *std::move(reload);
   GraphAssembler second(&replayed);
-  ASSERT_TRUE(second.RestoreState(state).ok());
+  {
+    pg::GraphBatch batch;
+    ASSERT_TRUE(second.ApplyPayload(payloads[0], &batch).ok());
+  }
   EXPECT_EQ(second.nodes_filled(), first.nodes_filled());
   EXPECT_EQ(second.edges_filled(), first.edges_filled());
+  EXPECT_EQ(GraphText(replayed), GraphText(first_graph));
   for (size_t i = 1; i < payloads.size(); ++i) {
     pg::GraphBatch batch;
     ASSERT_TRUE(second.ApplyPayload(payloads[i], &batch).ok()) << i;
   }
   EXPECT_TRUE(second.CheckComplete().ok());
   EXPECT_EQ(GraphText(replayed), GraphText(original));
-}
-
-TEST(GraphAssemblerTest, RestoreStateRejectsMismatchAndCorruption) {
-  pg::PropertyGraph original = SmallGraph();
-  auto payloads = BuildIngestPayloads(original, /*num_batches=*/1);
-  pg::PropertyGraph rebuilt;
-  GraphAssembler assembler(&rebuilt);
-  pg::GraphBatch batch;
-  ASSERT_TRUE(assembler.ApplyPayload(payloads[0], &batch).ok());
-  std::string state;
-  assembler.AppendStateTo(&state);
-
-  // Bitmap sizes must match the graph the state is restored onto.
-  pg::PropertyGraph wrong_size;
-  wrong_size.AddNode({"Person"});
-  GraphAssembler mismatched(&wrong_size);
-  auto mismatch = mismatched.RestoreState(state);
-  ASSERT_FALSE(mismatch.ok());
-  EXPECT_EQ(mismatch.code(), util::StatusCode::kFailedPrecondition);
-
-  // Truncations and a poisoned sized flag are ParseError.
-  pg::PropertyGraph target;
-  auto reload = pg::LoadGraphText(pg::SaveGraphText(rebuilt));
-  ASSERT_TRUE(reload.ok());
-  target = *std::move(reload);
-  GraphAssembler fresh(&target);
-  for (size_t len = 0; len < state.size(); ++len) {
-    auto truncated = fresh.RestoreState(state.substr(0, len));
-    ASSERT_FALSE(truncated.ok()) << "len " << len;
-    EXPECT_EQ(truncated.code(), util::StatusCode::kParseError);
-  }
-  std::string bad_flag = state;
-  bad_flag[0] = 2;
-  EXPECT_EQ(fresh.RestoreState(bad_flag).code(),
-            util::StatusCode::kParseError);
-  // A failed restore leaves the assembler untouched and still usable.
-  ASSERT_TRUE(fresh.RestoreState(state).ok());
-  EXPECT_TRUE(fresh.CheckComplete().ok());
 }
 
 TEST(GraphAssemblerTest, VocabPreambleSurvivesNamesWithSpaces) {

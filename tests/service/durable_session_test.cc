@@ -1,9 +1,11 @@
 // Daemon-owned durability: a SessionManager given a checkpoint_dir writes
-// scheduled "PGHD" snapshots and changefeed segment files on its own
-// authority, a fresh manager over the same directory restores every session
-// under its original id, and subscribers can replay the *full* changefeed —
-// including versions evicted from the in-memory backlog — byte-identically
-// across the restart. No client save-state/load-state anywhere in this file.
+// an ingest log, scheduled "PGHD" snapshots and changefeed segment files on
+// its own authority, a fresh manager over the same directory restores every
+// session under its original id by replaying its log, and subscribers can
+// replay the *full* changefeed — including versions evicted from the
+// in-memory backlog — byte-identically across the restart. The log's
+// failure modes are pinned here too: records past the snapshot are cut
+// back, records the snapshot covers must be intact.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,10 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/schema_diff.h"
@@ -19,6 +24,7 @@
 #include "service/client.h"
 #include "service/session.h"
 #include "service/session_manager.h"
+#include "util/binio.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -64,7 +70,13 @@ SessionManager::Options DurableOptions(const std::string& dir,
   return options;
 }
 
-std::string UninterruptedSessionPgs(size_t batches) {
+/// What an all-in-memory session streaming every batch ends with.
+struct Uninterrupted {
+  std::string pgs;   ///< The final PG-Schema, STRICT mode.
+  std::string feed;  ///< The full changefeed from version 1.
+};
+
+Uninterrupted UninterruptedSession(size_t batches) {
   SessionManager manager(nullptr);
   auto session = manager.CreateSession({});
   EXPECT_TRUE(session.ok());
@@ -74,12 +86,67 @@ std::string UninterruptedSessionPgs(size_t batches) {
   }
   auto final_snapshot = (*session)->FinalSnapshot();
   EXPECT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
-  return final_snapshot.ok() ? (*final_snapshot)->pgs_strict : std::string();
+  auto feed = (*session)->WaitForDiffs(/*after_version=*/0, 0);
+  EXPECT_TRUE(feed.ok()) << feed.status().ToString();
+  if (!final_snapshot.ok() || !feed.ok()) return {};
+  return {(*final_snapshot)->pgs_strict, *feed};
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// One CRC-clean record of an ingest log: its batch number, its byte range
+/// [begin, end) in the file, and its payload.
+struct LogRecord {
+  uint32_t batch = 0;
+  size_t begin = 0;
+  size_t end = 0;
+  std::string payload;
+};
+
+/// The CRC-clean records at the head of an ingest log, in file order.
+std::vector<LogRecord> ScanLog(const std::string& bytes) {
+  std::vector<LogRecord> records;
+  util::ByteReader in(bytes);
+  while (!in.AtEnd()) {
+    LogRecord record;
+    record.begin = in.pos();
+    std::string_view payload;
+    if (!util::ReadSection(&in, &record.batch, &payload)) break;
+    record.end = in.pos();
+    record.payload = std::string(payload);
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+/// Streams payloads[0..count) into a new session s1 of a durable manager
+/// over `dir`, then drops the manager without CheckpointAll — a killed
+/// daemon that only wrote its scheduled checkpoints.
+void StreamThenDie(const std::string& dir, uint64_t checkpoint_every,
+                   const std::vector<std::string>& payloads, size_t count) {
+  SessionManager manager(nullptr, DurableOptions(dir, checkpoint_every));
+  ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
+  auto session = manager.CreateSession({});
+  ASSERT_TRUE(session.ok());
+  ASSERT_EQ((*session)->id(), "s1");
+  for (size_t i = 0; i < count; ++i) {
+    ASSERT_TRUE((*session)->SubmitIngest(payloads[i]).ok());
+  }
+  (*session)->Drain();
+  ASSERT_TRUE((*session)->status().ok()) << (*session)->status().ToString();
 }
 
 TEST(DurableSessionTest, ScheduledCheckpointRestoresAcrossManagers) {
   const size_t batches = 4;
-  const std::string expected = UninterruptedSessionPgs(batches);
+  const std::string expected = UninterruptedSession(batches).pgs;
   ASSERT_FALSE(expected.empty());
   const std::string dir = FreshCheckpointDir("scheduled");
   pg::PropertyGraph graph = SocialGraph();
@@ -228,8 +295,8 @@ TEST(DurableSessionTest, FullFeedHistorySurvivesRestartByteIdentically) {
   // After the restart every version predates the (empty) in-memory window,
   // so the whole history comes off disk — and it is the same bytes. This is
   // exactly what protocol v2 clients got OutOfRange for
-  // (SessionStateTest.RestoredSessionPrunesOldFeedWindow pins that the
-  // non-durable path still does).
+  // (SessionStateTest.RestoredSessionPrunesOldFeedWindow pins that a restart
+  // without the feed segment still does).
   SessionManager manager(nullptr, DurableOptions(dir, 1, 2));
   ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
   auto restored = manager.Lookup("s1");
@@ -305,27 +372,39 @@ TEST(DurableSessionTest, CloseDeletesCheckpointAndFeedFiles) {
   }
   ASSERT_TRUE((*session)->FinalSnapshot().ok());
   ASSERT_TRUE(fs::exists(dir + "/s1.pghd"));
+  ASSERT_TRUE(fs::exists(dir + "/s1.log"));
   ASSERT_TRUE(fs::exists(dir + "/s1.feed"));
 
   ASSERT_TRUE(manager.Close("s1").ok());
   EXPECT_FALSE(fs::exists(dir + "/s1.pghd"));
+  EXPECT_FALSE(fs::exists(dir + "/s1.log"));
   EXPECT_FALSE(fs::exists(dir + "/s1.feed"));
 }
 
 TEST(DurableSessionTest, OrphanFeedFileReservesItsSessionId) {
-  // A session that published a feed but died before its first snapshot
-  // leaves an orphan .feed; its id must not be handed to an unrelated new
-  // session, which would inherit the dead session's history.
+  // A session that ingested and published but died before its first
+  // snapshot leaves an orphan .log and .feed; its id must not be handed to
+  // an unrelated new session, which would inherit the dead session's
+  // history.
   const std::string dir = FreshCheckpointDir("orphan");
   fs::create_directories(dir);
   std::ofstream(dir + "/s7.feed", std::ios::binary) << "leftover";
+  {
+    SessionManager manager(nullptr, DurableOptions(dir));
+    ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
+    EXPECT_EQ(manager.num_sessions(), 0u);  // No snapshot, nothing restored.
+    auto session = manager.CreateSession({});
+    ASSERT_TRUE(session.ok());
+    EXPECT_EQ((*session)->id(), "s8");
+  }
 
+  std::ofstream(dir + "/s9.log", std::ios::binary) << "leftover";
   SessionManager manager(nullptr, DurableOptions(dir));
   ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
-  EXPECT_EQ(manager.num_sessions(), 0u);  // No snapshot, nothing restored.
+  EXPECT_EQ(manager.num_sessions(), 0u);
   auto session = manager.CreateSession({});
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ((*session)->id(), "s8");
+  EXPECT_EQ((*session)->id(), "s10");
 }
 
 TEST(DurableSessionTest, CorruptCheckpointFailsRestoreLoudly) {
@@ -387,6 +466,181 @@ TEST(DurableSessionTest, TornFeedTailIsDroppedOnRestore) {
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ((*records)[0].version_to, batches + 1);
+}
+
+TEST(DurableSessionTest, LogAheadOfTheCheckpointIsCutBack) {
+  // Every batch is logged, but only every second one checkpointed: a daemon
+  // killed after batch 3 leaves a snapshot of 2 batches and a log of 3.
+  const size_t batches = 4;
+  const Uninterrupted expected = UninterruptedSession(batches);
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, batches);
+  const std::string dir = FreshCheckpointDir("log_ahead");
+  const std::string log_path = dir + "/s1.log";
+  StreamThenDie(dir, /*checkpoint_every=*/2, payloads, 3);
+  ASSERT_EQ(ScanLog(ReadFile(log_path)).size(), 3u);
+
+  SessionManager manager(nullptr, DurableOptions(dir, 2));
+  util::Status restored_dir = manager.RestoreFromCheckpointDir();
+  ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
+  auto restored = manager.Lookup("s1");
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ((*restored)->batches_ingested(), 2u);
+  // Record 3 is gone: the client re-sends batch 3, which logs it again.
+  const std::string log = ReadFile(log_path);
+  const std::vector<LogRecord> records = ScanLog(log);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].batch, 1u);
+  EXPECT_EQ(records[1].batch, 2u);
+  EXPECT_EQ(records[1].end, log.size());
+
+  for (size_t i = 2; i < batches; ++i) {
+    ASSERT_TRUE((*restored)->SubmitIngest(payloads[i]).ok());
+  }
+  auto final_snapshot = (*restored)->FinalSnapshot();
+  ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
+  EXPECT_EQ((*final_snapshot)->pgs_strict, expected.pgs);
+  auto feed = (*restored)->WaitForDiffs(/*after_version=*/0, 0);
+  ASSERT_TRUE(feed.ok()) << feed.status().ToString();
+  EXPECT_EQ(*feed, expected.feed);
+  EXPECT_EQ(ScanLog(ReadFile(log_path)).size(), batches);
+}
+
+TEST(DurableSessionTest, TornLogTailPastTheCheckpointIsCut) {
+  const size_t batches = 4;
+  const Uninterrupted expected = UninterruptedSession(batches);
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, batches);
+  const std::string dir = FreshCheckpointDir("log_torn");
+  const std::string log_path = dir + "/s1.log";
+  StreamThenDie(dir, /*checkpoint_every=*/2, payloads, 3);
+  // A crash mid-append: record 3 lost its last 5 bytes.
+  const std::vector<LogRecord> full = ScanLog(ReadFile(log_path));
+  ASSERT_EQ(full.size(), 3u);
+  fs::resize_file(log_path, full[2].end - 5);
+
+  SessionManager manager(nullptr, DurableOptions(dir, 2));
+  util::Status restored_dir = manager.RestoreFromCheckpointDir();
+  ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
+  auto restored = manager.Lookup("s1");
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ((*restored)->batches_ingested(), 2u);
+  EXPECT_EQ(fs::file_size(log_path), full[1].end);
+
+  for (size_t i = 2; i < batches; ++i) {
+    ASSERT_TRUE((*restored)->SubmitIngest(payloads[i]).ok());
+  }
+  auto final_snapshot = (*restored)->FinalSnapshot();
+  ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
+  EXPECT_EQ((*final_snapshot)->pgs_strict, expected.pgs);
+}
+
+TEST(DurableSessionTest, DamagedLogWithinTheCheckpointFailsRestoreLoudly) {
+  // Records 1..k are the graph the snapshot of k batches was taken over:
+  // losing or damaging any of them cannot be repaired by the client, so the
+  // daemon must refuse to start and name the log.
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, 4);
+  const std::string dir = FreshCheckpointDir("log_damaged");
+  const std::string log_path = dir + "/s1.log";
+  StreamThenDie(dir, /*checkpoint_every=*/1, payloads, 3);
+  const std::string log = ReadFile(log_path);
+  const std::vector<LogRecord> records = ScanLog(log);
+  ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(records[2].end, log.size());
+
+  // Returns the restore error, which must name the log.
+  auto expect_refused = [&](const std::string& what,
+                            const std::optional<std::string>& bytes) {
+    if (bytes.has_value()) {
+      WriteFile(log_path, *bytes);
+    } else {
+      fs::remove(log_path);
+    }
+    SessionManager manager(nullptr, DurableOptions(dir));
+    util::Status status = manager.RestoreFromCheckpointDir();
+    EXPECT_FALSE(status.ok()) << what;
+    EXPECT_NE(status.message().find("s1.log"), std::string::npos)
+        << what << ": " << status.message();
+    EXPECT_EQ(manager.num_sessions(), 0u) << what;
+    return status.message();
+  };
+  expect_refused("missing log", std::nullopt);
+  expect_refused("one record short", log.substr(0, records[1].end));
+  std::string flipped = log;
+  const size_t middle = (records[1].begin + records[1].end) / 2;
+  flipped[middle] = static_cast<char>(flipped[middle] ^ 0x01);
+  expect_refused("flipped payload byte", flipped);
+  const std::string swapped =
+      log.substr(records[1].begin, records[1].end - records[1].begin) +
+      log.substr(0, records[0].end) + log.substr(records[2].begin);
+  expect_refused("swapped records", swapped);
+  // Record 2's payload, CRC-clean, under the wrong batch number: only the
+  // sequence check can catch this one.
+  std::string renumbered = log.substr(0, records[0].end);
+  util::AppendSection(&renumbered, /*id=*/5, records[1].payload);
+  renumbered += log.substr(records[2].begin);
+  EXPECT_NE(expect_refused("renumbered record", renumbered)
+                .find("out of sequence"),
+            std::string::npos);
+
+  // The intact log still restores: each failure came from its damage.
+  WriteFile(log_path, log);
+  SessionManager manager(nullptr, DurableOptions(dir));
+  util::Status status = manager.RestoreFromCheckpointDir();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ((*manager.Lookup("s1"))->batches_ingested(), 3u);
+}
+
+TEST(DurableSessionTest, VersionOneCheckpointFailsNamingItsVersion) {
+  // Version 1 snapshots embedded the graph text (section 1) and the
+  // assembler's fill bitmaps (section 2). This build keeps no reader for
+  // them: the error names the version and the way out.
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, 2);
+  const std::string dir = FreshCheckpointDir("version_one");
+  const std::string path = dir + "/s1.pghd";
+  StreamThenDie(dir, /*checkpoint_every=*/1, payloads, 1);
+  const std::string bytes = ReadFile(path);
+  ASSERT_GT(bytes.size(), 8u);
+  std::string v1 = bytes.substr(0, 4);
+  util::PutU32(&v1, 1);
+  util::AppendSection(&v1, 1, "N 0 Person name=Ann\n");
+  util::AppendSection(&v1, 2, std::string(1, '\1'));
+  v1 += bytes.substr(8);
+  WriteFile(path, v1);
+
+  SessionManager manager(nullptr, DurableOptions(dir));
+  util::Status status = manager.RestoreFromCheckpointDir();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("s1.pghd"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("version 1"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("older build"), std::string::npos)
+      << status.message();
+}
+
+TEST(DurableSessionTest, SnapshotWithBatchesNeedsAnIngestLog) {
+  // Without a log path a session can only restore a snapshot of 0 batches:
+  // the graph of any later one lives in the log.
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, 2);
+  JobQueue queue(nullptr);
+  auto session = Session::Create("s1", {}, nullptr, &queue);
+  ASSERT_TRUE(session.ok());
+  auto empty = (*session)->SaveState();
+  ASSERT_TRUE(empty.ok());
+  ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
+  auto one = (*session)->SaveState();
+  ASSERT_TRUE(one.ok());
+
+  auto from_empty = Session::CreateFromState("r1", *empty, nullptr, &queue);
+  ASSERT_TRUE(from_empty.ok()) << from_empty.status().ToString();
+  EXPECT_EQ((*from_empty)->batches_ingested(), 0u);
+  auto from_one = Session::CreateFromState("r2", *one, nullptr, &queue);
+  ASSERT_FALSE(from_one.ok());
+  EXPECT_EQ(from_one.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -249,63 +249,28 @@ TEST_F(HandlerTest, SnapshotFormReturnsLatestWithoutFinishing) {
   EXPECT_TRUE(second.status.ok()) << second.status.ToString();
 }
 
-TEST_F(HandlerTest, SaveAndLoadStateRoundTripOverTheHandler) {
-  pg::PropertyGraph g;
-  auto a = g.AddNode({"Person"});
-  g.SetNodeProperty(a, "name", pg::Value("Ann"));
-  auto b = g.AddNode({"Person"});
-  g.SetNodeProperty(b, "name", pg::Value("Bo"));
-  g.AddEdge(a, b, {"KNOWS"});
-  auto payloads = BuildIngestPayloads(g, /*num_batches=*/2);
-  ASSERT_EQ(payloads.size(), 2u);
-
-  Response created = Run("create-session");
-  ASSERT_TRUE(created.status.ok());
-  const std::string id = SessionIdOf(created);
-  ASSERT_TRUE(Run("ingest-batch " + id + " " +
-                      std::to_string(payloads[0].size()),
-                  payloads[0])
-                  .status.ok());
-
+TEST_F(HandlerTest, ProtocolFourDropsClientDrivenStateFiles) {
+  // Protocol 4 removed save-state and load-state: the daemon's
+  // --checkpoint-dir owns durability, and no client names a server-side
+  // path any more. An old client gets the plain unknown-command error.
+  Response created = Run("create-session proto=4");
+  ASSERT_TRUE(created.status.ok()) << created.status.ToString();
+  EXPECT_EQ(created.info, "session s1 proto 4");
   const std::string path = ::testing::TempDir() + "/handler_state.bin";
-  Response saved = Run("save-state " + id + " " + path);
-  ASSERT_TRUE(saved.status.ok()) << saved.status.ToString();
-  EXPECT_NE(saved.info.find("saved " + id + " bytes "), std::string::npos);
+  for (const std::string& line :
+       {"save-state s1 " + path, "load-state " + path}) {
+    Response response = Run(line);
+    ASSERT_FALSE(response.status.ok()) << line;
+    EXPECT_EQ(response.status.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(response.status.message().find("unknown command"),
+              std::string::npos);
+  }
 
-  // Finish the original session: the ground truth schema.
-  ASSERT_TRUE(Run("ingest-batch " + id + " " +
-                      std::to_string(payloads[1].size()),
-                  payloads[1])
-                  .status.ok());
-  Response expected = Run("get-schema " + id + " pgs");
-  ASSERT_TRUE(expected.status.ok());
-
-  // A second manager/handler pair simulates the restarted daemon.
-  SessionManager fresh_manager(nullptr);
-  RequestHandler restarted(&fresh_manager);
-  auto RunRestarted = [&](const std::string& line, const std::string& body) {
-    auto request = ParseRequestLine(line);
-    EXPECT_TRUE(request.ok()) << line;
-    request->body = body;
-    return restarted.Handle(*request);
-  };
-  Response loaded = RunRestarted("load-state " + path, "");
-  ASSERT_TRUE(loaded.status.ok()) << loaded.status.ToString();
-  EXPECT_NE(loaded.info.find("batches 1"), std::string::npos);
-  const std::string restored_id = SessionIdOf(loaded);
-  ASSERT_TRUE(RunRestarted("ingest-batch " + restored_id + " " +
-                               std::to_string(payloads[1].size()),
-                           payloads[1])
-                  .status.ok());
-  Response resumed = RunRestarted("get-schema " + restored_id + " pgs", "");
-  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
-  EXPECT_EQ(resumed.body, expected.body);
-
-  // Bad paths stay errors, not crashes.
-  EXPECT_FALSE(Run("save-state nosuch " + path).status.ok());
-  EXPECT_FALSE(Run("save-state " + id).status.ok());
-  EXPECT_FALSE(
-      RunRestarted("load-state " + path + ".does-not-exist", "").status.ok());
+  Response newer = Run("create-session proto=5");
+  ASSERT_FALSE(newer.status.ok());
+  EXPECT_EQ(newer.status.code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(newer.status.message().find("supports up to 4"),
+            std::string::npos);
 }
 
 TEST_F(HandlerTest, SessionInfoReportsBatchesForResume) {
@@ -321,7 +286,7 @@ TEST_F(HandlerTest, SessionInfoReportsBatchesForResume) {
   ASSERT_TRUE(created.status.ok());
   const std::string id = SessionIdOf(created);
 
-  // Mirrors the load-state reply shape so resuming clients parse one form.
+  // The batch count tells a resuming client how many payloads to skip.
   Response empty = Run("session-info " + id);
   ASSERT_TRUE(empty.status.ok()) << empty.status.ToString();
   EXPECT_EQ(empty.info, "session " + id + " batches 0");

@@ -1,10 +1,14 @@
-// Session durability: SaveState at a batch boundary, CreateFromState in a
-// fresh manager (a restarted pghived), stream the remaining batches, and the
-// final schema must be byte-identical to the uninterrupted session's. Plus
-// the schema changefeed long-poll semantics and corruption rejection.
+// Session durability: a checkpoint at a batch boundary, restored by a fresh
+// manager over the same checkpoint dir (a restarted pghived), stream the
+// remaining batches, and the final schema must be byte-identical to the
+// uninterrupted session's. Plus the schema changefeed long-poll semantics
+// and corruption rejection.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,6 +26,8 @@
 
 namespace pghive::service {
 namespace {
+
+namespace fs = std::filesystem;
 
 pg::PropertyGraph SocialGraph() {
   pg::PropertyGraph g;
@@ -43,6 +49,33 @@ pg::PropertyGraph SocialGraph() {
   return g;
 }
 
+/// A fresh, empty checkpoint directory unique to `name`.
+std::string FreshCheckpointDir(const std::string& name) {
+  std::string dir = ::testing::TempDir() + "session_state_" + name;
+  fs::remove_all(dir);
+  return dir;
+}
+
+/// A durable manager's options; checkpoint_every 0 writes snapshots only on
+/// WriteCheckpoint and Finish.
+SessionManager::Options DurableOptions(const std::string& dir,
+                                       uint64_t checkpoint_every = 0) {
+  SessionManager::Options options;
+  options.checkpoint_dir = dir;
+  options.checkpoint_every = checkpoint_every;
+  return options;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 std::string UninterruptedSessionPgs(size_t batches) {
   SessionManager manager(nullptr);
   auto session = manager.CreateSession({});
@@ -60,29 +93,31 @@ TEST(SessionStateTest, SaveRestoreContinueMatchesUninterrupted) {
   const size_t batches = 4;
   const std::string expected = UninterruptedSessionPgs(batches);
   ASSERT_FALSE(expected.empty());
+  const std::string dir = FreshCheckpointDir("continue");
 
   pg::PropertyGraph graph = SocialGraph();
   auto payloads = BuildIngestPayloads(graph, batches);
 
   // First half into one manager (one daemon lifetime)...
-  std::string state;
   {
     util::ThreadPool pool(2);
-    SessionManager manager(&pool);
+    SessionManager manager(&pool, DurableOptions(dir));
+    ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
     auto session = manager.CreateSession({});
     ASSERT_TRUE(session.ok());
     for (size_t i = 0; i < 2; ++i) {
       ASSERT_TRUE((*session)->SubmitIngest(payloads[i]).ok());
     }
-    auto bytes = (*session)->SaveState();
-    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-    state = *bytes;
+    util::Status saved = (*session)->WriteCheckpoint();
+    ASSERT_TRUE(saved.ok()) << saved.ToString();
   }
 
   // ... second half into a fresh manager (the restarted daemon).
   util::ThreadPool pool(2);
-  SessionManager manager(&pool);
-  auto restored = manager.CreateSessionFromState(state);
+  SessionManager manager(&pool, DurableOptions(dir));
+  util::Status restored_dir = manager.RestoreFromCheckpointDir();
+  ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
+  auto restored = manager.Lookup("s1");
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->batches_ingested(), 2u);
   for (size_t i = 2; i < batches; ++i) {
@@ -101,19 +136,25 @@ TEST(SessionStateTest, SaveAtEveryBoundaryRestoresIdentically) {
   auto payloads = BuildIngestPayloads(graph, batches);
 
   for (size_t at = 1; at <= batches; ++at) {
-    SessionManager saver(nullptr);
-    auto session = saver.CreateSession({});
-    ASSERT_TRUE(session.ok());
-    for (size_t i = 0; i < at; ++i) {
-      ASSERT_TRUE((*session)->SubmitIngest(payloads[i]).ok());
+    const std::string dir = FreshCheckpointDir("boundary" + std::to_string(at));
+    {
+      SessionManager saver(nullptr, DurableOptions(dir));
+      ASSERT_TRUE(saver.RestoreFromCheckpointDir().ok());
+      auto session = saver.CreateSession({});
+      ASSERT_TRUE(session.ok());
+      for (size_t i = 0; i < at; ++i) {
+        ASSERT_TRUE((*session)->SubmitIngest(payloads[i]).ok());
+      }
+      util::Status saved = (*session)->WriteCheckpoint();
+      ASSERT_TRUE(saved.ok()) << saved.ToString();
     }
-    auto bytes = (*session)->SaveState();
-    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
 
-    SessionManager restorer(nullptr);
-    auto restored = restorer.CreateSessionFromState(*bytes);
-    ASSERT_TRUE(restored.ok())
-        << "at " << at << ": " << restored.status().ToString();
+    SessionManager restorer(nullptr, DurableOptions(dir));
+    util::Status restored_dir = restorer.RestoreFromCheckpointDir();
+    ASSERT_TRUE(restored_dir.ok())
+        << "at " << at << ": " << restored_dir.ToString();
+    auto restored = restorer.Lookup("s1");
+    ASSERT_TRUE(restored.ok());
     for (size_t i = at; i < batches; ++i) {
       ASSERT_TRUE((*restored)->SubmitIngest(payloads[i]).ok());
     }
@@ -126,51 +167,70 @@ TEST(SessionStateTest, SaveAtEveryBoundaryRestoresIdentically) {
 TEST(SessionStateTest, FinishedSessionRestoresFinished) {
   pg::PropertyGraph graph = SocialGraph();
   auto payloads = BuildIngestPayloads(graph, 2);
-  SessionManager saver(nullptr);
-  auto session = saver.CreateSession({});
-  ASSERT_TRUE(session.ok());
-  for (const auto& p : payloads) {
-    ASSERT_TRUE((*session)->SubmitIngest(p).ok());
+  const std::string dir = FreshCheckpointDir("finished");
+  std::string expected;
+  {
+    SessionManager saver(nullptr, DurableOptions(dir));
+    ASSERT_TRUE(saver.RestoreFromCheckpointDir().ok());
+    auto session = saver.CreateSession({});
+    ASSERT_TRUE(session.ok());
+    for (const auto& p : payloads) {
+      ASSERT_TRUE((*session)->SubmitIngest(p).ok());
+    }
+    // Finish always checkpoints.
+    auto final_snapshot = (*session)->FinalSnapshot();
+    ASSERT_TRUE(final_snapshot.ok());
+    expected = (*final_snapshot)->pgs_strict;
   }
-  auto final_snapshot = (*session)->FinalSnapshot();
-  ASSERT_TRUE(final_snapshot.ok());
-  auto bytes = (*session)->SaveState();
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
 
-  SessionManager restorer(nullptr);
-  auto restored = restorer.CreateSessionFromState(*bytes);
+  SessionManager restorer(nullptr, DurableOptions(dir));
+  util::Status restored_dir = restorer.RestoreFromCheckpointDir();
+  ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
+  auto restored = restorer.Lookup("s1");
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   auto snapshot = (*restored)->Snapshot();
   ASSERT_NE(snapshot, nullptr);
   EXPECT_TRUE(snapshot->is_final);
-  EXPECT_EQ(snapshot->pgs_strict, (*final_snapshot)->pgs_strict);
+  EXPECT_EQ(snapshot->pgs_strict, expected);
   // A finished session stays finished: further ingest is rejected.
   EXPECT_FALSE((*restored)->SubmitIngest(payloads[0]).ok());
 }
 
 TEST(SessionStateTest, RejectsGarbageAndCorruptState) {
-  SessionManager manager(nullptr);
-  EXPECT_FALSE(manager.CreateSessionFromState("").ok());
-  EXPECT_FALSE(manager.CreateSessionFromState("not a session file").ok());
-
-  auto session = manager.CreateSession({});
-  ASSERT_TRUE(session.ok());
-  pg::PropertyGraph graph = SocialGraph();
-  auto payloads = BuildIngestPayloads(graph, 2);
-  ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
-  auto bytes = (*session)->SaveState();
-  ASSERT_TRUE(bytes.ok());
+  const std::string dir = FreshCheckpointDir("garbage");
+  const std::string path = dir + "/s1.pghd";
+  auto restore_fails = [&](const std::string& bytes) {
+    WriteFile(path, bytes);
+    SessionManager manager(nullptr, DurableOptions(dir));
+    return !manager.RestoreFromCheckpointDir().ok();
+  };
+  std::string bytes;
+  {
+    SessionManager manager(nullptr, DurableOptions(dir));
+    ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
+    auto session = manager.CreateSession({});
+    ASSERT_TRUE(session.ok());
+    pg::PropertyGraph graph = SocialGraph();
+    auto payloads = BuildIngestPayloads(graph, 2);
+    ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
+    ASSERT_TRUE((*session)->WriteCheckpoint().ok());
+    bytes = ReadFile(path);
+    ASSERT_FALSE(bytes.empty());
+  }
+  EXPECT_TRUE(restore_fails(""));
+  EXPECT_TRUE(restore_fails("not a session file"));
 
   // Truncations and bit flips never restore.
-  for (size_t len : {size_t{4}, size_t{10}, bytes->size() / 2,
-                     bytes->size() - 1}) {
-    EXPECT_FALSE(manager.CreateSessionFromState(bytes->substr(0, len)).ok())
-        << "len " << len;
+  for (size_t len : {size_t{4}, size_t{10}, bytes.size() / 2,
+                     bytes.size() - 1}) {
+    EXPECT_TRUE(restore_fails(bytes.substr(0, len))) << "len " << len;
   }
-  std::string corrupt = *bytes;
+  std::string corrupt = bytes;
   corrupt[corrupt.size() / 2] =
       static_cast<char>(corrupt[corrupt.size() / 2] ^ 0x10);
-  EXPECT_FALSE(manager.CreateSessionFromState(corrupt).ok());
+  EXPECT_TRUE(restore_fails(corrupt));
+  // The intact file still restores: every failure above came from its bytes.
+  EXPECT_FALSE(restore_fails(bytes));
 }
 
 TEST(SessionStateTest, ChangefeedDeliversDiffsInVersionOrder) {
@@ -227,20 +287,36 @@ TEST(SessionStateTest, NewerVersionWithAppendedSectionRestores) {
   const std::string expected = UninterruptedSessionPgs(batches);
   pg::PropertyGraph graph = SocialGraph();
   auto payloads = BuildIngestPayloads(graph, batches);
+  const std::string dir = FreshCheckpointDir("newer");
+  const std::string path = dir + "/s1.pghd";
+  {
+    SessionManager saver(nullptr, DurableOptions(dir));
+    ASSERT_TRUE(saver.RestoreFromCheckpointDir().ok());
+    auto session = saver.CreateSession({});
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
+    ASSERT_TRUE((*session)->WriteCheckpoint().ok());
+  }
+  const std::string bytes = ReadFile(path);
+  ASSERT_EQ(bytes[4], 2);  // Today's version.
 
-  SessionManager saver(nullptr);
-  auto session = saver.CreateSession({});
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
-  auto bytes = (*session)->SaveState();
-  ASSERT_TRUE(bytes.ok());
+  // Versions below ours are malformed, not futuristic.
+  std::string ancient = bytes;
+  ancient[4] = 0;
+  WriteFile(path, ancient);
+  {
+    SessionManager restorer(nullptr, DurableOptions(dir));
+    EXPECT_FALSE(restorer.RestoreFromCheckpointDir().ok());
+  }
 
-  std::string future = *bytes;
-  future[4] = 2;
-  util::AppendSection(&future, /*id=*/999, "optional payload from v2");
-
-  SessionManager restorer(nullptr);
-  auto restored = restorer.CreateSessionFromState(future);
+  std::string future = bytes;
+  future[4] = 3;
+  util::AppendSection(&future, /*id=*/999, "optional payload from v3");
+  WriteFile(path, future);
+  SessionManager restorer(nullptr, DurableOptions(dir));
+  util::Status restored_dir = restorer.RestoreFromCheckpointDir();
+  ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
+  auto restored = restorer.Lookup("s1");
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->batches_ingested(), 1u);
   for (size_t i = 1; i < batches; ++i) {
@@ -249,27 +325,28 @@ TEST(SessionStateTest, NewerVersionWithAppendedSectionRestores) {
   auto final_snapshot = (*restored)->FinalSnapshot();
   ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
   EXPECT_EQ((*final_snapshot)->pgs_strict, expected);
-
-  // Versions below ours are malformed, not futuristic.
-  std::string ancient = *bytes;
-  ancient[4] = 0;
-  EXPECT_FALSE(restorer.CreateSessionFromState(ancient).ok());
 }
 
 TEST(SessionStateTest, RestoredSessionPrunesOldFeedWindow) {
-  // The feed backlog does not survive a restart: a subscriber resuming from
-  // a pre-restart version gets OutOfRange and must refetch the schema.
+  // Without its feed segment the feed backlog does not survive a restart: a
+  // subscriber resuming from a pre-restart version gets OutOfRange and must
+  // refetch the schema.
   pg::PropertyGraph graph = SocialGraph();
   auto payloads = BuildIngestPayloads(graph, 2);
-  SessionManager saver(nullptr);
-  auto session = saver.CreateSession({});
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
-  auto bytes = (*session)->SaveState();
-  ASSERT_TRUE(bytes.ok());
+  const std::string dir = FreshCheckpointDir("pruned");
+  {
+    SessionManager saver(nullptr, DurableOptions(dir));
+    ASSERT_TRUE(saver.RestoreFromCheckpointDir().ok());
+    auto session = saver.CreateSession({});
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
+    ASSERT_TRUE((*session)->WriteCheckpoint().ok());
+  }
+  ASSERT_TRUE(fs::remove(dir + "/s1.feed"));
 
-  SessionManager restorer(nullptr);
-  auto restored = restorer.CreateSessionFromState(*bytes);
+  SessionManager restorer(nullptr, DurableOptions(dir));
+  ASSERT_TRUE(restorer.RestoreFromCheckpointDir().ok());
+  auto restored = restorer.Lookup("s1");
   ASSERT_TRUE(restored.ok());
   auto stale = (*restored)->WaitForDiffs(/*after_version=*/0, 0);
   ASSERT_FALSE(stale.ok());

@@ -183,6 +183,56 @@ TEST(BinioTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32(""), 0u);
 }
 
+/// The plain bit-at-a-time CRC-32 with the same polynomial and seed
+/// chaining: the reference the sliced table loop must match exactly.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t size, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::vector<uint8_t> PseudoRandomBytes(size_t n) {
+  std::vector<uint8_t> bytes(n);
+  uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (uint8_t& b : bytes) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<uint8_t>(x >> 56);
+  }
+  return bytes;
+}
+
+TEST(BinioTest, Crc32MatchesReferenceAtEveryLengthAndOffset) {
+  // Every tail length of the 8-byte stride, at every alignment.
+  const std::vector<uint8_t> bytes = PseudoRandomBytes(1024 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len, 0))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(BinioTest, Crc32ChainsAcrossSplitCalls) {
+  // Crc32(b, Crc32(a)) == Crc32(a + b) for every split, and a seeded call
+  // matches the reference seeded the same way.
+  const std::vector<uint8_t> bytes = PseudoRandomBytes(77);
+  const uint32_t whole = ReferenceCrc32(bytes.data(), bytes.size(), 0);
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32(bytes.data(), split);
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split " << split;
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, 0x1234u),
+              ReferenceCrc32(bytes.data() + split, bytes.size() - split,
+                             0x1234u));
+  }
+}
+
 TEST(BinioTest, SectionRoundTrip) {
   std::string out;
   AppendSection(&out, /*id=*/3, "hello");

@@ -27,22 +27,19 @@
 //   validate  --graph FILE --schema FILE.pgs [--strict]
 //       Validates a graph against a PG-Schema file.
 //   client    --graph FILE (--port N | --port-file FILE) [--batches N]
-//             [--out PREFIX] [--loose] [--stop-after K] [--save-state PATH]
-//             [--load-state PATH] [--session ID] [--changefeed-out FILE]
-//             [discover knobs]
+//             [--out PREFIX] [--loose] [--stop-after K] [--session ID]
+//             [--changefeed-out FILE] [discover knobs]
 //       Streams a graph file into a running pghived daemon batch by batch
 //       and fetches the discovered schema over the wire; with --out also
 //       writes PREFIX.pgs and PREFIX.xsd. Discovery knobs (--method,
 //       --threads, ...) are forwarded to create-session. The result is
 //       byte-identical to a local `discover --batches N` run with the same
 //       knobs (pinned by the service e2e tests and the CI smoke step).
-//       --stop-after K streams only the first K batches; --save-state asks
-//       the server to serialize the session to a server-side file, and
-//       --load-state resumes from one (skipping the batches it holds) — the
-//       CI crash smoke SIGKILLs pghived between the two. --session ID
-//       resumes an EXISTING session instead (one the daemon restored from
-//       its --checkpoint-dir after a SIGTERM): the client asks session-info
-//       for the batch count and streams the rest, no state file involved.
+//       --stop-after K streams only the first K batches and leaves the
+//       session open. --session ID resumes an EXISTING session instead of
+//       creating one (one the daemon restored from its --checkpoint-dir
+//       after a SIGTERM or a crash): the client asks session-info for the
+//       batch count and streams the rest.
 //       --changefeed-out FILE writes the session's full changefeed (from
 //       version 1, served from the daemon's feed segments when older than
 //       the in-memory backlog) as raw binary records.
@@ -451,11 +448,6 @@ int CmdClient(const Args& args) {
   if (!resolved_port.ok()) return Fail(resolved_port.status().ToString());
   uint16_t port = *resolved_port;
   if (port == 0) return Fail("client needs --port N or --port-file FILE");
-  if (args.Has("load-state") && args.Has("session")) {
-    return Fail("--load-state and --session are exclusive: one restores a "
-                "state file, the other resumes a live (daemon-restored) "
-                "session");
-  }
   auto num_batches = util::ParseInt64InRange(args.Get("batches", "1"), 1,
                                              1000000, "--batches");
   if (!num_batches.ok()) return Fail(num_batches.status().ToString());
@@ -470,21 +462,7 @@ int CmdClient(const Args& args) {
   if (!client.ok()) return Fail(client.status().ToString());
   std::string session;
   size_t skip = 0;
-  if (args.Has("load-state")) {
-    // Resume a crashed/saved run: the server restores the snapshot as a new
-    // session and tells us how many batches it already holds.
-    auto restored = client->LoadState(args.Get("load-state"));
-    if (!restored.ok()) return Fail(restored.status().ToString());
-    session = restored->id;
-    skip = static_cast<size_t>(restored->batches);
-    if (skip > payloads.size()) {
-      return Fail("restored session already holds " + std::to_string(skip) +
-                  " batches but --batches only yields " +
-                  std::to_string(payloads.size()));
-    }
-    std::printf("restored session %s with %zu batches\n", session.c_str(),
-                skip);
-  } else if (args.Has("session")) {
+  if (args.Has("session")) {
     // Resume a session the daemon itself restored from --checkpoint-dir:
     // ask how many batches it already holds and stream the remainder.
     auto info = client->SessionInfo(args.Get("session"));
@@ -524,16 +502,9 @@ int CmdClient(const Args& args) {
   std::printf("streamed %zu batches to session %s\n", limit - skip,
               session.c_str());
 
-  if (args.Has("save-state")) {
-    auto bytes = client->SaveState(session, args.Get("save-state"));
-    if (!bytes.ok()) return Fail(bytes.status().ToString());
-    std::printf("saved session state to %s (%llu bytes)\n",
-                args.Get("save-state").c_str(),
-                static_cast<unsigned long long>(*bytes));
-  }
   if (limit < payloads.size()) {
-    // Partial stream: leave the session open for a later resume (the crash
-    // smoke SIGKILLs the server here and restores from --save-state).
+    // Partial stream: leave the session open for a later --session resume
+    // (the crash smoke SIGKILLs the server after this).
     std::printf("stopped after %zu of %zu batches\n", limit, payloads.size());
     return 0;
   }
@@ -708,8 +679,7 @@ std::vector<Command> Commands() {
       {"validate", CmdValidate, {"graph", "schema", "strict"}},
       {"client", CmdClient,
        with_knobs({"graph", "port", "port-file", "batches", "out", "loose",
-                   "stop-after", "save-state", "load-state", "session",
-                   "changefeed-out"})},
+                   "stop-after", "session", "changefeed-out"})},
       {"changefeed", CmdChangefeed, {"feed"}},
       {"drift", CmdDrift,
        {"feed", "port", "port-file", "session", "from", "timeout-ms",
@@ -741,8 +711,7 @@ int main(int argc, char** argv) {
                "  validate --graph g.pg --schema s.pgs [--strict]\n"
                "  client   --graph FILE (--port N | --port-file FILE)"
                " [--batches N] [--out PREFIX] [--loose] [--stop-after K]"
-               " [--save-state PATH] [--load-state PATH] [--session ID]"
-               " [--changefeed-out FILE] [discover knobs]\n"
+               " [--session ID] [--changefeed-out FILE] [discover knobs]\n"
                "  changefeed --feed FILE\n"
                "  drift    (--feed FILE | (--port N | --port-file FILE)"
                " --session ID) [--from V] [--timeout-ms T]"

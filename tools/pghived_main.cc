@@ -11,11 +11,11 @@
 // jobs before exiting.
 //
 // With --checkpoint-dir the daemon is durable on its own authority: every
-// session checkpoints to DIR after every --checkpoint-every ingested batches
-// (default 1) and once more during the SIGTERM drain, changefeed records
-// evicted from the in-memory backlog spill to per-session segment files in
-// DIR, and a restarted daemon restores every snapshot it finds there — no
-// client save-state/load-state required.
+// session appends each ingested payload to DIR/<id>.log, checkpoints its
+// discovery state to DIR/<id>.pghd after every --checkpoint-every batches
+// (default 1) and once more during the SIGTERM drain, and spills changefeed
+// records to DIR/<id>.feed; a restarted daemon restores every snapshot it
+// finds there and replays each session's log to rebuild its graph.
 
 #include <chrono>
 #include <csignal>
