@@ -192,15 +192,14 @@ BENCHMARK(BM_Word2VecTrainByThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0);
 
 void BM_IngestPipelineByThreads(benchmark::State& state) {
   // Multi-batch incremental ingest through the pipelined executor:
-  // Arg0 = thread count (0 = hardware), Arg1 = pipeline depth. Depth > 1
-  // overlaps batch i+1's preprocess with batch i's cluster/extract.
+  // Arg0 = thread count (0 = hardware). Past 1 thread the executor overlaps
+  // batch i+1's preprocess with batch i's cluster/extract.
   auto dataset = datasets::Generate(datasets::LdbcSpec(), 1.0, 4);
   auto batches = pg::SplitIntoBatches(dataset.graph, 8, 17);
   for (auto _ : state) {
     pg::PropertyGraph graph = dataset.graph;
     core::PgHiveOptions options;
     options.num_threads = static_cast<size_t>(state.range(0));
-    options.pipeline_depth = static_cast<size_t>(state.range(1));
     core::PgHive hive(&graph, options);
     core::BatchPipeline pipeline(&hive);
     benchmark::DoNotOptimize(pipeline.Run(batches));
@@ -210,11 +209,7 @@ void BM_IngestPipelineByThreads(benchmark::State& state) {
                           (dataset.graph.num_nodes() +
                            dataset.graph.num_edges()));
 }
-BENCHMARK(BM_IngestPipelineByThreads)
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({4, 3})
-    ->Args({0, 3});
+BENCHMARK(BM_IngestPipelineByThreads)->Arg(1)->Arg(4)->Arg(0);
 
 void BM_SignatureGroupByThreads(benchmark::State& state) {
   // Heavily duplicated signatures (~64 items per distinct row) — the
@@ -375,18 +370,17 @@ int RunSpeedupSweep(const std::string& json_path, double scale) {
       benchmark::DoNotOptimize(ng);
       benchmark::DoNotOptimize(eg);
     }));
-    // End-to-end pipelined multi-batch ingest at depth 3: the speedup over
-    // 1 thread combines in-stage parallelism with cross-batch overlap (at
-    // 1 thread BatchPipeline degenerates to the sequential loop — the
-    // baseline the paper's Fig. 7 story starts from). A fresh graph copy
-    // per rep resets the vocabulary and Word2Vec state so every thread
-    // count ingests the identical stream.
+    // End-to-end pipelined multi-batch ingest: the speedup over 1 thread
+    // combines in-stage parallelism with cross-batch overlap (at 1 thread
+    // BatchPipeline is the sequential loop — the baseline the paper's
+    // Fig. 7 story starts from). A fresh graph copy per rep resets the
+    // vocabulary and Word2Vec state so every thread count ingests the
+    // identical stream.
     ingest.threads.push_back(threads);
     ingest.ms.push_back(MinMillisOf3([&] {
       pg::PropertyGraph ingest_graph = ingest_dataset.graph;
       core::PgHiveOptions ingest_options;
       ingest_options.num_threads = threads;
-      ingest_options.pipeline_depth = 3;
       core::PgHive hive(&ingest_graph, ingest_options);
       core::BatchPipeline ingest_pipeline(&hive);
       benchmark::DoNotOptimize(ingest_pipeline.Run(ingest_batches));

@@ -1,19 +1,14 @@
 #include "core/batch_pipeline.h"
 
-#include <exception>
-#include <optional>
-#include <thread>
+#include <future>
 #include <utility>
 
-#include "util/channel.h"
 #include "util/timer.h"
 
 namespace pghive::core {
 
-BatchPipeline::BatchPipeline(PgHive* hive, size_t depth) : hive_(hive) {
+BatchPipeline::BatchPipeline(PgHive* hive) : hive_(hive) {
   PGHIVE_CHECK(hive_ != nullptr);
-  depth_ = depth == 0 ? hive_->options().pipeline_depth : depth;
-  if (depth_ == 0) depth_ = 1;
 }
 
 util::Status BatchPipeline::Run(const std::vector<pg::GraphBatch>& batches) {
@@ -22,8 +17,7 @@ util::Status BatchPipeline::Run(const std::vector<pg::GraphBatch>& batches) {
   util::Timer wall;
   // Overlap needs a pool (the preprocess thread alone would just time-slice
   // a single core's serial schedule) and at least two batches.
-  util::Status status = (depth_ > 1 && hive_->pool() != nullptr &&
-                         batches.size() > 1)
+  util::Status status = (hive_->pool() != nullptr && batches.size() > 1)
                             ? RunOverlapped(batches)
                             : RunSequential(batches);
   wall_ms_ = wall.ElapsedMillis();
@@ -42,49 +36,29 @@ util::Status BatchPipeline::RunSequential(
 
 util::Status BatchPipeline::RunOverlapped(
     const std::vector<pg::GraphBatch>& batches) {
-  // The handoff window: outside the coordinator's one batch in flight, at
-  // most depth-1 prepared batches exist at any instant (being built or
-  // buffered — WaitNotFull reserves the slot *before* the build starts),
-  // so depth bounds the batches in flight and hence the feature-matrix
-  // memory the pipeline holds at once.
-  util::BoundedChannel<PgHive::PreparedBatch> channel(depth_ - 1);
-  std::exception_ptr preprocess_error;
-
-  // A dedicated thread, NOT ThreadPool::Submit: pool tasks must never block
-  // on other pool work (a coordinator-side ParallelFor could otherwise pop
-  // the whole producer and deadlock on the bounded channel it then cannot
-  // drain). The thread still fans its inner loops out on the pool.
-  std::thread preprocess([&] {
-    try {
-      for (const pg::GraphBatch& batch : batches) {
-        if (!channel.WaitNotFull()) return;  // Consumer stopped.
-        PgHive::PreparedBatch prepared = hive_->PreprocessBatch(batch);
-        if (!channel.Push(std::move(prepared))) return;  // Consumer stopped.
-      }
-    } catch (...) {
-      preprocess_error = std::current_exception();
+  PgHive::PreparedBatch prepared = hive_->PreprocessBatch(batches[0]);
+  for (size_t i = 0; i < batches.size(); ++i) {
+    // Batch i+1's preprocess on a dedicated thread (std::launch::async),
+    // NOT ThreadPool::Submit: pool tasks must never block on other pool
+    // work, and a coordinator-side ParallelFor, which drains the queue
+    // while it waits, could otherwise pop the whole preprocess and run it
+    // inline, serializing exactly what the lookahead overlaps. The thread
+    // still fans its inner loops out on the pool. The future's destructor
+    // waits for the thread, so every exit below — an error status or an
+    // exception out of ProcessPrepared — joins it first.
+    std::future<PgHive::PreparedBatch> next;
+    if (i + 1 < batches.size()) {
+      next = std::async(std::launch::async, [this, &batches, i] {
+        return hive_->PreprocessBatch(batches[i + 1]);
+      });
     }
-    channel.Close();
-  });
-
-  util::Status status = util::Status::Ok();
-  try {
-    for (size_t i = 0; i < batches.size(); ++i) {
-      std::optional<PgHive::PreparedBatch> prepared = channel.Pop();
-      if (!prepared.has_value()) break;  // Preprocess thread failed.
-      status = hive_->ProcessPrepared(std::move(*prepared));
-      if (!status.ok()) break;
-      batch_stats_.push_back(hive_->last_stats());
-    }
-  } catch (...) {
-    channel.Close();  // Unblock a Push so the thread can exit.
-    preprocess.join();
-    throw;
+    util::Status status = hive_->ProcessPrepared(std::move(prepared));
+    if (!status.ok()) return status;
+    batch_stats_.push_back(hive_->last_stats());
+    // get() rethrows a preprocess exception on the calling thread.
+    if (next.valid()) prepared = next.get();
   }
-  channel.Close();
-  preprocess.join();
-  if (preprocess_error != nullptr) std::rethrow_exception(preprocess_error);
-  return status;
+  return util::Status::Ok();
 }
 
 }  // namespace pghive::core

@@ -1,7 +1,6 @@
 #ifndef PGHIVE_CORE_BATCH_PIPELINE_H_
 #define PGHIVE_CORE_BATCH_PIPELINE_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "core/pghive.h"
@@ -11,38 +10,37 @@
 namespace pghive::core {
 
 /// Pipelined executor for incremental ingest (§4.6): streams a sequence of
-/// batches through PgHive with cross-batch overlap. While batch i runs its
-/// clustering and serial merge/extract on the calling thread, batch i+1's
-/// preprocess (corpus build, embedding training, vectorization, token
-/// interning) already runs on a dedicated preprocess thread — both sides
-/// fanning their inner loops out on the hive's shared thread pool.
+/// batches through PgHive with a fixed one-batch lookahead. While batch i
+/// runs its clustering and serial merge/extract on the calling thread,
+/// batch i+1's preprocess (corpus build, embedding training, vectorization,
+/// token interning) already runs on a dedicated preprocess thread — both
+/// sides fanning their inner loops out on the hive's shared thread pool.
+/// Without a pool (num_threads == 1), or with fewer than two batches, Run is
+/// the sequential loop.
 ///
 /// Determinism: the schema is byte-identical to the sequential
 /// `for (batch : batches) hive->ProcessBatch(batch)` loop at every thread
-/// count and every depth. Two rules make that hold:
+/// count. Two rules make that hold:
 ///   1. Preprocess stages never overlap each other — they run as a serial
 ///      chain in batch order, because they advance shared state (label-set
 ///      token interning, the incremental Word2Vec model) whose results
-///      depend on order. This is the pipeline's one barrier: the preprocess
-///      of batch i+2 waits for the preprocess of batch i+1 even when a
-///      deeper window has room. True preprocess/preprocess overlap would
-///      require snapshotting the vocabulary and embedder per batch, which
-///      costs more than it buys at the paper's batch counts.
+///      depend on order. Batch i+1's preprocess starts only after batch i's
+///      finished, so at most one prepared batch waits ahead of the merge.
+///      True preprocess/preprocess overlap would require snapshotting the
+///      vocabulary and embedder per batch, which costs more than it buys at
+///      the paper's batch counts.
 ///   2. Extract/merge (and optional per-batch post-processing) run strictly
 ///      in batch order on the calling thread, and read nothing the
 ///      overlapping preprocess writes: the prepared batch carries its own
 ///      feature matrices and column stores (with the endpoint tokens).
 ///
-/// Error handling: on a failed batch the pipeline stops; the preprocess
-/// thread may already have advanced vocabulary/embedder state for batches
-/// past the failure (harmless for the schema, which never saw them).
+/// Error handling: on a failed batch the pipeline stops once the lookahead
+/// preprocess in flight has finished; that preprocess may already have
+/// advanced vocabulary/embedder state for the batch past the failure
+/// (harmless for the schema, which never saw it).
 class BatchPipeline {
  public:
-  /// depth == 0 means "use hive->options().pipeline_depth". Effective depth
-  /// is clamped to >= 1; depths > 1 fall back to the sequential loop when
-  /// the hive has no thread pool (num_threads == 1) or fewer than 2 batches
-  /// arrive — the output is identical either way.
-  explicit BatchPipeline(PgHive* hive, size_t depth = 0);
+  explicit BatchPipeline(PgHive* hive);
 
   BatchPipeline(const BatchPipeline&) = delete;
   BatchPipeline& operator=(const BatchPipeline&) = delete;
@@ -64,15 +62,11 @@ class BatchPipeline {
   /// Wall-clock milliseconds of the last Run (the Fig. 7 quantity).
   double wall_ms() const { return wall_ms_; }
 
-  /// The depth this executor resolved (>= 1).
-  size_t depth() const { return depth_; }
-
  private:
   util::Status RunSequential(const std::vector<pg::GraphBatch>& batches);
   util::Status RunOverlapped(const std::vector<pg::GraphBatch>& batches);
 
   PgHive* hive_;
-  size_t depth_;
   std::vector<PipelineStats> batch_stats_;
   double wall_ms_ = 0;
 };

@@ -12,11 +12,6 @@ util::Status PgHiveOptions::Validate() const {
         "threads must be in [0, " + std::to_string(kMaxThreads) +
         "] (0 = hardware threads), got " + std::to_string(num_threads));
   }
-  if (pipeline_depth < 1 || pipeline_depth > kMaxPipelineDepth) {
-    return util::Status::OutOfRange(
-        "pipeline-depth must be in [1, " + std::to_string(kMaxPipelineDepth) +
-        "] (1 = sequential ingest), got " + std::to_string(pipeline_depth));
-  }
   if (embedding_dim == 0) {
     return util::Status::OutOfRange("embedding_dim must be >= 1");
   }
@@ -66,10 +61,6 @@ util::Status ApplyOptionFlags(const std::map<std::string, std::string>& flags,
       auto parsed = ParseKnob(value, key);
       if (!parsed.ok()) return parsed.status();
       options->num_threads = *parsed;
-    } else if (key == "pipeline-depth") {
-      auto parsed = ParseKnob(value, key);
-      if (!parsed.ok()) return parsed.status();
-      options->pipeline_depth = *parsed;
     } else if (key == "sample-datatypes") {
       if (value != "true" && value != "false") {
         return util::Status::InvalidArgument(

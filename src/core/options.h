@@ -13,15 +13,14 @@ namespace pghive::core {
 /// text. 0 threads means hardware concurrency, so the minimum differs from
 /// the other knobs.
 inline constexpr size_t kMaxThreads = 4096;
-inline constexpr size_t kMaxPipelineDepth = 64;
 
 /// Applies string knobs onto `options` — the one parser behind both the
 /// `pghive discover` flags and the pghived `create-session` parameters, so
 /// a graph discovered over the wire runs with exactly the options the
 /// one-shot CLI would have used. Recognized keys (all optional):
 ///
-///   method=elsh|minhash   threads=N   pipeline-depth=N
-///   sample-datatypes=true|false   seed=N
+///   method=elsh|minhash   threads=N   sample-datatypes=true|false
+///   seed=N
 ///
 /// Unknown keys are rejected (InvalidArgument) so typos fail loudly. Parse
 /// errors surface as ParseError; range violations come from

@@ -64,23 +64,15 @@ struct PgHiveOptions {
   /// 0 = hardware concurrency, 1 = the serial path. The discovered schema
   /// is bit-identical for every value: parallel loops shard by index and
   /// all RNG seeds are pre-split per shard.
+  /// With a pool (num_threads != 1), multi-batch ingest through
+  /// BatchPipeline also overlaps batch i+1's preprocess with batch i's
+  /// cluster/extract; that too leaves the schema bytes unchanged.
   size_t num_threads = 0;
-
-  /// Cross-batch pipelining for incremental ingest (BatchPipeline): how many
-  /// batches may be in flight at once. 1 = today's strictly sequential
-  /// ProcessBatch loop; depth k lets batch i+1's preprocess (corpus build,
-  /// embedding training, vectorization — the stages that advance the
-  /// vocabulary and Word2Vec state, always in batch order) run while batch i
-  /// is still clustering/extracting on the coordinator, with up to k-1
-  /// prepared batches buffered ahead. The discovered schema is byte-identical
-  /// at every depth; depths > 1 only take effect when a thread pool exists
-  /// (num_threads != 1).
-  size_t pipeline_depth = 1;
 
   uint64_t seed = 42;
 
-  /// The single source of truth for knob constraints: thread/pipeline
-  /// ranges, embedding dimension, thresholds. Called by the CLI parsers, by
+  /// The single source of truth for knob constraints: the thread range,
+  /// embedding dimension, thresholds. Called by the CLI parsers, by
   /// PgHive::Create, and by the pghived session-create path, so every entry
   /// point rejects the same inputs with the same messages.
   util::Status Validate() const;
@@ -223,9 +215,8 @@ class PgHive {
 
   /// Restores a SaveState snapshot into a freshly created hive: same
   /// discovery-relevant options (method, embedder, dim, LSH parameters,
-  /// thresholds, datatype sampling, seed — execution-plan knobs like
-  /// threads/pipeline-depth may differ, their byte-identity contracts make
-  /// them free to change across a resume), zero
+  /// thresholds, datatype sampling, seed — the thread count may differ, its
+  /// byte-identity contract makes it free to change across a resume), zero
   /// batches processed, and a graph whose vocabulary is position-consistent
   /// with the snapshot (empty, or reloaded from the same graph file).
   /// Returns the number of batches the snapshotted run had already merged;

@@ -56,9 +56,10 @@ std::string SerializeOptionsPayload(const PgHiveOptions& o) {
   util::PutU8(&out, 1);
   util::PutF64(&out, o.alpha_scale);
   util::PutU64(&out, o.num_threads);
-  util::PutU64(&out, o.pipeline_depth);
-  // Retired slot: the in-process shard count of older writers. Always 1,
-  // because older readers reject 0; read back and ignored.
+  // Retired slots: the pipeline depth and the in-process shard count of
+  // older writers. Always 1, because older readers reject 0; read back and
+  // ignored.
+  util::PutU64(&out, 1);
   util::PutU64(&out, 1);
   util::PutU64(&out, o.seed);
   return out;
@@ -84,7 +85,7 @@ util::StatusOr<PgHiveOptions> ParseOptionsPayload(std::string_view payload) {
   in.ReadU8();  // Retired data-plane slot (see SerializeOptionsPayload).
   o.alpha_scale = in.ReadF64();
   o.num_threads = in.ReadU64();
-  o.pipeline_depth = in.ReadU64();
+  in.ReadU64();  // Retired pipeline-depth slot (see SerializeOptionsPayload).
   in.ReadU64();  // Retired shard-count slot (see SerializeOptionsPayload).
   o.seed = in.ReadU64();
   if (!in.ok() || !in.AtEnd()) {
@@ -143,10 +144,10 @@ void ReadStats(util::ByteReader* in, PipelineStats* s) {
 }
 
 /// Knobs that change what schema discovery computes — a resume with any of
-/// these differing would not reproduce the uninterrupted run. Execution-plan
-/// knobs (threads, pipeline depth) are deliberately excluded: their
-/// byte-identity contracts are pinned by the determinism suites, so a
-/// snapshot taken at --threads 8 restores fine at --threads 1.
+/// these differing would not reproduce the uninterrupted run. The thread
+/// count is deliberately excluded: its byte-identity contract is pinned by
+/// the determinism suites, so a snapshot taken at --threads 8 restores fine
+/// at --threads 1.
 util::Status CheckDiscoveryOptionsMatch(const PgHiveOptions& have,
                                         const PgHiveOptions& snap) {
   auto mismatch = [](const std::string& knob) {

@@ -65,7 +65,8 @@ class Word2Vec : public LabelEmbedder {
   /// serialize Train calls in batch order and must not call Embed for an
   /// earlier batch once the next batch's Train has started.
   /// core::BatchPipeline honors this by keeping the whole preprocess stage
-  /// (Train + vectorization) a serial chain on one thread; only the later
+  /// (Train + vectorization) a serial chain in batch order, each batch's
+  /// starting after the previous one's returned; only the later
   /// cluster/extract stages — which read prebuilt feature matrices, never
   /// the model — overlap the next batch's training.
   void Train(const LabelCorpus& corpus, util::ThreadPool* pool = nullptr);

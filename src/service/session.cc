@@ -557,25 +557,32 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
 util::StatusOr<std::string> Session::WaitForDiffs(uint64_t after_version,
                                                   uint64_t timeout_ms) {
   timeout_ms = std::min<uint64_t>(timeout_ms, kMaxFeedWaitMs);
-  std::unique_lock<std::mutex> lock(mutex_);
-  feed_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    return versions_published_ > after_version || !status_.ok();
-  });
-  if (!status_.ok()) return status_;
-  std::string out;
-  if (versions_published_ > after_version &&
-      after_version + 1 < first_feed_version_) {
-    // Older than the in-memory window: serve the gap from the feed segment
-    // file. Safe under mutex_ — every version below first_feed_version_ was
-    // flushed to the file before it became visible, and the file is only
-    // ever appended to while the session lives.
-    auto from_disk = ReadFeedFromDisk(after_version, first_feed_version_);
-    if (!from_disk.ok()) return from_disk.status();
-    out = std::move(*from_disk);
+  std::string in_memory;
+  uint64_t first_in_memory = 0;
+  bool older_than_window = false;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    feed_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
+      return versions_published_ > after_version || !status_.ok();
+    });
+    if (!status_.ok()) return status_;
+    first_in_memory = first_feed_version_;
+    older_than_window = versions_published_ > after_version &&
+                        after_version + 1 < first_in_memory;
+    for (size_t i = 0; i < feed_records_.size(); ++i) {
+      if (first_in_memory + i > after_version) in_memory += feed_records_[i];
+    }
   }
-  for (size_t i = 0; i < feed_records_.size(); ++i) {
-    if (first_feed_version_ + i > after_version) out += feed_records_[i];
-  }
+  if (!older_than_window) return in_memory;
+  // Older than the in-memory window: serve the gap from the feed segment
+  // file, outside the lock so Publish and Snapshot never wait on disk I/O.
+  // Every version below first_in_memory was flushed to the file before it
+  // became visible, and the file is only ever appended to while the session
+  // lives, so the bytes read are the ones a read under the lock would get.
+  auto from_disk = ReadFeedFromDisk(after_version, first_in_memory);
+  if (!from_disk.ok()) return from_disk.status();
+  std::string out = std::move(*from_disk);
+  out += in_memory;
   return out;
 }
 

@@ -192,8 +192,9 @@ class Session {
   void AppendFeedRecord(const std::string& record);
   /// Reads versions in (after_version, until_version) from the feed segment
   /// file, verifying the range is covered contiguously; OutOfRange when it
-  /// is not (or no file is configured). Called under mutex_ — safe because
-  /// every version below until_version was flushed before it became visible.
+  /// is not (or no file is configured). Called without mutex_ — safe because
+  /// every version below until_version was flushed before it became visible,
+  /// and later appends only add bytes past those versions.
   util::StatusOr<std::string> ReadFeedFromDisk(uint64_t after_version,
                                                uint64_t until_version) const;
 

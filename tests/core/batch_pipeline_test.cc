@@ -1,7 +1,7 @@
-// BatchPipeline plumbing that needs no concurrency to verify: depth
-// resolution, the sequential fallbacks (serial hive, single batch, depth 1),
-// stats bookkeeping, and reuse across Run calls. The overlap/determinism
-// guarantees live in tests/threading/pipeline_determinism_test.cc.
+// BatchPipeline plumbing that needs no concurrency to verify: the
+// sequential fallbacks (serial hive, single batch), stats bookkeeping, and
+// reuse across Run calls. The overlap/determinism guarantees live in
+// tests/threading/pipeline_determinism_test.cc.
 
 #include "core/batch_pipeline.h"
 
@@ -25,30 +25,11 @@ pg::PropertyGraph SmallGraph() {
   return g;
 }
 
-TEST(BatchPipelineTest, DepthDefaultsToOptions) {
-  pg::PropertyGraph g = SmallGraph();
-  PgHiveOptions options;
-  options.pipeline_depth = 5;
-  PgHive hive(&g, options);
-  EXPECT_EQ(BatchPipeline(&hive).depth(), 5u);
-  EXPECT_EQ(BatchPipeline(&hive, 2).depth(), 2u);  // Explicit depth wins.
-  EXPECT_EQ(BatchPipeline(&hive, 0).depth(), 5u);  // 0 = "from options".
-}
-
-TEST(BatchPipelineTest, DepthZeroEverywhereClampsToOne) {
-  pg::PropertyGraph g = SmallGraph();
-  PgHiveOptions options;
-  options.pipeline_depth = 0;  // Library callers might zero-init.
-  PgHive hive(&g, options);
-  EXPECT_EQ(BatchPipeline(&hive).depth(), 1u);
-}
-
 TEST(BatchPipelineTest, SerialHiveFallsBackToSequentialLoop) {
   pg::PropertyGraph g1 = SmallGraph();
   pg::PropertyGraph g2 = SmallGraph();
   PgHiveOptions serial;
   serial.num_threads = 1;  // No pool => overlap impossible.
-  serial.pipeline_depth = 4;
 
   PgHive loop_hive(&g1, serial);
   for (const auto& batch : pg::SplitIntoBatches(g1, 3, 4)) {
@@ -70,7 +51,7 @@ TEST(BatchPipelineTest, SerialHiveFallsBackToSequentialLoop) {
 TEST(BatchPipelineTest, EmptyBatchListIsANoOp) {
   pg::PropertyGraph g = SmallGraph();
   PgHive hive(&g, {});
-  BatchPipeline pipeline(&hive, 3);
+  BatchPipeline pipeline(&hive);
   ASSERT_TRUE(pipeline.Run({}).ok());
   EXPECT_TRUE(pipeline.batch_stats().empty());
   EXPECT_EQ(hive.schema().num_node_types(), 0u);
@@ -83,7 +64,7 @@ TEST(BatchPipelineTest, SingleBatchMatchesRun) {
   ASSERT_TRUE(static_hive.Run().ok());
 
   PgHive pipe_hive(&g2, {});
-  BatchPipeline pipeline(&pipe_hive, 4);
+  BatchPipeline pipeline(&pipe_hive);
   ASSERT_TRUE(pipeline.Run({pg::FullBatch(g2)}).ok());
   ASSERT_TRUE(pipe_hive.Finish().ok());
 
@@ -96,7 +77,7 @@ TEST(BatchPipelineTest, SingleBatchMatchesRun) {
 TEST(BatchPipelineTest, RerunClearsPreviousStats) {
   pg::PropertyGraph g = SmallGraph();
   PgHive hive(&g, {});
-  BatchPipeline pipeline(&hive, 2);
+  BatchPipeline pipeline(&hive);
   ASSERT_TRUE(pipeline.Run(pg::SplitIntoBatches(g, 4, 8)).ok());
   EXPECT_EQ(pipeline.batch_stats().size(), 4u);
   ASSERT_TRUE(pipeline.Run(pg::SplitIntoBatches(g, 2, 8)).ok());

@@ -275,7 +275,7 @@ TEST(PgHiveTest, MutatingCallsAfterFinishReturnFailedPrecondition) {
 TEST(PgHiveTest, CreateValidatesOptions) {
   pg::PropertyGraph g = RunningExample();
   PgHiveOptions bad;
-  bad.pipeline_depth = 0;
+  bad.embedding_dim = 0;
   EXPECT_FALSE(PgHive::Create(&g, bad).ok());
 
   PgHiveOptions good;

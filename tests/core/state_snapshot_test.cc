@@ -86,10 +86,11 @@ std::string ResumeAndFinish(const std::string& snapshot,
 }
 
 // The options section ends with the u8 data-plane slot, alpha_scale,
-// threads, pipeline depth, the u64 shard-count slot and the seed; both slots
-// are retired (written as 1, ignored on read). Offsets count back from the
-// section's end.
+// threads, the u64 pipeline-depth and shard-count slots and the seed; all
+// three slots are retired (written as 1, ignored on read). Offsets count
+// back from the section's end.
 constexpr size_t kDataPlaneSlotFromEnd = 41;
+constexpr size_t kDepthSlotFromEnd = 24;
 constexpr size_t kShardSlotFromEnd = 16;
 
 // Re-frames `snapshot` with the options-section bytes that start `from_end`
@@ -211,11 +212,10 @@ TEST(StateSnapshotTest, OptionMismatchIsRejectedAndNamesTheKnob) {
         << restored.status().ToString();
   }
 
-  // Execution-plan knobs are free to differ across a resume.
+  // The thread count is free to differ across a resume.
   datasets::Dataset dataset = MakeDataset();
   PgHiveOptions plan = BaseOptions();
   plan.num_threads = 8;
-  plan.pipeline_depth = 4;
   PgHive hive(&dataset.graph, plan);
   std::istringstream source(run.snapshot);
   EXPECT_TRUE(hive.RestoreState(source).ok());
@@ -313,15 +313,20 @@ TEST(StateSnapshotTest, RetiredShardSlotIsWrittenAsOneAndIgnoredOnRead) {
   PgHiveOptions options = BaseOptions(EmbedderKind::kWord2Vec);
   CheckpointedRun run = RunWithCheckpoint(options, /*num_batches=*/4,
                                           /*checkpoint_at=*/2);
-  // A checkpoint from an older `discover --shards 4` holds 4 in the slot;
-  // it resumes to the uninterrupted bytes.
-  std::string four, written;
+  // A checkpoint from an older `discover --shards 4` (or
+  // `--pipeline-depth 4`) holds 4 in the slot; it resumes to the
+  // uninterrupted bytes.
+  std::string four;
   util::PutU64(&four, 4);
-  const std::string sharded =
-      WithOptionsBytes(run.snapshot, kShardSlotFromEnd, four, &written);
-  // Written as 1: older readers reject 0 there.
-  EXPECT_EQ(util::ByteReader(written).ReadU64(), 1u);
-  EXPECT_EQ(ResumeAndFinish(sharded, options, 4), run.final_schema);
+  for (size_t from_end : {kShardSlotFromEnd, kDepthSlotFromEnd}) {
+    std::string written;
+    const std::string older =
+        WithOptionsBytes(run.snapshot, from_end, four, &written);
+    // Written as 1: older readers reject 0 there.
+    EXPECT_EQ(util::ByteReader(written).ReadU64(), 1u) << from_end;
+    EXPECT_EQ(ResumeAndFinish(older, options, 4), run.final_schema)
+        << from_end;
+  }
 }
 
 TEST(StateSnapshotTest, RetiredDataPlaneSlotIsWrittenAsOneAndIgnoredOnRead) {

@@ -191,7 +191,6 @@ TEST_P(RandomGraphTest, PipelinedIngestMatchesSequentialOnRandomSplits) {
 
   core::PgHiveOptions pipelined_options;
   pipelined_options.num_threads = 4;
-  pipelined_options.pipeline_depth = 3;
   core::PgHive pipelined(&g2, pipelined_options);
   core::BatchPipeline executor(&pipelined);
   auto batches2 = pg::SplitIntoBatches(g2, 5, GetParam() ^ 0x3333);

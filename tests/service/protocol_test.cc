@@ -158,6 +158,9 @@ TEST_F(HandlerTest, CreateSessionParsesKnobsAndRejectsBadOnes) {
   Response plane = Run("create-session data-plane=row");
   EXPECT_EQ(plane.status.code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(plane.status.message().find("data-plane"), std::string::npos);
+  Response depth = Run("create-session pipeline-depth=2");
+  EXPECT_EQ(depth.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(depth.status.message().find("pipeline-depth"), std::string::npos);
 }
 
 TEST_F(HandlerTest, CreateSessionProtocolHandshake) {

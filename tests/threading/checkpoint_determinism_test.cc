@@ -1,10 +1,10 @@
 // Checkpoint/resume determinism under concurrency: a run interrupted at a
 // BatchPipeline barrier, snapshotted with PgHive::SaveState, and resumed in
 // a fresh hive must finish with a schema byte-identical to the
-// uninterrupted sequential run — at every (thread count x pipeline depth)
-// combination, on every zoo dataset. Runs under the `threaded` label so the
-// TSan CI job checks that snapshotting at a barrier really does observe
-// quiescent pipeline state.
+// uninterrupted sequential run — at every thread count (1 = the sequential
+// loop, more = the one-batch lookahead), on every zoo dataset. Runs under
+// the `threaded` label so the TSan CI job checks that snapshotting at a
+// barrier really does observe quiescent pipeline state.
 
 #include <gtest/gtest.h>
 
@@ -23,10 +23,9 @@
 namespace pghive {
 namespace {
 
-core::PgHiveOptions MakeOptions(size_t num_threads, size_t depth) {
+core::PgHiveOptions MakeOptions(size_t num_threads) {
   core::PgHiveOptions options;
   options.num_threads = num_threads;
-  options.pipeline_depth = depth;
   options.datatype_options.sample = true;
   options.datatype_options.min_sample = 50;
   return options;
@@ -44,7 +43,7 @@ std::string UninterruptedRun(const datasets::DatasetSpec& spec,
                              size_t batches) {
   datasets::Dataset dataset = datasets::Generate(spec, /*scale=*/0.04,
                                                  /*seed=*/99);
-  core::PgHive hive(&dataset.graph, MakeOptions(1, 1));
+  core::PgHive hive(&dataset.graph, MakeOptions(1));
   core::BatchPipeline executor(&hive);
   auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
   EXPECT_TRUE(executor.Run(split).ok());
@@ -53,16 +52,15 @@ std::string UninterruptedRun(const datasets::DatasetSpec& spec,
 }
 
 // Runs the first `checkpoint_at` batches pipelined, snapshots at the
-// barrier, restores into a fresh hive (same threads/depth), and finishes
+// barrier, restores into a fresh hive (same thread count), and finishes
 // with the rest.
 std::string CheckpointedRun(const datasets::DatasetSpec& spec, size_t batches,
-                            size_t checkpoint_at, size_t num_threads,
-                            size_t depth) {
+                            size_t checkpoint_at, size_t num_threads) {
   std::string snapshot;
   {
     datasets::Dataset dataset = datasets::Generate(spec, /*scale=*/0.04,
                                                    /*seed=*/99);
-    core::PgHive hive(&dataset.graph, MakeOptions(num_threads, depth));
+    core::PgHive hive(&dataset.graph, MakeOptions(num_threads));
     core::BatchPipeline executor(&hive);
     auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
     std::vector<pg::GraphBatch> head(
@@ -76,7 +74,7 @@ std::string CheckpointedRun(const datasets::DatasetSpec& spec, size_t batches,
 
   datasets::Dataset dataset = datasets::Generate(spec, /*scale=*/0.04,
                                                  /*seed=*/99);
-  core::PgHive hive(&dataset.graph, MakeOptions(num_threads, depth));
+  core::PgHive hive(&dataset.graph, MakeOptions(num_threads));
   std::istringstream source(snapshot);
   auto restored = hive.RestoreState(source);
   EXPECT_TRUE(restored.ok()) << restored.status().ToString();
@@ -97,20 +95,17 @@ TEST(CheckpointDeterminismTest, ResumeIdenticalOnAllZooDatasets) {
     std::string expected = UninterruptedRun(spec, batches);
     ASSERT_FALSE(expected.empty()) << spec.name;
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (size_t depth : {size_t{1}, size_t{4}}) {
-        EXPECT_EQ(CheckpointedRun(spec, batches, /*checkpoint_at=*/2,
-                                  threads, depth),
-                  expected)
-            << spec.name << " threads=" << threads << " depth=" << depth;
-      }
+      EXPECT_EQ(CheckpointedRun(spec, batches, /*checkpoint_at=*/2, threads),
+                expected)
+          << spec.name << " threads=" << threads;
     }
   }
 }
 
 // A snapshot taken under one execution plan must resume under a different
-// one: the plan knobs are byte-identity-neutral, so save at (8 threads,
-// depth 4) and resume at (1 thread, depth 1) — and vice versa — both land
-// on the sequential schema.
+// one: the thread count is byte-identity-neutral, so save at 8 threads (the
+// lookahead) and resume at 1 thread (the sequential loop); both land on the
+// sequential schema.
 TEST(CheckpointDeterminismTest, PlanChangeAcrossResume) {
   const datasets::DatasetSpec spec = datasets::PoleSpec();
   const size_t batches = 4;
@@ -119,7 +114,7 @@ TEST(CheckpointDeterminismTest, PlanChangeAcrossResume) {
   std::string snapshot;
   {
     datasets::Dataset dataset = datasets::Generate(spec, 0.04, 99);
-    core::PgHive hive(&dataset.graph, MakeOptions(8, 4));
+    core::PgHive hive(&dataset.graph, MakeOptions(8));
     core::BatchPipeline executor(&hive);
     auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
     split.resize(2);
@@ -130,7 +125,7 @@ TEST(CheckpointDeterminismTest, PlanChangeAcrossResume) {
   }
 
   datasets::Dataset dataset = datasets::Generate(spec, 0.04, 99);
-  core::PgHive hive(&dataset.graph, MakeOptions(1, 1));
+  core::PgHive hive(&dataset.graph, MakeOptions(1));
   std::istringstream source(snapshot);
   auto restored = hive.RestoreState(source);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();

@@ -1,9 +1,10 @@
 // The pipelined batch executor's determinism guarantee: BatchPipeline must
 // produce a schema byte-identical to the sequential ProcessBatch loop at
-// every (thread count x pipeline depth) combination — the preprocess of
-// batch i+1 overlapping the extract of batch i must be unobservable in the
-// output. Runs under the `threaded` label so the TSan CI job races the
-// preprocess thread against the coordinator.
+// every thread count — at 1 thread it is the sequential loop itself, and
+// from 2 threads on the preprocess of batch i+1 overlapping the extract of
+// batch i must be unobservable in the output. Runs under the `threaded`
+// label so the TSan CI job races the preprocess thread against the
+// coordinator.
 
 #include <gtest/gtest.h>
 
@@ -28,12 +29,10 @@ struct Discovery {
 };
 
 core::PgHiveOptions BaseOptions(core::ClusterMethod method,
-                                size_t num_threads, size_t depth,
-                                bool post_each_batch) {
+                                size_t num_threads, bool post_each_batch) {
   core::PgHiveOptions options;
   options.method = method;
   options.num_threads = num_threads;
-  options.pipeline_depth = depth;
   options.post_process_each_batch = post_each_batch;
   options.datatype_options.sample = true;
   options.datatype_options.min_sample = 50;  // Force the sampling path.
@@ -59,7 +58,7 @@ Discovery SequentialDiscover(const datasets::DatasetSpec& spec, double scale,
                              bool post_each_batch) {
   datasets::Dataset dataset = datasets::Generate(spec, scale, /*seed=*/99);
   core::PgHive pipeline(&dataset.graph,
-                        BaseOptions(method, 1, 1, post_each_batch));
+                        BaseOptions(method, 1, post_each_batch));
   for (const auto& batch :
        pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5)) {
     EXPECT_TRUE(pipeline.ProcessBatch(batch).ok());
@@ -70,14 +69,11 @@ Discovery SequentialDiscover(const datasets::DatasetSpec& spec, double scale,
 
 Discovery PipelinedDiscover(const datasets::DatasetSpec& spec, double scale,
                             core::ClusterMethod method, size_t batches,
-                            size_t num_threads, size_t depth,
-                            bool post_each_batch) {
+                            size_t num_threads, bool post_each_batch) {
   datasets::Dataset dataset = datasets::Generate(spec, scale, /*seed=*/99);
   core::PgHive pipeline(&dataset.graph,
-                        BaseOptions(method, num_threads, depth,
-                                    post_each_batch));
+                        BaseOptions(method, num_threads, post_each_batch));
   core::BatchPipeline executor(&pipeline);
-  EXPECT_EQ(executor.depth(), depth);
   auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
   EXPECT_TRUE(executor.Run(split).ok());
   EXPECT_EQ(executor.batch_stats().size(), split.size());
@@ -93,18 +89,16 @@ void ExpectPipelineMatchesSequential(const datasets::DatasetSpec& spec,
       SequentialDiscover(spec, scale, method, batches, post_each_batch);
   ASSERT_FALSE(sequential.pgs.empty());
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (size_t depth : {size_t{1}, size_t{2}, size_t{4}}) {
-      Discovery pipelined = PipelinedDiscover(
-          spec, scale, method, batches, threads, depth, post_each_batch);
-      EXPECT_EQ(pipelined.pgs, sequential.pgs)
-          << spec.name << " threads=" << threads << " depth=" << depth;
-      EXPECT_EQ(pipelined.xsd, sequential.xsd)
-          << spec.name << " threads=" << threads << " depth=" << depth;
-      EXPECT_EQ(pipelined.node_assignment, sequential.node_assignment)
-          << spec.name << " threads=" << threads << " depth=" << depth;
-      EXPECT_EQ(pipelined.edge_assignment, sequential.edge_assignment)
-          << spec.name << " threads=" << threads << " depth=" << depth;
-    }
+    Discovery pipelined = PipelinedDiscover(spec, scale, method, batches,
+                                            threads, post_each_batch);
+    EXPECT_EQ(pipelined.pgs, sequential.pgs)
+        << spec.name << " threads=" << threads;
+    EXPECT_EQ(pipelined.xsd, sequential.xsd)
+        << spec.name << " threads=" << threads;
+    EXPECT_EQ(pipelined.node_assignment, sequential.node_assignment)
+        << spec.name << " threads=" << threads;
+    EXPECT_EQ(pipelined.edge_assignment, sequential.edge_assignment)
+        << spec.name << " threads=" << threads;
   }
 }
 
@@ -135,18 +129,6 @@ TEST(PipelineDeterminismTest, PerBatchPostProcessingIdentical) {
                                   /*post_each_batch=*/true);
 }
 
-// More batches than the depth window, and a depth far beyond the batch
-// count, both behave: the window just stays partially empty.
-TEST(PipelineDeterminismTest, DepthBeyondBatchCount) {
-  Discovery sequential = SequentialDiscover(
-      datasets::Mb6Spec(), 0.1, core::ClusterMethod::kElsh, 3, false);
-  Discovery deep = PipelinedDiscover(datasets::Mb6Spec(), 0.1,
-                                     core::ClusterMethod::kElsh, 3,
-                                     /*num_threads=*/4, /*depth=*/16, false);
-  EXPECT_EQ(deep.pgs, sequential.pgs);
-  EXPECT_EQ(deep.node_assignment, sequential.node_assignment);
-}
-
 // Hardware-default thread count (0 resolves to whatever the host has) with
 // overlap enabled must also match.
 TEST(PipelineDeterminismTest, HardwareDefaultWithOverlapMatchesSequential) {
@@ -154,7 +136,7 @@ TEST(PipelineDeterminismTest, HardwareDefaultWithOverlapMatchesSequential) {
       datasets::IcijSpec(), 0.1, core::ClusterMethod::kElsh, 4, false);
   Discovery hw = PipelinedDiscover(datasets::IcijSpec(), 0.1,
                                    core::ClusterMethod::kElsh, 4,
-                                   /*num_threads=*/0, /*depth=*/3, false);
+                                   /*num_threads=*/0, false);
   EXPECT_EQ(hw.pgs, sequential.pgs);
   EXPECT_EQ(hw.edge_assignment, sequential.edge_assignment);
 }
@@ -184,7 +166,7 @@ TEST(PipelineDeterminismTest, EdgesBeforeEndpointsTolerated) {
   pg::PropertyGraph sequential_graph = make_graph();
   core::PgHive sequential(
       &sequential_graph,
-      BaseOptions(core::ClusterMethod::kElsh, 1, 1, false));
+      BaseOptions(core::ClusterMethod::kElsh, 1, false));
   for (const auto& batch : make_batches(sequential_graph)) {
     ASSERT_TRUE(sequential.ProcessBatch(batch).ok());
   }
@@ -193,7 +175,7 @@ TEST(PipelineDeterminismTest, EdgesBeforeEndpointsTolerated) {
   pg::PropertyGraph pipelined_graph = make_graph();
   core::PgHive pipelined(
       &pipelined_graph,
-      BaseOptions(core::ClusterMethod::kElsh, 4, 2, false));
+      BaseOptions(core::ClusterMethod::kElsh, 4, false));
   core::BatchPipeline executor(&pipelined);
   auto batches = make_batches(pipelined_graph);
   ASSERT_TRUE(executor.Run(batches).ok());

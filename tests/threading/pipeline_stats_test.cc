@@ -23,7 +23,6 @@ namespace {
 core::PgHiveOptions OverlapOptions(bool post_each_batch) {
   core::PgHiveOptions options;
   options.num_threads = 4;
-  options.pipeline_depth = 3;
   options.post_process_each_batch = post_each_batch;
   return options;
 }
@@ -111,13 +110,13 @@ TEST(PipelineStatsTest, PerBatchPostProcessingRefreshesEveryBatch) {
 
 TEST(PipelineStatsTest, SequentialAndOverlappedStatsCountSameClusters) {
   // Stage *times* differ run to run, but the structural tallies (clusters
-  // per batch) are part of the determinism contract.
-  auto run = [](size_t threads, size_t depth) {
+  // per batch) are part of the determinism contract: 1 thread runs the
+  // sequential loop, more threads the lookahead.
+  auto run = [](size_t threads) {
     datasets::Dataset dataset =
         datasets::Generate(datasets::Mb6Spec(), 0.2, 23);
     core::PgHiveOptions options;
     options.num_threads = threads;
-    options.pipeline_depth = depth;
     core::PgHive hive(&dataset.graph, options);
     core::BatchPipeline executor(&hive);
     auto batches = pg::SplitIntoBatches(dataset.graph, 4, 13);
@@ -128,8 +127,8 @@ TEST(PipelineStatsTest, SequentialAndOverlappedStatsCountSameClusters) {
     }
     return clusters;
   };
-  EXPECT_EQ(run(1, 1), run(4, 3));
-  EXPECT_EQ(run(2, 2), run(8, 4));
+  EXPECT_EQ(run(1), run(4));
+  EXPECT_EQ(run(2), run(8));
 }
 
 }  // namespace

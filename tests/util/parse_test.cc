@@ -42,9 +42,9 @@ TEST(ParseInt64InRangeTest, EnforcesInclusiveBounds) {
 }
 
 TEST(ParseInt64InRangeTest, ErrorNamesTheKnob) {
-  auto v = ParseInt64InRange("banana", 1, 10, "--pipeline-depth");
+  auto v = ParseInt64InRange("banana", 1, 10, "--batches");
   ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.status().message().find("--pipeline-depth"), std::string::npos);
+  EXPECT_NE(v.status().message().find("--batches"), std::string::npos);
 }
 
 }  // namespace

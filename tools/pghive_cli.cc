@@ -3,11 +3,11 @@
 // Subcommands:
 //   discover  --graph FILE [--method elsh|minhash] [--batches N]
 //             [--out PREFIX] [--loose] [--sample-datatypes] [--threads N]
-//             [--pipeline-depth D] [--seed N]
+//             [--seed N]
 //       --threads 0 (default) uses every hardware thread; --threads 1 runs
-//       serially. --pipeline-depth D (default 1) overlaps batch i+1's
-//       preprocess with batch i's extract during multi-batch ingest; the
-//       discovered schema is identical for every threads/depth combination.
+//       serially. With more than one thread, multi-batch ingest also
+//       overlaps batch i+1's preprocess with batch i's cluster/extract; the
+//       discovered schema is identical at every thread count.
 //       Discovers the schema of a graph file (pg::SaveGraphFile format) and
 //       prints it; with --out also writes PREFIX.pgs and PREFIX.xsd.
 //       Durability: --checkpoint-to FILE snapshots the full discovery state
@@ -23,7 +23,8 @@
 //       Imports neo4j-admin style CSVs into a graph file.
 //   generate  --dataset NAME [--scale S] [--seed N] --out GRAPH
 //       Generates one of the paper's synthetic datasets (POLE, MB6, HET.IO,
-//       FIB25, ICIJ, CORD19, LDBC, IYP).
+//       FIB25, ICIJ, CORD19, LDBC, IYP); S (default 1.0) must be a finite
+//       number > 0.
 //   validate  --graph FILE --schema FILE.pgs [--strict]
 //       Validates a graph against a PG-Schema file.
 //   client    --graph FILE (--port N | --port-file FILE) [--batches N]
@@ -56,6 +57,7 @@
 //
 // Exit code 0 on success (and, for validate, on conformance), 1 otherwise.
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -78,6 +80,7 @@
 #include "datasets/zoo.h"
 #include "pg/csv_import.h"
 #include "pg/graph_io.h"
+#include "pg/value.h"
 #include "service/client.h"
 #include "util/parse.h"
 
@@ -96,8 +99,7 @@ struct Args {
 
 /// The discovery knobs `discover` and `client` forward to
 /// core::ApplyOptionFlags, besides the --sample-datatypes switch.
-constexpr const char* kKnobFlags[] = {"method", "threads", "pipeline-depth",
-                                      "seed"};
+constexpr const char* kKnobFlags[] = {"method", "threads", "seed"};
 
 /// Flags that take no value; every other flag needs one (--key V or
 /// --key=V).
@@ -260,13 +262,6 @@ int CmdDiscover(const Args& args) {
   const bool stateful = !checkpoint_to.empty() || !changefeed_path.empty() ||
                         restored > 0;
   if (*num_batches <= 1 && !stateful) {
-    if (options->pipeline_depth > 1) {
-      std::fprintf(stderr,
-                   "pghive: warning: --pipeline-depth %lld has no effect "
-                   "without --batches > 1 (single-batch discovery has "
-                   "nothing to overlap)\n",
-                   static_cast<long long>(options->pipeline_depth));
-    }
     auto status = pipeline.Run();
     if (!status.ok()) return Fail(status.ToString());
   } else {
@@ -293,7 +288,6 @@ int CmdDiscover(const Args& args) {
     size_t done = static_cast<size_t>(restored);
     uint64_t version = restored;
     double wall_ms = 0;
-    size_t depth = 1;
     // --stop-after simulates an interrupted run deterministically: process
     // that many batches, checkpoint, and exit without finishing.
     const size_t limit = *stop_after > 0
@@ -311,7 +305,6 @@ int CmdDiscover(const Args& args) {
       auto status = executor.Run(slice);
       if (!status.ok()) return Fail(status.ToString());
       wall_ms += executor.wall_ms();
-      depth = executor.depth();
       done = end;
       if (!changefeed_path.empty()) {
         emit_diff(prev, version, version + 1, done);
@@ -349,9 +342,8 @@ int CmdDiscover(const Args& args) {
     if (!changefeed_path.empty() && !feed) {
       return Fail("cannot write " + changefeed_path);
     }
-    std::printf("ingested %zu batches (pipeline depth %zu) in %.1f ms\n",
-                batches.size() - static_cast<size_t>(restored), depth,
-                wall_ms);
+    std::printf("ingested %zu batches in %.1f ms\n",
+                batches.size() - static_cast<size_t>(restored), wall_ms);
   }
 
   std::printf("%s", core::DescribeSchema(pipeline.schema(), graph.vocab())
@@ -400,7 +392,13 @@ int CmdGenerate(const Args& args) {
   }
   auto spec = datasets::ZooDataset(args.Get("dataset"));
   if (!spec.ok()) return Fail(spec.status().ToString());
-  double scale = std::atof(args.Get("scale", "1.0").c_str());
+  const std::string scale_text = args.Get("scale", "1.0");
+  double scale = 0;
+  if (!pg::ParseFloatLiteral(scale_text, &scale) || !std::isfinite(scale) ||
+      scale <= 0) {
+    return Fail("--scale must be a finite number > 0, got '" + scale_text +
+                "'");
+  }
   auto seed = util::ParseInt64InRange(args.Get("seed", "42"), 0,
                                       std::numeric_limits<int64_t>::max(),
                                       "--seed");
@@ -703,7 +701,7 @@ int main(int argc, char** argv) {
                " [options]\n"
                "  discover --graph FILE [--method elsh|minhash] [--batches N]"
                " [--out PREFIX] [--loose] [--sample-datatypes] [--threads N]"
-               " [--pipeline-depth D] [--seed N]"
+               " [--seed N]"
                " [--checkpoint-to FILE [--checkpoint-every K] [--stop-after K]]"
                " [--resume-from FILE] [--changefeed FILE]\n"
                "  import   --nodes a.csv,b.csv --edges rels.csv --out g.pg\n"
