@@ -34,24 +34,52 @@ CardinalityKind ClassifyCardinality(size_t max_out, size_t max_in) {
 
 namespace {
 
-uint64_t HashIdVector(uint64_t seed, const std::vector<uint32_t>& ids) {
+uint32_t IdOf(uint32_t id) { return id; }
+uint32_t IdOf(const std::pair<pg::KeyId, pg::Value>& entry) {
+  return entry.first;
+}
+
+template <typename Ids>
+uint64_t HashIds(uint64_t seed, const Ids& ids) {
   uint64_t h = seed;
-  for (uint32_t id : ids) h = util::HashCombine(h, id + 1);
+  for (const auto& id : ids) h = util::HashCombine(h, IdOf(id) + 1);
   return h;
+}
+
+// The pattern hash arithmetic, defined once for the pattern structs and for
+// elements. `keys` is a sorted key vector or a PropertyMap's entries (sorted
+// by key), so an element hashes without copying its keys out.
+template <typename Keys>
+uint64_t NodeHash(const std::vector<pg::LabelId>& labels, const Keys& keys) {
+  uint64_t h = HashIds(0x9e37, labels);
+  return HashIds(util::HashCombine(h, 0xF00D), keys);
+}
+
+template <typename Keys>
+uint64_t EdgeHash(const std::vector<pg::LabelId>& labels, const Keys& keys,
+                  const std::vector<pg::LabelId>& src_labels,
+                  const std::vector<pg::LabelId>& dst_labels) {
+  uint64_t h = HashIds(0x517c, labels);
+  h = HashIds(util::HashCombine(h, 0xF00D), keys);
+  h = HashIds(util::HashCombine(h, 0xBEEF), src_labels);
+  return HashIds(util::HashCombine(h, 0xCAFE), dst_labels);
 }
 
 }  // namespace
 
-uint64_t NodePattern::Hash() const {
-  uint64_t h = HashIdVector(0x9e37, labels);
-  return HashIdVector(util::HashCombine(h, 0xF00D), keys);
-}
+uint64_t NodePattern::Hash() const { return NodeHash(labels, keys); }
 
 uint64_t EdgePattern::Hash() const {
-  uint64_t h = HashIdVector(0x517c, labels);
-  h = HashIdVector(util::HashCombine(h, 0xF00D), keys);
-  h = HashIdVector(util::HashCombine(h, 0xBEEF), src_labels);
-  return HashIdVector(util::HashCombine(h, 0xCAFE), dst_labels);
+  return EdgeHash(labels, keys, src_labels, dst_labels);
+}
+
+uint64_t NodePatternHash(const pg::Node& node) {
+  return NodeHash(node.labels, node.properties.entries());
+}
+
+uint64_t EdgePatternHash(const pg::PropertyGraph& graph, const pg::Edge& edge) {
+  return EdgeHash(edge.labels, edge.properties.entries(),
+                  graph.node(edge.src).labels, graph.node(edge.dst).labels);
 }
 
 std::vector<pg::PropKeyId> NodeType::Keys() const {

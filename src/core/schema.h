@@ -55,6 +55,14 @@ struct EdgePattern {
   uint64_t Hash() const;
 };
 
+/// The NodePattern hash of a node, read from its own labels and property map
+/// without building the pattern: NodePattern{labels, keys}.Hash().
+uint64_t NodePatternHash(const pg::Node& node);
+
+/// The EdgePattern hash of an edge of `graph`, read likewise from the edge
+/// and its endpoints' label vectors.
+uint64_t EdgePatternHash(const pg::PropertyGraph& graph, const pg::Edge& edge);
+
 /// Per-property accumulated statistics of a type. Counts drive the
 /// mandatory/optional constraint; the data type is filled by the (optional)
 /// inference pass.

@@ -37,6 +37,56 @@ std::vector<uint32_t> EdgeJaccardSet(const CandidateType& c) {
   return set;
 }
 
+// The candidate builders walk each cluster's members once, reading every
+// member's labels, keys and endpoints in place. The helpers below fold one
+// member into its candidate; FinishCandidate runs once per candidate.
+
+// Unions a member's sorted labels into the candidate's, reallocating only
+// when the member brings a label the candidate lacks.
+void AddLabels(const std::vector<pg::LabelId>& member,
+               std::vector<pg::LabelId>* labels) {
+  if (!std::includes(labels->begin(), labels->end(), member.begin(),
+                     member.end())) {
+    *labels = UnionSorted(*labels, member);
+  }
+}
+
+// Counts a member's keys into the candidate's run sorted by key; a key the
+// run lacks is inserted in place.
+void CountKeys(const pg::PropertyMap& props,
+               std::vector<std::pair<pg::PropKeyId, size_t>>* key_counts) {
+  auto it = key_counts->begin();
+  for (const auto& [key, value] : props.entries()) {
+    while (it != key_counts->end() && it->first < key) ++it;
+    if (it == key_counts->end() || it->first != key) {
+      it = key_counts->insert(it, {key, 0});
+    }
+    ++it->second;
+    ++it;
+  }
+}
+
+// Appends `v` unless it repeats the last entry. Members of a cluster mostly
+// share one pattern and endpoint pair, so this keeps the vectors that
+// FinishCandidate sorts short; the sort still removes every duplicate.
+template <typename T>
+void AppendIfChanged(const T& v, std::vector<T>* out) {
+  if (out->empty() || out->back() != v) out->push_back(v);
+}
+
+template <typename T>
+void SortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+void FinishCandidate(CandidateType* cand) {
+  cand->keys.reserve(cand->key_counts.size());
+  for (const auto& [key, count] : cand->key_counts) cand->keys.push_back(key);
+  SortUnique(&cand->pattern_hashes);
+  SortUnique(&cand->endpoints);
+}
+
 // Merges candidate `from` into candidate `into` by set union (Lemma 1/2).
 void MergeCandidate(const CandidateType& from, CandidateType* into) {
   into->labels = UnionSorted(into->labels, from.labels);
@@ -240,26 +290,19 @@ std::vector<CandidateType> BuildNodeCandidates(
     const lsh::ClusterSet& clusters) {
   PGHIVE_CHECK(clusters.num_items() == batch.node_ids.size());
   std::vector<CandidateType> candidates(clusters.num_clusters());
-  std::vector<std::map<pg::PropKeyId, size_t>> counts(clusters.num_clusters());
-  for (size_t i = 0; i < batch.node_ids.size(); ++i) {
-    uint32_t c = clusters.cluster_of(i);
-    const pg::Node& n = graph.node(batch.node_ids[i]);
+  for (uint32_t c = 0; c < candidates.size(); ++c) {
     CandidateType& cand = candidates[c];
-    cand.labels = UnionSorted(cand.labels, n.labels);
-    auto keys = n.properties.Keys();
-    cand.keys = UnionSorted(cand.keys, keys);
-    for (pg::PropKeyId k : keys) ++counts[c][k];
-    cand.instances.push_back(batch.node_ids[i]);
-    ++cand.instance_count;
-    NodePattern pattern{n.labels, keys};
-    cand.pattern_hashes.push_back(pattern.Hash());
-  }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    auto& kc = candidates[c].key_counts;
-    kc.assign(counts[c].begin(), counts[c].end());
-    auto& ph = candidates[c].pattern_hashes;
-    std::sort(ph.begin(), ph.end());
-    ph.erase(std::unique(ph.begin(), ph.end()), ph.end());
+    const std::vector<uint32_t>& members = clusters.members(c);
+    cand.instances.reserve(members.size());
+    for (uint32_t i : members) {
+      const pg::Node& n = graph.node(batch.node_ids[i]);
+      AddLabels(n.labels, &cand.labels);
+      CountKeys(n.properties, &cand.key_counts);
+      cand.instances.push_back(batch.node_ids[i]);
+      AppendIfChanged(NodePatternHash(n), &cand.pattern_hashes);
+    }
+    cand.instance_count = members.size();
+    FinishCandidate(&cand);
   }
   return candidates;
 }
@@ -272,32 +315,20 @@ std::vector<CandidateType> BuildEdgeCandidates(
   PGHIVE_CHECK(clusters.num_items() == batch.edge_ids.size());
   PGHIVE_CHECK(endpoint_tokens.size() == batch.edge_ids.size());
   std::vector<CandidateType> candidates(clusters.num_clusters());
-  std::vector<std::map<pg::PropKeyId, size_t>> counts(clusters.num_clusters());
-  for (size_t i = 0; i < batch.edge_ids.size(); ++i) {
-    uint32_t c = clusters.cluster_of(i);
-    const pg::Edge& e = graph.edge(batch.edge_ids[i]);
+  for (uint32_t c = 0; c < candidates.size(); ++c) {
     CandidateType& cand = candidates[c];
-    cand.labels = UnionSorted(cand.labels, e.labels);
-    auto keys = e.properties.Keys();
-    cand.keys = UnionSorted(cand.keys, keys);
-    for (pg::PropKeyId k : keys) ++counts[c][k];
-    cand.instances.push_back(batch.edge_ids[i]);
-    ++cand.instance_count;
-    const auto& src_labels = graph.node(e.src).labels;
-    const auto& dst_labels = graph.node(e.dst).labels;
-    cand.endpoints.push_back(endpoint_tokens[i]);
-    EdgePattern pattern{e.labels, keys, src_labels, dst_labels};
-    cand.pattern_hashes.push_back(pattern.Hash());
-  }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    auto& kc = candidates[c].key_counts;
-    kc.assign(counts[c].begin(), counts[c].end());
-    auto& ph = candidates[c].pattern_hashes;
-    std::sort(ph.begin(), ph.end());
-    ph.erase(std::unique(ph.begin(), ph.end()), ph.end());
-    auto& ep = candidates[c].endpoints;
-    std::sort(ep.begin(), ep.end());
-    ep.erase(std::unique(ep.begin(), ep.end()), ep.end());
+    const std::vector<uint32_t>& members = clusters.members(c);
+    cand.instances.reserve(members.size());
+    for (uint32_t i : members) {
+      const pg::Edge& e = graph.edge(batch.edge_ids[i]);
+      AddLabels(e.labels, &cand.labels);
+      CountKeys(e.properties, &cand.key_counts);
+      cand.instances.push_back(batch.edge_ids[i]);
+      AppendIfChanged(endpoint_tokens[i], &cand.endpoints);
+      AppendIfChanged(EdgePatternHash(graph, e), &cand.pattern_hashes);
+    }
+    cand.instance_count = members.size();
+    FinishCandidate(&cand);
   }
   return candidates;
 }

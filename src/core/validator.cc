@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
+#include "core/cardinality.h"
 #include "util/rng.h"
 
 namespace pghive::core {
@@ -230,12 +231,10 @@ ValidationReport SchemaValidator::Validate(
   }
 
   // --- Edges ---
-  std::unordered_map<const EdgeType*,
-                     std::unordered_map<pg::NodeId, std::unordered_set<pg::NodeId>>>
-      out_targets;
-  std::unordered_map<const EdgeType*,
-                     std::unordered_map<pg::NodeId, std::unordered_set<pg::NodeId>>>
-      in_sources;
+  // STRICT: each matched edge's (src, dst), by edge type index, for the
+  // cardinality check below.
+  std::vector<std::vector<std::pair<pg::NodeId, pg::NodeId>>> typed_pairs(
+      strict ? schema_->edge_types().size() : 0);
   for (const pg::Edge& edge : graph.edges()) {
     if (full()) break;
     ++report.edges_checked;
@@ -277,33 +276,49 @@ ValidationReport SchemaValidator::Validate(
         add(ViolationKind::kEndpointMismatch, true, edge.id,
             "endpoint pair not declared for this edge type");
       }
-      out_targets[type][edge.src].insert(edge.dst);
-      in_sources[type][edge.dst].insert(edge.src);
+      typed_pairs[type - schema_->edge_types().data()].emplace_back(edge.src,
+                                                                   edge.dst);
     }
   }
 
-  // Cardinality bounds (STRICT): observed degrees must not exceed the
-  // schema's recorded upper bounds.
+  // Cardinality bounds (STRICT): no node may have more distinct neighbours
+  // through an edge type than the schema's recorded upper bound. Each
+  // violation names the offending node; they are reported in ascending node
+  // id (then schema order, max_out before max_in), so a max_violations cap
+  // keeps the same ones on every run.
   if (strict) {
-    for (const auto& [type, per_src] : out_targets) {
-      if (type->cardinality.kind == CardinalityKind::kUnknown) continue;
-      for (const auto& [src, targets] : per_src) {
-        if (targets.size() > type->cardinality.max_out) {
-          add(ViolationKind::kCardinalityExceeded, true, 0,
-              "source " + std::to_string(src) + " exceeds max_out " +
-                  std::to_string(type->cardinality.max_out));
-        }
+    std::vector<Violation> exceeded;
+    DistinctDegreeCounter counter(graph.num_nodes());
+    auto check = [&](const auto& pairs, const std::string& type_name,
+                     size_t bound, const char* neighbours,
+                     const char* bound_name) {
+      for (const auto& [node, degree] : counter.Count(pairs)) {
+        if (degree <= bound) continue;
+        exceeded.push_back({ViolationKind::kCardinalityExceeded, false, node,
+                            std::to_string(degree) + " distinct " +
+                                neighbours + " through " + type_name +
+                                " exceed " + bound_name + " " +
+                                std::to_string(bound)});
       }
+    };
+    for (size_t t = 0; t < typed_pairs.size(); ++t) {
+      const EdgeType& type = schema_->edge_types()[t];
+      auto& pairs = typed_pairs[t];
+      if (type.cardinality.kind == CardinalityKind::kUnknown || pairs.empty()) {
+        continue;
+      }
+      const std::string name = type.Name(vocab, t);
+      check(pairs, name, type.cardinality.max_out, "targets", "max_out");
+      for (auto& [a, b] : pairs) std::swap(a, b);
+      check(pairs, name, type.cardinality.max_in, "sources", "max_in");
     }
-    for (const auto& [type, per_dst] : in_sources) {
-      if (type->cardinality.kind == CardinalityKind::kUnknown) continue;
-      for (const auto& [dst, sources] : per_dst) {
-        if (sources.size() > type->cardinality.max_in) {
-          add(ViolationKind::kCardinalityExceeded, true, 0,
-              "target " + std::to_string(dst) + " exceeds max_in " +
-                  std::to_string(type->cardinality.max_in));
-        }
-      }
+    std::stable_sort(exceeded.begin(), exceeded.end(),
+                     [](const Violation& a, const Violation& b) {
+                       return a.element_id < b.element_id;
+                     });
+    for (Violation& v : exceeded) {
+      if (full()) break;
+      report.violations.push_back(std::move(v));
     }
   }
 

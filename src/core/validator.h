@@ -18,7 +18,9 @@ enum class ViolationKind {
   kUndeclaredProperty,   ///< STRICT only: a property not in the type.
   kDataTypeMismatch,     ///< STRICT only: value incompatible with the type.
   kEndpointMismatch,     ///< STRICT only: edge endpoints not in rho_s.
-  kCardinalityExceeded,  ///< STRICT only: observed degree above the bound.
+  kCardinalityExceeded,  ///< STRICT only: a node's distinct neighbours
+                         ///< through an edge type exceed its bound; the
+                         ///< violation names the node.
 };
 
 const char* ViolationKindName(ViolationKind kind);

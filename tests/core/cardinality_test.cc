@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+
+#include "util/rng.h"
+
 namespace pghive::core {
 namespace {
 
@@ -104,6 +111,96 @@ TEST(CardinalityTest, BoundsAreSoundUpperBounds) {
   Cardinality c = CardinalityForEdges(f.graph, edges);
   EXPECT_EQ(c.max_out, 2u);  // person0 -> {1,2}.
   EXPECT_EQ(c.max_in, 2u);   // person1 <- {0,3}.
+}
+
+// Exact values, not only soundness: every bound equals the one a
+// std::map<NodeId, std::set<NodeId>> reference counts per direction.
+using NodeSets = std::map<pg::NodeId, std::set<pg::NodeId>>;
+
+size_t MaxSetSize(const NodeSets& sets) {
+  size_t max = 0;
+  for (const auto& [node, set] : sets) max = std::max(max, set.size());
+  return max;
+}
+
+// Random multigraphs with parallel edges, self-loops and isolated nodes, the
+// edges spread over several types that share sources and targets, plus one
+// type with no instances, all bounded in one ComputeCardinalities call: a
+// scratch entry one type leaves behind would skew the next type's count.
+TEST(CardinalityTest, MatchesSetReferenceOnRandomMultigraphs) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    util::Rng rng(seed);
+    pg::PropertyGraph g;
+    const size_t num_nodes = 1 + rng.NextBounded(40);
+    for (size_t i = 0; i < num_nodes; ++i) g.AddNode({"N"});
+    // Edges touch only the first `active` nodes; the rest stay isolated.
+    const size_t active = 1 + rng.NextBounded(num_nodes);
+    const size_t num_types = 1 + rng.NextBounded(5);
+    SchemaGraph schema;
+    schema.edge_types().resize(num_types + 1);  // The last one stays empty.
+    const size_t num_edges = rng.NextBounded(250);
+    for (size_t i = 0; i < num_edges; ++i) {
+      pg::NodeId src = rng.NextBounded(active);
+      pg::NodeId dst = rng.NextBool(0.1) ? src : rng.NextBounded(active);
+      auto& type = schema.edge_types()[rng.NextBounded(num_types)];
+      type.instances.push_back(g.AddEdge(src, dst, {"R"}));
+      if (rng.NextBool(0.2)) {
+        type.instances.push_back(g.AddEdge(src, dst, {"R"}));  // Parallel.
+      }
+    }
+    ComputeCardinalities(g, &schema);
+
+    for (size_t t = 0; t < schema.edge_types().size(); ++t) {
+      const EdgeType& type = schema.edge_types()[t];
+      NodeSets out;
+      NodeSets in;
+      for (uint64_t id : type.instances) {
+        out[g.edge(id).src].insert(g.edge(id).dst);
+        in[g.edge(id).dst].insert(g.edge(id).src);
+      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " type " +
+                   std::to_string(t));
+      EXPECT_EQ(type.cardinality.max_out, MaxSetSize(out));
+      EXPECT_EQ(type.cardinality.max_in, MaxSetSize(in));
+      EXPECT_EQ(type.cardinality.kind,
+                ClassifyCardinality(MaxSetSize(out), MaxSetSize(in)));
+      // CardinalityForEdges, with scratch of its own, agrees.
+      Cardinality alone = CardinalityForEdges(g, type.instances);
+      EXPECT_EQ(alone.max_out, type.cardinality.max_out);
+      EXPECT_EQ(alone.max_in, type.cardinality.max_in);
+    }
+    EXPECT_EQ(schema.edge_types().back().cardinality.kind,
+              CardinalityKind::kUnknown);
+  }
+}
+
+// Per-node degrees, in first-occurrence order, over many calls on one
+// counter.
+TEST(DistinctDegreeCounterTest, PerNodeDegreesMatchSetReference) {
+  util::Rng rng(0xD15C);
+  const size_t num_nodes = 30;
+  DistinctDegreeCounter counter(num_nodes);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::pair<pg::NodeId, pg::NodeId>> pairs;
+    const size_t num_pairs = rng.NextBounded(120);
+    for (size_t i = 0; i < num_pairs; ++i) {
+      pairs.emplace_back(rng.NextBounded(num_nodes),
+                         rng.NextBounded(num_nodes));
+    }
+    NodeSets reference;
+    std::vector<pg::NodeId> first_seen;
+    for (const auto& [from, to] : pairs) {
+      if (!reference.count(from)) first_seen.push_back(from);
+      reference[from].insert(to);
+    }
+    const auto& degrees = counter.Count(pairs);
+    ASSERT_EQ(degrees.size(), first_seen.size()) << "round " << round;
+    for (size_t i = 0; i < degrees.size(); ++i) {
+      EXPECT_EQ(degrees[i].first, first_seen[i]) << "round " << round;
+      EXPECT_EQ(degrees[i].second, reference[first_seen[i]].size())
+          << "round " << round << " node " << first_seen[i];
+    }
+  }
 }
 
 }  // namespace

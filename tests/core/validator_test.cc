@@ -139,7 +139,51 @@ TEST(ValidatorTest, CardinalityExceededInStrict) {
   options.mode = SchemaMode::kStrict;
   SchemaValidator validator(&f.schema, options);
   ValidationReport report = validator.Validate(f.graph);
-  EXPECT_GE(report.CountKind(ViolationKind::kCardinalityExceeded), 1u);
+  // One violation, naming the node that exceeds the bound.
+  ASSERT_EQ(report.violations.size(), 1u) << report.Summary();
+  const Violation& v = report.violations[0];
+  EXPECT_EQ(v.kind, ViolationKind::kCardinalityExceeded);
+  EXPECT_FALSE(v.is_edge);
+  EXPECT_EQ(v.element_id, 0u);
+  EXPECT_NE(v.detail.find("max_out 1"), std::string::npos) << v.detail;
+}
+
+// Cardinality violations come out in ascending node id, whatever order the
+// edges arrive in, so a max_violations cap keeps the lowest ids.
+TEST(ValidatorTest, CardinalityViolationsInAscendingNodeOrder) {
+  Fixture f;
+  std::vector<pg::NodeId> people;
+  for (int i = 0; i < 5; ++i) {
+    pg::NodeId p = f.graph.AddNode({"Person"});
+    f.graph.SetNodeProperty(p, "name", pg::Value("P"));
+    f.graph.SetNodeProperty(p, "age", pg::Value(static_cast<int64_t>(20)));
+    people.push_back(p);
+  }
+  // Highest id first, each new person works at two new orgs: max_out is 1,
+  // and every org keeps one employee, within max_in.
+  for (auto it = people.rbegin(); it != people.rend(); ++it) {
+    for (int j = 0; j < 2; ++j) {
+      pg::NodeId org = f.graph.AddNode({"Org"});
+      f.graph.SetNodeProperty(org, "name", pg::Value("O"));
+      f.graph.AddEdge(*it, org, {"WORKS_AT"});
+    }
+  }
+  ValidatorOptions options;
+  options.mode = SchemaMode::kStrict;
+  for (size_t cap : {size_t{0}, size_t{3}}) {
+    options.max_violations = cap;
+    ValidationReport report =
+        SchemaValidator(&f.schema, options).Validate(f.graph);
+    std::vector<uint64_t> named;
+    for (const Violation& v : report.violations) {
+      EXPECT_EQ(v.kind, ViolationKind::kCardinalityExceeded) << v.detail;
+      EXPECT_FALSE(v.is_edge);
+      named.push_back(v.element_id);
+    }
+    std::vector<uint64_t> want(people.begin(), people.end());
+    if (cap > 0) want.resize(cap);
+    EXPECT_EQ(named, want) << "cap " << cap;
+  }
 }
 
 TEST(ValidatorTest, MaxViolationsCapsOutput) {

@@ -126,21 +126,33 @@ TEST_P(RandomGraphTest, InferredTypesCoverAllValues) {
 }
 
 // §4.7 "Cardinalities": recorded bounds are sound — recomputing from the
-// assigned instances never exceeds them.
+// assigned instances never exceeds them — and tight: some source attains
+// max_out and some target attains max_in.
 TEST_P(RandomGraphTest, CardinalityBoundsAreSound) {
   pg::PropertyGraph g = RandomGraph(GetParam() ^ 0xCAFE, 80, 200);
   core::PgHiveOptions options;
   core::PgHive pipeline(&g, options);
   ASSERT_TRUE(pipeline.Run().ok());
   for (const auto& t : pipeline.schema().edge_types()) {
-    if (t.cardinality.kind == core::CardinalityKind::kUnknown) continue;
     std::map<pg::NodeId, std::set<pg::NodeId>> out;
+    std::map<pg::NodeId, std::set<pg::NodeId>> in;
     for (uint64_t id : t.instances) {
       out[g.edge(id).src].insert(g.edge(id).dst);
+      in[g.edge(id).dst].insert(g.edge(id).src);
     }
+    size_t max_out = 0;
+    size_t max_in = 0;
     for (const auto& [src, targets] : out) {
       EXPECT_LE(targets.size(), t.cardinality.max_out);
+      max_out = std::max(max_out, targets.size());
     }
+    for (const auto& [dst, sources] : in) {
+      EXPECT_LE(sources.size(), t.cardinality.max_in);
+      max_in = std::max(max_in, sources.size());
+    }
+    EXPECT_EQ(max_out, t.cardinality.max_out);
+    EXPECT_EQ(max_in, t.cardinality.max_in);
+    EXPECT_EQ(t.cardinality.kind, core::ClassifyCardinality(max_out, max_in));
   }
 }
 
