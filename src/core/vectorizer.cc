@@ -1,5 +1,7 @@
 #include "core/vectorizer.h"
 
+#include <algorithm>
+
 namespace pghive::core {
 
 namespace {
@@ -9,8 +11,9 @@ constexpr uint64_t kSrcTag = 2ULL << 40;
 constexpr uint64_t kDstTag = 3ULL << 40;
 constexpr uint64_t kKeyTag = 4ULL << 40;
 
-/// Rows per ParallelFor chunk. Embedding one row is a few hundred flops, so
-/// this keeps chunk dispatch overhead well under 1% of the work.
+/// Rows (or table tokens) per ParallelFor chunk. Embedding one token is a
+/// few hundred flops, so this keeps chunk dispatch overhead well under 1%
+/// of the work.
 constexpr size_t kRowGrain = 256;
 
 }  // namespace
@@ -25,9 +28,59 @@ Vectorizer::Vectorizer(pg::PropertyGraph* graph,
                        util::ThreadPool* pool)
     : graph_(graph), embedder_(embedder), pool_(pool) {}
 
+void Vectorizer::TokenTable::Add(const std::vector<pg::LabelSetToken>& tokens,
+                                 const embed::LabelEmbedder& embedder,
+                                 util::ThreadPool* pool) {
+  dim_ = embedder.dim();
+  const size_t first_new = tokens_.size();
+  pg::LabelSetToken prev = pg::kNoToken;
+  for (const pg::LabelSetToken token : tokens) {
+    // Rows of one label set tend to sit together; skip the lookup for a run.
+    if (token == prev || token == pg::kNoToken) continue;
+    prev = token;
+    const uint32_t entry = static_cast<uint32_t>(tokens_.size());
+    if (index_.try_emplace(token, entry).second) tokens_.push_back(token);
+  }
+  vectors_.resize(tokens_.size() * dim_);
+  util::ParallelFor(pool, first_new, tokens_.size(), kRowGrain,
+                    [&](size_t lo, size_t hi) {
+                      for (size_t e = lo; e < hi; ++e) {
+                        embedder.Embed(tokens_[e], &vectors_[e * dim_]);
+                      }
+                    });
+}
+
+const float* Vectorizer::TokenTable::Find(pg::LabelSetToken token) const {
+  const auto it = index_.find(token);
+  return it == index_.end() ? nullptr : &vectors_[it->second * dim_];
+}
+
+void Vectorizer::TokenTable::FillBlock(
+    const std::vector<pg::LabelSetToken>& tokens, size_t lo, size_t hi,
+    float* data, size_t stride, size_t offset) const {
+  pg::LabelSetToken prev = pg::kNoToken;
+  const float* vec = nullptr;
+  for (size_t row = lo; row < hi; ++row) {
+    if (tokens[row] != prev) {
+      prev = tokens[row];
+      vec = Find(prev);
+    }
+    if (vec != nullptr) {
+      std::copy_n(vec, dim_, data + (row - lo) * stride + offset);
+    }
+  }
+}
+
+void Vectorizer::TokenTable::Clear() {
+  index_.clear();
+  tokens_.clear();
+  vectors_.clear();
+}
+
 const pg::ColumnStore& Vectorizer::NodeColumns(const pg::GraphBatch& batch) {
   if (node_cols_.ids() != batch.node_ids) {
     node_cols_ = pg::ColumnStore::ForNodes(*graph_, batch.node_ids);
+    table_.Clear();
   }
   return node_cols_;
 }
@@ -35,6 +88,7 @@ const pg::ColumnStore& Vectorizer::NodeColumns(const pg::GraphBatch& batch) {
 const pg::ColumnStore& Vectorizer::EdgeColumns(const pg::GraphBatch& batch) {
   if (edge_cols_.ids() != batch.edge_ids) {
     edge_cols_ = pg::ColumnStore::ForEdges(*graph_, batch.edge_ids);
+    table_.Clear();
   }
   return edge_cols_;
 }
@@ -47,12 +101,11 @@ FeatureMatrix Vectorizer::NodeFeatures(const pg::GraphBatch& batch) {
   m.dim = d + k;
   m.data.assign(m.num * m.dim, 0.0f);
   const pg::ColumnStore& cols = NodeColumns(batch);
-  const std::vector<pg::LabelSetToken>& tokens = cols.tokens();
+  table_.Add(cols.tokens(), *embedder_, pool_);
   util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      embedder_->Embed(tokens[i], &m.data[i * m.dim]);
-    }
-    cols.FillBinaryBlock(lo, hi, k, &m.data[lo * m.dim], m.dim, d);
+    float* rows = &m.data[lo * m.dim];
+    table_.FillBlock(cols.tokens(), lo, hi, rows, m.dim, 0);
+    cols.FillBinaryBlock(lo, hi, k, rows, m.dim, d);
   });
   return m;
 }
@@ -65,14 +118,15 @@ FeatureMatrix Vectorizer::EdgeFeatures(const pg::GraphBatch& batch) {
   m.dim = 3 * d + q;
   m.data.assign(m.num * m.dim, 0.0f);
   const pg::ColumnStore& cols = EdgeColumns(batch);
+  table_.Add(cols.tokens(), *embedder_, pool_);
+  table_.Add(cols.src_tokens(), *embedder_, pool_);
+  table_.Add(cols.dst_tokens(), *embedder_, pool_);
   util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      float* row = &m.data[i * m.dim];
-      embedder_->Embed(cols.tokens()[i], row);
-      embedder_->Embed(cols.src_tokens()[i], row + d);
-      embedder_->Embed(cols.dst_tokens()[i], row + 2 * d);
-    }
-    cols.FillBinaryBlock(lo, hi, q, &m.data[lo * m.dim], m.dim, 3 * d);
+    float* rows = &m.data[lo * m.dim];
+    table_.FillBlock(cols.tokens(), lo, hi, rows, m.dim, 0);
+    table_.FillBlock(cols.src_tokens(), lo, hi, rows, m.dim, d);
+    table_.FillBlock(cols.dst_tokens(), lo, hi, rows, m.dim, 2 * d);
+    cols.FillBinaryBlock(lo, hi, q, rows, m.dim, 3 * d);
   });
   return m;
 }

@@ -2,6 +2,7 @@
 #define PGHIVE_CORE_VECTORIZER_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,17 +42,30 @@ struct ElementSetCsr {
 /// block. The binary block uses a global key-id -> column map shared by all
 /// rows of one call so identical patterns produce identical vectors.
 ///
-/// The sweep runs over per-batch pg::ColumnStore tables: the embed block
-/// reads the contiguous token arrays and the binary block is filled from
+/// The sweep runs over per-batch pg::ColumnStore tables: the embed blocks
+/// come from a per-batch token table and the binary block is filled from
 /// the key CSR, with no per-row PropertyMap access in the hot loops. With a
 /// thread pool, rows are sharded across workers. The column build is the
 /// sequential intern pre-pass (in row order, so token ids never depend on
 /// the thread count); the parallel phase then only reads the columns and
-/// the embedder, and each row writes its own slice of the output —
+/// the token table, and each row writes its own slice of the output —
 /// bit-identical at every pool size. As a side effect, every token of the
 /// batch (including edge endpoint tokens) is interned once NodeFeatures and
 /// EdgeFeatures have run, which is what lets the later node/edge tracks
 /// share the vocabulary read-only.
+///
+/// The token table holds one embedding per distinct label-set token of the
+/// batch: a feature call embeds the tokens its rows bring that the table
+/// lacks (sharded on the pool), then each row copies its d floats per
+/// block. A batch has far fewer tokens than rows, so Embed runs once per
+/// token instead of once per row slot; the table's size follows the
+/// batch's tokens, never the vocabulary's. Building either column store
+/// drops the table, so its embeddings are always taken after the batch's
+/// stores were built (PgHive builds both, then trains, then vectorizes);
+/// the embedder must not change between the feature calls of one batch,
+/// which Word2Vec's sequencing contract already requires. The feature
+/// calls fill the table, so two of them on one Vectorizer must not
+/// overlap.
 class Vectorizer {
  public:
   Vectorizer(pg::PropertyGraph* graph, const embed::LabelEmbedder* embedder,
@@ -86,6 +100,33 @@ class Vectorizer {
   EdgeEndpointTokens(const pg::GraphBatch& batch);
 
  private:
+  /// Embeddings of distinct label-set tokens, in first-seen order.
+  class TokenTable {
+   public:
+    /// Embeds each token of `tokens` the table lacks; kNoToken is skipped.
+    void Add(const std::vector<pg::LabelSetToken>& tokens,
+             const embed::LabelEmbedder& embedder, util::ThreadPool* pool);
+
+    /// Copies the embedding of tokens[row] into
+    /// data[(row - lo) * stride + offset ..] for every row in [lo, hi) —
+    /// the ColumnStore::FillBinaryBlock layout. A kNoToken row is left
+    /// untouched: the feature matrix starts zeroed, which is its embedding.
+    void FillBlock(const std::vector<pg::LabelSetToken>& tokens, size_t lo,
+                   size_t hi, float* data, size_t stride,
+                   size_t offset) const;
+
+    void Clear();
+
+   private:
+    /// The embedding of `token`, or nullptr when the table lacks it.
+    const float* Find(pg::LabelSetToken token) const;
+
+    std::unordered_map<pg::LabelSetToken, uint32_t> index_;  // Token -> entry.
+    std::vector<pg::LabelSetToken> tokens_;  // Entry -> token.
+    std::vector<float> vectors_;             // Entry -> dim floats.
+    size_t dim_ = 0;
+  };
+
   pg::PropertyGraph* graph_;
   const embed::LabelEmbedder* embedder_;
   util::ThreadPool* pool_;
@@ -94,6 +135,7 @@ class Vectorizer {
   // ids yield the same store.
   pg::ColumnStore node_cols_;
   pg::ColumnStore edge_cols_;
+  TokenTable table_;
 };
 
 /// Element-universe tags for MinHash sets (exposed for tests).

@@ -2,26 +2,73 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 
 #include "util/binio.h"
+#include "util/rng.h"
 
 namespace pghive::pg {
 
+namespace {
+
+// Appends `name` with '\\' and '|' escaped by a backslash, so a '|' in a
+// token string only ever separates labels.
+void AppendEscapedLabel(std::string* out, std::string_view name) {
+  for (const char c : name) {
+    if (c == '\\' || c == '|') out->push_back('\\');
+    out->push_back(c);
+  }
+}
+
+}  // namespace
+
+size_t Vocabulary::IdsHash::operator()(const std::vector<LabelId>& ids) const {
+  uint64_t h = ids.size();
+  for (const LabelId id : ids) h = util::HashCombine(h, id);
+  return static_cast<size_t>(h);
+}
+
 LabelSetToken Vocabulary::TokenForLabelSet(const std::vector<LabelId>& labels) {
   if (labels.empty()) return kNoToken;
-  // A one-label set's token is the label's name: look it up as it is.
-  if (labels.size() == 1) return tokens_.Intern(labels_.Get(labels[0]));
+  // Graph elements hold their labels sorted and deduplicated, so the usual
+  // call looks its ids up as they are.
+  if (std::adjacent_find(labels.begin(), labels.end(),
+                         std::greater_equal<>()) == labels.end()) {
+    return TokenForSortedSet(labels);
+  }
+  std::vector<LabelId> ids = labels;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return TokenForSortedSet(ids);
+}
+
+LabelSetToken Vocabulary::TokenForSortedSet(const std::vector<LabelId>& ids) {
+  if (ids.size() == 1) {
+    if (single_.size() <= ids[0]) {
+      PGHIVE_CHECK(ids[0] < labels_.size());
+      single_.resize(labels_.size(), kNoToken);
+    }
+    LabelSetToken& token = single_[ids[0]];
+    if (token == kNoToken) {
+      std::string name;
+      AppendEscapedLabel(&name, labels_.Get(ids[0]));
+      token = tokens_.Intern(name);
+    }
+    return token;
+  }
+  if (const auto it = multi_.find(ids); it != multi_.end()) return it->second;
   std::vector<std::string_view> names;
-  names.reserve(labels.size());
-  for (LabelId id : labels) names.push_back(labels_.Get(id));
+  names.reserve(ids.size());
+  for (const LabelId id : ids) names.push_back(labels_.Get(id));
   std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
   std::string joined;
   for (size_t i = 0; i < names.size(); ++i) {
     if (i) joined.push_back('|');
-    joined.append(names[i]);
+    AppendEscapedLabel(&joined, names[i]);
   }
-  return tokens_.Intern(joined);
+  const LabelSetToken token = tokens_.Intern(joined);
+  multi_.emplace(ids, token);
+  return token;
 }
 
 void Vocabulary::AppendStateTo(std::string* out) const {
@@ -78,6 +125,8 @@ util::Status Vocabulary::RestoreState(std::string_view bytes) {
   // three interners swap or none does.
   util::StringInterner* mut[3] = {&labels_, &keys_, &tokens_};
   for (size_t k = 0; k < 3; ++k) mut[k]->Rebuild(std::move(lists[k]));
+  single_.clear();
+  multi_.clear();
   return util::Status::Ok();
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
@@ -51,9 +52,19 @@ class Vocabulary {
   size_t num_labels() const { return labels_.size(); }
   size_t num_keys() const { return keys_.size(); }
 
-  /// Canonical token for a label set: labels sorted by *name* and joined
-  /// with '|'. An empty set returns kNoToken. The same set always maps to
-  /// the same token regardless of input order.
+  /// Canonical token for a label set. An empty set returns kNoToken. The
+  /// token string is the set's distinct label names sorted by name, each
+  /// with '\\' and '|' escaped by a backslash as the graph text writes
+  /// them in a label, joined by '|': {Student,Person} is "Person|Student"
+  /// and the one label "A|B" is "A\\|B", so no one-label set spells a
+  /// multi-label one. The same set maps to the same token regardless of
+  /// input order or duplicates, and tokens are interned in first-occurrence
+  /// order.
+  ///
+  /// Each set builds its string once: an index keyed by label ids (a flat
+  /// array by LabelId for one-label sets, a hash map keyed by the sorted
+  /// id list for larger ones) answers every later call. RestoreState
+  /// clears the index, which refills from the restored tokens.
   LabelSetToken TokenForLabelSet(const std::vector<LabelId>& labels);
 
   /// The token string ("Person|Student"). Valid token ids only.
@@ -78,9 +89,20 @@ class Vocabulary {
   util::Status RestoreState(std::string_view bytes);
 
  private:
+  struct IdsHash {
+    size_t operator()(const std::vector<LabelId>& ids) const;
+  };
+
+  // TokenForLabelSet for a non-empty, sorted, deduplicated id list.
+  LabelSetToken TokenForSortedSet(const std::vector<LabelId>& ids);
+
   util::StringInterner labels_;
   util::StringInterner keys_;
   util::StringInterner tokens_;
+  // The token index: single_[l] is the token of {l} (kNoToken until first
+  // seen); multi_ holds every larger set seen so far.
+  std::vector<LabelSetToken> single_;
+  std::unordered_map<std::vector<LabelId>, LabelSetToken, IdsHash> multi_;
 };
 
 }  // namespace pghive::pg

@@ -132,6 +132,27 @@ TEST(PgHiveTest, AssignmentsCoverEveryElement) {
   }
 }
 
+TEST(PgHiveTest, LabelNamedWithPipeIsNotTheLabelSetItSpells) {
+  // One node labelled "A|B", one labelled {A, B}: distinct label sets, so
+  // distinct tokens, embeddings and node types.
+  pg::PropertyGraph g;
+  auto one = g.AddNode({"A|B"});
+  g.SetNodeProperty(one, "name", pg::Value("x"));
+  auto both = g.AddNode({"A", "B"});
+  g.SetNodeProperty(both, "name", pg::Value("y"));
+  for (const ClusterMethod method :
+       {ClusterMethod::kElsh, ClusterMethod::kMinHash}) {
+    PgHiveOptions options;
+    options.method = method;
+    PgHive pipeline(&g, options);
+    ASSERT_TRUE(pipeline.Run().ok());
+    const std::vector<uint32_t> assignment = pipeline.NodeAssignment();
+    ASSERT_EQ(assignment.size(), 2u);
+    EXPECT_NE(assignment[one], assignment[both]);
+    EXPECT_EQ(pipeline.schema().num_node_types(), 2u);
+  }
+}
+
 TEST(PgHiveTest, EmptyGraphYieldsEmptySchema) {
   pg::PropertyGraph g;
   auto result = DiscoverSchema(&g);

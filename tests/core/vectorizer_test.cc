@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <mutex>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "datasets/generator.h"
 #include "datasets/zoo.h"
+#include "embed/corpus.h"
 #include "embed/hash_embedder.h"
+#include "embed/word2vec.h"
+#include "util/thread_pool.h"
 
 namespace pghive::core {
 namespace {
@@ -242,6 +249,140 @@ TEST(VectorizerEquivalenceTest, ColumnarFeaturesMatchRowFeaturesExactly) {
       EXPECT_EQ(endpoints[i].second,
                 graph.vocab().TokenForLabelSet(graph.node(e.dst).labels));
     }
+  }
+  // A trained Word2Vec over an incremental split, in PgHive's preprocess
+  // order (edge store, node store, train, vectorize): every batch's
+  // features equal the per-row Embed reference at both pool sizes, and the
+  // two pool sizes agree byte for byte.
+  std::vector<std::vector<float>> first_pool;
+  for (const size_t threads : {1, 4}) {
+    datasets::Dataset dataset =
+        datasets::Generate(datasets::LdbcSpec(), 0.05, 31);
+    pg::PropertyGraph& graph = dataset.graph;
+    embed::Word2Vec model(&graph.vocab(), embed::Word2VecOptions{});
+    util::ThreadPool pool(threads);
+    std::vector<std::vector<float>> features;
+    for (const pg::GraphBatch& batch : pg::SplitIntoBatches(graph, 4, 7)) {
+      Vectorizer vectorizer(&graph, &model, &pool);
+      const pg::ColumnStore& edge_cols = vectorizer.EdgeColumns(batch);
+      const pg::ColumnStore& node_cols = vectorizer.NodeColumns(batch);
+      model.Train(embed::BuildLabelCorpus(graph, edge_cols, node_cols), &pool);
+      FeatureMatrix nodes = vectorizer.NodeFeatures(batch);
+      FeatureMatrix edges = vectorizer.EdgeFeatures(batch);
+      EXPECT_EQ(nodes.data, NaiveNodeFeatures(graph, model, batch).data)
+          << "threads=" << threads;
+      EXPECT_EQ(edges.data, NaiveEdgeFeatures(graph, model, batch).data)
+          << "threads=" << threads;
+      features.push_back(std::move(nodes.data));
+      features.push_back(std::move(edges.data));
+    }
+    ASSERT_EQ(features.size(), 8u);
+    if (first_pool.empty()) {
+      first_pool = std::move(features);
+    } else {
+      EXPECT_EQ(features, first_pool);
+    }
+  }
+}
+
+/// Counts Embed calls per token; embeds like the HashEmbedder it wraps.
+/// Embed runs on pool workers, so the counts sit behind a mutex.
+class CountingEmbedder : public embed::LabelEmbedder {
+ public:
+  explicit CountingEmbedder(const pg::Vocabulary* vocab)
+      : inner_(vocab, 8, 5) {}
+
+  size_t dim() const override { return inner_.dim(); }
+  void Embed(pg::LabelSetToken token, float* out) const override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++calls_[token];
+    }
+    inner_.Embed(token, out);
+  }
+
+  std::map<pg::LabelSetToken, size_t> calls() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return calls_;
+  }
+
+ private:
+  embed::HashEmbedder inner_;
+  mutable std::mutex mutex_;
+  mutable std::map<pg::LabelSetToken, size_t> calls_;
+};
+
+TEST(VectorizerTokenTableTest, EmbedsEachDistinctTokenOfTheBatchOnce) {
+  datasets::Dataset dataset =
+      datasets::Generate(datasets::LdbcSpec(), 0.05, 37);
+  pg::PropertyGraph& graph = dataset.graph;
+  for (const size_t threads : {1, 4}) {
+    util::ThreadPool pool(threads);
+    for (const pg::GraphBatch& batch : pg::SplitIntoBatches(graph, 3, 5)) {
+      CountingEmbedder embedder(&graph.vocab());
+      Vectorizer vectorizer(&graph, &embedder, &pool);
+      // PgHive's order: both stores, then the feature calls.
+      const pg::ColumnStore& edge_cols = vectorizer.EdgeColumns(batch);
+      const pg::ColumnStore& node_cols = vectorizer.NodeColumns(batch);
+      FeatureMatrix nodes = vectorizer.NodeFeatures(batch);
+      FeatureMatrix edges = vectorizer.EdgeFeatures(batch);
+      std::set<pg::LabelSetToken> distinct;
+      for (const auto* column : {&node_cols.tokens(), &edge_cols.tokens(),
+                                 &edge_cols.src_tokens(),
+                                 &edge_cols.dst_tokens()}) {
+        distinct.insert(column->begin(), column->end());
+      }
+      distinct.erase(pg::kNoToken);
+      const std::map<pg::LabelSetToken, size_t> calls = embedder.calls();
+      EXPECT_LE(calls.size(), distinct.size()) << "threads=" << threads;
+      for (const auto& [token, count] : calls) {
+        EXPECT_EQ(count, 1u) << "token " << token << " threads=" << threads;
+        EXPECT_TRUE(distinct.count(token)) << "token " << token;
+      }
+      EXPECT_EQ(nodes.data, NaiveNodeFeatures(graph, embedder, batch).data);
+      EXPECT_EQ(edges.data, NaiveEdgeFeatures(graph, embedder, batch).data);
+    }
+  }
+}
+
+TEST(VectorizerTokenTableTest, OneNodeBatchEmbedsOneTokenOfALargeVocabulary) {
+  pg::PropertyGraph graph;
+  for (int i = 0; i < 2000; ++i) {
+    pg::NodeId n = graph.AddNode({"L" + std::to_string(i)});
+    graph.SetNodeProperty(n, "k", pg::Value(static_cast<int64_t>(i)));
+  }
+  // Intern every token, so the vocabulary is far larger than the batch.
+  for (const pg::Node& n : graph.nodes()) {
+    graph.vocab().TokenForLabelSet(n.labels);
+  }
+  ASSERT_EQ(graph.vocab().num_tokens(), 2000u);
+  CountingEmbedder embedder(&graph.vocab());
+  Vectorizer vectorizer(&graph, &embedder);
+  pg::GraphBatch batch;
+  batch.node_ids = {1234};
+  FeatureMatrix m = vectorizer.NodeFeatures(batch);
+  const pg::LabelSetToken token =
+      graph.vocab().TokenForLabelSet(graph.node(1234).labels);
+  EXPECT_EQ(embedder.calls(), (std::map<pg::LabelSetToken, size_t>{{token, 1}}));
+  EXPECT_EQ(m.data, NaiveNodeFeatures(graph, embedder, batch).data);
+}
+
+TEST(VectorizerTokenTableTest, NewBatchTakesFreshEmbeddings) {
+  // The table belongs to the batch: after a store is rebuilt for another
+  // batch, a retrained embedder's vectors show up in the features.
+  datasets::Dataset dataset =
+      datasets::Generate(datasets::PoleSpec(), 0.05, 41);
+  pg::PropertyGraph& graph = dataset.graph;
+  embed::Word2Vec model(&graph.vocab(), embed::Word2VecOptions{});
+  Vectorizer vectorizer(&graph, &model);
+  for (const pg::GraphBatch& batch : pg::SplitIntoBatches(graph, 3, 9)) {
+    const pg::ColumnStore& edge_cols = vectorizer.EdgeColumns(batch);
+    const pg::ColumnStore& node_cols = vectorizer.NodeColumns(batch);
+    model.Train(embed::BuildLabelCorpus(graph, edge_cols, node_cols));
+    EXPECT_EQ(vectorizer.NodeFeatures(batch).data,
+              NaiveNodeFeatures(graph, model, batch).data);
+    EXPECT_EQ(vectorizer.EdgeFeatures(batch).data,
+              NaiveEdgeFeatures(graph, model, batch).data);
   }
 }
 
