@@ -203,14 +203,17 @@ class PgHive {
 
   /// Writes a versioned snapshot of the full cross-batch discovery state:
   /// the vocabulary (all three interners), the incremental Word2Vec weights,
-  /// the running schema, cumulative statistics, the options fingerprint, and
-  /// the batch cursor. Format: "PGHS" magic + u32 version, then CRC-framed
-  /// util/binio sections, so a flipped bit or truncated file is rejected on
-  /// restore instead of silently corrupting discovery. Snapshotting is only
-  /// meaningful at a batch boundary (between ProcessBatch calls, or after a
-  /// BatchPipeline::Run returned) — mid-pipeline the preprocess of a later
-  /// batch may already have advanced the vocabulary. A failed hive cannot be
-  /// snapshotted.
+  /// the running schema, the options fingerprint, and the batch cursor.
+  /// Format: "PGHS" magic + u32 version, then CRC-framed util/binio
+  /// sections, so a flipped bit or truncated file is rejected on restore
+  /// instead of silently corrupting discovery. The bytes depend only on the
+  /// options and the batches merged (no timings), so equal runs write equal
+  /// snapshots. This is the one checkpoint format: `pghive discover
+  /// --checkpoint-to` writes it, and so does every pghived session.
+  /// Snapshotting is only meaningful at a batch boundary (between
+  /// ProcessBatch calls, or after a BatchPipeline::Run returned) —
+  /// mid-pipeline the preprocess of a later batch may already have advanced
+  /// the vocabulary. A failed hive cannot be snapshotted.
   util::Status SaveState(std::ostream& out) const;
 
   /// Restores a SaveState snapshot into a freshly created hive: same
@@ -221,8 +224,9 @@ class PgHive {
   /// with the snapshot (empty, or reloaded from the same graph file).
   /// Returns the number of batches the snapshotted run had already merged;
   /// continuing with the remaining batches reproduces the uninterrupted
-  /// run's schema byte for byte. On failure the hive may be partially
-  /// mutated and must be discarded.
+  /// run's schema byte for byte. Statistics are not restored: last_stats()
+  /// and total_stats() count only batches merged after the restore. On
+  /// failure the hive may be partially mutated and must be discarded.
   util::StatusOr<uint64_t> RestoreState(std::istream& in);
 
  private:

@@ -7,8 +7,9 @@
 // unknown ids are skipped so the format can grow within a version. The
 // snapshot captures exactly the state PreprocessBatch advances across
 // batches (vocabulary interners, Word2Vec weights) plus the running schema,
-// the cumulative stats, the options fingerprint, and the batch cursor —
-// everything else in the pipeline is derived per batch from these.
+// the options fingerprint, and the batch cursor — everything else in the
+// pipeline is derived per batch from these. No wall-clock value is written,
+// so two runs with the same options and batches write the same bytes.
 
 #include <istream>
 #include <map>
@@ -27,12 +28,13 @@ namespace {
 constexpr char kStateMagic[4] = {'P', 'G', 'H', 'S'};
 constexpr uint32_t kStateVersion = 1;
 
-// Section ids. Never renumber; add new ids at the end.
+// Section ids. Never renumber or reuse; add new ids at the end. Id 5 held
+// the wall-clock PipelineStats and is retired: older files carry it, and
+// restore skips it like any unknown id.
 constexpr uint32_t kOptionsSection = 1;
 constexpr uint32_t kVocabSection = 2;
 constexpr uint32_t kEmbedderSection = 3;
 constexpr uint32_t kSchemaSection = 4;
-constexpr uint32_t kStatsSection = 5;
 constexpr uint32_t kCursorSection = 6;
 
 std::string SerializeOptionsPayload(const PgHiveOptions& o) {
@@ -105,42 +107,6 @@ util::StatusOr<PgHiveOptions> ParseOptionsPayload(std::string_view payload) {
                                     valid.message());
   }
   return o;
-}
-
-void PutAdaptiveChoice(std::string* out, const AdaptiveChoice& c) {
-  util::PutF64(out, c.mu);
-  util::PutF64(out, c.alpha);
-  util::PutF64(out, c.bucket_length);
-  util::PutU64(out, c.num_tables);
-}
-
-void ReadAdaptiveChoice(util::ByteReader* in, AdaptiveChoice* c) {
-  c->mu = in->ReadF64();
-  c->alpha = in->ReadF64();
-  c->bucket_length = in->ReadF64();
-  c->num_tables = in->ReadU64();
-}
-
-void PutStats(std::string* out, const PipelineStats& s) {
-  util::PutF64(out, s.preprocess_ms);
-  util::PutF64(out, s.cluster_ms);
-  util::PutF64(out, s.extract_ms);
-  util::PutF64(out, s.post_process_ms);
-  util::PutU64(out, s.node_clusters);
-  util::PutU64(out, s.edge_clusters);
-  PutAdaptiveChoice(out, s.node_params);
-  PutAdaptiveChoice(out, s.edge_params);
-}
-
-void ReadStats(util::ByteReader* in, PipelineStats* s) {
-  s->preprocess_ms = in->ReadF64();
-  s->cluster_ms = in->ReadF64();
-  s->extract_ms = in->ReadF64();
-  s->post_process_ms = in->ReadF64();
-  s->node_clusters = in->ReadU64();
-  s->edge_clusters = in->ReadU64();
-  ReadAdaptiveChoice(in, &s->node_params);
-  ReadAdaptiveChoice(in, &s->edge_params);
 }
 
 /// Knobs that change what schema discovery computes — a resume with any of
@@ -256,10 +222,6 @@ util::Status PgHive::SaveState(std::ostream& out) const {
     util::AppendSection(&bytes, kEmbedderSection, weights);
   }
   util::AppendSection(&bytes, kSchemaSection, SerializeSchemaBinary(schema_));
-  std::string stats;
-  PutStats(&stats, last_stats_);
-  PutStats(&stats, total_stats_);
-  util::AppendSection(&bytes, kStatsSection, stats);
   std::string cursor;
   util::PutU64(&cursor, batches_processed_);
   util::PutU8(&cursor, phase_ == Phase::kFinished ? 1 : 0);
@@ -313,20 +275,6 @@ util::StatusOr<uint64_t> PgHive::RestoreState(std::istream& in) {
   auto schema = ParseSchemaBinary(std::string(sections->at(kSchemaSection)));
   if (!schema.ok()) return schema.status();
 
-  std::string_view stats_payload;
-  PipelineStats last_stats;
-  PipelineStats total_stats;
-  if (sections->count(kStatsSection)) {
-    stats_payload = sections->at(kStatsSection);
-    util::ByteReader stats(stats_payload);
-    ReadStats(&stats, &last_stats);
-    ReadStats(&stats, &total_stats);
-    if (!stats.ok() || !stats.AtEnd()) {
-      return util::Status::ParseError(
-          "state snapshot: corrupt stats section");
-    }
-  }
-
   // Everything parsed and validated; start mutating. The vocabulary and
   // Word2Vec restores still validate internally (position consistency, dim,
   // matrix shape) and leave their component untouched on failure, but a
@@ -344,8 +292,6 @@ util::StatusOr<uint64_t> PgHive::RestoreState(std::istream& in) {
     }
   }
   schema_ = *std::move(schema);
-  last_stats_ = last_stats;
-  total_stats_ = total_stats;
   batches_processed_ = static_cast<size_t>(batches);
   phase_ = finished != 0 ? Phase::kFinished : Phase::kIngesting;
   return batches;

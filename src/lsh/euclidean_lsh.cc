@@ -27,7 +27,7 @@ EuclideanLsh::EuclideanLsh(size_t dim, EuclideanLshParams params)
 void EuclideanLsh::Hash(const float* x, uint64_t* out) const {
   for (size_t t = 0; t < params_.num_tables; ++t) {
     const float* a = &projections_[t * dim_];
-    // Fixed-tree kernel: bit-identical between the AVX2 and scalar builds.
+    // Fixed-tree kernel: the same sum in every build.
     const double dot = util::DotF32(a, x, dim_);
     double bucket = std::floor((dot + offsets_[t]) / params_.bucket_length);
     out[t] = static_cast<uint64_t>(static_cast<int64_t>(bucket));

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/serialize.h"
 #include "pg/graph_io.h"
 #include "util/parse.h"
 
@@ -36,20 +37,26 @@ Response BodyResponse(std::string info, std::string body) {
   return response;
 }
 
-/// Picks the requested rendering out of a snapshot; empty form = "pgs".
+}  // namespace
+
 util::StatusOr<std::string> SnapshotForm(const SchemaSnapshot& snapshot,
                                          const std::string& form) {
-  if (form.empty() || form == "pgs") return snapshot.pgs_strict;
-  if (form == "pgs-loose") return snapshot.pgs_loose;
-  if (form == "xsd") return snapshot.xsd;
-  if (form == "describe") return snapshot.describe;
-  if (form == "binary") return snapshot.binary;
+  const core::SchemaGraph& schema = *snapshot.schema;
+  if (form.empty() || form == "pgs") {
+    return core::SerializePgSchema(schema, snapshot.vocab,
+                                   core::SchemaMode::kStrict);
+  }
+  if (form == "pgs-loose") {
+    return core::SerializePgSchema(schema, snapshot.vocab,
+                                   core::SchemaMode::kLoose);
+  }
+  if (form == "xsd") return core::SerializeXsd(schema, snapshot.vocab);
+  if (form == "describe") return core::DescribeSchema(schema, snapshot.vocab);
+  if (form == "binary") return core::SerializeSchemaBinary(schema);
   return util::Status::InvalidArgument(
       "unknown schema form '" + form +
       "' (want pgs, pgs-loose, xsd, describe, or binary)");
 }
-
-}  // namespace
 
 util::StatusOr<Request> ParseRequestLine(const std::string& line) {
   std::istringstream ls(line);

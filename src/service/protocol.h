@@ -41,7 +41,9 @@ namespace pghive::service {
 ///       snapshot immediately without draining the session's lane.
 ///       Default: the connection thread waits for the lane to drain, so it
 ///       sees every batch submitted before it. snapshot: connection thread,
-///       published state only, never waits for the lane.
+///       published state only, never waits for the lane. Either way the
+///       connection thread renders the one requested form from the
+///       snapshot's schema and vocabulary copy (SnapshotForm).
 ///   validate <session> <strict|loose> <n>  + body (a PG-Schema text)
 ///       Lane job; the connection thread waits for it. Sees the graph after
 ///       every batch submitted before it, and parses against a copy of the
@@ -93,6 +95,12 @@ struct Response {
   bool has_body = false;
   std::string body;
 };
+
+/// Renders one form of a published snapshot: pgs (or empty), pgs-loose,
+/// xsd, describe or binary; InvalidArgument for anything else. Reads only
+/// the snapshot, so any thread may call it while the session ingests.
+util::StatusOr<std::string> SnapshotForm(const SchemaSnapshot& snapshot,
+                                         const std::string& form);
 
 /// Splits a request line into command + args. Empty lines are invalid.
 util::StatusOr<Request> ParseRequestLine(const std::string& line);

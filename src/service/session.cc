@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <future>
 #include <sstream>
 #include <string_view>
@@ -13,57 +11,21 @@
 #include "core/options.h"
 #include "core/pgschema_parser.h"
 #include "core/schema_diff.h"
-#include "core/serialize.h"
 #include "core/validator.h"
 #include "util/binio.h"
+#include "util/file_io.h"
 
 namespace pghive::service {
 
 namespace {
 
-constexpr char kSessionMagic[4] = {'P', 'G', 'H', 'D'};
-/// Version 2 holds no graph: the ingest log does. Version 1 snapshots
-/// embedded the graph text and are refused (see CreateFromState).
-constexpr uint32_t kSessionVersion = 2;
-
-// Session snapshot section ids ("PGHD" container). Never renumber or reuse:
-// 1 (graph text) and 2 (assembler fill bitmaps) were version 1's, retired.
-constexpr uint32_t kHiveStateSection = 3;
-constexpr uint32_t kCountersSection = 4;
+/// Magic of the session container older builds wrapped the hive snapshot
+/// in. Such files are refused (see CreateFromState); no reader is kept.
+constexpr std::string_view kOldSessionMagic = "PGHD";
 
 /// Ceiling on one WaitForDiffs long-poll, so a subscriber can never wedge
 /// server shutdown for longer than this.
 constexpr uint64_t kMaxFeedWaitMs = 30000;
-
-/// Writes `bytes` to `path` atomically: a sibling tmp file, then rename, so
-/// a crash mid-write never leaves a torn file under the real name.
-util::Status AtomicWriteFile(const std::string& path,
-                             const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      return util::Status::IoError("cannot write " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return util::Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-  return util::Status::Ok();
-}
-
-/// Reads all of `path`: NotFound when it cannot be opened (normally, it
-/// does not exist yet), IoError when reading fails midway.
-util::StatusOr<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::NotFound("cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return util::Status::IoError("cannot read " + path);
-  return bytes;
-}
 
 /// Cuts `path`, whose contents are `bytes`, back to its first `keep` bytes
 /// (atomically; no-op when nothing lies past `keep`). The restore policy of
@@ -74,14 +36,14 @@ util::StatusOr<std::string> ReadWholeFile(const std::string& path) {
 util::Status CutToPrefix(const std::string& path, const std::string& bytes,
                          size_t keep) {
   if (keep == bytes.size()) return util::Status::Ok();
-  return AtomicWriteFile(path, bytes.substr(0, keep));
+  return util::AtomicWriteFile(path, bytes.substr(0, keep));
 }
 
 /// Reconciles a feed segment file with a restored session's version counter:
 /// keeps the longest clean prefix of records numbered contiguously
 /// 1..max_version and cuts everything past it.
 util::Status TruncateFeedFile(const std::string& path, uint64_t max_version) {
-  auto bytes = ReadWholeFile(path);
+  auto bytes = util::ReadWholeFile(path);
   if (bytes.status().code() == util::StatusCode::kNotFound) {
     return util::Status::Ok();  // No segment yet: nothing to reconcile.
   }
@@ -208,7 +170,7 @@ void Session::IngestJob(const std::string& payload) {
     if (status_.ok()) status_ = status;
     return;
   }
-  Publish(/*is_final=*/false);
+  Publish();
   if (!durability_.state_path.empty() && durability_.checkpoint_every > 0 &&
       hive_->batches_processed() % durability_.checkpoint_every == 0) {
     util::Status checkpointed = CheckpointInLane();
@@ -250,7 +212,7 @@ void Session::FinishJob() {
     if (status_.ok()) status_ = status;
     return;
   }
-  Publish(/*is_final=*/true);
+  Publish();
   // The final schema always checkpoints (regardless of checkpoint_every), so
   // a restart after Finish still serves the post-processed snapshot.
   if (!durability_.state_path.empty()) {
@@ -262,35 +224,32 @@ void Session::FinishJob() {
   }
 }
 
-std::shared_ptr<SchemaSnapshot> Session::RenderSnapshot(bool is_final) const {
+std::shared_ptr<const SchemaSnapshot> Session::MakeSnapshot(
+    uint64_t version) const {
   auto snapshot = std::make_shared<SchemaSnapshot>();
+  snapshot->version = version;
   snapshot->batches = hive_->batches_processed();
-  snapshot->is_final = is_final;
-  const core::SchemaGraph& schema = hive_->schema();
-  const pg::Vocabulary& vocab = graph_->vocab();
-  snapshot->pgs_strict =
-      core::SerializePgSchema(schema, vocab, core::SchemaMode::kStrict);
-  snapshot->pgs_loose =
-      core::SerializePgSchema(schema, vocab, core::SchemaMode::kLoose);
-  snapshot->xsd = core::SerializeXsd(schema, vocab);
-  snapshot->describe = core::DescribeSchema(schema, vocab);
-  snapshot->binary = core::SerializeSchemaBinary(schema);
+  snapshot->is_final = hive_->phase() == core::PgHive::Phase::kFinished;
+  snapshot->schema =
+      std::make_shared<const core::SchemaGraph>(hive_->schema());
+  snapshot->vocab = graph_->vocab();
   return snapshot;
 }
 
-void Session::Publish(bool is_final) {
-  auto snapshot = RenderSnapshot(is_final);
-  // The changefeed record for this publish. Diffed in-lane (the renderer
-  // reads the vocabulary, which only lane jobs may touch) against the
-  // schema as of the previous publish.
-  core::SchemaDiff diff =
-      core::DiffSchemas(prev_schema_, hive_->schema(), graph_->vocab());
-  prev_schema_ = hive_->schema();
-  diff.batch = snapshot->batches;
+void Session::Publish() {
   // versions_published_ is only ever advanced from lane jobs, which the
   // queue serializes, so reading it here without the mutex is ordered; the
   // mutex below still guards the cross-thread readers.
   const uint64_t version = versions_published_ + 1;
+  std::shared_ptr<const SchemaSnapshot> snapshot = MakeSnapshot(version);
+  // The changefeed record for this publish: the schema against the one the
+  // previous snapshot holds (none before the first).
+  const std::shared_ptr<const SchemaSnapshot> previous = Snapshot();
+  const core::SchemaGraph none;
+  core::SchemaDiff diff =
+      core::DiffSchemas(previous ? *previous->schema : none, *snapshot->schema,
+                        snapshot->vocab);
+  diff.batch = snapshot->batches;
   diff.version_from = version - 1;
   diff.version_to = version;
   std::string record = core::SerializeSchemaDiffBinary(diff);
@@ -300,7 +259,6 @@ void Session::Publish(bool is_final) {
   AppendFeedRecord(record);
   std::lock_guard<std::mutex> lock(mutex_);
   versions_published_ = version;
-  snapshot->version = version;
   feed_records_.push_back(std::move(record));
   while (feed_records_.size() > durability_.feed_backlog) {
     feed_records_.pop_front();
@@ -390,32 +348,17 @@ util::StatusOr<std::string> Session::BuildStateBytes() {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!status_.ok()) return status_;
   }
-  std::string bytes;
-  bytes.append(kSessionMagic, sizeof(kSessionMagic));
-  util::PutU32(&bytes, kSessionVersion);
-  std::ostringstream hive;
-  util::Status saved = hive_->SaveState(hive);
+  std::ostringstream bytes;
+  util::Status saved = hive_->SaveState(bytes);
   if (!saved.ok()) return saved;
-  util::AppendSection(&bytes, kHiveStateSection, hive.str());
-  std::string counters;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Submitted == processed here: this code runs as a lane job, so every
-    // batch submitted before it has already committed, and any submitted
-    // after it will replay against the restored session.
-    util::PutU64(&counters, hive_->batches_processed());
-    util::PutU64(&counters, versions_published_);
-    util::PutU8(&counters, finish_submitted_ ? 1 : 0);
-  }
-  util::AppendSection(&bytes, kCountersSection, counters);
-  return bytes;
+  return bytes.str();
 }
 
 util::Status Session::CheckpointInLane() {
   if (durability_.state_path.empty()) return util::Status::Ok();
   auto bytes = BuildStateBytes();
   if (!bytes.ok()) return bytes.status();
-  return AtomicWriteFile(durability_.state_path, *bytes);
+  return util::AtomicWriteFile(durability_.state_path, *bytes);
 }
 
 util::StatusOr<std::string> Session::SaveState() {
@@ -443,83 +386,46 @@ util::Status Session::WriteCheckpoint() {
 util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
     std::string id, const std::string& bytes, util::ThreadPool* pool,
     JobQueue* queue, SessionDurability durability) {
-  util::ByteReader in(bytes);
-  if (!in.Has(sizeof(kSessionMagic)) ||
-      bytes.compare(0, sizeof(kSessionMagic), kSessionMagic,
-                    sizeof(kSessionMagic)) != 0) {
-    return util::Status::ParseError("session snapshot: bad magic");
-  }
-  in.ReadBytes(sizeof(kSessionMagic));
-  uint32_t version = in.ReadU32();
-  if (in.ok() && version == 1) {
+  const std::string_view view(bytes);
+  if (view.substr(0, kOldSessionMagic.size()) == kOldSessionMagic) {
+    util::ByteReader header(view.substr(kOldSessionMagic.size()));
+    const uint32_t version = header.ReadU32();
     return util::Status::FailedPrecondition(
-        "session snapshot: version 1 embeds the graph text and was written "
-        "by an older build; finish or re-stream the session with that "
-        "build");
+        "session snapshot: a \"PGHD\" version " +
+        (header.ok() ? std::to_string(version) : std::string("?")) +
+        " session file, written by an older build; finish or re-stream the "
+        "session with that build");
   }
-  // Forward compatible like the "PGHS" reader: newer writers may only append
-  // optional sections, so any version >= ours restores; unknown section ids
-  // below are skipped.
-  if (!in.ok() || version < kSessionVersion) {
-    return util::Status::ParseError(
-        "session snapshot: bad header or unsupported version");
-  }
-  std::map<uint32_t, std::string_view> sections;
-  while (!in.AtEnd()) {
-    uint32_t section_id = 0;
-    std::string_view payload;
-    if (!util::ReadSection(&in, &section_id, &payload)) {
-      return util::Status::ParseError(
-          "session snapshot: truncated or corrupt section");
-    }
-    if (!sections.emplace(section_id, payload).second) {
-      return util::Status::ParseError("session snapshot: duplicate section " +
-                                      std::to_string(section_id));
-    }
-  }
-  for (uint32_t required : {kHiveStateSection, kCountersSection}) {
-    if (!sections.count(required)) {
-      return util::Status::ParseError("session snapshot: missing section " +
-                                      std::to_string(required));
-    }
-  }
-  const std::string hive_bytes(sections.at(kHiveStateSection));
-  auto options = core::ReadSnapshotOptions(hive_bytes);
+  auto options = core::ReadSnapshotOptions(bytes);
   if (!options.ok()) return options.status();
-  util::ByteReader counters(sections.at(kCountersSection));
-  const uint64_t batches = counters.ReadU64();
-  const uint64_t versions_published = counters.ReadU64();
-  const uint8_t finish_submitted = counters.ReadU8();
-  if (!counters.ok() || !counters.AtEnd() || finish_submitted > 1) {
-    return util::Status::ParseError(
-        "session snapshot: corrupt counters section");
-  }
-  if (batches > 0 && durability.log_path.empty()) {
-    return util::Status::FailedPrecondition(
-        "session snapshot holds " + std::to_string(batches) +
-        " batches but the session has no ingest log to rebuild them from");
-  }
-
   std::shared_ptr<Session> session(new Session(std::move(id), *options, pool,
                                                queue, std::move(durability)));
   // Order matters: the hive restore rebuilds the vocabulary first (trivially
   // position-consistent with the empty graph), so the log replay below
   // resolves every label and key to its snapshotted id — the id order the
   // stream preamble had fixed, which the feature layout depends on.
-  std::istringstream hive_in(hive_bytes);
+  std::istringstream hive_in(bytes);
   auto restored = session->hive_->RestoreState(hive_in);
   if (!restored.ok()) return restored.status();
-  if (*restored != batches) {
-    return util::Status::ParseError(
-        "session snapshot: corrupt counters section");
+  const uint64_t batches = *restored;
+  const SessionDurability& paths = session->durability_;
+  if (batches > 0 && paths.log_path.empty()) {
+    return util::Status::FailedPrecondition(
+        "session snapshot holds " + std::to_string(batches) +
+        " batches but the session has no ingest log to rebuild them from");
   }
+  // Every committed batch published one version and Finish one more, and a
+  // poisoned session never checkpoints, so the hive's cursor is all the
+  // session counters there are.
+  const bool finished =
+      session->hive_->phase() == core::PgHive::Phase::kFinished;
+  const uint64_t versions_published = batches + (finished ? 1 : 0);
 
   // Rebuild the graph from log records 1..batches, then cut the log and the
   // feed back to what the snapshot covers. Cutting last means a failed
   // restore leaves every file as it found it.
-  const SessionDurability& paths = session->durability_;
   if (!paths.log_path.empty()) {
-    auto log = ReadWholeFile(paths.log_path);
+    auto log = util::ReadWholeFile(paths.log_path);
     if (log.ok()) {
       auto kept = ReplayIngestLog(paths.log_path, *log, batches,
                                   session->assembler_.get());
@@ -542,14 +448,10 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
 
   session->batches_submitted_ = batches;
   session->versions_published_ = versions_published;
-  session->finish_submitted_ = finish_submitted != 0;
-  session->prev_schema_ = session->hive_->schema();
+  session->finish_submitted_ = finished;
   session->first_feed_version_ = versions_published + 1;
   if (versions_published > 0) {
-    auto snapshot = session->RenderSnapshot(
-        session->hive_->phase() == core::PgHive::Phase::kFinished);
-    snapshot->version = versions_published;
-    session->snapshot_ = std::move(snapshot);
+    session->snapshot_ = session->MakeSnapshot(versions_published);
   }
   return session;
 }
@@ -593,7 +495,7 @@ util::StatusOr<std::string> Session::ReadFeedFromDisk(
       std::to_string(after_version + 1) +
       "; refetch the schema and resubscribe from its version");
   if (durability_.feed_path.empty()) return pruned;
-  auto bytes = ReadWholeFile(durability_.feed_path);
+  auto bytes = util::ReadWholeFile(durability_.feed_path);
   if (bytes.status().code() == util::StatusCode::kNotFound) return pruned;
   if (!bytes.ok()) return bytes.status();
   auto records = core::ScanSchemaDiffStream(*bytes, nullptr);

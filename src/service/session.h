@@ -12,6 +12,7 @@
 
 #include "core/pghive.h"
 #include "core/schema.h"
+#include "pg/vocabulary.h"
 #include "service/assembler.h"
 #include "service/job_queue.h"
 #include "util/status.h"
@@ -20,20 +21,18 @@
 namespace pghive::service {
 
 /// An immutable, versioned view of a session's discovered schema, published
-/// after each committed job. Every rendering is materialized eagerly inside
-/// the session's serialized job lane — rendering lazily on the reader's
-/// thread would race with the vocabulary, which later ingest batches still
-/// mutate. Readers therefore never see a half-merged batch and never touch
-/// live pipeline state.
+/// after each committed job: the schema and a copy of the vocabulary as of
+/// that version, both taken inside the session's serialized job lane.
+/// Readers render the form they ask for on their own thread (SnapshotForm in
+/// service/protocol.h). The copy is what makes that safe: later ingest
+/// batches still mutate the live vocabulary. Readers therefore never see a
+/// half-merged batch and never touch live pipeline state.
 struct SchemaSnapshot {
   uint64_t version = 0;   ///< Monotonic per session; bumps per committed job.
   size_t batches = 0;     ///< Batches folded in so far.
   bool is_final = false;  ///< True once Finish() ran (post-processing done).
-  std::string pgs_strict;  ///< PG-Schema, STRICT mode.
-  std::string pgs_loose;   ///< PG-Schema, LOOSE mode.
-  std::string xsd;         ///< XML Schema rendering.
-  std::string describe;    ///< Human-readable summary.
-  std::string binary;      ///< core::SerializeSchemaBinary bytes.
+  std::shared_ptr<const core::SchemaGraph> schema;  ///< As of `version`.
+  pg::Vocabulary vocab;  ///< Names the schema's label, key and token ids.
 };
 
 /// Outcome of validating a PG-Schema text against a session's graph.
@@ -43,14 +42,14 @@ struct ValidationResult {
 };
 
 /// Daemon-owned durability for one session: where to append its ingest log,
-/// where to checkpoint its "PGHD" snapshot and how often, and where to spill
+/// where to checkpoint its hive snapshot and how often, and where to spill
 /// changefeed records evicted from the in-memory backlog. Default-constructed
 /// == fully in-memory (the pre-durability behavior). Paths are owned by the
 /// session: a fresh session deletes any stale files at them, a restored one
 /// cuts the log and the feed segment back to what the snapshot covers.
 struct SessionDurability {
-  std::string state_path;  ///< "PGHD" snapshot target; empty = no scheduled
-                           ///< checkpoints.
+  std::string state_path;  ///< Checkpoint target (PgHive::SaveState bytes);
+                           ///< empty = no scheduled checkpoints.
   std::string log_path;    ///< Ingest log: every committed payload, CRC-framed
                            ///< with its 1-based batch number — the durable
                            ///< copy of the graph. Empty = none, and then only
@@ -96,6 +95,11 @@ class Session {
   /// past the snapshot are cut off: the client re-sends those batches.
   /// Streaming the remaining batches afterwards produces a schema
   /// byte-identical to the uninterrupted session's.
+  ///
+  /// The session counters follow from the hive: k batches accepted, k
+  /// versions published plus one if the hive finished, and finished iff
+  /// the hive is. A "PGHD" file (the session container of older builds) is
+  /// refused with an error naming its version.
   static util::StatusOr<std::shared_ptr<Session>> CreateFromState(
       std::string id, const std::string& bytes, util::ThreadPool* pool,
       JobQueue* queue, SessionDurability durability = {});
@@ -136,10 +140,11 @@ class Session {
   util::StatusOr<ValidationResult> Validate(const std::string& pgs_text,
                                             bool strict);
 
-  /// Serializes the session — the full PgHive state and the session
-  /// counters, not the graph, which the ingest log holds — as a lane job, so
-  /// the bytes always describe a batch boundary ("PGHD" magic + u32 version
-  /// + CRC-framed util/binio sections). Restore with CreateFromState.
+  /// The session's checkpoint bytes: PgHive::SaveState of its hive (not the
+  /// graph, which the ingest log holds), taken as a lane job so the bytes
+  /// always describe a batch boundary. They equal what `pghive discover
+  /// --checkpoint-to` writes for the same options and batches. Restore with
+  /// CreateFromState.
   util::StatusOr<std::string> SaveState();
 
   /// Checkpoints the session to its durability state_path now, as a lane job
@@ -175,13 +180,15 @@ class Session {
   /// without a log_path. Lane jobs only.
   util::Status AppendLogRecord(uint64_t batch, const std::string& payload);
   void FinishJob();
-  /// Materializes every schema rendering from live state. Lane jobs only.
-  std::shared_ptr<SchemaSnapshot> RenderSnapshot(bool is_final) const;
-  /// Renders and swaps in a new snapshot, appending its changefeed record
-  /// (spilled to the feed segment file *before* the version becomes visible,
-  /// so the file always covers every published version). Lane jobs only.
-  void Publish(bool is_final);
-  /// Serializes the full session snapshot bytes. Lane jobs only.
+  /// Copies the live schema and vocabulary into a snapshot of `version`.
+  /// Lane jobs only.
+  std::shared_ptr<const SchemaSnapshot> MakeSnapshot(uint64_t version) const;
+  /// Swaps in a new snapshot, appending its changefeed record (its schema
+  /// diffed against the previous snapshot's, spilled to the feed segment
+  /// file *before* the version becomes visible, so the file always covers
+  /// every published version). Lane jobs only.
+  void Publish();
+  /// The hive's SaveState bytes. Lane jobs only.
   util::StatusOr<std::string> BuildStateBytes();
   /// Atomic (tmp + rename) checkpoint to durability_.state_path; Ok when no
   /// path is configured. Lane jobs only.
@@ -207,9 +214,6 @@ class Session {
   std::unique_ptr<pg::PropertyGraph> graph_;
   std::unique_ptr<core::PgHive> hive_;
   std::unique_ptr<GraphAssembler> assembler_;
-  /// The schema as of the last published version; lane jobs only. Publish
-  /// diffs the fresh schema against this to produce the changefeed record.
-  core::SchemaGraph prev_schema_;
   /// Appenders for durability_.log_path and feed_path (lazily opened); lane
   /// jobs only.
   std::ofstream log_out_;

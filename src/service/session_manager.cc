@@ -4,10 +4,10 @@
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <utility>
 #include <vector>
+
+#include "util/file_io.h"
 
 namespace pghive::service {
 
@@ -97,15 +97,13 @@ util::Status SessionManager::RestoreFromCheckpointDir() {
   std::sort(snapshots.begin(), snapshots.end());
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [numeric_id, path] : snapshots) {
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (!in || in.bad()) {
+    auto bytes = util::ReadWholeFile(path);
+    if (!bytes.ok()) {
       return util::Status::IoError("cannot read checkpoint " + path);
     }
     std::string id = "s" + std::to_string(numeric_id);
-    auto session =
-        Session::CreateFromState(id, bytes, pool_, &queue_, DurabilityFor(id));
+    auto session = Session::CreateFromState(id, *bytes, pool_, &queue_,
+                                            DurabilityFor(id));
     if (!session.ok()) {
       return util::Status(session.status().code(),
                           "checkpoint " + path + ": " +

@@ -22,9 +22,10 @@ class SessionManager {
   struct Options {
     size_t max_sessions = 64;  ///< Eviction backstop for runaway clients.
     /// Directory for daemon-owned durability: every session appends each
-    /// payload to <dir>/<id>.log, checkpoints its "PGHD" snapshot to
-    /// <dir>/<id>.pghd and spills evicted changefeed records to
-    /// <dir>/<id>.feed. Empty = fully in-memory sessions.
+    /// payload to <dir>/<id>.log, checkpoints its hive snapshot (the bytes
+    /// `pghive discover --checkpoint-to` writes) to <dir>/<id>.pghd and
+    /// spills evicted changefeed records to <dir>/<id>.feed. Empty = fully
+    /// in-memory sessions.
     std::string checkpoint_dir;
     /// Batches between scheduled checkpoints (Finish always checkpoints).
     uint64_t checkpoint_every = 1;

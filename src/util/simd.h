@@ -3,38 +3,18 @@
 
 #include <cstddef>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace pghive::util {
 
 /// Dot product of two float spans accumulated in double precision over a
 /// fixed 4-lane reduction tree: element i always lands in lane (i & 3) and
 /// the lanes combine as (l0 + l1) + (l2 + l3).
 ///
-/// The lane structure is the determinism contract: the AVX2 path (4 doubles
-/// per vector, separate multiply and add — never FMA) and the scalar
-/// fallback evaluate the exact same IEEE operation tree, so a build with
-/// either path produces bit-identical sums. The scalar form is also what
-/// auto-vectorizers turn into packed-double code on their own, which is the
-/// point of handing the hot loops contiguous columns.
+/// The lane structure is the determinism contract: every build evaluates
+/// the exact same IEEE operation tree (separate multiply and add — the
+/// build targets the x86-64 baseline, so there is no FMA contraction). It
+/// is also what auto-vectorizers turn into packed-double code on their own,
+/// which is the point of handing the hot loops contiguous columns.
 inline double DotF32(const float* a, const float* b, size_t n) {
-#if defined(__AVX2__)
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d va = _mm256_cvtps_pd(_mm_loadu_ps(a + i));
-    __m256d vb = _mm256_cvtps_pd(_mm_loadu_ps(b + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  for (; i < n; ++i) {
-    lanes[i & 3] += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-#else
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -47,7 +27,6 @@ inline double DotF32(const float* a, const float* b, size_t n) {
     lanes[i & 3] += static_cast<double>(a[i]) * static_cast<double>(b[i]);
   }
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-#endif
 }
 
 }  // namespace pghive::util

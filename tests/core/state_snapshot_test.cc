@@ -343,6 +343,29 @@ TEST(StateSnapshotTest, RetiredDataPlaneSlotIsWrittenAsOneAndIgnoredOnRead) {
   EXPECT_EQ(ResumeAndFinish(row, options, 4), run.final_schema);
 }
 
+TEST(StateSnapshotTest, RetiredStatsSectionIsNotWrittenAndIgnoredOnRead) {
+  // Section 5 held the wall-clock PipelineStats, so no two snapshots of one
+  // run were equal. It is no longer written; an older file that carries it
+  // still restores and resumes to the uninterrupted run's bytes.
+  PgHiveOptions options = BaseOptions();
+  CheckpointedRun run = RunWithCheckpoint(options, /*num_batches=*/4,
+                                          /*checkpoint_at=*/2);
+  util::ByteReader in(run.snapshot);
+  std::string older(in.ReadBytes(8));  // "PGHS" + u32 version.
+  uint32_t id = 0;
+  std::string_view payload;
+  while (util::ReadSection(&in, &id, &payload)) {
+    EXPECT_NE(id, 5u);
+    // Older writers put the stats (two PipelineStats, 224 bytes) between
+    // the schema and the cursor; their contents are never read.
+    if (id == 6) util::AppendSection(&older, 5, std::string(224, '\x7f'));
+    util::AppendSection(&older, id, payload);
+  }
+  ASSERT_TRUE(in.AtEnd());
+  ASSERT_EQ(older.size(), run.snapshot.size() + 240);
+  EXPECT_EQ(ResumeAndFinish(older, options, 4), run.final_schema);
+}
+
 TEST(StateSnapshotTest, FailedHiveRefusesToSnapshot) {
   datasets::Dataset dataset = MakeDataset();
   PgHive hive(&dataset.graph, BaseOptions());

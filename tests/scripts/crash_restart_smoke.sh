@@ -7,8 +7,10 @@
 # the ingest log 3, so every run takes the restore's cut-back path: batch 3
 # is cut from the log and the feed, and the client re-sends it. The resumed
 # schema and the full wire changefeed must be byte-identical to the one-shot
-# run. The same scenario runs in the CI release job; this CTest copy keeps
-# it reproducible locally.
+# run. The killed daemon's checkpoint is also the snapshot `pghive discover
+# --checkpoint-to` writes: resumed with `discover --resume-from`, it must
+# land on the one-shot schema too. The same scenario runs in the CI release
+# job; this CTest copy keeps it reproducible locally.
 #
 # Usage: crash_restart_smoke.sh <pghive> <pghived> <workdir>
 set -eu
@@ -19,7 +21,7 @@ WORK=$3
 
 mkdir -p "$WORK"
 cd "$WORK"
-rm -rf crash.port ckpt
+rm -rf crash.port ckpt killed.pghd
 mkdir -p ckpt
 
 cleanup() {
@@ -67,6 +69,11 @@ kill -KILL "$daemon"
 wait "$daemon" || true
 daemon=
 rm -f crash.port
+# The restarted daemon checkpoints over s1.pghd; keep what the kill left.
+cp ckpt/s1.pghd killed.pghd
+"$PGHIVE" discover --graph smoke.pg --batches 6 --resume-from killed.pghd \
+  --out cli_resumed > cli_resumed.log
+grep -q "resumed from killed.pghd: 2 batches already merged" cli_resumed.log
 
 "$PGHIVED" --port 0 --port-file crash.port --checkpoint-dir ckpt \
   --checkpoint-every 2 > pghived.log 2>&1 &
@@ -84,4 +91,6 @@ daemon=
 cmp oneshot.pgs resumed.pgs
 cmp oneshot.xsd resumed.xsd
 cmp oneshot.feed wire.feed
-echo "crash-restart resume and changefeed are byte-identical to the one-shot run"
+cmp oneshot.pgs cli_resumed.pgs
+cmp oneshot.xsd cli_resumed.xsd
+echo "crash-restart resume, CLI resume and changefeed are byte-identical to the one-shot run"

@@ -1,27 +1,38 @@
 // Daemon-owned durability: a SessionManager given a checkpoint_dir writes
-// an ingest log, scheduled "PGHD" snapshots and changefeed segment files on
+// an ingest log, scheduled hive snapshots and changefeed segment files on
 // its own authority, a fresh manager over the same directory restores every
 // session under its original id by replaying its log, and subscribers can
 // replay the *full* changefeed — including versions evicted from the
 // in-memory backlog — byte-identically across the restart. The log's
 // failure modes are pinned here too: records past the snapshot are cut
-// back, records the snapshot covers must be intact.
+// back, records the snapshot covers must be intact. A checkpoint is the
+// snapshot `pghive discover --checkpoint-to` writes, byte for byte.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/options.h"
+#include "core/pghive.h"
 #include "core/schema_diff.h"
+#include "datasets/generator.h"
+#include "datasets/zoo.h"
+#include "pg/batch.h"
 #include "pg/graph.h"
 #include "service/client.h"
+#include "service/protocol.h"
 #include "service/session.h"
 #include "service/session_manager.h"
 #include "util/binio.h"
@@ -89,7 +100,7 @@ Uninterrupted UninterruptedSession(size_t batches) {
   auto feed = (*session)->WaitForDiffs(/*after_version=*/0, 0);
   EXPECT_TRUE(feed.ok()) << feed.status().ToString();
   if (!final_snapshot.ok() || !feed.ok()) return {};
-  return {(*final_snapshot)->pgs_strict, *feed};
+  return {*SnapshotForm(**final_snapshot, "pgs"), *feed};
 }
 
 std::string ReadFile(const std::string& path) {
@@ -183,7 +194,7 @@ TEST(DurableSessionTest, ScheduledCheckpointRestoresAcrossManagers) {
   }
   auto final_snapshot = (*restored)->FinalSnapshot();
   ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
-  EXPECT_EQ((*final_snapshot)->pgs_strict, expected);
+  EXPECT_EQ(*SnapshotForm(**final_snapshot, "pgs"), expected);
 }
 
 TEST(DurableSessionTest, FinishCheckpointsEvenOffSchedule) {
@@ -203,7 +214,7 @@ TEST(DurableSessionTest, FinishCheckpointsEvenOffSchedule) {
     }
     auto final_snapshot = (*session)->FinalSnapshot();
     ASSERT_TRUE(final_snapshot.ok());
-    expected = (*final_snapshot)->pgs_strict;
+    expected = *SnapshotForm(**final_snapshot, "pgs");
     EXPECT_TRUE(fs::exists(dir + "/s1.pghd"));
   }
 
@@ -214,7 +225,7 @@ TEST(DurableSessionTest, FinishCheckpointsEvenOffSchedule) {
   auto snapshot = (*restored)->Snapshot();
   ASSERT_NE(snapshot, nullptr);
   EXPECT_TRUE(snapshot->is_final);
-  EXPECT_EQ(snapshot->pgs_strict, expected);
+  EXPECT_EQ(*SnapshotForm(*snapshot, "pgs"), expected);
 }
 
 TEST(DurableSessionTest, FeedServedFromDiskPastTheBacklog) {
@@ -499,7 +510,7 @@ TEST(DurableSessionTest, LogAheadOfTheCheckpointIsCutBack) {
   }
   auto final_snapshot = (*restored)->FinalSnapshot();
   ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
-  EXPECT_EQ((*final_snapshot)->pgs_strict, expected.pgs);
+  EXPECT_EQ(*SnapshotForm(**final_snapshot, "pgs"), expected.pgs);
   auto feed = (*restored)->WaitForDiffs(/*after_version=*/0, 0);
   ASSERT_TRUE(feed.ok()) << feed.status().ToString();
   EXPECT_EQ(*feed, expected.feed);
@@ -532,7 +543,7 @@ TEST(DurableSessionTest, TornLogTailPastTheCheckpointIsCut) {
   }
   auto final_snapshot = (*restored)->FinalSnapshot();
   ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
-  EXPECT_EQ((*final_snapshot)->pgs_strict, expected.pgs);
+  EXPECT_EQ(*SnapshotForm(**final_snapshot, "pgs"), expected.pgs);
 }
 
 TEST(DurableSessionTest, DamagedLogWithinTheCheckpointFailsRestoreLoudly) {
@@ -592,33 +603,163 @@ TEST(DurableSessionTest, DamagedLogWithinTheCheckpointFailsRestoreLoudly) {
   EXPECT_EQ((*manager.Lookup("s1"))->batches_ingested(), 3u);
 }
 
-TEST(DurableSessionTest, VersionOneCheckpointFailsNamingItsVersion) {
-  // Version 1 snapshots embedded the graph text (section 1) and the
-  // assembler's fill bitmaps (section 2). This build keeps no reader for
-  // them: the error names the version and the way out.
+TEST(DurableSessionTest, PghdCheckpointFailsNamingItsVersion) {
+  // Older builds wrapped the hive snapshot in a "PGHD" session file: the
+  // magic, a u32 version and CRC-framed sections — in version 2 the hive
+  // snapshot (3) and the counters (4), in version 1 also the graph text (1)
+  // and the assembler's fill bitmaps (2). This build keeps no reader for
+  // either: the error names the format, the version and the way out.
   pg::PropertyGraph graph = SocialGraph();
   auto payloads = BuildIngestPayloads(graph, 2);
-  const std::string dir = FreshCheckpointDir("version_one");
-  const std::string path = dir + "/s1.pghd";
-  StreamThenDie(dir, /*checkpoint_every=*/1, payloads, 1);
-  const std::string bytes = ReadFile(path);
-  ASSERT_GT(bytes.size(), 8u);
-  std::string v1 = bytes.substr(0, 4);
-  util::PutU32(&v1, 1);
-  util::AppendSection(&v1, 1, "N 0 Person name=Ann\n");
-  util::AppendSection(&v1, 2, std::string(1, '\1'));
-  v1 += bytes.substr(8);
-  WriteFile(path, v1);
+  for (uint32_t version : {1u, 2u}) {
+    const std::string dir =
+        FreshCheckpointDir("pghd_v" + std::to_string(version));
+    const std::string path = dir + "/s1.pghd";
+    StreamThenDie(dir, /*checkpoint_every=*/1, payloads, 1);
+    std::string old = "PGHD";
+    util::PutU32(&old, version);
+    if (version == 1) {
+      util::AppendSection(&old, 1, "N 0 Person name=Ann\n");
+      util::AppendSection(&old, 2, std::string(1, '\1'));
+    }
+    util::AppendSection(&old, 3, ReadFile(path));
+    std::string counters;
+    util::PutU64(&counters, 1);  // Batches.
+    util::PutU64(&counters, 1);  // Versions published.
+    util::PutU8(&counters, 0);   // Finish submitted.
+    util::AppendSection(&old, 4, counters);
+    WriteFile(path, old);
 
-  SessionManager manager(nullptr, DurableOptions(dir));
-  util::Status status = manager.RestoreFromCheckpointDir();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("s1.pghd"), std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find("version 1"), std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find("older build"), std::string::npos)
-      << status.message();
+    SessionManager manager(nullptr, DurableOptions(dir));
+    util::Status status = manager.RestoreFromCheckpointDir();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
+    EXPECT_EQ(manager.num_sessions(), 0u);
+    for (const std::string& part :
+         {std::string("s1.pghd"), std::string("PGHD"),
+          "version " + std::to_string(version), std::string("older build")}) {
+      EXPECT_NE(status.message().find(part), std::string::npos)
+          << part << ": " << status.message();
+    }
+  }
+}
+
+TEST(DurableSessionTest, CheckpointIsTheDiscoverSnapshotByteForByte) {
+  // One format: a durable session's checkpoint file equals, byte for byte,
+  // PgHive::SaveState of an in-process run over the same batches and
+  // options — the bytes `pghive discover --checkpoint-to` writes — after
+  // every batch and after Finish. Streaming twice also pins determinism:
+  // the whole file, no section masked.
+  const size_t batches = 4;
+  for (const std::string method : {"elsh", "minhash"}) {
+    const std::map<std::string, std::string> flags = {{"method", method}};
+    auto options = core::ParsePgHiveOptions(flags);
+    ASSERT_TRUE(options.ok()) << options.status().ToString();
+    // A fresh graph per run: discovery interns label-set tokens into it.
+    datasets::Dataset dataset =
+        datasets::Generate(datasets::PoleSpec(), 0.05, /*seed=*/7);
+    const std::vector<std::string> payloads =
+        BuildIngestPayloads(dataset.graph, batches);
+
+    // The in-process run: a snapshot after each batch, then after Finish.
+    std::vector<std::string> expected;
+    {
+      core::PgHive hive(&dataset.graph, *options);
+      auto save = [&] {
+        std::ostringstream out;
+        EXPECT_TRUE(hive.SaveState(out).ok());
+        expected.push_back(out.str());
+      };
+      for (const pg::GraphBatch& batch :
+           pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/1)) {
+        ASSERT_TRUE(hive.ProcessBatch(batch).ok());
+        save();
+      }
+      ASSERT_TRUE(hive.Finish().ok());
+      save();
+    }
+
+    for (const std::string run : {"first", "second"}) {
+      const std::string where = method + ", " + run + " run";
+      const std::string dir = FreshCheckpointDir("format_" + method + run);
+      SessionManager manager(nullptr, DurableOptions(dir, 1));
+      ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
+      auto session = manager.CreateSession(flags);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      for (size_t i = 0; i < batches; ++i) {
+        ASSERT_TRUE((*session)->SubmitIngest(payloads[i]).ok());
+        (*session)->Drain();
+        EXPECT_TRUE(ReadFile(dir + "/s1.pghd") == expected[i])
+            << where << ", after batch " << i + 1;
+      }
+      ASSERT_TRUE((*session)->FinalSnapshot().ok());
+      EXPECT_TRUE(ReadFile(dir + "/s1.pghd") == expected.back())
+          << where << ", after Finish";
+    }
+  }
+}
+
+TEST(DurableSessionTest, CheckpointBetweenFinalRequestAndFinishCanFinish) {
+  // A checkpoint taken after a final-schema request was accepted but before
+  // Finish ran describes a session that has not finished. The restored
+  // session must finish on request, not refuse because a finish was once
+  // asked for.
+  const size_t batches = 3;
+  const std::string expected = UninterruptedSession(batches).pgs;
+  ASSERT_FALSE(expected.empty());
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, batches);
+  const std::string dir = FreshCheckpointDir("finish_wedge");
+  const std::string copy = FreshCheckpointDir("finish_wedge_copy");
+  {
+    util::ThreadPool pool(2);
+    SessionManager manager(&pool, DurableOptions(dir, 1));
+    ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
+    auto session = manager.CreateSession({});
+    ASSERT_TRUE(session.ok());
+    for (size_t i = 0; i + 1 < batches; ++i) {
+      ASSERT_TRUE((*session)->SubmitIngest(payloads[i]).ok());
+    }
+    (*session)->Drain();
+
+    // Lane: hold 1, the last ingest (and its checkpoint), hold 2, Finish.
+    JobQueue& queue = manager.queue();
+    std::promise<void> release_first;
+    std::promise<void> second_started;
+    std::promise<void> release_second;
+    ASSERT_TRUE(queue.Submit("s1", [&] { release_first.get_future().wait(); }));
+    ASSERT_TRUE((*session)->SubmitIngest(payloads.back()).ok());
+    ASSERT_TRUE(queue.Submit("s1", [&] {
+      second_started.set_value();
+      release_second.get_future().wait();
+    }));
+    std::promise<std::string> final_pgs;
+    std::thread requester([&] {
+      auto final_snapshot = (*session)->FinalSnapshot();
+      final_pgs.set_value(final_snapshot.ok()
+                              ? *SnapshotForm(**final_snapshot, "pgs")
+                              : final_snapshot.status().ToString());
+    });
+    // Finish is queued once the lane holds four jobs.
+    while (queue.pending() < 4) std::this_thread::yield();
+    release_first.set_value();
+    // Hold 2 runs only after the ingest job, checkpoint included, is done.
+    second_started.get_future().wait();
+    fs::copy(dir, copy, fs::copy_options::recursive);
+    release_second.set_value();
+    requester.join();
+    EXPECT_EQ(final_pgs.get_future().get(), expected);
+  }
+
+  SessionManager manager(nullptr, DurableOptions(copy, 1));
+  util::Status restored_dir = manager.RestoreFromCheckpointDir();
+  ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
+  auto restored = manager.Lookup("s1");
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ((*restored)->batches_ingested(), batches);
+  auto final_snapshot = (*restored)->FinalSnapshot();
+  ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
+  EXPECT_EQ(*SnapshotForm(**final_snapshot, "pgs"), expected);
 }
 
 TEST(DurableSessionTest, SnapshotWithBatchesNeedsAnIngestLog) {

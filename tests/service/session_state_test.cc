@@ -18,9 +18,9 @@
 #include "pg/batch.h"
 #include "pg/graph.h"
 #include "service/client.h"
+#include "service/protocol.h"
 #include "service/session.h"
 #include "service/session_manager.h"
-#include "util/binio.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -86,7 +86,8 @@ std::string UninterruptedSessionPgs(size_t batches) {
   }
   auto final_snapshot = (*session)->FinalSnapshot();
   EXPECT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
-  return final_snapshot.ok() ? (*final_snapshot)->pgs_strict : std::string();
+  return final_snapshot.ok() ? *SnapshotForm(**final_snapshot, "pgs")
+                             : std::string();
 }
 
 TEST(SessionStateTest, SaveRestoreContinueMatchesUninterrupted) {
@@ -125,7 +126,7 @@ TEST(SessionStateTest, SaveRestoreContinueMatchesUninterrupted) {
   }
   auto final_snapshot = (*restored)->FinalSnapshot();
   ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
-  EXPECT_EQ((*final_snapshot)->pgs_strict, expected);
+  EXPECT_EQ(*SnapshotForm(**final_snapshot, "pgs"), expected);
   EXPECT_EQ((*final_snapshot)->batches, batches);
 }
 
@@ -160,7 +161,8 @@ TEST(SessionStateTest, SaveAtEveryBoundaryRestoresIdentically) {
     }
     auto final_snapshot = (*restored)->FinalSnapshot();
     ASSERT_TRUE(final_snapshot.ok());
-    EXPECT_EQ((*final_snapshot)->pgs_strict, expected) << "at " << at;
+    EXPECT_EQ(*SnapshotForm(**final_snapshot, "pgs"), expected)
+        << "at " << at;
   }
 }
 
@@ -180,7 +182,7 @@ TEST(SessionStateTest, FinishedSessionRestoresFinished) {
     // Finish always checkpoints.
     auto final_snapshot = (*session)->FinalSnapshot();
     ASSERT_TRUE(final_snapshot.ok());
-    expected = (*final_snapshot)->pgs_strict;
+    expected = *SnapshotForm(**final_snapshot, "pgs");
   }
 
   SessionManager restorer(nullptr, DurableOptions(dir));
@@ -191,7 +193,7 @@ TEST(SessionStateTest, FinishedSessionRestoresFinished) {
   auto snapshot = (*restored)->Snapshot();
   ASSERT_NE(snapshot, nullptr);
   EXPECT_TRUE(snapshot->is_final);
-  EXPECT_EQ(snapshot->pgs_strict, expected);
+  EXPECT_EQ(*SnapshotForm(*snapshot, "pgs"), expected);
   // A finished session stays finished: further ingest is rejected.
   EXPECT_FALSE((*restored)->SubmitIngest(payloads[0]).ok());
 }
@@ -276,55 +278,6 @@ TEST(SessionStateTest, ChangefeedDeliversDiffsInVersionOrder) {
   ASSERT_TRUE(final_records.ok());
   ASSERT_EQ(final_records->size(), 1u);
   EXPECT_EQ((*final_records)[0].version_to, 3u);
-}
-
-TEST(SessionStateTest, NewerVersionWithAppendedSectionRestores) {
-  // Same forward-compat policy as the "PGHS" hive snapshot: a newer "PGHD"
-  // writer may only append optional sections, so a bumped u32 version word
-  // (little-endian, offset 4) plus an unknown trailing section must restore
-  // on today's binary and resume byte-identically.
-  const size_t batches = 3;
-  const std::string expected = UninterruptedSessionPgs(batches);
-  pg::PropertyGraph graph = SocialGraph();
-  auto payloads = BuildIngestPayloads(graph, batches);
-  const std::string dir = FreshCheckpointDir("newer");
-  const std::string path = dir + "/s1.pghd";
-  {
-    SessionManager saver(nullptr, DurableOptions(dir));
-    ASSERT_TRUE(saver.RestoreFromCheckpointDir().ok());
-    auto session = saver.CreateSession({});
-    ASSERT_TRUE(session.ok());
-    ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
-    ASSERT_TRUE((*session)->WriteCheckpoint().ok());
-  }
-  const std::string bytes = ReadFile(path);
-  ASSERT_EQ(bytes[4], 2);  // Today's version.
-
-  // Versions below ours are malformed, not futuristic.
-  std::string ancient = bytes;
-  ancient[4] = 0;
-  WriteFile(path, ancient);
-  {
-    SessionManager restorer(nullptr, DurableOptions(dir));
-    EXPECT_FALSE(restorer.RestoreFromCheckpointDir().ok());
-  }
-
-  std::string future = bytes;
-  future[4] = 3;
-  util::AppendSection(&future, /*id=*/999, "optional payload from v3");
-  WriteFile(path, future);
-  SessionManager restorer(nullptr, DurableOptions(dir));
-  util::Status restored_dir = restorer.RestoreFromCheckpointDir();
-  ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
-  auto restored = restorer.Lookup("s1");
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->batches_ingested(), 1u);
-  for (size_t i = 1; i < batches; ++i) {
-    ASSERT_TRUE((*restored)->SubmitIngest(payloads[i]).ok());
-  }
-  auto final_snapshot = (*restored)->FinalSnapshot();
-  ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
-  EXPECT_EQ((*final_snapshot)->pgs_strict, expected);
 }
 
 TEST(SessionStateTest, RestoredSessionPrunesOldFeedWindow) {

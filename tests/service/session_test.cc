@@ -16,6 +16,7 @@
 #include "pg/batch.h"
 #include "pg/graph.h"
 #include "service/client.h"
+#include "service/protocol.h"
 #include "service/session_manager.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -124,10 +125,11 @@ TEST(SessionTest, StreamedScheduleMatchesOneShot) {
   ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
   EXPECT_TRUE((*final_snapshot)->is_final);
   EXPECT_EQ((*final_snapshot)->batches, 3u);
-  EXPECT_EQ((*final_snapshot)->pgs_strict, expected);
+  EXPECT_EQ(*SnapshotForm(**final_snapshot, "pgs"), expected);
 
   // The binary form reconstructs the same schema structure.
-  auto schema = core::ParseSchemaBinary((*final_snapshot)->binary);
+  auto schema =
+      core::ParseSchemaBinary(*SnapshotForm(**final_snapshot, "binary"));
   ASSERT_TRUE(schema.ok());
   EXPECT_GT(schema->num_node_types(), 0u);
 }
@@ -242,7 +244,7 @@ TEST(SessionTest, ValidateUsesAVocabCopy) {
     EXPECT_FALSE(result->conforms);
   }
   // The session's own schema still validates cleanly afterwards.
-  auto own = (*session)->Validate((*final_snapshot)->pgs_strict,
+  auto own = (*session)->Validate(*SnapshotForm(**final_snapshot, "pgs"),
                                   /*strict=*/true);
   ASSERT_TRUE(own.ok()) << own.status().ToString();
   EXPECT_TRUE(own->conforms) << own->report;

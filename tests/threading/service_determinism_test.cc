@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "datasets/zoo.h"
 #include "pg/batch.h"
 #include "service/client.h"
+#include "service/protocol.h"
 #include "service/session.h"
 #include "service/session_manager.h"
 #include "util/thread_pool.h"
@@ -87,7 +90,7 @@ TEST(ServiceDeterminismTest, ConcurrentTenantsMatchOneShotByteForByte) {
       }
       auto final_snapshot = (*session)->FinalSnapshot();
       ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
-      streamed[i] = (*final_snapshot)->pgs_strict;
+      streamed[i] = *service::SnapshotForm(**final_snapshot, "pgs");
     });
   }
   for (auto& t : threads) t.join();
@@ -99,33 +102,74 @@ TEST(ServiceDeterminismTest, ConcurrentTenantsMatchOneShotByteForByte) {
 }
 
 TEST(ServiceDeterminismTest, SnapshotReadersRaceIngestSafely) {
+  // Readers hammer Snapshot() while the writer streams, and render all five
+  // forms of each version they see on their own threads while the lane
+  // keeps ingesting, which interns into the live vocabulary. Versions only
+  // grow, and each rendering equals that of a quiescent in-process run at
+  // the same version.
+  datasets::Dataset dataset =
+      datasets::Generate(datasets::PoleSpec(), 0.08, /*seed=*/13);
+  const size_t batches = 6;
+  const std::vector<std::string> forms = {"pgs", "pgs-loose", "xsd",
+                                          "describe", "binary"};
+  // expected[v]: the forms of version v; version batches + 1 is the final.
+  std::vector<std::vector<std::string>> expected(batches + 2);
+  {
+    core::PgHive hive(&dataset.graph, core::PgHiveOptions());
+    const pg::Vocabulary& vocab = dataset.graph.vocab();
+    auto render = [&](size_t version) {
+      const core::SchemaGraph& schema = hive.schema();
+      expected[version] = {
+          core::SerializePgSchema(schema, vocab, core::SchemaMode::kStrict),
+          core::SerializePgSchema(schema, vocab, core::SchemaMode::kLoose),
+          core::SerializeXsd(schema, vocab),
+          core::DescribeSchema(schema, vocab),
+          core::SerializeSchemaBinary(schema)};
+    };
+    size_t version = 0;
+    for (const auto& batch :
+         pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/1)) {
+      ASSERT_TRUE(hive.ProcessBatch(batch).ok());
+      render(++version);
+    }
+    ASSERT_TRUE(hive.Finish().ok());
+    render(++version);
+  }
+
   util::ThreadPool pool(4);
   service::SessionManager manager(&pool);
   auto session = manager.CreateSession({});
   ASSERT_TRUE(session.ok());
-
-  datasets::Dataset dataset =
-      datasets::Generate(datasets::PoleSpec(), 0.08, /*seed=*/13);
-  auto payloads = service::BuildIngestPayloads(dataset.graph, 6);
-
-  // Readers hammer Snapshot() while the writer streams; every observed
-  // snapshot must be internally consistent (a fully rendered batch view).
   std::atomic<bool> done{false};
+  std::vector<std::set<uint64_t>> rendered(3);
   std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
+  for (size_t r = 0; r < rendered.size(); ++r) {
+    readers.emplace_back([&, r] {
       uint64_t last_version = 0;
-      while (!done.load()) {
+      // One last look after `done`, so every reader sees the final version.
+      for (bool last = false; !last;) {
+        last = done.load();
         auto snapshot = (*session)->Snapshot();
         if (snapshot == nullptr) continue;
         EXPECT_GE(snapshot->version, last_version);
         last_version = snapshot->version;
-        EXPECT_FALSE(snapshot->pgs_strict.empty());
-        EXPECT_GE(snapshot->batches, 1u);
+        if (rendered[r].count(snapshot->version)) continue;
+        ASSERT_LT(snapshot->version, expected.size());
+        EXPECT_EQ(snapshot->batches,
+                  std::min<uint64_t>(snapshot->version, batches));
+        EXPECT_EQ(snapshot->is_final, snapshot->version == batches + 1);
+        for (size_t f = 0; f < forms.size(); ++f) {
+          auto body = service::SnapshotForm(*snapshot, forms[f]);
+          ASSERT_TRUE(body.ok()) << body.status().ToString();
+          EXPECT_EQ(*body, expected[snapshot->version][f])
+              << forms[f] << " of version " << snapshot->version;
+        }
+        rendered[r].insert(snapshot->version);
       }
     });
   }
-  for (const std::string& payload : payloads) {
+  for (const std::string& payload :
+       service::BuildIngestPayloads(dataset.graph, batches)) {
     ASSERT_TRUE((*session)->SubmitIngest(payload).ok());
   }
   auto final_snapshot = (*session)->FinalSnapshot();
@@ -133,7 +177,10 @@ TEST(ServiceDeterminismTest, SnapshotReadersRaceIngestSafely) {
   for (auto& t : readers) t.join();
   ASSERT_TRUE(final_snapshot.ok());
   EXPECT_TRUE((*final_snapshot)->is_final);
-  EXPECT_EQ((*final_snapshot)->batches, payloads.size());
+  EXPECT_EQ((*final_snapshot)->batches, batches);
+  for (const std::set<uint64_t>& versions : rendered) {
+    EXPECT_EQ(versions.count(batches + 1), 1u);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // DotF32's contract is stronger than "approximately the dot product": it
 // promises the exact 4-lane double-accumulation result — lane (i & 3)
-// accumulates element i, lanes combine as (l0 + l1) + (l2 + l3) — so the
-// AVX2 and scalar builds produce bit-identical LSH hashes. The reference
-// below re-derives that scheme independently; equality must be exact.
+// accumulates element i, lanes combine as (l0 + l1) + (l2 + l3) — so every
+// build produces bit-identical LSH hashes. The reference below re-derives
+// that scheme independently; equality must be exact.
 
 #include "util/simd.h"
 
@@ -25,7 +25,7 @@ double FourLaneReference(const float* a, const float* b, size_t n) {
 
 TEST(DotF32Test, BitIdenticalToFourLaneReferenceAtEveryLength) {
   Rng rng(41);
-  // Lengths around the 8-wide vector boundary, plus typical feature dims.
+  // Lengths around the 4-lane unroll boundary, plus typical feature dims.
   for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{7},
                    size_t{8}, size_t{9}, size_t{15}, size_t{16}, size_t{17},
                    size_t{31}, size_t{64}, size_t{77}, size_t{128}}) {

@@ -14,9 +14,12 @@
 //       (PgHive::SaveState) every --checkpoint-every K batches (default 1)
 //       and after Finish; --resume-from FILE restores such a snapshot and
 //       continues with the remaining batches of the same split — the final
-//       schema is byte-identical to the uninterrupted run. --changefeed FILE
-//       appends one binary SchemaDiff record per merged batch (plus one for
-//       post-processing); `pghive changefeed --feed FILE` prints it.
+//       schema is byte-identical to the uninterrupted run. A pghived session
+//       checkpoint (DIR/<id>.pghd) is the same snapshot and resumes here
+//       too. After a resume, "discovery took" counts only the batches this
+//       process merged. --changefeed FILE appends one binary SchemaDiff
+//       record per merged batch (plus one for post-processing); `pghive
+//       changefeed --feed FILE` prints it.
 //   changefeed --feed FILE
 //       Renders a --changefeed file as human-readable schema deltas.
 //   import    --nodes FILE[,FILE...] --edges FILE[,FILE...] --out GRAPH
@@ -61,7 +64,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <map>
 #include <set>
@@ -82,6 +84,7 @@
 #include "pg/graph_io.h"
 #include "pg/value.h"
 #include "service/client.h"
+#include "util/file_io.h"
 #include "util/parse.h"
 
 namespace {
@@ -179,22 +182,14 @@ std::map<std::string, std::string> DiscoveryKnobs(const Args& args) {
   return knobs;
 }
 
-/// Atomically replaces `path` with a fresh SaveState snapshot (write to a
-/// temp sibling, then rename), so a crash mid-checkpoint never destroys the
-/// previous good checkpoint.
+/// Atomically replaces `path` with a fresh SaveState snapshot, so a crash
+/// mid-checkpoint never destroys the previous good checkpoint.
 util::Status WriteCheckpoint(const core::PgHive& pipeline,
                              const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return util::Status::IoError("cannot open " + tmp);
-    auto status = pipeline.SaveState(out);
-    if (!status.ok()) return status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return util::Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-  return util::Status::Ok();
+  std::ostringstream bytes;
+  util::Status saved = pipeline.SaveState(bytes);
+  if (!saved.ok()) return saved;
+  return util::AtomicWriteFile(path, bytes.str());
 }
 
 int CmdDiscover(const Args& args) {
@@ -548,11 +543,9 @@ int CmdClient(const Args& args) {
 /// Prints a changefeed file (discover --changefeed output) in human form.
 int CmdChangefeed(const Args& args) {
   if (!args.Has("feed")) return Fail("changefeed needs --feed FILE");
-  std::ifstream in(args.Get("feed"), std::ios::binary);
-  if (!in) return Fail("cannot open " + args.Get("feed"));
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  auto records = core::ParseSchemaDiffStream(bytes);
+  auto bytes = util::ReadWholeFile(args.Get("feed"));
+  if (!bytes.ok()) return Fail(bytes.status().ToString());
+  auto records = core::ParseSchemaDiffStream(*bytes);
   if (!records.ok()) return Fail(records.status().ToString());
   for (const core::SchemaDiff& diff : *records) {
     std::printf("%s", core::DescribeSchemaDiff(diff).c_str());
@@ -568,20 +561,18 @@ int CmdChangefeed(const Args& args) {
 int CmdDrift(const Args& args) {
   std::vector<core::SchemaDiff> records;
   if (args.Has("feed")) {
-    std::ifstream in(args.Get("feed"), std::ios::binary);
-    if (!in) return Fail("cannot open " + args.Get("feed"));
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+    auto bytes = util::ReadWholeFile(args.Get("feed"));
+    if (!bytes.ok()) return Fail(bytes.status().ToString());
     size_t valid_prefix = 0;
     for (core::SchemaDiffRecord& record :
-         core::ScanSchemaDiffStream(bytes, &valid_prefix)) {
+         core::ScanSchemaDiffStream(*bytes, &valid_prefix)) {
       records.push_back(std::move(record.diff));
     }
-    if (valid_prefix < bytes.size()) {
+    if (valid_prefix < bytes->size()) {
       std::fprintf(stderr,
                    "pghive: warning: ignoring %zu trailing bytes of %s "
                    "(torn or corrupt record)\n",
-                   bytes.size() - valid_prefix, args.Get("feed").c_str());
+                   bytes->size() - valid_prefix, args.Get("feed").c_str());
     }
   } else if (args.Has("session")) {
     auto resolved_port = ResolvePort(args);

@@ -15,7 +15,11 @@
 // discovery state to DIR/<id>.pghd after every --checkpoint-every batches
 // (default 1) and once more during the SIGTERM drain, and spills changefeed
 // records to DIR/<id>.feed; a restarted daemon restores every snapshot it
-// finds there and replays each session's log to rebuild its graph.
+// finds there and replays each session's log to rebuild its graph. A
+// checkpoint is the snapshot `pghive discover --checkpoint-to` writes, so
+// `discover --resume-from DIR/<id>.pghd` resumes it too. The daemon refuses
+// to start on a "PGHD" session file from an older build, naming its
+// version.
 
 #include <chrono>
 #include <csignal>
