@@ -2,6 +2,7 @@
 #define PGHIVE_CORE_ADAPTIVE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/vectorizer.h"
 
@@ -35,11 +36,24 @@ struct AdaptiveOptions {
 /// pairs, sets b = 1.2*mu adjusted by the label-count factor
 ///   alpha = 0.8 (L<=3), 1.0 (4<=L<=10), 1.5 (L>10),
 /// and T = b_base * max(5, alpha*min(25, log10 N)), clamped.
+///
+/// The choice is over rows, and N counts rows. Row i's vector is
+/// `patterns.row(row_patterns[i])`: the sample draws rows through that map,
+/// so the choice equals the one over the expanded per-row matrix bit for
+/// bit. The FeatureMatrix-only overloads are the identity map.
+AdaptiveChoice ChooseNodeParams(const FeatureMatrix& patterns,
+                                const std::vector<uint32_t>& row_patterns,
+                                size_t num_distinct_labels,
+                                const AdaptiveOptions& options = {});
 AdaptiveChoice ChooseNodeParams(const FeatureMatrix& features,
                                 size_t num_distinct_labels,
                                 const AdaptiveOptions& options = {});
 
 /// Edge variant: T = b_base * max(3, alpha*min(20, log10 E)).
+AdaptiveChoice ChooseEdgeParams(const FeatureMatrix& patterns,
+                                const std::vector<uint32_t>& row_patterns,
+                                size_t num_distinct_labels,
+                                const AdaptiveOptions& options = {});
 AdaptiveChoice ChooseEdgeParams(const FeatureMatrix& features,
                                 size_t num_distinct_labels,
                                 const AdaptiveOptions& options = {});
@@ -47,7 +61,11 @@ AdaptiveChoice ChooseEdgeParams(const FeatureMatrix& features,
 /// The label-count factor alpha (exposed for tests).
 double AlphaForLabelCount(size_t num_labels);
 
-/// Mean Euclidean distance over up to `pairs` random row pairs.
+/// Mean Euclidean distance over up to `pairs` random row pairs, row i read
+/// through `row_patterns` as above.
+double EstimateDistanceScale(const FeatureMatrix& patterns,
+                             const std::vector<uint32_t>& row_patterns,
+                             size_t pairs, size_t max_sample, uint64_t seed);
 double EstimateDistanceScale(const FeatureMatrix& features, size_t pairs,
                              size_t max_sample, uint64_t seed);
 

@@ -62,27 +62,35 @@ util::Status PhaseError(PgHive::Phase phase, const char* call) {
 
 }  // namespace
 
-lsh::ClusterSet PgHive::Cluster(const pg::GraphBatch& batch,
-                                const FeatureMatrix& features,
-                                Vectorizer* vectorizer, bool nodes) {
+PgHive::SideClusters PgHive::ClusterSide(const PreparedBatch& prepared,
+                                         bool nodes) const {
+  const pg::GraphBatch& batch = prepared.batch;
+  Vectorizer& vectorizer = *prepared.vectorizer;
+  const pg::PatternIndex& patterns =
+      (nodes ? vectorizer.NodeColumns(batch) : vectorizer.EdgeColumns(batch))
+          .patterns();
+  const FeatureMatrix& features =
+      nodes ? prepared.node_features : prepared.edge_features;
+  SideClusters side;
+
   // (b, T): adaptive (§4.2) or the manual values. The seeds differ per
   // track (node/edge) and LSH family.
   const bool elsh = options_.method == ClusterMethod::kElsh;
-  AdaptiveChoice choice;
+  AdaptiveChoice& choice = side.choice;
   if (options_.adaptive) {
     AdaptiveOptions aopts;
     aopts.seed = options_.seed ^ (nodes ? (elsh ? 0x11 : 0x12)
                                         : (elsh ? 0x21 : 0x22));
     const size_t num_labels = graph_->vocab().num_labels();
-    choice = nodes ? ChooseNodeParams(features, num_labels, aopts)
-                   : ChooseEdgeParams(features, num_labels, aopts);
+    choice = nodes ? ChooseNodeParams(features, patterns.row_patterns,
+                                      num_labels, aopts)
+                   : ChooseEdgeParams(features, patterns.row_patterns,
+                                      num_labels, aopts);
     if (elsh) choice.bucket_length *= options_.alpha_scale;
   } else {
     if (elsh) choice.bucket_length = options_.bucket_length;
     choice.num_tables = options_.num_tables;
   }
-  // The two tracks run concurrently; each writes only its own field.
-  (nodes ? last_stats_.node_params : last_stats_.edge_params) = choice;
 
   if (elsh) {
     lsh::EuclideanLshParams params;
@@ -91,21 +99,32 @@ lsh::ClusterSet PgHive::Cluster(const pg::GraphBatch& batch,
     params.seed = options_.seed ^ (nodes ? 0xE15 : 0xE25);
     params.amplification = options_.amplification;
     lsh::EuclideanLsh hasher(features.dim, params);
-    return hasher.Cluster(features.data, features.num, pool_);
+    side.clusters = hasher.Cluster(features.data, features.num, pool_);
+  } else {
+    // MinHash path clusters the element sets.
+    lsh::MinHashParams params;
+    params.num_hashes = std::max<size_t>(4, choice.num_tables);
+    params.rows_per_band =
+        std::min(options_.minhash_rows_per_band, params.num_hashes);
+    params.seed = options_.seed ^ (nodes ? 0x517 : 0x527);
+    params.amplification = options_.amplification;
+    lsh::MinHashLsh hasher(params);
+    ElementSetCsr csr = nodes ? vectorizer.NodePatternSets(batch)
+                              : vectorizer.EdgePatternSets(batch);
+    side.clusters = hasher.Cluster(
+        lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
+        pool_);
   }
-  // MinHash path clusters the element sets.
-  lsh::MinHashParams params;
-  params.num_hashes = std::max<size_t>(4, choice.num_tables);
-  params.rows_per_band =
-      std::min(options_.minhash_rows_per_band, params.num_hashes);
-  params.seed = options_.seed ^ (nodes ? 0x517 : 0x527);
-  params.amplification = options_.amplification;
-  lsh::MinHashLsh hasher(params);
-  ElementSetCsr csr = nodes ? vectorizer->NodeSetSpans(batch)
-                            : vectorizer->EdgeSetSpans(batch);
-  return hasher.Cluster(
-      lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
-      pool_);
+
+  // EdgePatternEndpoints is a pure read of the edge store PreprocessBatch
+  // built — no vocabulary access on this side of the overlap.
+  side.candidates =
+      nodes ? BuildNodeCandidates(*graph_, batch.node_ids, patterns,
+                                  side.clusters)
+            : BuildEdgeCandidates(*graph_, batch.edge_ids, patterns,
+                                  side.clusters,
+                                  vectorizer.EdgePatternEndpoints(batch));
+  return side;
 }
 
 util::Status PgHive::ProcessBatch(pg::GraphBatch batch) {
@@ -136,12 +155,12 @@ PgHive::PreparedBatch PgHive::PreprocessBatch(pg::GraphBatch batch) {
     word2vec_->Train(embed::BuildLabelCorpus(*graph_, edge_cols, node_cols),
                      pool_);
   }
-  prepared.node_features = prepared.vectorizer->NodeFeatures(b);
-  prepared.edge_features = prepared.vectorizer->EdgeFeatures(b);
+  prepared.node_features = prepared.vectorizer->NodePatternFeatures(b);
+  prepared.edge_features = prepared.vectorizer->EdgePatternFeatures(b);
   // The feature matrices snapshot the embedder, and the vectorizer's
-  // column stores (built by NodeFeatures/EdgeFeatures at the latest)
-  // snapshot the vocabulary: after this point nothing downstream of this
-  // batch reads either, so the next batch is free to mutate both.
+  // column stores (built by the feature calls at the latest) snapshot the
+  // vocabulary: after this point nothing downstream of this batch reads
+  // either, so the next batch is free to mutate both.
   prepared.preprocess_ms = timer.ElapsedMillis();
   return prepared;
 }
@@ -155,33 +174,28 @@ util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   const pg::GraphBatch& batch = prepared.batch;
   util::Timer timer;
 
-  // (c) LSH clustering + candidate build. The node and edge tracks are
-  // independent: they write disjoint stats fields and share the graph and
-  // the prepared batch read-only — the vectorizer's pre-pass already cached
-  // every label-set token of the batch (including edge endpoint tokens), so
-  // the tracks run concurrently when a pool is available. Each track's inner
-  // loops also fan out on the pool (nested sections flatten into its queue).
-  lsh::ClusterSet node_clusters;
-  lsh::ClusterSet edge_clusters;
+  // (c) LSH clustering + candidate build, per pattern. The node and edge
+  // tracks are independent: they write disjoint stats fields and share the
+  // graph and the prepared batch read-only — the vectorizer's pre-pass
+  // already cached every label-set token of the batch (including edge
+  // endpoint tokens), so the tracks run concurrently when a pool is
+  // available. Each track's inner loops also fan out on the pool (nested
+  // sections flatten into its queue).
   std::vector<CandidateType> node_candidates;
   std::vector<CandidateType> edge_candidates;
   auto node_track = [&] {
     if (batch.node_ids.empty()) return;
-    node_clusters = Cluster(batch, prepared.node_features,
-                            prepared.vectorizer.get(), /*nodes=*/true);
-    last_stats_.node_clusters = node_clusters.num_clusters();
-    node_candidates = BuildNodeCandidates(*graph_, batch, node_clusters);
+    SideClusters side = ClusterSide(prepared, /*nodes=*/true);
+    last_stats_.node_params = side.choice;
+    last_stats_.node_clusters = side.clusters.num_clusters();
+    node_candidates = std::move(side.candidates);
   };
   auto edge_track = [&] {
     if (batch.edge_ids.empty()) return;
-    edge_clusters = Cluster(batch, prepared.edge_features,
-                            prepared.vectorizer.get(), /*nodes=*/false);
-    last_stats_.edge_clusters = edge_clusters.num_clusters();
-    // EdgeEndpointTokens is a pure read of the cache EdgeFeatures warmed in
-    // PreprocessBatch — no vocabulary access on this side of the overlap.
-    edge_candidates = BuildEdgeCandidates(
-        *graph_, batch, edge_clusters,
-        prepared.vectorizer->EdgeEndpointTokens(batch));
+    SideClusters side = ClusterSide(prepared, /*nodes=*/false);
+    last_stats_.edge_params = side.choice;
+    last_stats_.edge_clusters = side.clusters.num_clusters();
+    edge_candidates = std::move(side.candidates);
   };
   if (pool_ != nullptr) {
     std::future<void> edges_done = pool_->Submit(edge_track);

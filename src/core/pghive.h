@@ -138,11 +138,13 @@ class PgHive {
   util::Status ProcessBatch(pg::GraphBatch batch);
 
   /// The output of the preprocess stage, ready for cluster + extract. Owns
-  /// everything the later stages need (feature matrices, the vectorizer
-  /// with its built column stores — including the edge endpoint tokens the
-  /// candidate builder reads), so ProcessPrepared never touches the
-  /// vocabulary or the embedder — the two pieces of state the *next*
-  /// batch's PreprocessBatch mutates.
+  /// everything the later stages need (the pattern feature matrices, and
+  /// the vectorizer with its built column stores: the pattern indexes and
+  /// the columns the MinHash sets and the candidate builder's endpoint
+  /// tokens are read from), so ProcessPrepared never touches the vocabulary
+  /// or the embedder — the two pieces of state the *next* batch's
+  /// PreprocessBatch mutates. The matrices hold one row per pattern of the
+  /// side (Vectorizer::NodePatternFeatures), never one per element.
   struct PreparedBatch {
     pg::GraphBatch batch;
     std::unique_ptr<Vectorizer> vectorizer;
@@ -150,6 +152,22 @@ class PgHive {
     FeatureMatrix edge_features;
     double preprocess_ms = 0;  ///< Wall time of the preprocess stage.
   };
+
+  /// One side's share of stage (c) on a prepared batch, as ProcessPrepared
+  /// runs it.
+  struct SideClusters {
+    AdaptiveChoice choice;     ///< The (b, T) used, chosen over rows.
+    lsh::ClusterSet clusters;  ///< Over the side's patterns.
+    std::vector<CandidateType> candidates;
+  };
+
+  /// Clusters one side (nodes or edges) of a prepared batch per pattern:
+  /// chooses (b, T) over the side's rows through its pattern index, hashes
+  /// and groups the pattern rows, and builds the candidates. A row's cluster
+  /// is its pattern's. Reads only the prepared batch and the graph, so the
+  /// two sides may run concurrently; the cross-path tests hold it against
+  /// the per-row entry points.
+  SideClusters ClusterSide(const PreparedBatch& prepared, bool nodes) const;
 
   /// Stage (b) of Algorithm 1 on its own: trains/refreshes the label
   /// embedding on the batch and builds its representation vectors.
@@ -230,12 +248,6 @@ class PgHive {
   util::StatusOr<uint64_t> RestoreState(std::istream& in);
 
  private:
-  // LSH clustering of the batch's nodes (or edges): chooses (b, T), records
-  // the choice in last_stats_, and hashes + groups.
-  lsh::ClusterSet Cluster(const pg::GraphBatch& batch,
-                          const FeatureMatrix& features,
-                          Vectorizer* vectorizer, bool nodes);
-
   pg::PropertyGraph* graph_;
   PgHiveOptions options_;
   std::unique_ptr<util::ThreadPool> owned_pool_;

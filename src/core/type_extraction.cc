@@ -37,9 +37,10 @@ std::vector<uint32_t> EdgeJaccardSet(const CandidateType& c) {
   return set;
 }
 
-// The candidate builders walk each cluster's members once, reading every
-// member's labels, keys and endpoints in place. The helpers below fold one
-// member into its candidate; FinishCandidate runs once per candidate.
+// The candidate builders fold each pattern into its cluster's candidate
+// once, reading the pattern's representative element in place, then walk
+// the rows for the instance ids. The helpers below fold one pattern into its
+// candidate; FinishCandidate runs once per candidate.
 
 // Unions a member's sorted labels into the candidate's, reallocating only
 // when the member brings a label the candidate lacks.
@@ -51,9 +52,9 @@ void AddLabels(const std::vector<pg::LabelId>& member,
   }
 }
 
-// Counts a member's keys into the candidate's run sorted by key; a key the
-// run lacks is inserted in place.
-void CountKeys(const pg::PropertyMap& props,
+// Counts a pattern's keys, `rows` times each, into the candidate's run
+// sorted by key; a key the run lacks is inserted in place.
+void CountKeys(const pg::PropertyMap& props, size_t rows,
                std::vector<std::pair<pg::PropKeyId, size_t>>* key_counts) {
   auto it = key_counts->begin();
   for (const auto& [key, value] : props.entries()) {
@@ -61,14 +62,15 @@ void CountKeys(const pg::PropertyMap& props,
     if (it == key_counts->end() || it->first != key) {
       it = key_counts->insert(it, {key, 0});
     }
-    ++it->second;
+    it->second += rows;
     ++it;
   }
 }
 
-// Appends `v` unless it repeats the last entry. Members of a cluster mostly
-// share one pattern and endpoint pair, so this keeps the vectors that
-// FinishCandidate sorts short; the sort still removes every duplicate.
+// Appends `v` unless it repeats the last entry. In the per-row form, members
+// of a cluster mostly share one pattern and endpoint pair, so this keeps the
+// vectors that FinishCandidate sorts short; the sort still removes every
+// duplicate.
 template <typename T>
 void AppendIfChanged(const T& v, std::vector<T>* out) {
   if (out->empty() || out->back() != v) out->push_back(v);
@@ -283,28 +285,70 @@ void ExtractTypesImpl(std::vector<CandidateType> candidates,
   }
 }
 
+// The pattern form both builders share: `fold(p, rep, cand)` folds pattern
+// p, whose representative element is `rep`, into its cluster's candidate.
+template <typename FoldFn>
+std::vector<CandidateType> BuildCandidates(const std::vector<uint64_t>& ids,
+                                           const pg::PatternIndex& patterns,
+                                           const lsh::ClusterSet& clusters,
+                                           FoldFn fold) {
+  PGHIVE_CHECK(patterns.num_rows() == ids.size());
+  PGHIVE_CHECK(clusters.num_items() == patterns.num_patterns());
+  std::vector<CandidateType> candidates(clusters.num_clusters());
+  for (uint32_t p = 0; p < patterns.num_patterns(); ++p) {
+    CandidateType& cand = candidates[clusters.cluster_of(p)];
+    fold(p, ids[patterns.pattern_rows[p]], &cand);
+    cand.instance_count += patterns.pattern_sizes[p];
+  }
+  for (CandidateType& cand : candidates) {
+    cand.instances.reserve(cand.instance_count);
+  }
+  for (size_t row = 0; row < ids.size(); ++row) {
+    candidates[clusters.cluster_of(patterns.row_patterns[row])]
+        .instances.push_back(ids[row]);
+  }
+  for (CandidateType& cand : candidates) FinishCandidate(&cand);
+  return candidates;
+}
+
 }  // namespace
+
+std::vector<CandidateType> BuildNodeCandidates(
+    const pg::PropertyGraph& graph, const std::vector<pg::NodeId>& ids,
+    const pg::PatternIndex& patterns, const lsh::ClusterSet& clusters) {
+  return BuildCandidates(
+      ids, patterns, clusters,
+      [&](uint32_t p, pg::NodeId rep, CandidateType* cand) {
+        const pg::Node& n = graph.node(rep);
+        AddLabels(n.labels, &cand->labels);
+        CountKeys(n.properties, patterns.pattern_sizes[p], &cand->key_counts);
+        AppendIfChanged(NodePatternHash(n), &cand->pattern_hashes);
+      });
+}
 
 std::vector<CandidateType> BuildNodeCandidates(
     const pg::PropertyGraph& graph, const pg::GraphBatch& batch,
     const lsh::ClusterSet& clusters) {
-  PGHIVE_CHECK(clusters.num_items() == batch.node_ids.size());
-  std::vector<CandidateType> candidates(clusters.num_clusters());
-  for (uint32_t c = 0; c < candidates.size(); ++c) {
-    CandidateType& cand = candidates[c];
-    const std::vector<uint32_t>& members = clusters.members(c);
-    cand.instances.reserve(members.size());
-    for (uint32_t i : members) {
-      const pg::Node& n = graph.node(batch.node_ids[i]);
-      AddLabels(n.labels, &cand.labels);
-      CountKeys(n.properties, &cand.key_counts);
-      cand.instances.push_back(batch.node_ids[i]);
-      AppendIfChanged(NodePatternHash(n), &cand.pattern_hashes);
-    }
-    cand.instance_count = members.size();
-    FinishCandidate(&cand);
-  }
-  return candidates;
+  return BuildNodeCandidates(
+      graph, batch.node_ids,
+      pg::PatternIndex::Identity(batch.node_ids.size()), clusters);
+}
+
+std::vector<CandidateType> BuildEdgeCandidates(
+    const pg::PropertyGraph& graph, const std::vector<pg::EdgeId>& ids,
+    const pg::PatternIndex& patterns, const lsh::ClusterSet& clusters,
+    const std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>&
+        endpoint_tokens) {
+  PGHIVE_CHECK(endpoint_tokens.size() == patterns.num_patterns());
+  return BuildCandidates(
+      ids, patterns, clusters,
+      [&](uint32_t p, pg::EdgeId rep, CandidateType* cand) {
+        const pg::Edge& e = graph.edge(rep);
+        AddLabels(e.labels, &cand->labels);
+        CountKeys(e.properties, patterns.pattern_sizes[p], &cand->key_counts);
+        AppendIfChanged(endpoint_tokens[p], &cand->endpoints);
+        AppendIfChanged(EdgePatternHash(graph, e), &cand->pattern_hashes);
+      });
 }
 
 std::vector<CandidateType> BuildEdgeCandidates(
@@ -312,25 +356,10 @@ std::vector<CandidateType> BuildEdgeCandidates(
     const lsh::ClusterSet& clusters,
     const std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>&
         endpoint_tokens) {
-  PGHIVE_CHECK(clusters.num_items() == batch.edge_ids.size());
-  PGHIVE_CHECK(endpoint_tokens.size() == batch.edge_ids.size());
-  std::vector<CandidateType> candidates(clusters.num_clusters());
-  for (uint32_t c = 0; c < candidates.size(); ++c) {
-    CandidateType& cand = candidates[c];
-    const std::vector<uint32_t>& members = clusters.members(c);
-    cand.instances.reserve(members.size());
-    for (uint32_t i : members) {
-      const pg::Edge& e = graph.edge(batch.edge_ids[i]);
-      AddLabels(e.labels, &cand.labels);
-      CountKeys(e.properties, &cand.key_counts);
-      cand.instances.push_back(batch.edge_ids[i]);
-      AppendIfChanged(endpoint_tokens[i], &cand.endpoints);
-      AppendIfChanged(EdgePatternHash(graph, e), &cand.pattern_hashes);
-    }
-    cand.instance_count = members.size();
-    FinishCandidate(&cand);
-  }
-  return candidates;
+  return BuildEdgeCandidates(
+      graph, batch.edge_ids,
+      pg::PatternIndex::Identity(batch.edge_ids.size()), clusters,
+      endpoint_tokens);
 }
 
 void ExtractNodeTypes(std::vector<CandidateType> candidates,

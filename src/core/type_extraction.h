@@ -7,6 +7,7 @@
 #include "core/schema.h"
 #include "lsh/clustering.h"
 #include "pg/batch.h"
+#include "pg/column_store.h"
 #include "pg/graph.h"
 
 namespace pghive::core {
@@ -26,20 +27,38 @@ struct CandidateType {
   bool labeled() const { return !labels.empty(); }
 };
 
-/// Builds node candidates from an LSH clustering of a batch: cluster i's
-/// representative is (union of labels, union of keys) over its members,
-/// with per-key presence counts for the later constraint inference.
+/// Builds node candidates from an LSH clustering of a batch's node patterns:
+/// `ids` are the rows (batch.node_ids), `patterns` their pattern index, and
+/// `clusters` clusters the patterns. Cluster i's representative is (union
+/// of labels, union of keys) over its members, with per-key presence counts
+/// for the later constraint inference. Each pattern folds into its
+/// cluster's candidate once: its labels, its key counts weighted by its row
+/// count, and its representative element's pattern hash. One walk of the
+/// rows then appends the instance ids, in ascending row order.
+std::vector<CandidateType> BuildNodeCandidates(
+    const pg::PropertyGraph& graph, const std::vector<pg::NodeId>& ids,
+    const pg::PatternIndex& patterns, const lsh::ClusterSet& clusters);
+
+/// The per-row form: `clusters` clusters the batch's node rows, and every
+/// row is its own pattern.
 std::vector<CandidateType> BuildNodeCandidates(const pg::PropertyGraph& graph,
                                                const pg::GraphBatch& batch,
                                                const lsh::ClusterSet& clusters);
 
 /// Edge version; also collects endpoint label-set token pairs.
-/// `endpoint_tokens[i]` is the (src, dst) label-set token pair of
-/// batch.edge_ids[i], precomputed by the vectorizer's intern pre-pass
-/// (Vectorizer::EdgeEndpointTokens). Taking them as input keeps this
+/// `endpoint_tokens[p]` is the (src, dst) label-set token pair of pattern p
+/// (Vectorizer::EdgePatternEndpoints). Taking them as input keeps this
 /// function free of vocabulary access, which is what lets the pipelined
 /// executor run it concurrently with the next batch's preprocess (the only
 /// vocabulary writer).
+std::vector<CandidateType> BuildEdgeCandidates(
+    const pg::PropertyGraph& graph, const std::vector<pg::EdgeId>& ids,
+    const pg::PatternIndex& patterns, const lsh::ClusterSet& clusters,
+    const std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>&
+        endpoint_tokens);
+
+/// The per-row form: `endpoint_tokens[i]` is the pair of batch.edge_ids[i]
+/// (Vectorizer::EdgeEndpointTokens), and every row is its own pattern.
 std::vector<CandidateType> BuildEdgeCandidates(
     const pg::PropertyGraph& graph, const pg::GraphBatch& batch,
     const lsh::ClusterSet& clusters,

@@ -28,13 +28,35 @@ Vectorizer::Vectorizer(pg::PropertyGraph* graph,
                        util::ThreadPool* pool)
     : graph_(graph), embedder_(embedder), pool_(pool) {}
 
+namespace {
+
+// The rows a per-row call fills: every row, in order — the representatives
+// of the identity index.
+std::vector<uint32_t> AllRows(const pg::ColumnStore& cols) {
+  return pg::PatternIndex::Identity(cols.num_rows()).pattern_rows;
+}
+
+std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>> EndpointsOf(
+    const pg::ColumnStore& cols, const std::vector<uint32_t>& rows) {
+  std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>> out;
+  out.reserve(rows.size());
+  for (const uint32_t row : rows) {
+    out.emplace_back(cols.src_tokens()[row], cols.dst_tokens()[row]);
+  }
+  return out;
+}
+
+}  // namespace
+
 void Vectorizer::TokenTable::Add(const std::vector<pg::LabelSetToken>& tokens,
+                                 const std::vector<uint32_t>& rows,
                                  const embed::LabelEmbedder& embedder,
                                  util::ThreadPool* pool) {
   dim_ = embedder.dim();
   const size_t first_new = tokens_.size();
   pg::LabelSetToken prev = pg::kNoToken;
-  for (const pg::LabelSetToken token : tokens) {
+  for (const uint32_t row : rows) {
+    const pg::LabelSetToken token = tokens[row];
     // Rows of one label set tend to sit together; skip the lookup for a run.
     if (token == prev || token == pg::kNoToken) continue;
     prev = token;
@@ -56,17 +78,19 @@ const float* Vectorizer::TokenTable::Find(pg::LabelSetToken token) const {
 }
 
 void Vectorizer::TokenTable::FillBlock(
-    const std::vector<pg::LabelSetToken>& tokens, size_t lo, size_t hi,
-    float* data, size_t stride, size_t offset) const {
+    const std::vector<pg::LabelSetToken>& tokens,
+    const std::vector<uint32_t>& rows, size_t lo, size_t hi, float* data,
+    size_t stride, size_t offset) const {
   pg::LabelSetToken prev = pg::kNoToken;
   const float* vec = nullptr;
-  for (size_t row = lo; row < hi; ++row) {
-    if (tokens[row] != prev) {
-      prev = tokens[row];
+  for (size_t i = lo; i < hi; ++i) {
+    const pg::LabelSetToken token = tokens[rows[i]];
+    if (token != prev) {
+      prev = token;
       vec = Find(prev);
     }
     if (vec != nullptr) {
-      std::copy_n(vec, dim_, data + (row - lo) * stride + offset);
+      std::copy_n(vec, dim_, data + (i - lo) * stride + offset);
     }
   }
 }
@@ -93,119 +117,141 @@ const pg::ColumnStore& Vectorizer::EdgeColumns(const pg::GraphBatch& batch) {
   return edge_cols_;
 }
 
-FeatureMatrix Vectorizer::NodeFeatures(const pg::GraphBatch& batch) {
+FeatureMatrix Vectorizer::NodeFeaturesOf(const pg::ColumnStore& cols,
+                                         const std::vector<uint32_t>& rows) {
   const size_t d = embedder_->dim();
   const size_t k = graph_->vocab().num_keys();
   FeatureMatrix m;
-  m.num = batch.node_ids.size();
+  m.num = rows.size();
   m.dim = d + k;
   m.data.assign(m.num * m.dim, 0.0f);
-  const pg::ColumnStore& cols = NodeColumns(batch);
-  table_.Add(cols.tokens(), *embedder_, pool_);
+  table_.Add(cols.tokens(), rows, *embedder_, pool_);
   util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
-    float* rows = &m.data[lo * m.dim];
-    table_.FillBlock(cols.tokens(), lo, hi, rows, m.dim, 0);
-    cols.FillBinaryBlock(lo, hi, k, rows, m.dim, d);
+    float* out = &m.data[lo * m.dim];
+    table_.FillBlock(cols.tokens(), rows, lo, hi, out, m.dim, 0);
+    cols.FillBinaryBlock(rows, lo, hi, k, out, m.dim, d);
   });
   return m;
 }
 
-FeatureMatrix Vectorizer::EdgeFeatures(const pg::GraphBatch& batch) {
+FeatureMatrix Vectorizer::EdgeFeaturesOf(const pg::ColumnStore& cols,
+                                         const std::vector<uint32_t>& rows) {
   const size_t d = embedder_->dim();
   const size_t q = graph_->vocab().num_keys();
   FeatureMatrix m;
-  m.num = batch.edge_ids.size();
+  m.num = rows.size();
   m.dim = 3 * d + q;
   m.data.assign(m.num * m.dim, 0.0f);
-  const pg::ColumnStore& cols = EdgeColumns(batch);
-  table_.Add(cols.tokens(), *embedder_, pool_);
-  table_.Add(cols.src_tokens(), *embedder_, pool_);
-  table_.Add(cols.dst_tokens(), *embedder_, pool_);
+  table_.Add(cols.tokens(), rows, *embedder_, pool_);
+  table_.Add(cols.src_tokens(), rows, *embedder_, pool_);
+  table_.Add(cols.dst_tokens(), rows, *embedder_, pool_);
   util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
-    float* rows = &m.data[lo * m.dim];
-    table_.FillBlock(cols.tokens(), lo, hi, rows, m.dim, 0);
-    table_.FillBlock(cols.src_tokens(), lo, hi, rows, m.dim, d);
-    table_.FillBlock(cols.dst_tokens(), lo, hi, rows, m.dim, 2 * d);
-    cols.FillBinaryBlock(lo, hi, q, rows, m.dim, 3 * d);
+    float* out = &m.data[lo * m.dim];
+    table_.FillBlock(cols.tokens(), rows, lo, hi, out, m.dim, 0);
+    table_.FillBlock(cols.src_tokens(), rows, lo, hi, out, m.dim, d);
+    table_.FillBlock(cols.dst_tokens(), rows, lo, hi, out, m.dim, 2 * d);
+    cols.FillBinaryBlock(rows, lo, hi, q, out, m.dim, 3 * d);
   });
   return m;
+}
+
+FeatureMatrix Vectorizer::NodeFeatures(const pg::GraphBatch& batch) {
+  const pg::ColumnStore& cols = NodeColumns(batch);
+  return NodeFeaturesOf(cols, AllRows(cols));
+}
+
+FeatureMatrix Vectorizer::EdgeFeatures(const pg::GraphBatch& batch) {
+  const pg::ColumnStore& cols = EdgeColumns(batch);
+  return EdgeFeaturesOf(cols, AllRows(cols));
+}
+
+FeatureMatrix Vectorizer::NodePatternFeatures(const pg::GraphBatch& batch) {
+  const pg::ColumnStore& cols = NodeColumns(batch);
+  return NodeFeaturesOf(cols, cols.patterns().pattern_rows);
+}
+
+FeatureMatrix Vectorizer::EdgePatternFeatures(const pg::GraphBatch& batch) {
+  const pg::ColumnStore& cols = EdgeColumns(batch);
+  return EdgeFeaturesOf(cols, cols.patterns().pattern_rows);
 }
 
 std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>
 Vectorizer::EdgeEndpointTokens(const pg::GraphBatch& batch) {
   const pg::ColumnStore& cols = EdgeColumns(batch);
-  std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>> out;
-  out.reserve(cols.num_rows());
-  for (size_t i = 0; i < cols.num_rows(); ++i) {
-    out.emplace_back(cols.src_tokens()[i], cols.dst_tokens()[i]);
-  }
-  return out;
+  return EndpointsOf(cols, AllRows(cols));
+}
+
+std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>
+Vectorizer::EdgePatternEndpoints(const pg::GraphBatch& batch) {
+  const pg::ColumnStore& cols = EdgeColumns(batch);
+  return EndpointsOf(cols, cols.patterns().pattern_rows);
 }
 
 // The set producers fill one flat CSR from the column store. Push order per
-// row is (label, src, dst, keys): the tags ascend in that order and key ids
-// ascend within a row, so every row is emitted already sorted.
-
-ElementSetCsr Vectorizer::NodeSetSpans(const pg::GraphBatch& batch) {
-  const pg::ColumnStore& cols = NodeColumns(batch);
-  const size_t num = cols.num_rows();
+// entry is (label, src, dst, keys): the tags ascend in that order and key
+// ids ascend within a row, so every set is emitted already sorted. Node
+// stores have no endpoint columns.
+ElementSetCsr Vectorizer::SetsOf(const pg::ColumnStore& cols,
+                                 const std::vector<uint32_t>& rows,
+                                 bool edges) const {
+  const size_t num = rows.size();
   const std::vector<uint32_t>& key_offsets = cols.key_offsets();
   const std::vector<pg::PropKeyId>& key_ids = cols.key_ids();
+  auto tokens_of = [&](uint32_t row) {
+    uint32_t count = cols.tokens()[row] != pg::kNoToken ? 1 : 0;
+    if (edges) {
+      count += (cols.src_tokens()[row] != pg::kNoToken ? 1 : 0) +
+               (cols.dst_tokens()[row] != pg::kNoToken ? 1 : 0);
+    }
+    return count;
+  };
   ElementSetCsr csr;
   csr.offsets.assign(num + 1, 0);
   for (size_t i = 0; i < num; ++i) {
-    const uint32_t keys = key_offsets[i + 1] - key_offsets[i];
-    const uint32_t label = cols.tokens()[i] != pg::kNoToken ? 1 : 0;
-    csr.offsets[i + 1] = csr.offsets[i] + label + keys;
+    const uint32_t row = rows[i];
+    const uint32_t keys = key_offsets[row + 1] - key_offsets[row];
+    csr.offsets[i + 1] = csr.offsets[i] + tokens_of(row) + keys;
   }
   csr.elements.resize(csr.offsets[num]);
   util::ParallelFor(pool_, 0, num, kRowGrain, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
+      const uint32_t row = rows[i];
       uint64_t* out = &csr.elements[csr.offsets[i]];
-      if (cols.tokens()[i] != pg::kNoToken) {
-        *out++ = MinHashLabelElement(cols.tokens()[i]);
+      if (cols.tokens()[row] != pg::kNoToken) {
+        *out++ = MinHashLabelElement(cols.tokens()[row]);
       }
-      for (uint32_t k = key_offsets[i]; k < key_offsets[i + 1]; ++k) {
+      if (edges && cols.src_tokens()[row] != pg::kNoToken) {
+        *out++ = MinHashSrcElement(cols.src_tokens()[row]);
+      }
+      if (edges && cols.dst_tokens()[row] != pg::kNoToken) {
+        *out++ = MinHashDstElement(cols.dst_tokens()[row]);
+      }
+      for (uint32_t k = key_offsets[row]; k < key_offsets[row + 1]; ++k) {
         *out++ = MinHashKeyElement(key_ids[k]);
       }
     }
   });
   return csr;
+}
+
+ElementSetCsr Vectorizer::NodeSetSpans(const pg::GraphBatch& batch) {
+  const pg::ColumnStore& cols = NodeColumns(batch);
+  return SetsOf(cols, AllRows(cols), /*edges=*/false);
 }
 
 ElementSetCsr Vectorizer::EdgeSetSpans(const pg::GraphBatch& batch) {
   const pg::ColumnStore& cols = EdgeColumns(batch);
-  const size_t num = cols.num_rows();
-  const std::vector<uint32_t>& key_offsets = cols.key_offsets();
-  const std::vector<pg::PropKeyId>& key_ids = cols.key_ids();
-  ElementSetCsr csr;
-  csr.offsets.assign(num + 1, 0);
-  for (size_t i = 0; i < num; ++i) {
-    const uint32_t keys = key_offsets[i + 1] - key_offsets[i];
-    const uint32_t tokens = (cols.tokens()[i] != pg::kNoToken ? 1 : 0) +
-                            (cols.src_tokens()[i] != pg::kNoToken ? 1 : 0) +
-                            (cols.dst_tokens()[i] != pg::kNoToken ? 1 : 0);
-    csr.offsets[i + 1] = csr.offsets[i] + tokens + keys;
-  }
-  csr.elements.resize(csr.offsets[num]);
-  util::ParallelFor(pool_, 0, num, kRowGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      uint64_t* out = &csr.elements[csr.offsets[i]];
-      if (cols.tokens()[i] != pg::kNoToken) {
-        *out++ = MinHashLabelElement(cols.tokens()[i]);
-      }
-      if (cols.src_tokens()[i] != pg::kNoToken) {
-        *out++ = MinHashSrcElement(cols.src_tokens()[i]);
-      }
-      if (cols.dst_tokens()[i] != pg::kNoToken) {
-        *out++ = MinHashDstElement(cols.dst_tokens()[i]);
-      }
-      for (uint32_t k = key_offsets[i]; k < key_offsets[i + 1]; ++k) {
-        *out++ = MinHashKeyElement(key_ids[k]);
-      }
-    }
-  });
-  return csr;
+  return SetsOf(cols, AllRows(cols), /*edges=*/true);
+}
+
+ElementSetCsr Vectorizer::NodePatternSets(const pg::GraphBatch& batch) {
+  const pg::ColumnStore& cols = NodeColumns(batch);
+  return SetsOf(cols, cols.patterns().pattern_rows, /*edges=*/false);
+}
+
+ElementSetCsr Vectorizer::EdgePatternSets(const pg::GraphBatch& batch) {
+  const pg::ColumnStore& cols = EdgeColumns(batch);
+  return SetsOf(cols, cols.patterns().pattern_rows, /*edges=*/true);
 }
 
 }  // namespace pghive::core

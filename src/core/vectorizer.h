@@ -42,21 +42,29 @@ struct ElementSetCsr {
 /// block. The binary block uses a global key-id -> column map shared by all
 /// rows of one call so identical patterns produce identical vectors.
 ///
+/// Per pattern, not per row: a vector (and a MinHash set) reads only a row's
+/// pattern — its label-set token, endpoint tokens and key set — so the
+/// pattern calls (NodePatternFeatures, NodePatternSets, ...) fill one entry
+/// per pattern of the batch side's pg::PatternIndex, from the pattern's
+/// representative row. PgHive runs on those. The per-row calls (NodeFeatures,
+/// NodeSetSpans, EdgeEndpointTokens, ...) run the same code with every row
+/// as its own pattern, so a row's entry equals its pattern's bit for bit.
+///
 /// The sweep runs over per-batch pg::ColumnStore tables: the embed blocks
 /// come from a per-batch token table and the binary block is filled from
 /// the key CSR, with no per-row PropertyMap access in the hot loops. With a
-/// thread pool, rows are sharded across workers. The column build is the
+/// thread pool, entries are sharded across workers. The column build is the
 /// sequential intern pre-pass (in row order, so token ids never depend on
 /// the thread count); the parallel phase then only reads the columns and
-/// the token table, and each row writes its own slice of the output —
+/// the token table, and each entry writes its own slice of the output —
 /// bit-identical at every pool size. As a side effect, every token of the
-/// batch (including edge endpoint tokens) is interned once NodeFeatures and
-/// EdgeFeatures have run, which is what lets the later node/edge tracks
-/// share the vocabulary read-only.
+/// batch (including edge endpoint tokens) is interned once both column
+/// stores are built, which is what lets the later node/edge tracks share
+/// the vocabulary read-only.
 ///
 /// The token table holds one embedding per distinct label-set token of the
-/// batch: a feature call embeds the tokens its rows bring that the table
-/// lacks (sharded on the pool), then each row copies its d floats per
+/// batch: a feature call embeds the tokens its entries bring that the table
+/// lacks (sharded on the pool), then each entry copies its d floats per
 /// block. A batch has far fewer tokens than rows, so Embed runs once per
 /// token instead of once per row slot; the table's size follows the
 /// batch's tokens, never the vocabulary's. Building either column store
@@ -78,6 +86,11 @@ class Vectorizer {
   /// Feature vectors for the batch's edges.
   FeatureMatrix EdgeFeatures(const pg::GraphBatch& batch);
 
+  /// One feature row per pattern of the batch's nodes (edges): row p is the
+  /// vector of every row of pattern p of NodeColumns(batch).patterns().
+  FeatureMatrix NodePatternFeatures(const pg::GraphBatch& batch);
+  FeatureMatrix EdgePatternFeatures(const pg::GraphBatch& batch);
+
   /// MinHash element sets, one flat CSR per batch. Nodes: the label-set
   /// token plus property keys; edges: edge token, source token, target
   /// token, plus edge property keys — disambiguated into one uint64
@@ -85,6 +98,10 @@ class Vectorizer {
   /// (label < src < dst < key) and key ids ascend within a row.
   ElementSetCsr NodeSetSpans(const pg::GraphBatch& batch);
   ElementSetCsr EdgeSetSpans(const pg::GraphBatch& batch);
+
+  /// The same sets, one per pattern (set p is pattern p's).
+  ElementSetCsr NodePatternSets(const pg::GraphBatch& batch);
+  ElementSetCsr EdgePatternSets(const pg::GraphBatch& batch);
 
   /// The batch's column stores, built on first use and cached until a call
   /// names a different id list.
@@ -99,21 +116,27 @@ class Vectorizer {
   std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>
   EdgeEndpointTokens(const pg::GraphBatch& batch);
 
+  /// The same pairs, one per edge pattern.
+  std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>
+  EdgePatternEndpoints(const pg::GraphBatch& batch);
+
  private:
   /// Embeddings of distinct label-set tokens, in first-seen order.
   class TokenTable {
    public:
-    /// Embeds each token of `tokens` the table lacks; kNoToken is skipped.
+    /// Embeds each token of tokens[rows[i]] the table lacks; kNoToken is
+    /// skipped.
     void Add(const std::vector<pg::LabelSetToken>& tokens,
+             const std::vector<uint32_t>& rows,
              const embed::LabelEmbedder& embedder, util::ThreadPool* pool);
 
-    /// Copies the embedding of tokens[row] into
-    /// data[(row - lo) * stride + offset ..] for every row in [lo, hi) —
-    /// the ColumnStore::FillBinaryBlock layout. A kNoToken row is left
+    /// Copies the embedding of tokens[rows[i]] into
+    /// data[(i - lo) * stride + offset ..] for every i in [lo, hi) — the
+    /// ColumnStore::FillBinaryBlock layout. A kNoToken row is left
     /// untouched: the feature matrix starts zeroed, which is its embedding.
-    void FillBlock(const std::vector<pg::LabelSetToken>& tokens, size_t lo,
-                   size_t hi, float* data, size_t stride,
-                   size_t offset) const;
+    void FillBlock(const std::vector<pg::LabelSetToken>& tokens,
+                   const std::vector<uint32_t>& rows, size_t lo, size_t hi,
+                   float* data, size_t stride, size_t offset) const;
 
     void Clear();
 
@@ -126,6 +149,14 @@ class Vectorizer {
     std::vector<float> vectors_;             // Entry -> dim floats.
     size_t dim_ = 0;
   };
+
+  // The shared bodies: one entry per listed row of the store, in list order.
+  FeatureMatrix NodeFeaturesOf(const pg::ColumnStore& cols,
+                               const std::vector<uint32_t>& rows);
+  FeatureMatrix EdgeFeaturesOf(const pg::ColumnStore& cols,
+                               const std::vector<uint32_t>& rows);
+  ElementSetCsr SetsOf(const pg::ColumnStore& cols,
+                       const std::vector<uint32_t>& rows, bool edges) const;
 
   pg::PropertyGraph* graph_;
   const embed::LabelEmbedder* embedder_;

@@ -17,6 +17,7 @@ GraphBatch FullBatch(const PropertyGraph& graph) {
 std::vector<GraphBatch> SplitIntoBatches(const PropertyGraph& graph,
                                          size_t num_batches, uint64_t seed) {
   PGHIVE_CHECK(num_batches > 0);
+  if (num_batches == 1) return {FullBatch(graph)};
   std::vector<GraphBatch> batches(num_batches);
   util::Rng rng(seed);
   auto node_perm = rng.Permutation(graph.num_nodes());

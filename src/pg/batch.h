@@ -25,7 +25,9 @@ struct GraphBatch {
 GraphBatch FullBatch(const PropertyGraph& graph);
 
 /// Randomly partitions the graph into `num_batches` batches (the paper's
-/// incremental evaluation uses 10 random batches). Every node and edge
+/// incremental evaluation uses 10 random batches). One batch is
+/// FullBatch(graph), in id order for every seed, so a one-batch stream
+/// processes the graph as static discovery does. Every node and edge
 /// appears in exactly one batch; an edge may arrive before or after its
 /// endpoints, which the pipeline must tolerate (both the sequential
 /// ProcessBatch loop and core::BatchPipeline do — endpoint labels resolve

@@ -12,12 +12,8 @@ namespace pghive::service {
 std::vector<std::string> BuildIngestPayloads(const pg::PropertyGraph& graph,
                                              size_t num_batches,
                                              uint64_t seed) {
-  std::vector<pg::GraphBatch> batches;
-  if (num_batches <= 1) {
-    batches.push_back(pg::FullBatch(graph));
-  } else {
-    batches = pg::SplitIntoBatches(graph, num_batches, seed);
-  }
+  const std::vector<pg::GraphBatch> batches =
+      pg::SplitIntoBatches(graph, num_batches, seed);
 
   std::vector<std::string> payloads;
   payloads.reserve(batches.size());

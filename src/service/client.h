@@ -14,8 +14,8 @@
 
 namespace pghive::service {
 
-/// Splits `graph` the way the one-shot CLI does (FullBatch for
-/// num_batches <= 1, SplitIntoBatches(graph, n, seed) otherwise) and renders
+/// Splits `graph` the way the one-shot CLI does (SplitIntoBatches(graph, n,
+/// seed), which is FullBatch for one batch; n must be > 0) and renders
 /// each batch as a pghived ingest payload. Payload 1 carries the graph-size
 /// header and the vocabulary preamble; later payloads carry only records.
 /// Reference (R) records materialize edge endpoints ahead of their own

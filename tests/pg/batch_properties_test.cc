@@ -96,6 +96,20 @@ TEST_P(RandomSplitTest, MoreBatchesThanElements) {
   EXPECT_LE(non_empty, g.num_nodes() + g.num_edges());
 }
 
+// One batch is the whole graph in id order for every seed: the order static
+// discovery (FullBatch) and a one-batch pghived stream process it in, so a
+// stateful one-batch `discover` writes the plain run's schema.
+TEST_P(RandomSplitTest, OneBatchIsIdOrderForEverySeed) {
+  PropertyGraph g = RandomGraph(GetParam());
+  const GraphBatch full = FullBatch(g);
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, GetParam(), ~GetParam()}) {
+    auto batches = SplitIntoBatches(g, 1, seed);
+    ASSERT_EQ(batches.size(), 1u);
+    EXPECT_EQ(batches[0].node_ids, full.node_ids) << "seed " << seed;
+    EXPECT_EQ(batches[0].edge_ids, full.edge_ids) << "seed " << seed;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSplitTest,
                          ::testing::Values(1u, 2u, 3u, 17u, 42u, 1234u));
 

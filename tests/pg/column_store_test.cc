@@ -1,15 +1,19 @@
 // ColumnStore is a derived, struct-of-arrays view of the row representation,
 // so every test here is an equivalence pin: whatever random rows say, the
 // columns must say too — CSR key order vs entries() order, endpoint ids and
-// tokens, null/overwrite/erase semantics, and the FillBinaryBlock sweep
-// against the naive per-row loop.
+// tokens, null/overwrite/erase semantics, the FillBinaryBlock sweep against
+// the naive per-row loop, and the pattern index against a naive
+// first-occurrence numbering of (token, src token, dst token, key set).
 
 #include "pg/column_store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "pg/graph.h"
@@ -146,7 +150,8 @@ TEST(ColumnStoreTest, OverwriteEraseAndNullSemantics) {
 
   const size_t stride = graph.vocab().num_keys();
   std::vector<float> block(3 * stride, 0.0f);
-  cols.FillBinaryBlock(0, 3, stride, block.data(), stride, 0);
+  cols.FillBinaryBlock(PatternIndex::Identity(3).pattern_rows, 0, 3, stride,
+                       block.data(), stride, 0);
   EXPECT_EQ(block[0 * stride + age], 1.0f);
   EXPECT_EQ(block[0 * stride + gone], 0.0f);
   EXPECT_EQ(block[1 * stride + hole], 1.0f);
@@ -162,15 +167,19 @@ TEST(ColumnStoreTest, FillBinaryBlockMatchesNaiveRowSweep) {
   const size_t num = cols.num_rows();
   const size_t max_key = 5;  // Smaller than the key universe on purpose.
   const size_t offset = 3, stride = offset + max_key + 2;
+  // Entry i fills row rows[i]; a reversed list pins the indirection.
+  std::vector<uint32_t> rows = PatternIndex::Identity(num).pattern_rows;
+  std::reverse(rows.begin(), rows.end());
   // Chunked exactly like the vectorizer's ParallelFor consumption.
   for (size_t lo = 0; lo < num; lo += 64) {
     const size_t hi = std::min(num, lo + 64);
     std::vector<float> got((hi - lo) * stride, 0.0f);
-    cols.FillBinaryBlock(lo, hi, max_key, got.data(), stride, offset);
+    cols.FillBinaryBlock(rows, lo, hi, max_key, got.data(), stride, offset);
     std::vector<float> want((hi - lo) * stride, 0.0f);
-    for (size_t row = lo; row < hi; ++row) {
-      for (const auto& [key, value] : graph.node(row).properties.entries()) {
-        if (key < max_key) want[(row - lo) * stride + offset + key] = 1.0f;
+    for (size_t i = lo; i < hi; ++i) {
+      for (const auto& [key, value] :
+           graph.node(rows[i]).properties.entries()) {
+        if (key < max_key) want[(i - lo) * stride + offset + key] = 1.0f;
       }
     }
     EXPECT_EQ(got, want) << "chunk [" << lo << ", " << hi << ")";
@@ -184,7 +193,7 @@ TEST(ColumnStoreTest, EmptyAndValuelessStores) {
   EXPECT_EQ(empty.key_offsets(), std::vector<uint32_t>{0});
   EXPECT_TRUE(empty.key_ids().empty());
   std::vector<float> untouched(8, -1.0f);
-  empty.FillBinaryBlock(0, 0, 4, untouched.data(), 8, 0);
+  empty.FillBinaryBlock({}, 0, 0, 4, untouched.data(), 8, 0);
   EXPECT_EQ(untouched, std::vector<float>(8, -1.0f));
 
   // Rows without properties: every CSR run is empty and the binary block
@@ -196,7 +205,8 @@ TEST(ColumnStoreTest, EmptyAndValuelessStores) {
   EXPECT_EQ(valueless.key_offsets(), (std::vector<uint32_t>{0, 0, 0}));
   EXPECT_TRUE(valueless.key_ids().empty());
   std::vector<float> zeros(2 * 4, 0.0f);
-  valueless.FillBinaryBlock(0, 2, 4, zeros.data(), 4, 0);
+  valueless.FillBinaryBlock(PatternIndex::Identity(2).pattern_rows, 0, 2, 4,
+                            zeros.data(), 4, 0);
   EXPECT_EQ(zeros, std::vector<float>(2 * 4, 0.0f));
 }
 
@@ -212,6 +222,167 @@ TEST(ColumnStoreTest, TokensMatchRowOrderInterning) {
     EXPECT_EQ(edge_cols.tokens()[row],
               graph.vocab().TokenForLabelSet(graph.edge(row).labels));
   }
+}
+
+// --- Pattern index --------------------------------------------------------
+
+/// Checks the index against its definition: rows share a pattern iff their
+/// (token, src token, dst token, key set) are equal, patterns are numbered
+/// by first occurrence, pattern_rows holds each pattern's first row and
+/// pattern_sizes its row count.
+void ExpectPatternIndexMatchesNaive(const ColumnStore& cols) {
+  const PatternIndex& index = cols.patterns();
+  ASSERT_EQ(index.num_rows(), cols.num_rows());
+  ASSERT_EQ(index.pattern_sizes.size(), index.num_patterns());
+  const bool edges = !cols.src_tokens().empty();
+  using Key = std::tuple<LabelSetToken, LabelSetToken, LabelSetToken,
+                         std::vector<KeyId>>;
+  std::map<Key, uint32_t> first;
+  std::vector<uint32_t> want_rows, want_sizes;
+  for (size_t row = 0; row < cols.num_rows(); ++row) {
+    Key key{cols.tokens()[row], edges ? cols.src_tokens()[row] : kNoToken,
+            edges ? cols.dst_tokens()[row] : kNoToken, CsrKeys(cols, row)};
+    auto [it, fresh] =
+        first.try_emplace(key, static_cast<uint32_t>(want_rows.size()));
+    if (fresh) {
+      want_rows.push_back(static_cast<uint32_t>(row));
+      want_sizes.push_back(0);
+    }
+    ++want_sizes[it->second];
+    EXPECT_EQ(index.row_patterns[row], it->second) << "row " << row;
+  }
+  EXPECT_EQ(index.pattern_rows, want_rows);
+  EXPECT_EQ(index.pattern_sizes, want_sizes);
+}
+
+TEST(PatternIndexTest, NonAdjacentDuplicatesTakeTheFirstOccurrence) {
+  PropertyGraph graph;
+  const std::vector<std::vector<std::string>> labels = {
+      {"A"}, {"B"}, {"A"}, {"C"}, {"B"}, {"A"}};
+  for (const auto& l : labels) {
+    const NodeId id = graph.AddNode(l);
+    graph.SetNodeProperty(id, l[0] == "C" ? "y" : "x", Value(true));
+  }
+  ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
+  const PatternIndex& index = cols.patterns();
+  EXPECT_EQ(index.row_patterns, (std::vector<uint32_t>{0, 1, 0, 2, 1, 0}));
+  EXPECT_EQ(index.pattern_rows, (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(index.pattern_sizes, (std::vector<uint32_t>{3, 2, 1}));
+  ExpectPatternIndexMatchesNaive(cols);
+
+  // The batch order, not the id order, numbers the patterns.
+  ColumnStore reversed = ColumnStore::ForNodes(graph, {5, 4, 3, 2, 1, 0});
+  EXPECT_EQ(reversed.patterns().row_patterns,
+            (std::vector<uint32_t>{0, 1, 2, 0, 1, 0}));
+  EXPECT_EQ(reversed.patterns().pattern_rows,
+            (std::vector<uint32_t>{0, 1, 2}));
+}
+
+TEST(PatternIndexTest, UnlabeledRowsAndUnlabeledEndpoints) {
+  PropertyGraph graph;
+  const NodeId bare = graph.AddNode({});
+  const NodeId bare_x = graph.AddNode({});
+  const NodeId a_x = graph.AddNode({"A"});
+  const NodeId bare_again = graph.AddNode({});
+  graph.SetNodeProperty(bare_x, "x", Value(true));
+  graph.SetNodeProperty(a_x, "x", Value(true));
+  ColumnStore nodes = ColumnStore::ForNodes(graph, AllNodes(graph));
+  EXPECT_EQ(nodes.tokens()[bare], kNoToken);
+  // kNoToken is a token like any other; the key set still splits.
+  EXPECT_EQ(nodes.patterns().row_patterns,
+            (std::vector<uint32_t>{0, 1, 2, 0}));
+  EXPECT_EQ(nodes.patterns().pattern_rows, (std::vector<uint32_t>{0, 1, 2}));
+  ExpectPatternIndexMatchesNaive(nodes);
+
+  graph.AddEdge(bare, a_x, {"R"});
+  graph.AddEdge(a_x, bare, {"R"});
+  graph.AddEdge(bare_again, a_x, {"R"});  // Same tokens as edge 0.
+  graph.AddEdge(bare, bare, {});
+  graph.AddEdge(bare_again, bare_x, {});  // Unlabeled all round.
+  ColumnStore edges = ColumnStore::ForEdges(graph, AllEdges(graph));
+  EXPECT_EQ(edges.patterns().row_patterns,
+            (std::vector<uint32_t>{0, 1, 0, 2, 2}));
+  EXPECT_EQ(edges.patterns().pattern_rows, (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(edges.patterns().pattern_sizes, (std::vector<uint32_t>{2, 1, 2}));
+  ExpectPatternIndexMatchesNaive(edges);
+}
+
+TEST(PatternIndexTest, PropertyLessRowsShareAPatternPerToken) {
+  PropertyGraph graph;
+  graph.AddNode({"A"});
+  graph.AddNode({"B"});
+  const NodeId keyed = graph.AddNode({"A"});
+  graph.AddNode({"A"});
+  graph.SetNodeProperty(keyed, "k", Value(static_cast<int64_t>(1)));
+  ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
+  EXPECT_EQ(cols.patterns().row_patterns,
+            (std::vector<uint32_t>{0, 1, 2, 0}));
+  EXPECT_EQ(cols.patterns().pattern_sizes, (std::vector<uint32_t>{2, 1, 1}));
+}
+
+TEST(PatternIndexTest, ExplicitNullIsPresentErasedKeyIsAbsent) {
+  PropertyGraph graph;
+  const NodeId null_key = graph.AddNode({"A"});
+  const NodeId erased = graph.AddNode({"A"});
+  const NodeId plain = graph.AddNode({"A"});
+  graph.SetNodeProperty(null_key, "k", Value());
+  graph.SetNodeProperty(erased, "k", Value(true));
+  ASSERT_TRUE(graph.node(erased).properties.Erase(graph.vocab().FindKey("k")));
+  ColumnStore cols = ColumnStore::ForNodes(graph, {null_key, erased, plain});
+  EXPECT_EQ(cols.patterns().row_patterns, (std::vector<uint32_t>{0, 1, 1}));
+  EXPECT_EQ(cols.patterns().pattern_rows, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(cols.patterns().pattern_sizes, (std::vector<uint32_t>{1, 2}));
+}
+
+TEST(PatternIndexTest, EdgesThatDifferOnlyInOneEndpointToken) {
+  PropertyGraph graph;
+  const NodeId p = graph.AddNode({"P"});
+  const NodeId q = graph.AddNode({"Q"});
+  const NodeId p2 = graph.AddNode({"P"});
+  graph.AddEdge(p, q, {"R"});
+  graph.AddEdge(q, q, {"R"});   // Differs in src only.
+  graph.AddEdge(p, p, {"R"});   // Differs in dst only.
+  graph.AddEdge(p2, q, {"R"});  // Other nodes, same tokens as edge 0.
+  graph.AddEdge(q, p, {"R"});   // Both swapped.
+  ColumnStore cols = ColumnStore::ForEdges(graph, AllEdges(graph));
+  EXPECT_EQ(cols.patterns().row_patterns,
+            (std::vector<uint32_t>{0, 1, 2, 0, 3}));
+  EXPECT_EQ(cols.patterns().pattern_rows,
+            (std::vector<uint32_t>{0, 1, 2, 4}));
+  ExpectPatternIndexMatchesNaive(cols);
+}
+
+TEST(PatternIndexTest, OneRowAndEmptyStores) {
+  PropertyGraph graph;
+  graph.AddNode({"A"});
+  ColumnStore one = ColumnStore::ForNodes(graph, {0});
+  EXPECT_EQ(one.patterns().row_patterns, std::vector<uint32_t>{0});
+  EXPECT_EQ(one.patterns().pattern_rows, std::vector<uint32_t>{0});
+  EXPECT_EQ(one.patterns().pattern_sizes, std::vector<uint32_t>{1});
+  for (const ColumnStore& empty :
+       {ColumnStore::ForNodes(graph, {}), ColumnStore::ForEdges(graph, {})}) {
+    EXPECT_EQ(empty.patterns().num_rows(), 0u);
+    EXPECT_EQ(empty.patterns().num_patterns(), 0u);
+    EXPECT_TRUE(empty.patterns().pattern_sizes.empty());
+  }
+}
+
+TEST(PatternIndexTest, RandomStoresMatchTheNaiveNumbering) {
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    PropertyGraph graph = RandomGraph(seed, 120, 300);
+    ExpectPatternIndexMatchesNaive(
+        ColumnStore::ForNodes(graph, AllNodes(graph)));
+    ExpectPatternIndexMatchesNaive(
+        ColumnStore::ForEdges(graph, AllEdges(graph)));
+  }
+}
+
+TEST(PatternIndexTest, IdentityMakesEveryRowItsOwnPattern) {
+  const PatternIndex index = PatternIndex::Identity(3);
+  EXPECT_EQ(index.row_patterns, (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(index.pattern_rows, (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(index.pattern_sizes, (std::vector<uint32_t>{1, 1, 1}));
+  EXPECT_EQ(PatternIndex::Identity(0).num_patterns(), 0u);
 }
 
 }  // namespace
