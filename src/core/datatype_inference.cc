@@ -15,38 +15,67 @@ const pg::Value* GetValue(const pg::PropertyGraph& graph, uint64_t instance,
   return graph.node(instance).properties.Get(key);
 }
 
+// The paper falls back to a string default when nothing is known. A
+// non-null value never infers kNull, so a join still at kNull saw none.
+pg::DataType OrStringDefault(pg::DataType joined) {
+  return joined == pg::DataType::kNull ? pg::DataType::kString : joined;
+}
+
+// The full scan of every key of `type` in one pass over its instances: each
+// instance's entries (sorted by key) are merged against the type's sorted
+// keys, so an instance is read once however many keys the type lists. Per
+// key, values join in instance order, as FullScanType joins them. STRING
+// absorbs every join, so a key that reached it skips InferType from then on.
+template <typename TypeT>
+void FullScanAllKeys(const pg::PropertyGraph& graph, bool edges,
+                     TypeT* type) {
+  std::vector<std::pair<pg::PropKeyId, pg::DataType>> joined;
+  joined.reserve(type->properties.size());
+  for (const auto& [key, info] : type->properties) {
+    joined.emplace_back(key, pg::DataType::kNull);
+  }
+  for (const uint64_t inst : type->instances) {
+    const pg::PropertyMap& props = edges ? graph.edge(inst).properties
+                                         : graph.node(inst).properties;
+    auto slot = joined.begin();
+    for (const auto& [key, value] : props.entries()) {
+      while (slot != joined.end() && slot->first < key) ++slot;
+      if (slot == joined.end()) break;
+      if (slot->first != key || value.is_null() ||
+          slot->second == pg::DataType::kString) {
+        continue;
+      }
+      slot->second = pg::JoinDataTypes(slot->second, value.InferType());
+    }
+  }
+  auto slot = joined.begin();
+  for (auto& [key, info] : type->properties) {
+    info.data_type = OrStringDefault((slot++)->second);
+  }
+}
+
 template <typename TypeT>
 void InferForType(const pg::PropertyGraph& graph, bool edges,
                   const DataTypeOptions& options, util::Rng* rng,
                   TypeT* type) {
+  if (!options.sample || type->instances.size() <= options.min_sample) {
+    FullScanAllKeys(graph, edges, type);
+    return;
+  }
   for (auto& [key, info] : type->properties) {
     pg::DataType joined = pg::DataType::kNull;
-    size_t seen = 0;
-    if (options.sample && type->instances.size() > options.min_sample) {
-      size_t want = std::max(
-          options.min_sample,
-          static_cast<size_t>(options.sample_fraction *
-                              static_cast<double>(type->instances.size())));
-      want = std::min(want, type->instances.size());
-      auto idx = rng->SampleWithoutReplacement(type->instances.size(), want);
-      for (size_t i : idx) {
-        const pg::Value* v = GetValue(graph, type->instances[i], edges, key);
-        if (v == nullptr || v->is_null()) continue;
-        joined = pg::JoinDataTypes(joined, v->InferType());
-        ++seen;
-      }
-    } else {
-      for (uint64_t inst : type->instances) {
-        const pg::Value* v = GetValue(graph, inst, edges, key);
-        if (v == nullptr || v->is_null()) continue;
-        joined = pg::JoinDataTypes(joined, v->InferType());
-        ++seen;
-      }
+    size_t want = std::max(
+        options.min_sample,
+        static_cast<size_t>(options.sample_fraction *
+                            static_cast<double>(type->instances.size())));
+    want = std::min(want, type->instances.size());
+    auto idx = rng->SampleWithoutReplacement(type->instances.size(), want);
+    for (size_t i : idx) {
+      const pg::Value* v = GetValue(graph, type->instances[i], edges, key);
+      if (v == nullptr || v->is_null()) continue;
+      joined = pg::JoinDataTypes(joined, v->InferType());
     }
-    // The paper falls back to a string default when nothing is known.
-    info.data_type = (seen == 0 || joined == pg::DataType::kNull)
-                         ? pg::DataType::kString
-                         : joined;
+    info.data_type = OrStringDefault(joined);
   }
 }
 
@@ -80,15 +109,12 @@ pg::DataType FullScanType(const pg::PropertyGraph& graph,
                           const std::vector<uint64_t>& instances, bool edges,
                           pg::PropKeyId key) {
   pg::DataType joined = pg::DataType::kNull;
-  size_t seen = 0;
   for (uint64_t inst : instances) {
     const pg::Value* v = GetValue(graph, inst, edges, key);
     if (v == nullptr || v->is_null()) continue;
     joined = pg::JoinDataTypes(joined, v->InferType());
-    ++seen;
   }
-  return (seen == 0 || joined == pg::DataType::kNull) ? pg::DataType::kString
-                                                      : joined;
+  return OrStringDefault(joined);
 }
 
 std::array<double, 4> SamplingErrorReport::BinFractions() const {

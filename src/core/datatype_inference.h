@@ -24,7 +24,9 @@ struct DataTypeOptions {
 
 /// Fills PropertyInfo::data_type for every property of every type by
 /// joining the inferred types of observed values (full scan or sampled).
-/// Values unseen (e.g. sampling skipped everything) default to STRING.
+/// Values unseen (e.g. sampling skipped everything) default to STRING. A
+/// full scan reads each instance once for all of its type's keys and gives
+/// every key FullScanType's result; a sampled type draws one sample per key.
 ///
 /// With a pool, the per-type scans fan out across workers. Each type draws
 /// its sample from an RNG seeded by (options.seed, type kind, type index) —

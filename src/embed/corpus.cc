@@ -4,31 +4,39 @@
 
 namespace pghive::embed {
 
+void LabelCorpus::AddSentence(std::span<const pg::LabelSetToken> sentence) {
+  if (offsets.empty()) offsets.push_back(0);
+  for (const pg::LabelSetToken t : sentence) tokens.push_back(t);
+  offsets.push_back(static_cast<uint32_t>(tokens.size()));
+}
+
 LabelCorpus BuildLabelCorpus(const pg::PropertyGraph& graph,
                              const pg::ColumnStore& edge_cols,
                              const pg::ColumnStore& node_cols) {
   LabelCorpus corpus;
   std::vector<bool> node_in_edge(graph.num_nodes(), false);
-
   const size_t num_edges = edge_cols.num_rows();
+  const size_t num_nodes = node_cols.num_rows();
+  corpus.tokens.reserve(3 * num_edges + num_nodes);
+  corpus.offsets.reserve(num_edges + num_nodes + 1);
+
   for (size_t i = 0; i < num_edges; ++i) {
-    const pg::LabelSetToken src = edge_cols.src_tokens()[i];
-    const pg::LabelSetToken et = edge_cols.tokens()[i];
-    const pg::LabelSetToken dst = edge_cols.dst_tokens()[i];
-    std::vector<pg::LabelSetToken> sentence;
-    if (src != pg::kNoToken) sentence.push_back(src);
-    if (et != pg::kNoToken) sentence.push_back(et);
-    if (dst != pg::kNoToken) sentence.push_back(dst);
-    if (sentence.size() >= 2) corpus.sentences.push_back(std::move(sentence));
+    pg::LabelSetToken sentence[3];
+    size_t length = 0;
+    for (const pg::LabelSetToken t :
+         {edge_cols.src_tokens()[i], edge_cols.tokens()[i],
+          edge_cols.dst_tokens()[i]}) {
+      if (t != pg::kNoToken) sentence[length++] = t;
+    }
+    if (length >= 2) corpus.AddSentence({sentence, length});
     node_in_edge[edge_cols.src_ids()[i]] = true;
     node_in_edge[edge_cols.dst_ids()[i]] = true;
   }
 
-  const size_t num_nodes = node_cols.num_rows();
   for (size_t i = 0; i < num_nodes; ++i) {
     if (node_in_edge[node_cols.ids()[i]]) continue;
     const pg::LabelSetToken t = node_cols.tokens()[i];
-    if (t != pg::kNoToken) corpus.sentences.push_back({t});
+    if (t != pg::kNoToken) corpus.AddSentence({&t, 1});
   }
 
   corpus.vocab_size = graph.vocab().num_tokens();

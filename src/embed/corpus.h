@@ -1,6 +1,8 @@
 #ifndef PGHIVE_EMBED_CORPUS_H_
 #define PGHIVE_EMBED_CORPUS_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pg/column_store.h"
@@ -18,11 +20,29 @@ namespace pghive::embed {
 ///
 /// so that labels that participate in the same relationships end up close
 /// in embedding space, while unrelated labels stay apart.
+///
+/// The sentences are one flat CSR: sentence i is
+/// tokens[offsets[i] .. offsets[i+1]), so a corpus is two arrays however
+/// many sentences it holds.
 struct LabelCorpus {
-  /// Sentences of label-set tokens (kNoToken entries are skipped).
-  std::vector<std::vector<pg::LabelSetToken>> sentences;
+  /// Every sentence's label-set tokens, back to back (kNoToken entries are
+  /// skipped).
+  std::vector<pg::LabelSetToken> tokens;
+  /// num_sentences() + 1 entries; empty when the corpus has no sentence.
+  std::vector<uint32_t> offsets;
   /// Number of distinct tokens referenced (== vocab.num_tokens()).
   size_t vocab_size = 0;
+
+  size_t num_sentences() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+
+  std::span<const pg::LabelSetToken> sentence(size_t i) const {
+    return {tokens.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+
+  /// Appends `sentence` as the next sentence.
+  void AddSentence(std::span<const pg::LabelSetToken> sentence);
 };
 
 /// Builds the corpus of a batch from its column stores

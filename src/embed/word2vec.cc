@@ -33,7 +33,8 @@ struct TrainPair {
 std::vector<TrainPair> EnumeratePairs(const LabelCorpus& corpus,
                                       const Word2VecOptions& options) {
   std::vector<TrainPair> pairs;
-  for (const auto& sentence : corpus.sentences) {
+  for (size_t s = 0; s < corpus.num_sentences(); ++s) {
+    const std::span<const pg::LabelSetToken> sentence = corpus.sentence(s);
     for (size_t i = 0; i < sentence.size(); ++i) {
       pg::LabelSetToken center = sentence[i];
       if (center == pg::kNoToken) continue;
@@ -102,7 +103,7 @@ void Word2Vec::EnsureCapacity(size_t vocab_size) {
 
 void Word2Vec::Train(const LabelCorpus& corpus, util::ThreadPool* pool) {
   EnsureCapacity(corpus.vocab_size);
-  if (corpus.sentences.empty() || corpus.vocab_size == 0) return;
+  if (corpus.num_sentences() == 0 || corpus.vocab_size == 0) return;
 
   const size_t dim = options_.dim;
   // Negative sampling is uniform over tokens (a unigram table buys nothing

@@ -148,13 +148,26 @@ ColumnStore ColumnStore::ForEdges(PropertyGraph& graph,
   std::vector<const PropertyMap*> rows;
   rows.reserve(ids.size());
   Vocabulary& vocab = graph.vocab();
+  // Each endpoint node's token, resolved at its first use in this call: a
+  // node's label set does not change while the store is built, so later
+  // edges read the array instead of looking the set up again.
+  constexpr LabelSetToken kUnresolved = kNoToken - 1;
+  std::vector<LabelSetToken> node_tokens(graph.num_nodes(), kUnresolved);
+  auto node_token = [&](NodeId node) {
+    LabelSetToken& token = node_tokens[node];
+    if (token == kUnresolved) {
+      token = vocab.TokenForLabelSet(graph.node(node).labels);
+    }
+    return token;
+  };
   for (const EdgeId id : ids) {
     const Edge& e = graph.edge(id);
     // Intern order per edge is (src, edge, dst) — the sentence order the
-    // corpus builder emits, which pins Word2Vec token-id history.
-    const LabelSetToken src = vocab.TokenForLabelSet(graph.node(e.src).labels);
+    // corpus builder emits, which pins Word2Vec token-id history. A node's
+    // set is interned at its first lookup, so the array keeps that order.
+    const LabelSetToken src = node_token(e.src);
     const LabelSetToken own = vocab.TokenForLabelSet(e.labels);
-    const LabelSetToken dst = vocab.TokenForLabelSet(graph.node(e.dst).labels);
+    const LabelSetToken dst = node_token(e.dst);
     store.src_tokens_.push_back(src);
     store.tokens_.push_back(own);
     store.dst_tokens_.push_back(dst);

@@ -92,7 +92,9 @@ class ColumnStore {
 
   /// Edge version; also captures endpoint tokens and ids. Interning order
   /// per edge is (src, edge, dst) — the corpus-builder order the Word2Vec
-  /// token-id history depends on.
+  /// token-id history depends on. Each endpoint node's token is looked up
+  /// once per call, at its first use, through a node-indexed array (4 bytes
+  /// per graph node).
   static ColumnStore ForEdges(PropertyGraph& graph,
                               const std::vector<EdgeId>& ids);
 

@@ -1,10 +1,12 @@
 #include "pg/graph_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <utility>
+
+#include "util/file_io.h"
 
 namespace pghive::pg {
 
@@ -197,16 +199,44 @@ Value ParseValue(std::string_view field) {
   return escaped ? Value(std::move(decoded)) : Value(std::string(field));
 }
 
+// The id of `raw`, the key of the line's `slot`-th kept pair: the cached id
+// when the previous line's pair in that slot had the same raw text, else
+// interned (and cached for the next line).
+PropKeyId KeyIdFor(std::string_view raw, size_t slot, Vocabulary* vocab,
+                   ElementRecord* record, std::string* scratch) {
+  std::vector<std::string>& keys = record->cached_keys;
+  if (slot < keys.size() && keys[slot] == raw) {
+    return record->cached_key_ids[slot];
+  }
+  const PropKeyId id = vocab->InternKey(Decode(raw, scratch));
+  if (slot == keys.size()) {
+    keys.emplace_back(raw);
+    record->cached_key_ids.push_back(id);
+  } else {
+    keys[slot].assign(raw);
+    record->cached_key_ids[slot] = id;
+  }
+  return id;
+}
+
 void ParseProperties(std::string_view field, Vocabulary* vocab,
-                     PropertyMap* props, std::string* scratch) {
+                     ElementRecord* record, std::string* scratch) {
+  PropertyMap* props = &record->properties;
+  // Every pair ends at a ';' or at the end of the field, so this bounds the
+  // pairs (an escaped ';' is written "\s").
+  if (!field.empty()) {
+    props->Reserve(static_cast<size_t>(
+        std::count(field.begin(), field.end(), ';') + 1));
+  }
   size_t begin = 0;
   size_t equals = 0;  // Unescaped '=' seen in the current pair.
   size_t eq = 0;      // Position of the last of them.
+  size_t slot = 0;    // Pairs kept so far.
   for (size_t i = 0;;) {
     if (i == field.size() || field[i] == ';') {
       if (equals == 1) {
-        const std::string_view key = field.substr(begin, eq - begin);
-        const PropKeyId id = vocab->InternKey(Decode(key, scratch));
+        const PropKeyId id = KeyIdFor(field.substr(begin, eq - begin),
+                                      slot++, vocab, record, scratch);
         props->Set(id, ParseValue(field.substr(eq + 1, i - eq - 1)));
       }
       if (i == field.size()) break;
@@ -271,7 +301,13 @@ util::Status ParseElementLine(std::string_view line, bool is_edge,
   const std::string_view labels = TakeRun(&rest, /*escapes=*/true);
   if (labels.empty()) return bad("label field");
   std::string scratch;
-  InternLabels(labels, vocab, &record->labels, &scratch);
+  if (labels == record->cached_label_field) {
+    record->labels = record->cached_labels;
+  } else {
+    InternLabels(labels, vocab, &record->labels, &scratch);
+    record->cached_label_field.assign(labels);
+    record->cached_labels = record->labels;
+  }
 
   // The properties field runs to the end of the line, less the blanks
   // around it.
@@ -280,8 +316,7 @@ util::Status ParseElementLine(std::string_view line, bool is_edge,
   size_t end = rest.size();
   while (end > begin && IsBlank(rest[end - 1])) --end;
   record->properties = PropertyMap();
-  ParseProperties(rest.substr(begin, end - begin), vocab, &record->properties,
-                  &scratch);
+  ParseProperties(rest.substr(begin, end - begin), vocab, record, &scratch);
   return util::Status::Ok();
 }
 
@@ -323,6 +358,19 @@ util::Status SaveGraphFile(const PropertyGraph& graph,
 
 util::StatusOr<PropertyGraph> LoadGraphText(const std::string& text) {
   PropertyGraph graph;
+  // Lines that start with a record kind size the element arrays up front.
+  size_t node_lines = 0;
+  size_t edge_lines = 0;
+  for (size_t pos = 0; pos < text.size();) {
+    node_lines += text[pos] == 'N';
+    edge_lines += text[pos] == 'E';
+    const size_t newline = text.find('\n', pos);
+    if (newline == std::string::npos) break;
+    pos = newline + 1;
+  }
+  graph.mutable_nodes().reserve(node_lines);
+  graph.mutable_edges().reserve(edge_lines);
+  // One record for the whole text, so its parse cache serves every line.
   ElementRecord record;
   std::string_view rest = text;
   for (size_t line_no = 1; !rest.empty(); ++line_no) {
@@ -364,17 +412,9 @@ util::StatusOr<PropertyGraph> LoadGraphText(const std::string& text) {
 }
 
 util::StatusOr<PropertyGraph> LoadGraphFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::IoError("cannot open " + path);
-  std::string text;
-  std::error_code size_error;
-  const auto size = std::filesystem::file_size(path, size_error);
-  if (!size_error) text.reserve(size);
-  char chunk[1 << 16];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    text.append(chunk, static_cast<size_t>(in.gcount()));
-  }
-  return LoadGraphText(text);
+  auto text = util::ReadWholeFile(path);
+  if (!text.ok()) return util::Status::IoError(text.status().message());
+  return LoadGraphText(*text);
 }
 
 }  // namespace pghive::pg

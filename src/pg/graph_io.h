@@ -41,12 +41,27 @@ namespace pghive::pg {
 //   integer literal out of range.
 
 /// One parsed node or edge record, resolved against a vocabulary.
+///
+/// A record reused across the lines of one parse stream also carries that
+/// stream's parse cache: the previous line's raw label field and raw keys
+/// with the ids they resolved to. ParseElementLine reuses those ids where the
+/// raw text repeats, instead of interning it again. The ids belong to the
+/// vocabulary the record was parsed against, so a record lives no longer
+/// than its parse stream: one record per LoadGraphText or
+/// GraphAssembler::ApplyPayload call, never shared or kept across calls.
 struct ElementRecord {
   uint64_t id = 0;
   uint64_t src = 0;  ///< Edges only.
   uint64_t dst = 0;  ///< Edges only.
   std::vector<LabelId> labels;  ///< Sorted, deduplicated (as Node::labels).
   PropertyMap properties;
+
+  /// The previous line's label field (raw) and its labels.
+  std::string cached_label_field;
+  std::vector<LabelId> cached_labels;
+  /// Raw key of the previous line's i-th property pair, and its id.
+  std::vector<std::string> cached_keys;
+  std::vector<PropKeyId> cached_key_ids;
 };
 
 /// Pops the next line off the front of `*text`, without its '\n'.
@@ -66,6 +81,8 @@ bool ParseId(std::string_view field, uint64_t* id);
 /// and then property keys are interned into `vocab` left to right as they
 /// are read; a skipped label piece or property pair interns nothing. A
 /// malformed line is a ParseError, possibly after some names were interned.
+/// Every call with one `record` must pass the same `vocab` (see
+/// ElementRecord's parse cache); the ids are those a fresh record would get.
 util::Status ParseElementLine(std::string_view line, bool is_edge,
                               Vocabulary* vocab, ElementRecord* record);
 

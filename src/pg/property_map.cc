@@ -15,6 +15,10 @@ auto LowerBound(std::vector<std::pair<KeyId, Value>>& entries, KeyId key) {
 }  // namespace
 
 void PropertyMap::Set(KeyId key, Value value) {
+  if (entries_.empty() || entries_.back().first < key) {
+    entries_.emplace_back(key, std::move(value));
+    return;
+  }
   auto it = LowerBound(entries_, key);
   if (it != entries_.end() && it->first == key) {
     it->second = std::move(value);

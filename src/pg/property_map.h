@@ -19,8 +19,12 @@ class PropertyMap {
  public:
   PropertyMap() = default;
 
-  /// Inserts or overwrites.
+  /// Inserts or overwrites. A key above every present key appends without
+  /// a search, so setting keys in ascending order costs no lookups.
   void Set(KeyId key, Value value);
+
+  /// Makes room for `n` entries in all.
+  void Reserve(size_t n) { entries_.reserve(n); }
 
   /// Returns the value for `key`, or nullptr if absent.
   const Value* Get(KeyId key) const;

@@ -19,17 +19,21 @@ constexpr uint64_t kMaxDeclaredElements = uint64_t{1} << 28;
 
 util::Status GraphAssembler::ApplyPayload(std::string_view payload,
                                           pg::GraphBatch* batch) {
+  // One record per payload, so its parse cache lives only as long as this
+  // parse of graph_'s vocabulary.
+  pg::ElementRecord record;
   std::string_view rest = payload;
   while (!rest.empty()) {
     const std::string_view line = pg::TakeLine(&rest);
     if (line.empty() || line[0] == '#') continue;
-    util::Status status = ApplyLine(line, batch);
+    util::Status status = ApplyLine(line, &record, batch);
     if (!status.ok()) return status;
   }
   return util::Status::Ok();
 }
 
 util::Status GraphAssembler::ApplyLine(std::string_view line,
+                                       pg::ElementRecord* record,
                                        pg::GraphBatch* batch) {
   // Every record kind is one character at the start of the line.
   std::string_view fields = line;
@@ -40,9 +44,9 @@ util::Status GraphAssembler::ApplyLine(std::string_view line,
       case 'V':
         return ApplyVocab(line);
       case 'N':
-        return MaterializeNode(line, /*member=*/true, batch);
+        return MaterializeNode(line, /*member=*/true, record, batch);
       case 'R':
-        return MaterializeNode(line, /*member=*/false, batch);
+        return MaterializeNode(line, /*member=*/false, record, batch);
       case 'M': {
         uint64_t id = 0;
         if (!pg::ParseId(pg::TakeField(&fields), &id) ||
@@ -58,7 +62,7 @@ util::Status GraphAssembler::ApplyLine(std::string_view line,
         return util::Status::Ok();
       }
       case 'E':
-        return MaterializeEdge(line, batch);
+        return MaterializeEdge(line, record, batch);
       default:
         break;
     }
@@ -127,70 +131,71 @@ util::Status GraphAssembler::ApplyVocab(std::string_view line) {
 
 util::Status GraphAssembler::MaterializeNode(std::string_view line,
                                              bool member,
+                                             pg::ElementRecord* record,
                                              pg::GraphBatch* batch) {
   if (!sized_) {
     return util::Status::FailedPrecondition(
         "node record before the G header");
   }
   // R lines share the node-line shape; the parser skips the kind.
-  pg::ElementRecord record;
   util::Status parsed = pg::ParseElementLine(line, /*is_edge=*/false,
-                                             &graph_->vocab(), &record);
+                                             &graph_->vocab(), record);
   if (!parsed.ok()) return parsed;
-  if (record.id >= node_filled_.size()) {
-    return util::Status::OutOfRange("node id " + std::to_string(record.id) +
+  if (record->id >= node_filled_.size()) {
+    return util::Status::OutOfRange("node id " + std::to_string(record->id) +
                                     " outside the declared graph");
   }
-  if (node_filled_[record.id]) {
+  if (node_filled_[record->id]) {
     return util::Status::FailedPrecondition(
-        "node " + std::to_string(record.id) + " materialized twice");
+        "node " + std::to_string(record->id) + " materialized twice");
   }
-  pg::Node& node = graph_->node(record.id);
-  node.labels = std::move(record.labels);
-  node.properties = std::move(record.properties);
-  node_filled_[record.id] = true;
+  pg::Node& node = graph_->node(record->id);
+  node.labels = std::move(record->labels);
+  node.properties = std::move(record->properties);
+  node_filled_[record->id] = true;
   ++nodes_filled_;
-  if (member) batch->node_ids.push_back(record.id);
+  if (member) batch->node_ids.push_back(record->id);
   return util::Status::Ok();
 }
 
 util::Status GraphAssembler::MaterializeEdge(std::string_view line,
+                                             pg::ElementRecord* record,
                                              pg::GraphBatch* batch) {
   if (!sized_) {
     return util::Status::FailedPrecondition(
         "edge record before the G header");
   }
-  pg::ElementRecord record;
   util::Status parsed = pg::ParseElementLine(line, /*is_edge=*/true,
-                                             &graph_->vocab(), &record);
+                                             &graph_->vocab(), record);
   if (!parsed.ok()) return parsed;
-  if (record.id >= edge_filled_.size()) {
-    return util::Status::OutOfRange("edge id " + std::to_string(record.id) +
+  if (record->id >= edge_filled_.size()) {
+    return util::Status::OutOfRange("edge id " + std::to_string(record->id) +
                                     " outside the declared graph");
   }
-  if (edge_filled_[record.id]) {
+  if (edge_filled_[record->id]) {
     return util::Status::FailedPrecondition(
-        "edge " + std::to_string(record.id) + " materialized twice");
+        "edge " + std::to_string(record->id) + " materialized twice");
   }
-  if (record.src >= node_filled_.size() || record.dst >= node_filled_.size()) {
+  if (record->src >= node_filled_.size() ||
+      record->dst >= node_filled_.size()) {
     return util::Status::OutOfRange("edge endpoint outside the graph");
   }
-  if (!node_filled_[record.src] || !node_filled_[record.dst]) {
+  if (!node_filled_[record->src] || !node_filled_[record->dst]) {
     // Discovery embeds endpoint labels when it processes the edge, so an
     // unmaterialized endpoint would silently change the schema. The client
     // always sends R records first; reaching this means a broken client.
     return util::Status::FailedPrecondition(
-        "edge " + std::to_string(record.id) +
+        "edge " + std::to_string(record->id) +
         " references an unmaterialized endpoint");
   }
-  pg::Edge& edge = graph_->edge(record.id);
-  edge.src = record.src;
-  edge.dst = record.dst;
-  edge.labels = std::move(record.labels);
-  edge.properties = std::move(record.properties);
-  edge_filled_[record.id] = true;
+  pg::Edge& edge = graph_->edge(record->id);
+  edge.src = record->src;
+  edge.dst = record->dst;
+  edge.labels = std::move(record->labels);
+  edge.properties = std::move(record->properties);
+  edge_filled_[record->id] = true;
   ++edges_filled_;
-  batch->edge_ids.push_back(record.id);
+  batch->edge_ids.push_back(record->id);
   return util::Status::Ok();
 }
 

@@ -7,6 +7,7 @@
 
 #include "pg/batch.h"
 #include "pg/graph.h"
+#include "pg/graph_io.h"
 #include "util/status.h"
 
 namespace pghive::service {
@@ -54,12 +55,17 @@ class GraphAssembler {
   size_t edges_filled() const { return edges_filled_; }
 
  private:
-  util::Status ApplyLine(std::string_view line, pg::GraphBatch* batch);
+  // `record` is the payload's one parse record (pg::ElementRecord).
+  util::Status ApplyLine(std::string_view line, pg::ElementRecord* record,
+                         pg::GraphBatch* batch);
   util::Status ApplyHeader(std::string_view line, std::string_view fields);
   util::Status ApplyVocab(std::string_view line);
   util::Status MaterializeNode(std::string_view line, bool member,
+                               pg::ElementRecord* record,
                                pg::GraphBatch* batch);
-  util::Status MaterializeEdge(std::string_view line, pg::GraphBatch* batch);
+  util::Status MaterializeEdge(std::string_view line,
+                               pg::ElementRecord* record,
+                               pg::GraphBatch* batch);
 
   pg::PropertyGraph* graph_;
   bool sized_ = false;

@@ -13,7 +13,8 @@ namespace pghive::util {
 Status AtomicWriteFile(const std::string& path, const std::string& bytes);
 
 /// Reads all of `path`: NotFound when it cannot be opened (normally, it
-/// does not exist yet), IoError when reading fails midway.
+/// does not exist yet), IoError naming the path when a read fails (a
+/// directory opens but cannot be read).
 StatusOr<std::string> ReadWholeFile(const std::string& path);
 
 }  // namespace pghive::util

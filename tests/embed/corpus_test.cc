@@ -11,8 +11,8 @@ TEST(CorpusTest, EdgeSentencesContainTriples) {
   pg::NodeId b = g.AddNode({"B"});
   g.AddEdge(a, b, {"R"});
   LabelCorpus corpus = BuildLabelCorpus(g);
-  ASSERT_EQ(corpus.sentences.size(), 1u);
-  EXPECT_EQ(corpus.sentences[0].size(), 3u);  // src, edge, dst tokens.
+  ASSERT_EQ(corpus.num_sentences(), 1u);
+  EXPECT_EQ(corpus.sentence(0).size(), 3u);  // src, edge, dst tokens.
   EXPECT_EQ(corpus.vocab_size, g.vocab().num_tokens());
 }
 
@@ -22,8 +22,8 @@ TEST(CorpusTest, UnlabeledElementsAreSkipped) {
   pg::NodeId b = g.AddNode({"B"});
   g.AddEdge(a, b, {"R"});
   LabelCorpus corpus = BuildLabelCorpus(g);
-  ASSERT_EQ(corpus.sentences.size(), 1u);
-  EXPECT_EQ(corpus.sentences[0].size(), 2u);  // Edge + dst only.
+  ASSERT_EQ(corpus.num_sentences(), 1u);
+  EXPECT_EQ(corpus.sentence(0).size(), 2u);  // Edge + dst only.
 }
 
 TEST(CorpusTest, IsolatedLabeledNodesFormSingletonSentences) {
@@ -31,8 +31,8 @@ TEST(CorpusTest, IsolatedLabeledNodesFormSingletonSentences) {
   g.AddNode({"Solo"});
   g.AddNode({});  // Unlabeled isolated node: dropped.
   LabelCorpus corpus = BuildLabelCorpus(g);
-  ASSERT_EQ(corpus.sentences.size(), 1u);
-  EXPECT_EQ(corpus.sentences[0].size(), 1u);
+  ASSERT_EQ(corpus.num_sentences(), 1u);
+  EXPECT_EQ(corpus.sentence(0).size(), 1u);
 }
 
 TEST(CorpusTest, FullyUnlabeledEdgeYieldsNoSentence) {
@@ -41,7 +41,7 @@ TEST(CorpusTest, FullyUnlabeledEdgeYieldsNoSentence) {
   pg::NodeId b = g.AddNode({});
   g.AddEdge(a, b, {});
   LabelCorpus corpus = BuildLabelCorpus(g);
-  EXPECT_TRUE(corpus.sentences.empty());
+  EXPECT_EQ(corpus.num_sentences(), 0u);
 }
 
 TEST(CorpusTest, BatchRestrictsScope) {
@@ -53,7 +53,7 @@ TEST(CorpusTest, BatchRestrictsScope) {
   const pg::ColumnStore edges = pg::ColumnStore::ForEdges(g, {0});
   const pg::ColumnStore nodes = pg::ColumnStore::ForNodes(g, {a, b});
   LabelCorpus corpus = BuildLabelCorpus(g, edges, nodes);
-  EXPECT_EQ(corpus.sentences.size(), 1u);
+  EXPECT_EQ(corpus.num_sentences(), 1u);
 }
 
 TEST(CorpusTest, MultiLabelNodesUseSetToken) {
@@ -62,9 +62,9 @@ TEST(CorpusTest, MultiLabelNodesUseSetToken) {
   pg::NodeId b = g.AddNode({"School"});
   g.AddEdge(a, b, {"ATTENDS"});
   LabelCorpus corpus = BuildLabelCorpus(g);
-  ASSERT_EQ(corpus.sentences.size(), 1u);
+  ASSERT_EQ(corpus.num_sentences(), 1u);
   // The first token is the combined set token.
-  EXPECT_EQ(g.vocab().TokenName(corpus.sentences[0][0]), "Person|Student");
+  EXPECT_EQ(g.vocab().TokenName(corpus.sentence(0)[0]), "Person|Student");
 }
 
 }  // namespace

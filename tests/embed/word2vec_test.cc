@@ -149,9 +149,10 @@ TEST(Word2VecTest, MaxPairsPerEpochTruncatesExactly) {
                                              token("C")};
   LabelCorpus two_sentences;
   two_sentences.vocab_size = g.vocab().num_tokens();
-  two_sentences.sentences = {sentence, sentence};
+  two_sentences.AddSentence(sentence);
+  two_sentences.AddSentence(sentence);
   LabelCorpus three_sentences = two_sentences;
-  three_sentences.sentences.push_back(sentence);
+  three_sentences.AddSentence(sentence);
 
   // Capped at exactly the first two sentences' pairs, the third sentence
   // must not influence training at all.

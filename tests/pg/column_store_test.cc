@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -208,6 +209,91 @@ TEST(ColumnStoreTest, EmptyAndValuelessStores) {
   valueless.FillBinaryBlock(PatternIndex::Identity(2).pattern_rows, 0, 2, 4,
                             zeros.data(), 4, 0);
   EXPECT_EQ(zeros, std::vector<float>(2 * 4, 0.0f));
+}
+
+/// A random graph for the endpoint-token checks: unlabeled and multi-label
+/// nodes (sets given in any order, with duplicates), self-loops, and a tail
+/// of nodes that only ever appear as an edge's target.
+PropertyGraph RandomEndpointGraph(uint64_t seed) {
+  util::Rng rng(seed);
+  const std::vector<std::vector<std::string>> label_pool = {
+      {},         {"Person"},           {"Student", "Person"},
+      {"Org"},    {"Person", "Student"}, {"Org", "Org", "Place"},
+      {"Place"},  {"Tag", "Person", "Org"}};
+  PropertyGraph graph;
+  const size_t num_nodes = 20 + rng.NextBounded(40);
+  for (size_t i = 0; i < num_nodes; ++i) {
+    graph.AddNode(label_pool[rng.NextBounded(label_pool.size())]);
+  }
+  // Nodes from `sources` on are never a source: targets only, if at all.
+  const size_t sources = num_nodes - num_nodes / 4;
+  const size_t num_edges = 30 + rng.NextBounded(120);
+  for (size_t i = 0; i < num_edges; ++i) {
+    const NodeId src = rng.NextBounded(sources);
+    const NodeId dst =
+        rng.NextBounded(5) == 0 ? src : rng.NextBounded(num_nodes);
+    std::vector<std::string> labels;
+    if (rng.NextBounded(4) != 0) {
+      labels.push_back("R" + std::to_string(rng.NextBounded(3)));
+    }
+    // A label nodes carry too, so edge and node sets share tokens.
+    if (rng.NextBounded(6) == 0) labels.push_back("Person");
+    graph.AddEdge(src, dst, labels);
+  }
+  return graph;
+}
+
+TEST(ColumnStoreTest, EndpointTokensMatchThreeLookupsPerEdge) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    PropertyGraph graph = RandomEndpointGraph(seed);
+    // The reference: the same rows over a copy of the vocabulary, every
+    // label set looked up where it occurs (src, edge, dst per edge, then
+    // every node of the batch).
+    PropertyGraph reference(std::make_shared<Vocabulary>(graph.vocab()));
+    reference.mutable_nodes() = graph.nodes();
+    reference.mutable_edges() = graph.edges();
+    Vocabulary& ref_vocab = reference.vocab();
+
+    util::Rng rng(seed * 977);
+    const size_t num_batches = 1 + rng.NextBounded(3);
+    for (size_t b = 0; b < num_batches; ++b) {
+      // Batch b: every num_batches-th edge and node from offset b.
+      std::vector<EdgeId> edge_ids;
+      std::vector<NodeId> node_ids;
+      for (EdgeId e = b; e < graph.num_edges(); e += num_batches) {
+        edge_ids.push_back(e);
+      }
+      for (NodeId n = b; n < graph.num_nodes(); n += num_batches) {
+        node_ids.push_back(n);
+      }
+      const ColumnStore edges = ColumnStore::ForEdges(graph, edge_ids);
+      const ColumnStore nodes = ColumnStore::ForNodes(graph, node_ids);
+      ASSERT_EQ(edges.num_rows(), edge_ids.size());
+      for (size_t row = 0; row < edge_ids.size(); ++row) {
+        const Edge& e = reference.edge(edge_ids[row]);
+        const LabelSetToken src =
+            ref_vocab.TokenForLabelSet(reference.node(e.src).labels);
+        const LabelSetToken own = ref_vocab.TokenForLabelSet(e.labels);
+        const LabelSetToken dst =
+            ref_vocab.TokenForLabelSet(reference.node(e.dst).labels);
+        EXPECT_EQ(edges.src_tokens()[row], src) << "seed " << seed;
+        EXPECT_EQ(edges.tokens()[row], own) << "seed " << seed;
+        EXPECT_EQ(edges.dst_tokens()[row], dst) << "seed " << seed;
+      }
+      for (size_t row = 0; row < node_ids.size(); ++row) {
+        EXPECT_EQ(nodes.tokens()[row],
+                  ref_vocab.TokenForLabelSet(
+                      reference.node(node_ids[row]).labels))
+            << "seed " << seed;
+      }
+      // Same ids in the same first-occurrence order: every token name agrees.
+      ASSERT_EQ(graph.vocab().num_tokens(), ref_vocab.num_tokens());
+      for (LabelSetToken t = 0; t < ref_vocab.num_tokens(); ++t) {
+        EXPECT_EQ(graph.vocab().TokenName(t), ref_vocab.TokenName(t))
+            << "seed " << seed << " token " << t;
+      }
+    }
+  }
 }
 
 TEST(ColumnStoreTest, TokensMatchRowOrderInterning) {

@@ -303,5 +303,19 @@ TEST(GraphIoTest, MissingFileIsIoError) {
   EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
 }
 
+TEST(GraphIoTest, DirectoryIsIoErrorNotAnEmptyGraph) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "pghive_graph_dir_test")
+          .string();
+  std::filesystem::create_directories(dir);
+  auto result = LoadGraphFile(dir);
+  ASSERT_FALSE(result.ok()) << "loaded " << result.value().num_nodes()
+                            << " nodes from a directory";
+  EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("cannot read " + dir),
+            std::string::npos)
+      << result.status().message();
+}
+
 }  // namespace
 }  // namespace pghive::pg

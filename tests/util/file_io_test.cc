@@ -62,5 +62,17 @@ TEST(FileIoTest, ReadingAMissingFileIsNotFound) {
   EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
 }
 
+TEST(FileIoTest, ReadingADirectoryIsAnIoErrorNamingIt) {
+  // A directory opens but read(2) fails (EISDIR): an error, never an abort
+  // or an empty file.
+  const std::string dir = FreshDir("directory");
+  auto read = ReadWholeFile(dir);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+  EXPECT_NE(read.status().message().find("cannot read " + dir),
+            std::string::npos)
+      << read.status().message();
+}
+
 }  // namespace
 }  // namespace pghive::util

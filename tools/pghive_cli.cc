@@ -226,8 +226,9 @@ int CmdDiscover(const Args& args) {
   // and RestoreState reconstructs the mid-stream state exactly.
   uint64_t restored = 0;
   if (args.Has("resume-from")) {
-    std::ifstream in(args.Get("resume-from"), std::ios::binary);
-    if (!in) return Fail("cannot open " + args.Get("resume-from"));
+    auto bytes = util::ReadWholeFile(args.Get("resume-from"));
+    if (!bytes.ok()) return Fail(bytes.status().ToString());
+    std::istringstream in(std::move(bytes).value());
     auto r = pipeline.RestoreState(in);
     if (!r.ok()) return Fail(r.status().ToString());
     restored = *r;
@@ -628,11 +629,9 @@ int CmdValidate(const Args& args) {
   if (!loaded.ok()) return Fail(loaded.status().ToString());
   pg::PropertyGraph graph = std::move(loaded).value();
 
-  std::ifstream in(args.Get("schema"));
-  if (!in) return Fail("cannot open " + args.Get("schema"));
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  auto schema = core::ParsePgSchema(buf.str(), &graph.vocab());
+  auto text = util::ReadWholeFile(args.Get("schema"));
+  if (!text.ok()) return Fail(text.status().ToString());
+  auto schema = core::ParsePgSchema(*text, &graph.vocab());
   if (!schema.ok()) return Fail(schema.status().ToString());
 
   core::ValidatorOptions options;
