@@ -15,7 +15,7 @@ endif()
 if(CMAKE_CXX_COMPILER_ID STREQUAL "GNU"
    AND CMAKE_CXX_COMPILER_VERSION VERSION_LESS 13)
   # GCC 12 emits false-positive maybe-uninitialized warnings for the inactive
-  # alternative of std::variant under -O2 (util::Result<T> trips it), and
+  # alternative of std::variant under -O2 (util::StatusOr<T> trips it), and
   # false-positive -Wrestrict on inlined std::string concatenation
   # (GCC PR105329, fixed in 13). Both stay enabled on GCC >= 13 and clang.
   list(APPEND PGHIVE_WARNING_FLAGS -Wno-maybe-uninitialized -Wno-restrict)

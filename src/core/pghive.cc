@@ -1,7 +1,6 @@
 #include "core/pghive.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #include "core/cardinality.h"
@@ -174,53 +173,27 @@ util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   const pg::GraphBatch& batch = prepared.batch;
   util::Timer timer;
 
-  // (c) LSH clustering + candidate build, per pattern. The node and edge
-  // tracks are independent: they write disjoint stats fields and share the
-  // graph and the prepared batch read-only — the vectorizer's pre-pass
-  // already cached every label-set token of the batch (including edge
-  // endpoint tokens), so the tracks run concurrently when a pool is
-  // available. Each track's inner loops also fan out on the pool (nested
-  // sections flatten into its queue).
+  // (c) LSH clustering + candidate build, per pattern: the node side, then
+  // the edge side, on this thread. A side sees one row per distinct element
+  // pattern, not one per element, so only its inner loops use the pool.
   std::vector<CandidateType> node_candidates;
   std::vector<CandidateType> edge_candidates;
-  auto node_track = [&] {
-    if (batch.node_ids.empty()) return;
+  if (!batch.node_ids.empty()) {
     SideClusters side = ClusterSide(prepared, /*nodes=*/true);
     last_stats_.node_params = side.choice;
     last_stats_.node_clusters = side.clusters.num_clusters();
     node_candidates = std::move(side.candidates);
-  };
-  auto edge_track = [&] {
-    if (batch.edge_ids.empty()) return;
+  }
+  if (!batch.edge_ids.empty()) {
     SideClusters side = ClusterSide(prepared, /*nodes=*/false);
     last_stats_.edge_params = side.choice;
     last_stats_.edge_clusters = side.clusters.num_clusters();
     edge_candidates = std::move(side.candidates);
-  };
-  if (pool_ != nullptr) {
-    std::future<void> edges_done = pool_->Submit(edge_track);
-    try {
-      node_track();
-    } catch (...) {
-      // edge_track references stack locals; it must finish before unwinding.
-      pool_->HelpWhileWaiting(edges_done);
-      throw;
-    }
-    // Drain-while-waiting: ProcessBatch may itself be running on a pool
-    // worker (pghived schedules session jobs onto the shared pool), and a
-    // plain get() would deadlock when no other worker is free to take the
-    // edge track.
-    pool_->HelpWhileWaiting(edges_done);
-    edges_done.get();
-  } else {
-    node_track();
-    edge_track();
   }
   last_stats_.cluster_ms = timer.ElapsedMillis();
 
   // (d) Type extraction (Algorithm 2), merged into the running schema in a
-  // fixed order — nodes then edges — so the schema never depends on which
-  // track finished first.
+  // fixed order: nodes then edges.
   timer.Reset();
   ExtractionOptions ext;
   ext.jaccard_threshold = options_.jaccard_threshold;

@@ -58,9 +58,9 @@ struct PgHiveOptions {
   /// (1.0 = the paper's heuristic).
   double alpha_scale = 1.0;
 
-  /// Worker threads for the parallel pipeline stages (Word2Vec training,
-  /// vectorization, LSH hashing, the concurrent node/edge tracks, datatype
-  /// sampling).
+  /// Worker threads for the parallel pipeline stages (Word2Vec training
+  /// waves, the pattern feature fills, ELSH hashing, the AND group-by from
+  /// 8,192 rows, per-type datatype inference).
   /// 0 = hardware concurrency, 1 = the serial path. The discovered schema
   /// is bit-identical for every value: parallel loops shard by index and
   /// all RNG seeds are pre-split per shard.
@@ -164,9 +164,9 @@ class PgHive {
   /// Clusters one side (nodes or edges) of a prepared batch per pattern:
   /// chooses (b, T) over the side's rows through its pattern index, hashes
   /// and groups the pattern rows, and builds the candidates. A row's cluster
-  /// is its pattern's. Reads only the prepared batch and the graph, so the
-  /// two sides may run concurrently; the cross-path tests hold it against
-  /// the per-row entry points.
+  /// is its pattern's. Reads only the prepared batch and the graph;
+  /// ProcessPrepared runs the node side, then the edge side, on the calling
+  /// thread. The cross-path tests hold it against the per-row entry points.
   SideClusters ClusterSide(const PreparedBatch& prepared, bool nodes) const;
 
   /// Stage (b) of Algorithm 1 on its own: trains/refreshes the label

@@ -143,18 +143,6 @@ std::vector<uint32_t> SchemaGraph::EdgeAssignment(size_t num_edges) const {
   return assignment;
 }
 
-size_t SchemaGraph::TotalNodeLabels() const {
-  std::set<pg::LabelId> labels;
-  for (const auto& t : node_types_) labels.insert(t.labels.begin(), t.labels.end());
-  return labels.size();
-}
-
-size_t SchemaGraph::TotalEdgeLabels() const {
-  std::set<pg::LabelId> labels;
-  for (const auto& t : edge_types_) labels.insert(t.labels.begin(), t.labels.end());
-  return labels.size();
-}
-
 std::vector<uint32_t> UnionSorted(const std::vector<uint32_t>& a,
                                   const std::vector<uint32_t>& b) {
   std::vector<uint32_t> out;

@@ -127,10 +127,6 @@ class SchemaGraph {
   std::vector<uint32_t> NodeAssignment(size_t num_nodes) const;
   std::vector<uint32_t> EdgeAssignment(size_t num_edges) const;
 
-  /// Total distinct labels over node / edge types (schema summary).
-  size_t TotalNodeLabels() const;
-  size_t TotalEdgeLabels() const;
-
  private:
   std::vector<NodeType> node_types_;
   std::vector<EdgeType> edge_types_;

@@ -378,51 +378,4 @@ void ExtractEdgeTypes(std::vector<CandidateType> candidates,
       [](const CandidateType& c) { return EdgeJaccardSet(c); });
 }
 
-CandidateType NodeTypeToCandidate(const NodeType& type) {
-  CandidateType c;
-  c.labels = type.labels;
-  c.keys = type.Keys();
-  c.instances = type.instances;
-  c.instance_count = type.instance_count;
-  for (const auto& [key, info] : type.properties) {
-    c.key_counts.emplace_back(key, info.count);
-  }
-  c.pattern_hashes.assign(type.pattern_hashes.begin(),
-                          type.pattern_hashes.end());
-  return c;
-}
-
-CandidateType EdgeTypeToCandidate(const EdgeType& type) {
-  CandidateType c;
-  c.labels = type.labels;
-  c.keys = type.Keys();
-  c.instances = type.instances;
-  c.instance_count = type.instance_count;
-  for (const auto& [key, info] : type.properties) {
-    c.key_counts.emplace_back(key, info.count);
-  }
-  c.pattern_hashes.assign(type.pattern_hashes.begin(),
-                          type.pattern_hashes.end());
-  c.endpoints.assign(type.endpoints.begin(), type.endpoints.end());
-  return c;
-}
-
-SchemaGraph MergeSchemas(const SchemaGraph& a, const SchemaGraph& b,
-                         const ExtractionOptions& options) {
-  SchemaGraph merged = a;
-  std::vector<CandidateType> node_cands;
-  node_cands.reserve(b.node_types().size());
-  for (const auto& t : b.node_types()) {
-    node_cands.push_back(NodeTypeToCandidate(t));
-  }
-  ExtractNodeTypes(std::move(node_cands), options, &merged);
-  std::vector<CandidateType> edge_cands;
-  edge_cands.reserve(b.edge_types().size());
-  for (const auto& t : b.edge_types()) {
-    edge_cands.push_back(EdgeTypeToCandidate(t));
-  }
-  ExtractEdgeTypes(std::move(edge_cands), options, &merged);
-  return merged;
-}
-
 }  // namespace pghive::core

@@ -94,16 +94,6 @@ void ExtractNodeTypes(std::vector<CandidateType> candidates,
 void ExtractEdgeTypes(std::vector<CandidateType> candidates,
                       const ExtractionOptions& options, SchemaGraph* schema);
 
-/// Schema merging (§4.6): the least general schema covering both inputs.
-/// Implemented by replaying b's types as candidates into a copy of a, so it
-/// inherits Algorithm 2's label/Jaccard/ABSTRACT rules.
-SchemaGraph MergeSchemas(const SchemaGraph& a, const SchemaGraph& b,
-                         const ExtractionOptions& options = {});
-
-/// Converts a type back into a candidate (used by MergeSchemas and tests).
-CandidateType NodeTypeToCandidate(const NodeType& type);
-CandidateType EdgeTypeToCandidate(const EdgeType& type);
-
 }  // namespace pghive::core
 
 #endif  // PGHIVE_CORE_TYPE_EXTRACTION_H_

@@ -11,9 +11,9 @@ constexpr uint64_t kSrcTag = 2ULL << 40;
 constexpr uint64_t kDstTag = 3ULL << 40;
 constexpr uint64_t kKeyTag = 4ULL << 40;
 
-/// Rows (or table tokens) per ParallelFor chunk. Embedding one token is a
-/// few hundred flops, so this keeps chunk dispatch overhead well under 1%
-/// of the work.
+/// Rows per ParallelFor chunk. Filling one row copies a few embedding
+/// blocks and its key bits, so this keeps chunk dispatch overhead well under
+/// 1% of the work.
 constexpr size_t kRowGrain = 256;
 
 }  // namespace
@@ -50,10 +50,8 @@ std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>> EndpointsOf(
 
 void Vectorizer::TokenTable::Add(const std::vector<pg::LabelSetToken>& tokens,
                                  const std::vector<uint32_t>& rows,
-                                 const embed::LabelEmbedder& embedder,
-                                 util::ThreadPool* pool) {
+                                 const embed::LabelEmbedder& embedder) {
   dim_ = embedder.dim();
-  const size_t first_new = tokens_.size();
   pg::LabelSetToken prev = pg::kNoToken;
   for (const uint32_t row : rows) {
     const pg::LabelSetToken token = tokens[row];
@@ -61,15 +59,11 @@ void Vectorizer::TokenTable::Add(const std::vector<pg::LabelSetToken>& tokens,
     if (token == prev || token == pg::kNoToken) continue;
     prev = token;
     const uint32_t entry = static_cast<uint32_t>(tokens_.size());
-    if (index_.try_emplace(token, entry).second) tokens_.push_back(token);
+    if (!index_.try_emplace(token, entry).second) continue;
+    tokens_.push_back(token);
+    vectors_.resize(tokens_.size() * dim_);
+    embedder.Embed(token, &vectors_[entry * dim_]);
   }
-  vectors_.resize(tokens_.size() * dim_);
-  util::ParallelFor(pool, first_new, tokens_.size(), kRowGrain,
-                    [&](size_t lo, size_t hi) {
-                      for (size_t e = lo; e < hi; ++e) {
-                        embedder.Embed(tokens_[e], &vectors_[e * dim_]);
-                      }
-                    });
 }
 
 const float* Vectorizer::TokenTable::Find(pg::LabelSetToken token) const {
@@ -125,7 +119,7 @@ FeatureMatrix Vectorizer::NodeFeaturesOf(const pg::ColumnStore& cols,
   m.num = rows.size();
   m.dim = d + k;
   m.data.assign(m.num * m.dim, 0.0f);
-  table_.Add(cols.tokens(), rows, *embedder_, pool_);
+  table_.Add(cols.tokens(), rows, *embedder_);
   util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
     float* out = &m.data[lo * m.dim];
     table_.FillBlock(cols.tokens(), rows, lo, hi, out, m.dim, 0);
@@ -142,9 +136,9 @@ FeatureMatrix Vectorizer::EdgeFeaturesOf(const pg::ColumnStore& cols,
   m.num = rows.size();
   m.dim = 3 * d + q;
   m.data.assign(m.num * m.dim, 0.0f);
-  table_.Add(cols.tokens(), rows, *embedder_, pool_);
-  table_.Add(cols.src_tokens(), rows, *embedder_, pool_);
-  table_.Add(cols.dst_tokens(), rows, *embedder_, pool_);
+  table_.Add(cols.tokens(), rows, *embedder_);
+  table_.Add(cols.src_tokens(), rows, *embedder_);
+  table_.Add(cols.dst_tokens(), rows, *embedder_);
   util::ParallelFor(pool_, 0, m.num, kRowGrain, [&](size_t lo, size_t hi) {
     float* out = &m.data[lo * m.dim];
     table_.FillBlock(cols.tokens(), rows, lo, hi, out, m.dim, 0);
@@ -213,24 +207,22 @@ ElementSetCsr Vectorizer::SetsOf(const pg::ColumnStore& cols,
     csr.offsets[i + 1] = csr.offsets[i] + tokens_of(row) + keys;
   }
   csr.elements.resize(csr.offsets[num]);
-  util::ParallelFor(pool_, 0, num, kRowGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const uint32_t row = rows[i];
-      uint64_t* out = &csr.elements[csr.offsets[i]];
-      if (cols.tokens()[row] != pg::kNoToken) {
-        *out++ = MinHashLabelElement(cols.tokens()[row]);
-      }
-      if (edges && cols.src_tokens()[row] != pg::kNoToken) {
-        *out++ = MinHashSrcElement(cols.src_tokens()[row]);
-      }
-      if (edges && cols.dst_tokens()[row] != pg::kNoToken) {
-        *out++ = MinHashDstElement(cols.dst_tokens()[row]);
-      }
-      for (uint32_t k = key_offsets[row]; k < key_offsets[row + 1]; ++k) {
-        *out++ = MinHashKeyElement(key_ids[k]);
-      }
+  for (size_t i = 0; i < num; ++i) {
+    const uint32_t row = rows[i];
+    uint64_t* out = &csr.elements[csr.offsets[i]];
+    if (cols.tokens()[row] != pg::kNoToken) {
+      *out++ = MinHashLabelElement(cols.tokens()[row]);
     }
-  });
+    if (edges && cols.src_tokens()[row] != pg::kNoToken) {
+      *out++ = MinHashSrcElement(cols.src_tokens()[row]);
+    }
+    if (edges && cols.dst_tokens()[row] != pg::kNoToken) {
+      *out++ = MinHashDstElement(cols.dst_tokens()[row]);
+    }
+    for (uint32_t k = key_offsets[row]; k < key_offsets[row + 1]; ++k) {
+      *out++ = MinHashKeyElement(key_ids[k]);
+    }
+  }
   return csr;
 }
 

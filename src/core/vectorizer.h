@@ -53,23 +53,24 @@ struct ElementSetCsr {
 /// The sweep runs over per-batch pg::ColumnStore tables: the embed blocks
 /// come from a per-batch token table and the binary block is filled from
 /// the key CSR, with no per-row PropertyMap access in the hot loops. With a
-/// thread pool, entries are sharded across workers. The column build is the
-/// sequential intern pre-pass (in row order, so token ids never depend on
-/// the thread count); the parallel phase then only reads the columns and
-/// the token table, and each entry writes its own slice of the output —
-/// bit-identical at every pool size. As a side effect, every token of the
-/// batch (including edge endpoint tokens) is interned once both column
-/// stores are built, which is what lets the later node/edge tracks share
-/// the vocabulary read-only.
+/// thread pool, feature entries are sharded across workers; the token table
+/// and the MinHash sets are filled on the calling thread. The column build
+/// is the sequential intern pre-pass (in row order, so token ids never
+/// depend on the thread count); the parallel fill then only reads the
+/// columns and the token table, and each entry writes its own slice of the
+/// output — bit-identical at every pool size. As a side effect, every token
+/// of the batch (including edge endpoint tokens) is interned once both
+/// column stores are built, which is what lets PgHive::ProcessPrepared run
+/// without the vocabulary while the next batch preprocesses.
 ///
 /// The token table holds one embedding per distinct label-set token of the
 /// batch: a feature call embeds the tokens its entries bring that the table
-/// lacks (sharded on the pool), then each entry copies its d floats per
-/// block. A batch has far fewer tokens than rows, so Embed runs once per
-/// token instead of once per row slot; the table's size follows the
-/// batch's tokens, never the vocabulary's. Building either column store
-/// drops the table, so its embeddings are always taken after the batch's
-/// stores were built (PgHive builds both, then trains, then vectorizes);
+/// lacks, then each entry copies its d floats per block. A batch has far
+/// fewer tokens than rows, so Embed runs once per token instead of once
+/// per row slot; the table's size follows the batch's tokens, never the
+/// vocabulary's. Building either column store drops the table, so its
+/// embeddings are always taken after the batch's stores were built
+/// (PgHive builds both, then trains, then vectorizes);
 /// the embedder must not change between the feature calls of one batch,
 /// which Word2Vec's sequencing contract already requires. The feature
 /// calls fill the table, so two of them on one Vectorizer must not
@@ -128,7 +129,7 @@ class Vectorizer {
     /// skipped.
     void Add(const std::vector<pg::LabelSetToken>& tokens,
              const std::vector<uint32_t>& rows,
-             const embed::LabelEmbedder& embedder, util::ThreadPool* pool);
+             const embed::LabelEmbedder& embedder);
 
     /// Copies the embedding of tokens[rows[i]] into
     /// data[(i - lo) * stride + offset ..] for every i in [lo, hi) — the

@@ -39,49 +39,36 @@ ClusterSet ClusterBySignature(const std::vector<uint64_t>& signatures,
   return ClusterSet(util::ParallelRadixGroupBy(keys, pool));
 }
 
+ClusterSet ClusterByAnyKey(const std::vector<uint64_t>& keys,
+                           size_t num_items, size_t columns) {
+  PGHIVE_CHECK(keys.size() == num_items * columns);
+  util::UnionFind uf(num_items);
+  std::unordered_map<uint64_t, uint32_t> bucket_first;
+  for (size_t k = 0; k < columns; ++k) {
+    bucket_first.clear();
+    for (size_t i = 0; i < num_items; ++i) {
+      auto [it, inserted] = bucket_first.try_emplace(keys[i * columns + k],
+                                                     static_cast<uint32_t>(i));
+      if (!inserted) uf.Union(it->second, static_cast<uint32_t>(i));
+    }
+  }
+  return ClusterSet(uf.ComponentIds());
+}
+
 ClusterSet ClusterByAnyCollision(const std::vector<uint64_t>& signatures,
                                  size_t num_items, size_t t,
                                  util::ThreadPool* pool) {
   PGHIVE_CHECK(signatures.size() == num_items * t);
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    // Serial: union in place with one reused map — no edge buffering.
-    util::UnionFind uf(num_items);
-    std::unordered_map<uint64_t, uint32_t> bucket_first;
-    for (size_t k = 0; k < t; ++k) {
-      bucket_first.clear();
-      for (size_t i = 0; i < num_items; ++i) {
-        uint64_t key = util::HashCombine(k + 1, signatures[i * t + k]);
-        auto [it, inserted] =
-            bucket_first.try_emplace(key, static_cast<uint32_t>(i));
-        if (!inserted) uf.Union(it->second, static_cast<uint32_t>(i));
-      }
-    }
-    return ClusterSet(uf.ComponentIds());
-  }
-  // Tables are independent: build each table's bucket -> first-occupant map
-  // concurrently, recording the (first, i) edges a serial scan would Union.
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> edges(t);
-  pool->ParallelFor(0, t, 1, [&](size_t klo, size_t khi) {
-    std::unordered_map<uint64_t, uint32_t> bucket_first;
-    for (size_t k = klo; k < khi; ++k) {
-      bucket_first.clear();
-      bucket_first.reserve(num_items);
-      for (size_t i = 0; i < num_items; ++i) {
-        uint64_t key = util::HashCombine(k + 1, signatures[i * t + k]);
-        auto [it, inserted] =
-            bucket_first.try_emplace(key, static_cast<uint32_t>(i));
-        if (!inserted) {
-          edges[k].emplace_back(it->second, static_cast<uint32_t>(i));
-        }
+  std::vector<uint64_t> keys(num_items * t);
+  const size_t grain = std::max<size_t>(1024, 65536 / std::max<size_t>(1, t));
+  util::ParallelFor(pool, 0, num_items, grain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      for (size_t k = 0; k < t; ++k) {
+        keys[i * t + k] = util::HashCombine(k + 1, signatures[i * t + k]);
       }
     }
   });
-  // Replay in fixed (table, item) order — the exact serial Union sequence.
-  util::UnionFind uf(num_items);
-  for (size_t k = 0; k < t; ++k) {
-    for (const auto& [first, item] : edges[k]) uf.Union(first, item);
-  }
-  return ClusterSet(uf.ComponentIds());
+  return ClusterByAnyKey(keys, num_items, t);
 }
 
 }  // namespace pghive::lsh

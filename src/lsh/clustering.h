@@ -57,15 +57,19 @@ ClusterSet ClusterBySignature(const std::vector<uint64_t>& signatures,
                               size_t num_items, size_t t,
                               util::ThreadPool* pool = nullptr);
 
-/// Union-find clustering: items sharing any per-table bucket are merged
-/// (OR amplification). Signature layout as above; bucket identity within
-/// table k is (k, signatures[i*T+k]).
-///
-/// With a pool, the per-table bucket -> first-occupant maps are built
-/// concurrently (tables are independent); the recorded Union edges are then
-/// replayed into util::UnionFind in fixed (table, item) order, so the
-/// resulting partition and its first-occurrence cluster ids match the
-/// serial scan exactly.
+/// Union-find clustering: items i and j join when keys[i*C+k] ==
+/// keys[j*C+k] for some column k (`keys` is row-major, num_items x C).
+/// Serial: for each column in order, a bucket -> first-occupant map over the
+/// items in order unions each later occupant with the first, so cluster ids
+/// are the components in order of first occurrence. The one union routine
+/// behind OR amplification and MinHash banding.
+ClusterSet ClusterByAnyKey(const std::vector<uint64_t>& keys,
+                           size_t num_items, size_t columns);
+
+/// OR amplification: items sharing any per-table bucket are merged.
+/// Signature layout as above; bucket identity within table k is
+/// (k, signatures[i*T+k]). The per-item keys are filled on the pool, then
+/// ClusterByAnyKey unions them.
 ClusterSet ClusterByAnyCollision(const std::vector<uint64_t>& signatures,
                                  size_t num_items, size_t t,
                                  util::ThreadPool* pool = nullptr);

@@ -40,9 +40,8 @@ class EuclideanLsh {
                                 util::ThreadPool* pool = nullptr) const;
 
   /// Full clustering pass over row-major vectors: parallel hashing followed
-  /// by the parallel grouping step (radix group-by for kAnd, concurrent
-  /// per-table bucket maps + ordered union replay for kOr). Output is
-  /// byte-identical at every pool size.
+  /// by the grouping step (radix group-by for kAnd, ClusterByAnyCollision's
+  /// serial union for kOr). Output is byte-identical at every pool size.
   ClusterSet Cluster(const float* data, size_t num,
                      util::ThreadPool* pool = nullptr) const;
   ClusterSet Cluster(const std::vector<float>& data, size_t num,

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <utility>
 
 #include "util/rng.h"
 #include "util/status.h"
-#include "util/union_find.h"
 
 namespace pghive::lsh {
 
@@ -90,31 +87,10 @@ ClusterSet MinHashLsh::ClusterFromSignatures(const std::vector<uint64_t>& sigs,
   if (params_.amplification == Amplification::kAnd) {
     return ClusterBySignature(sigs, num, t, pool);
   }
+  // Banding: items whose signatures agree on any whole band of r rows
+  // union. Each item writes its own stripe of the num x B band keys.
   const size_t r = params_.rows_per_band;
   const size_t bands = t / r;
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    // Serial banding: keys on the fly, union in place — no extra buffers.
-    util::UnionFind uf(num);
-    std::unordered_map<uint64_t, uint32_t> bucket_first;
-    for (size_t b = 0; b < bands; ++b) {
-      bucket_first.clear();
-      for (size_t i = 0; i < num; ++i) {
-        uint64_t key = util::Mix64(b + 0x1234);
-        for (size_t k = b * r; k < (b + 1) * r; ++k) {
-          key = util::HashCombine(key, sigs[i * t + k]);
-        }
-        auto [it, inserted] =
-            bucket_first.try_emplace(key, static_cast<uint32_t>(i));
-        if (!inserted) uf.Union(it->second, static_cast<uint32_t>(i));
-      }
-    }
-    return ClusterSet(uf.ComponentIds());
-  }
-  // Parallel banding: union items whose signatures agree on any whole band.
-  // Band keys are computed in parallel across items (num x B, each item
-  // writes its own stripe), then each band builds its bucket ->
-  // first-occupant map concurrently — bands are independent — recording the
-  // (first, i) edges a serial scan would Union.
   std::vector<uint64_t> band_keys(num * bands);
   const size_t grain = std::max<size_t>(1024, 65536 / std::max<size_t>(1, t));
   util::ParallelFor(pool, 0, num, grain, [&](size_t lo, size_t hi) {
@@ -128,27 +104,7 @@ ClusterSet MinHashLsh::ClusterFromSignatures(const std::vector<uint64_t>& sigs,
       }
     }
   });
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> edges(bands);
-  util::ParallelFor(pool, 0, bands, 1, [&](size_t blo, size_t bhi) {
-    std::unordered_map<uint64_t, uint32_t> bucket_first;
-    for (size_t b = blo; b < bhi; ++b) {
-      bucket_first.clear();
-      bucket_first.reserve(num);
-      for (size_t i = 0; i < num; ++i) {
-        auto [it, inserted] = bucket_first.try_emplace(
-            band_keys[i * bands + b], static_cast<uint32_t>(i));
-        if (!inserted) {
-          edges[b].emplace_back(it->second, static_cast<uint32_t>(i));
-        }
-      }
-    }
-  });
-  // Replay in fixed (band, item) order — the exact serial Union sequence.
-  util::UnionFind uf(num);
-  for (size_t b = 0; b < bands; ++b) {
-    for (const auto& [first, item] : edges[b]) uf.Union(first, item);
-  }
-  return ClusterSet(uf.ComponentIds());
+  return ClusterByAnyKey(band_keys, num, bands);
 }
 
 double MinHashLsh::EstimateJaccard(const uint64_t* sig_a,

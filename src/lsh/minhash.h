@@ -54,9 +54,10 @@ class MinHashLsh {
 
   /// Clusters sets. kAnd groups identical full signatures; kOr applies
   /// banding (union-find over band collisions) which approximates a Jaccard
-  /// threshold of (1/B)^(1/R). Both hashing and grouping run on the pool
-  /// (radix group-by for kAnd, concurrent per-band bucket maps + ordered
-  /// union replay for kOr); output is byte-identical at every pool size.
+  /// threshold of (1/B)^(1/R). Signatures and band keys are computed on the
+  /// pool; kAnd groups with the radix group-by, kOr unions the band keys
+  /// serially (ClusterByAnyKey). Output is byte-identical at every pool
+  /// size.
   ClusterSet Cluster(const std::vector<std::vector<uint64_t>>& sets,
                      util::ThreadPool* pool = nullptr) const;
   ClusterSet Cluster(const SetSpans& sets,

@@ -1,7 +1,6 @@
 #include "pg/graph.h"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 
 #include "util/rng.h"
@@ -35,7 +34,6 @@ NodeId PropertyGraph::AddNodeWithLabelIds(std::vector<LabelId> labels) {
   n.id = nodes_.size();
   n.labels = std::move(labels);
   nodes_.push_back(std::move(n));
-  adjacency_valid_ = false;
   return nodes_.back().id;
 }
 
@@ -57,7 +55,6 @@ EdgeId PropertyGraph::AddEdgeWithLabelIds(NodeId src, NodeId dst,
   e.dst = dst;
   e.labels = std::move(labels);
   edges_.push_back(std::move(e));
-  adjacency_valid_ = false;
   return edges_.back().id;
 }
 
@@ -71,27 +68,6 @@ void PropertyGraph::SetEdgeProperty(EdgeId id, std::string_view key,
                                     Value value) {
   PGHIVE_CHECK(id < edges_.size());
   edges_[id].properties.Set(vocab_->InternKey(key), std::move(value));
-}
-
-void PropertyGraph::EnsureAdjacency() const {
-  if (adjacency_valid_) return;
-  out_edges_.assign(nodes_.size(), {});
-  in_edges_.assign(nodes_.size(), {});
-  for (const Edge& e : edges_) {
-    out_edges_[e.src].push_back(e.id);
-    in_edges_[e.dst].push_back(e.id);
-  }
-  adjacency_valid_ = true;
-}
-
-const std::vector<EdgeId>& PropertyGraph::OutEdges(NodeId id) const {
-  EnsureAdjacency();
-  return out_edges_[id];
-}
-
-const std::vector<EdgeId>& PropertyGraph::InEdges(NodeId id) const {
-  EnsureAdjacency();
-  return in_edges_[id];
 }
 
 PropertyGraph::Stats PropertyGraph::ComputeStats() const {

@@ -84,10 +84,6 @@ class PropertyGraph {
   const Vocabulary& vocab() const { return *vocab_; }
   std::shared_ptr<Vocabulary> vocab_ptr() const { return vocab_; }
 
-  /// Out-/in-edge id lists (built lazily, invalidated by AddEdge).
-  const std::vector<EdgeId>& OutEdges(NodeId id) const;
-  const std::vector<EdgeId>& InEdges(NodeId id) const;
-
   /// Summary statistics used by Table 2 and the adaptive parameterization.
   struct Stats {
     size_t num_nodes = 0;
@@ -104,16 +100,9 @@ class PropertyGraph {
   Stats ComputeStats() const;
 
  private:
-  void EnsureAdjacency() const;
-
   std::shared_ptr<Vocabulary> vocab_;
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
-
-  // Lazily built adjacency.
-  mutable bool adjacency_valid_ = false;
-  mutable std::vector<std::vector<EdgeId>> out_edges_;
-  mutable std::vector<std::vector<EdgeId>> in_edges_;
 };
 
 /// Normalizes a label id vector: sort + unique.

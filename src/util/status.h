@@ -124,10 +124,6 @@ class StatusOr {
   std::variant<T, Status> data_;
 };
 
-/// Legacy spelling of StatusOr; new code should say StatusOr.
-template <typename T>
-using Result = StatusOr<T>;
-
 }  // namespace pghive::util
 
 /// Aborts with a message when `cond` is false. Used for internal invariants

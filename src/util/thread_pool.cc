@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <memory>
 
@@ -69,22 +68,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::HelpWhileWaiting(std::future<void>& future) {
-  for (;;) {
-    if (future.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      return;
-    }
-    if (!RunOneTask()) {
-      // Queue drained and the future still pending: the awaited task is
-      // executing on another thread (a queued task cannot linger once the
-      // queue is observed empty — it was popped). Block normally.
-      future.wait();
-      return;
-    }
-  }
-}
-
 namespace {
 
 /// Completion state shared by the chunks of one ParallelFor call.
@@ -128,8 +111,8 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   }
 
   // Help drain the queue while waiting. The popped task may belong to an
-  // unrelated parallel section (or be a whole submitted pipeline track);
-  // either way it never blocks on this chunk set, so progress is guaranteed.
+  // unrelated parallel section (or be a whole submitted job lane); either
+  // way it never blocks on this chunk set, so progress is guaranteed.
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(state->mutex);

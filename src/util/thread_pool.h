@@ -64,15 +64,6 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
 
-  /// Blocks until `future` is ready, running queued tasks while waiting.
-  /// This is the nesting-contract wait: a task running ON a pool worker
-  /// that waits for other pool work must wait through here — a plain
-  /// future.get() does not drain the queue, so on a pool whose only free
-  /// worker is the waiter the awaited task would never start (the pghived
-  /// job-lane runner hit exactly this with a 2-thread pool). Does not
-  /// consume the result: call future.get() afterwards (it is ready).
-  void HelpWhileWaiting(std::future<void>& future);
-
   /// Resolves a user-facing thread knob: 0 -> hardware concurrency
   /// (at least 1), anything else verbatim.
   static size_t ResolveThreads(size_t requested);

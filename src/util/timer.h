@@ -17,8 +17,6 @@ class Timer {
         .count();
   }
 
-  double ElapsedSeconds() const { return ElapsedMillis() / 1000.0; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -89,18 +89,6 @@ TEST(SchemaGraphTest, AssignmentsFromInstances) {
   EXPECT_EQ(assignment[3], UINT32_MAX);  // Unassigned.
 }
 
-TEST(SchemaGraphTest, TotalLabels) {
-  SchemaGraph schema;
-  NodeType a;
-  a.labels = {1, 2};
-  NodeType b;
-  b.labels = {2, 3};
-  schema.node_types().push_back(a);
-  schema.node_types().push_back(b);
-  EXPECT_EQ(schema.TotalNodeLabels(), 3u);
-  EXPECT_EQ(schema.TotalEdgeLabels(), 0u);
-}
-
 TEST(UnionSortedTest, MergesAndDeduplicates) {
   EXPECT_EQ(UnionSorted({1, 3}, {2, 3}), (std::vector<uint32_t>{1, 2, 3}));
   EXPECT_EQ(UnionSorted({}, {5}), (std::vector<uint32_t>{5}));

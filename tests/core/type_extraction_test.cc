@@ -235,61 +235,5 @@ TEST_P(MonotonicityTest, MergingNeverLosesLabelsKeysOrInstances) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MonotonicityTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// --- Schema merging (§4.6) ---
-
-TEST(MergeSchemasTest, UnionOfDisjointSchemas) {
-  SchemaGraph a, b;
-  ExtractNodeTypes({MakeCandidate({1}, {10}, {0})}, {}, &a);
-  ExtractNodeTypes({MakeCandidate({2}, {20}, {1})}, {}, &b);
-  SchemaGraph merged = MergeSchemas(a, b);
-  EXPECT_EQ(merged.num_node_types(), 2u);
-}
-
-TEST(MergeSchemasTest, SharedLabelTypesMerge) {
-  SchemaGraph a, b;
-  ExtractNodeTypes({MakeCandidate({1}, {10}, {0})}, {}, &a);
-  ExtractNodeTypes({MakeCandidate({1}, {11}, {1})}, {}, &b);
-  SchemaGraph merged = MergeSchemas(a, b);
-  ASSERT_EQ(merged.num_node_types(), 1u);
-  EXPECT_EQ(merged.node_types()[0].Keys(),
-            (std::vector<pg::PropKeyId>{10, 11}));
-}
-
-TEST(MergeSchemasTest, IdempotentOnSelf) {
-  SchemaGraph a;
-  ExtractNodeTypes({MakeCandidate({1}, {10}, {0}),
-                    MakeCandidate({2}, {20, 21}, {1})},
-                   {}, &a);
-  SchemaGraph merged = MergeSchemas(a, a);
-  // Same type structure (instance counts double but no new types appear).
-  EXPECT_EQ(merged.num_node_types(), a.num_node_types());
-}
-
-TEST(MergeSchemasTest, CoversBothInputs) {
-  SchemaGraph a, b;
-  ExtractNodeTypes({MakeCandidate({1}, {10}, {0})}, {}, &a);
-  ExtractEdgeTypes({MakeEdgeCandidate({3}, {30}, {0}, {1, 2})}, {}, &a);
-  ExtractNodeTypes({MakeCandidate({1, 2}, {10, 11}, {1})}, {}, &b);
-  SchemaGraph merged = MergeSchemas(a, b);
-  EXPECT_EQ(merged.num_node_types(), 2u);
-  EXPECT_EQ(merged.num_edge_types(), 1u);
-  // Every label from both inputs present.
-  std::set<pg::LabelId> labels;
-  for (const auto& t : merged.node_types()) {
-    labels.insert(t.labels.begin(), t.labels.end());
-  }
-  EXPECT_EQ(labels, (std::set<pg::LabelId>{1, 2}));
-}
-
-TEST(CandidateRoundTripTest, NodeTypeToCandidatePreservesEvidence) {
-  SchemaGraph schema;
-  ExtractNodeTypes({MakeCandidate({1}, {10, 11}, {0, 1})}, {}, &schema);
-  CandidateType c = NodeTypeToCandidate(schema.node_types()[0]);
-  EXPECT_EQ(c.labels, (std::vector<pg::LabelId>{1}));
-  EXPECT_EQ(c.keys, (std::vector<pg::PropKeyId>{10, 11}));
-  EXPECT_EQ(c.instance_count, 2u);
-  EXPECT_EQ(c.key_counts.size(), 2u);
-}
-
 }  // namespace
 }  // namespace pghive::core

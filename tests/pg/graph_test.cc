@@ -43,29 +43,6 @@ TEST(GraphTest, EdgesConnectNodes) {
   EXPECT_EQ(g.num_edges(), 1u);
 }
 
-TEST(GraphTest, AdjacencyLists) {
-  PropertyGraph g;
-  NodeId a = g.AddNode({"A"});
-  NodeId b = g.AddNode({"B"});
-  NodeId c = g.AddNode({"C"});
-  EdgeId e1 = g.AddEdge(a, b, {"R"});
-  EdgeId e2 = g.AddEdge(a, c, {"R"});
-  EdgeId e3 = g.AddEdge(b, a, {"R"});
-  EXPECT_EQ(g.OutEdges(a), (std::vector<EdgeId>{e1, e2}));
-  EXPECT_EQ(g.InEdges(a), (std::vector<EdgeId>{e3}));
-  EXPECT_TRUE(g.OutEdges(c).empty());
-}
-
-TEST(GraphTest, AdjacencyInvalidatedByNewEdges) {
-  PropertyGraph g;
-  NodeId a = g.AddNode({"A"});
-  NodeId b = g.AddNode({"B"});
-  g.AddEdge(a, b, {"R"});
-  EXPECT_EQ(g.OutEdges(a).size(), 1u);
-  g.AddEdge(a, b, {"R"});
-  EXPECT_EQ(g.OutEdges(a).size(), 2u);
-}
-
 TEST(GraphTest, SharedVocabularyAcrossGraphs) {
   PropertyGraph g1;
   PropertyGraph g2(g1.vocab_ptr());

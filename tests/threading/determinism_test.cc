@@ -1,7 +1,7 @@
 // The parallel engine's determinism guarantee: discovery produces a
 // byte-identical schema no matter how many threads run the pipeline
 // (ParallelFor shards by index, RNG seeds are pre-split per shard, and the
-// node/edge tracks merge in fixed order).
+// node and edge sides merge in fixed order).
 
 #include <gtest/gtest.h>
 

@@ -11,7 +11,7 @@
 //   - every CandidateType field;
 // and the schema the per-row candidates extract must render the pattern
 // path's .pgs and .xsd. Runs under the `threaded` label, so the TSan job
-// races the concurrent node/edge tracks of ProcessPrepared.
+// races the pool's fills, hashing and group-by inside each side.
 
 #include <gtest/gtest.h>
 

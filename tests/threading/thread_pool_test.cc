@@ -133,8 +133,8 @@ TEST(ThreadPoolTest, ParallelForSingleFailingChunkStillFinishesOthers) {
 
 TEST(ThreadPoolTest, NestedParallelForInsideSubmitDoesNotDeadlock) {
   ThreadPool pool(2);
-  // Mirrors the pipeline shape: two submitted tracks, each fanning out a
-  // ParallelFor on the same pool.
+  // Mirrors the pghived shape: a submitted job lane fans out a ParallelFor
+  // on the same pool while the caller runs one too.
   std::vector<int> a(10000, 0), b(10000, 0);
   auto track = [&pool](std::vector<int>* out) {
     pool.ParallelFor(0, out->size(), 64, [out](size_t lo, size_t hi) {

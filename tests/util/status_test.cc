@@ -35,33 +35,34 @@ TEST(StatusTest, CodeNamesAreStable) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kParseError), "PARSE_ERROR");
 }
 
+// StatusOr: the result type of every fallible call.
 TEST(ResultTest, HoldsValue) {
-  Result<int> r(42);
+  StatusOr<int> r(42);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 42);
   EXPECT_TRUE(r.status().ok());
 }
 
 TEST(ResultTest, HoldsError) {
-  Result<int> r(Status::NotFound("nothing"));
+  StatusOr<int> r(Status::NotFound("nothing"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(r.value_or(-1), -1);
 }
 
 TEST(ResultTest, ValueOrReturnsValueOnOk) {
-  Result<std::string> r(std::string("hello"));
+  StatusOr<std::string> r(std::string("hello"));
   EXPECT_EQ(r.value_or("fallback"), "hello");
 }
 
 TEST(ResultTest, MoveOutValue) {
-  Result<std::vector<int>> r(std::vector<int>{1, 2, 3});
+  StatusOr<std::vector<int>> r(std::vector<int>{1, 2, 3});
   std::vector<int> v = std::move(r).value();
   EXPECT_EQ(v.size(), 3u);
 }
 
 TEST(ResultTest, MutableValueAccess) {
-  Result<std::vector<int>> r(std::vector<int>{1});
+  StatusOr<std::vector<int>> r(std::vector<int>{1});
   r.value().push_back(2);
   EXPECT_EQ(r.value().size(), 2u);
 }

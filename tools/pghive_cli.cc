@@ -104,7 +104,8 @@ struct Args {
 /// core::ApplyOptionFlags, besides the --sample-datatypes switch.
 constexpr const char* kKnobFlags[] = {"method", "threads", "seed"};
 
-/// Flags that take no value; every other flag needs one (--key V or
+/// Flags that take no value (--key=V is refused: callers only test Has, so
+/// a value would be ignored); every other flag needs one (--key V or
 /// --key=V).
 const std::set<std::string> kSwitches = {"loose", "strict", "sample-datatypes",
                                          "fail-on-alert"};
@@ -117,8 +118,8 @@ struct Command {
 };
 
 /// Parses argv[2..] against the flags `command` reads. An unknown flag, a
-/// flag missing its value, or a positional token is an InvalidArgument
-/// naming it.
+/// flag missing its value, a switch given one, or a positional token is an
+/// InvalidArgument naming it.
 util::StatusOr<Args> ParseArgs(int argc, char** argv, const Command& command) {
   auto reject = [&](const std::string& what) {
     return util::Status::InvalidArgument(std::string(command.name) + ": " +
@@ -138,6 +139,9 @@ util::StatusOr<Args> ParseArgs(int argc, char** argv, const Command& command) {
       key.resize(eq);
     }
     if (!command.flags.count(key)) return reject("unknown option --" + key);
+    if (eq != std::string::npos && kSwitches.count(key)) {
+      return reject("--" + key + " is a switch and takes no value");
+    }
     if (eq == std::string::npos && !kSwitches.count(key)) {
       if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
         return reject("--" + key + " needs a value");
@@ -413,13 +417,11 @@ int CmdGenerate(const Args& args) {
 /// present (the caller decides whether that is an error).
 util::StatusOr<uint16_t> ResolvePort(const Args& args) {
   if (args.Has("port-file")) {
-    std::ifstream in(args.Get("port-file"));
-    if (!in) {
-      return util::Status::IoError("cannot open " + args.Get("port-file"));
-    }
-    std::string text;
-    in >> text;
-    auto parsed = util::ParseInt64InRange(text, 1, 65535, "port file");
+    // pghived writes the port and a newline.
+    auto text = util::ReadWholeFile(args.Get("port-file"));
+    if (!text.ok()) return text.status();
+    if (!text->empty() && text->back() == '\n') text->pop_back();
+    auto parsed = util::ParseInt64InRange(*text, 1, 65535, "port file");
     if (!parsed.ok()) return parsed.status();
     return static_cast<uint16_t>(*parsed);
   }

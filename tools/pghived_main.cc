@@ -25,12 +25,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 
 #include "service/server.h"
+#include "util/file_io.h"
 #include "util/parse.h"
 
 namespace {
@@ -119,9 +119,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned>(server.port()));
   std::fflush(stdout);
   if (!port_file.empty()) {
-    std::ofstream out(port_file);
-    out << server.port() << '\n';
-    if (!out) return Fail("cannot write " + port_file);
+    // Atomic, so a reader never finds the file empty or half written.
+    auto written = pghive::util::AtomicWriteFile(
+        port_file, std::to_string(server.port()) + '\n');
+    if (!written.ok()) return Fail(written.ToString());
   }
 
   while (g_stop == 0) {
