@@ -1,7 +1,7 @@
 // Schema-as-a-contract workflow: discover a schema from a trusted snapshot,
 // export it, parse it back (as a downstream service would), and validate an
-// evolved graph containing violations — demonstrating the validator, the
-// PG-Schema parser, and the deletion-aware incremental API together.
+// evolved graph containing violations — demonstrating the validator and the
+// PG-Schema parser together.
 //
 //   $ ./schema_validation
 
@@ -9,7 +9,6 @@
 
 #include "core/pghive.h"
 #include "core/pgschema_parser.h"
-#include "core/removal.h"
 #include "core/serialize.h"
 #include "core/validator.h"
 #include "datasets/generator.h"
@@ -58,20 +57,5 @@ int main() {
                 static_cast<unsigned long long>(v.element_id),
                 v.detail.c_str());
   }
-
-  // 4. Deletions shrink the schema (the incremental extension): remove every
-  // Vehicle node and watch the type disappear.
-  pg::GraphBatch removals;
-  pg::LabelId vehicle = dataset.graph.vocab().FindLabel("Vehicle");
-  for (const pg::Node& n : dataset.graph.nodes()) {
-    if (n.HasLabel(vehicle)) removals.node_ids.push_back(n.id);
-  }
-  core::RemovalResult removed =
-      core::RemoveBatch(dataset.graph, removals, &pipeline.mutable_schema());
-  std::printf(
-      "\nremoved %zu Vehicle nodes -> %zu types dropped, schema now has %zu "
-      "node types\n",
-      removed.nodes_removed, removed.node_types_dropped,
-      pipeline.schema().num_node_types());
   return 0;
 }

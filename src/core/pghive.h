@@ -202,7 +202,6 @@ class PgHive {
   size_t batches_processed() const { return batches_processed_; }
 
   const SchemaGraph& schema() const { return schema_; }
-  SchemaGraph& mutable_schema() { return schema_; }
 
   /// node id -> node type index (UINT32_MAX if unseen). For evaluation.
   std::vector<uint32_t> NodeAssignment() const;

@@ -35,7 +35,8 @@ struct TypeDelta {
   Kind kind = Kind::kAdded;
   bool is_edge = false;
   std::string name;  ///< Display name ("Person", "Org|Company", "Abstract#3").
-  /// Change in supporting instances (negative under instance decay/removal).
+  /// Change in supporting instances (next minus prev; insertion alone never
+  /// makes it negative).
   int64_t instance_delta = 0;
   std::vector<PropertyDelta> properties;
   // Edge types only:
@@ -107,9 +108,10 @@ std::string DescribeSchemaDiff(const SchemaDiff& diff);
 /// One schema-drift signal found in a changefeed record: a property that
 /// changed datatype, or an edge cardinality that moved *against* the
 /// insertion lattice. Under pure insertion cardinality only widens
-/// (1:1 -> N:1 / 1:N -> N:M); a non-widening transition between two
-/// established kinds is only reachable through the decay model's instance
-/// removal (core/removal.cc) and usually means the modeled world shifted.
+/// (1:1 -> N:1 / 1:N -> N:M), and a PgHive stream only inserts; a
+/// non-widening transition between two established kinds means the feed's
+/// producer removed instances or rewrote history, and usually means the
+/// modeled world shifted.
 struct DriftAlert {
   enum class Kind : uint8_t { kPropertyRetype = 0, kCardinalityFlip = 1 };
   Kind kind = Kind::kPropertyRetype;

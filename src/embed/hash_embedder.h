@@ -13,8 +13,9 @@ namespace pghive::embed {
 /// property PG-HIVE needs from its label embedding ("prevents semantically
 /// different nodes from being merged due to their same structure", §4.1).
 ///
-/// Used as the fast default in tests and as the fallback when the graph has
-/// too few labels to train Word2Vec.
+/// PgHive uses it only when PgHiveOptions::embedder is EmbedderKind::kHash
+/// (the default is Word2Vec); tests and benches also use it directly as a
+/// fast embedder that needs no training.
 class HashEmbedder : public LabelEmbedder {
  public:
   HashEmbedder(const pg::Vocabulary* vocab, size_t dim, uint64_t seed);

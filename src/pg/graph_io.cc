@@ -352,6 +352,7 @@ util::Status SaveGraphFile(const PropertyGraph& graph,
   if (!out) return util::Status::IoError("cannot open " + path);
   const std::string text = SaveGraphText(graph);
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();  // Flushes, so a failed flush is reported here too.
   if (!out) return util::Status::IoError("write failed: " + path);
   return util::Status::Ok();
 }

@@ -100,7 +100,8 @@ std::string UnescapeField(std::string_view s);
 /// Serializes a property graph to graph text (see above).
 std::string SaveGraphText(const PropertyGraph& graph);
 
-/// Writes SaveGraphText output to a file.
+/// Writes SaveGraphText output to a file; IoError when the file cannot be
+/// opened, written or flushed.
 util::Status SaveGraphFile(const PropertyGraph& graph,
                            const std::string& path);
 

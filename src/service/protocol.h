@@ -27,6 +27,8 @@ namespace pghive::service {
 ///       proto declares the client's protocol version (absent = 1); the
 ///       server rejects versions newer than kProtocolVersion with a clear
 ///       FailedPrecondition instead of misparsing unknown requests later.
+///       threads=N is validated like the other knobs and then ignored:
+///       every session runs on the daemon's one --threads pool.
 ///       Connection thread, under the session table's lock; the new id is
 ///       visible to every connection once the reply is sent.
 ///   ingest-batch <session> <n>  + body  one ingest payload (see assembler)

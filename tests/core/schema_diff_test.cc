@@ -302,8 +302,8 @@ TEST_F(SchemaDiffTest, CardinalityWideningLattice) {
   EXPECT_TRUE(IsCardinalityWidening(CK::kOneToOne, CK::kManyToOne));
   EXPECT_TRUE(IsCardinalityWidening(CK::kOneToOne, CK::kOneToMany));
 
-  // Narrowing or sideways moves — only reachable through decay/removal —
-  // are the flips the drift monitor exists to flag.
+  // Narrowing or sideways moves — which insertion alone never makes — are
+  // the flips the drift monitor exists to flag.
   EXPECT_FALSE(IsCardinalityWidening(CK::kManyToMany, CK::kOneToMany));
   EXPECT_FALSE(IsCardinalityWidening(CK::kManyToOne, CK::kOneToMany));
   EXPECT_FALSE(IsCardinalityWidening(CK::kOneToMany, CK::kOneToOne));
@@ -370,7 +370,7 @@ TEST_F(SchemaDiffTest, ScanForDriftFlagsOnlyNonWideningCardinalityMoves) {
                                                CardinalityKind::kManyToMany))
                   .empty());
 
-  // A narrowing move means decay/removal rewrote history: that is drift.
+  // A narrowing move means instances were removed: that is drift.
   auto alerts = ScanForDrift(DiffWithCardinality(CardinalityKind::kManyToMany,
                                                  CardinalityKind::kOneToMany));
   ASSERT_EQ(alerts.size(), 1u);

@@ -30,39 +30,27 @@ TEST(ParseBenchJsonTest, SweepFormat) {
   const auto& entries = *parsed;
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0].name, "vectorize/threads=1");
-  EXPECT_DOUBLE_EQ(entries[0].ms, 100.0);
   EXPECT_DOUBLE_EQ(entries[0].speedup, 1.0);
   EXPECT_EQ(entries[1].name, "vectorize/threads=2");
   EXPECT_DOUBLE_EQ(entries[1].speedup, 1.818);
   EXPECT_EQ(entries[2].name, "group/threads=1");
-  EXPECT_DOUBLE_EQ(entries[2].ms, 40.0);
+  EXPECT_DOUBLE_EQ(entries[2].speedup, 1.0);
 }
 
-TEST(ParseBenchJsonTest, GoogleBenchmarkEntriesHaveNoSpeedup) {
+TEST(ParseBenchJsonTest, GoogleBenchmarkFileIsRefused) {
   auto parsed = ParseBenchJson(
       R"({"benchmarks": [{"name": "BM_X", "real_time": 1e6}]})");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_DOUBLE_EQ((*parsed)[0].speedup, 0.0);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(parsed.status().message().find("'stages'"), std::string::npos);
 }
 
-TEST(ParseBenchJsonTest, GoogleBenchmarkFormatConvertsUnits) {
-  auto parsed = ParseBenchJson(R"({
-    "context": {"host_name": "ci"},
-    "benchmarks": [
-      {"name": "BM_ElshHash/16", "run_type": "iteration",
-       "real_time": 2.5e6, "cpu_time": 2.4e6, "time_unit": "ns"},
-      {"name": "BM_ElshHash/16_mean", "run_type": "aggregate",
-       "real_time": 2.5e6, "time_unit": "ns"},
-      {"name": "BM_GmmEm", "real_time": 3.0, "time_unit": "ms"}
-    ]
-  })");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const auto& entries = *parsed;
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].name, "BM_ElshHash/16");
-  EXPECT_DOUBLE_EQ(entries[0].ms, 2.5);  // ns -> ms; aggregate row skipped.
-  EXPECT_DOUBLE_EQ(entries[1].ms, 3.0);
+TEST(ParseBenchJsonTest, ResultWithoutSpeedupIsRefused) {
+  auto parsed = ParseBenchJson(
+      R"({"stages": [{"stage": "group",)"
+      R"( "results": [{"threads": 1, "ms": 4}]}]})");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), util::StatusCode::kParseError);
 }
 
 TEST(ParseBenchJsonTest, MalformedInputFailsWithParseError) {
@@ -79,50 +67,50 @@ TEST(ParseBenchJsonTest, MalformedInputFailsWithParseError) {
 }
 
 TEST(DiffEntriesTest, MatchesByNameAndSkipsUnpaired) {
-  std::vector<BenchEntry> baseline = {{"a", 100.0}, {"gone", 5.0},
+  std::vector<BenchEntry> baseline = {{"a", 10.0}, {"gone", 5.0},
                                       {"b", 50.0}};
-  std::vector<BenchEntry> current = {{"b", 60.0}, {"a", 90.0},
+  std::vector<BenchEntry> current = {{"b", 40.0}, {"a", 11.0},
                                      {"new", 7.0}};
   auto rows = DiffEntries(baseline, current);
   ASSERT_EQ(rows.size(), 2u);  // "gone" and "new" are not comparable.
   EXPECT_EQ(rows[0].name, "a");
-  EXPECT_DOUBLE_EQ(rows[0].delta_pct, -10.0);
+  EXPECT_DOUBLE_EQ(rows[0].speedup_drop_pct, -10.0);
   EXPECT_EQ(rows[1].name, "b");
-  EXPECT_DOUBLE_EQ(rows[1].delta_pct, 20.0);
+  EXPECT_DOUBLE_EQ(rows[1].speedup_drop_pct, 20.0);
 }
 
 TEST(IsRegressionTest, SingleRowPredicate) {
-  EXPECT_TRUE(IsRegression({"x", 100.0, 120.0, 20.0}, 10.0));
-  EXPECT_FALSE(IsRegression({"x", 100.0, 105.0, 5.0}, 10.0));
-  EXPECT_FALSE(IsRegression({"x", 0.0, 105.0, 0.0}, 10.0));
+  EXPECT_TRUE(IsRegression({"x", 2.0, 1.6, 20.0}, 10.0));
+  EXPECT_FALSE(IsRegression({"x", 2.0, 1.9, 5.0}, 10.0));
+  EXPECT_FALSE(IsRegression({"x", 0.0, 1.9, 0.0}, 10.0));
 }
 
 TEST(AnyRegressionTest, ThresholdIsStrict) {
-  std::vector<DiffRow> rows = {{"x", 100.0, 110.0, 10.0}};
+  std::vector<DiffRow> rows = {{"x", 2.0, 1.8, 10.0}};
   EXPECT_FALSE(AnyRegression(rows, 10.0));  // Exactly at threshold: pass.
-  rows[0].cur_ms = 110.1;
-  rows[0].delta_pct = 10.1;
+  rows[0].cur_speedup = 1.798;
+  rows[0].speedup_drop_pct = 10.1;
   EXPECT_TRUE(AnyRegression(rows, 10.0));   // Past threshold: fail.
   EXPECT_FALSE(AnyRegression(rows, 25.0));  // Looser gate: pass.
 }
 
 TEST(AnyRegressionTest, ImprovementAndZeroBaselineNeverRegress) {
   std::vector<DiffRow> rows = {
-      {"faster", 100.0, 50.0, -50.0},
-      {"zero-base", 0.0, 50.0, 0.0},
+      {"faster", 2.0, 3.0, -50.0},
+      {"zero-base", 0.0, 3.0, 0.0},
   };
   EXPECT_FALSE(AnyRegression(rows, 10.0));
 }
 
 TEST(AnyRegressionTest, SyntheticTenPercentInjection) {
-  // The acceptance scenario: a >10% slowdown injected into one stage of an
-  // otherwise identical sweep must trip the gate.
+  // The acceptance scenario: a >10% speedup drop injected into one stage of
+  // an otherwise identical sweep must trip the gate.
   auto baseline = ParseBenchJson(kSweepJson);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   std::string regressed_json = kSweepJson;
-  size_t pos = regressed_json.find("\"ms\": 40.0");
+  size_t pos = regressed_json.find("\"speedup\": 1.818");
   ASSERT_NE(pos, std::string::npos);
-  regressed_json.replace(pos, 10, "\"ms\": 45.0");  // group: +12.5%.
+  regressed_json.replace(pos, 16, "\"speedup\": 1.600");  // vectorize: -12%.
   auto current = ParseBenchJson(regressed_json);
   ASSERT_TRUE(current.ok()) << current.status().ToString();
   auto rows = DiffEntries(*baseline, *current);
@@ -131,10 +119,8 @@ TEST(AnyRegressionTest, SyntheticTenPercentInjection) {
 }
 
 TEST(DiffEntriesTest, CarriesSpeedupRatiosWhenBothSidesHaveThem) {
-  std::vector<BenchEntry> baseline = {{"s/threads=2", 50.0, 2.0},
-                                      {"plain", 10.0, 0.0}};
-  std::vector<BenchEntry> current = {{"s/threads=2", 52.0, 1.5},
-                                     {"plain", 10.0, 0.0}};
+  std::vector<BenchEntry> baseline = {{"s/threads=2", 2.0}, {"plain", 0.0}};
+  std::vector<BenchEntry> current = {{"s/threads=2", 1.5}, {"plain", 0.0}};
   auto rows = DiffEntries(baseline, current);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_DOUBLE_EQ(rows[0].base_speedup, 2.0);
@@ -144,33 +130,29 @@ TEST(DiffEntriesTest, CarriesSpeedupRatiosWhenBothSidesHaveThem) {
 }
 
 TEST(IsRegressionTest, SpeedupRatioMode) {
-  DiffRow dropped{"x", 50.0, 48.0, -4.0, 2.0, 1.5, 25.0};
-  // The same row through the two lenses: ms got *faster* while scaling got
-  // worse — exactly the case the ratio mode exists to catch.
-  EXPECT_FALSE(IsRegression(dropped, 20.0, GateMode::kAbsoluteMs));
-  EXPECT_TRUE(IsRegression(dropped, 20.0, GateMode::kSpeedupRatio));
-  EXPECT_FALSE(IsRegression(dropped, 25.0, GateMode::kSpeedupRatio));  // Strict.
+  DiffRow dropped{"x", 2.0, 1.5, 25.0};
+  EXPECT_TRUE(IsRegression(dropped, 20.0));
+  EXPECT_FALSE(IsRegression(dropped, 25.0));  // Strict.
 
-  DiffRow improved{"x", 50.0, 40.0, -20.0, 2.0, 2.5, -25.0};
-  EXPECT_FALSE(IsRegression(improved, 10.0, GateMode::kSpeedupRatio));
+  DiffRow improved{"x", 2.0, 2.5, -25.0};
+  EXPECT_FALSE(IsRegression(improved, 10.0));
 
-  // Entries without ratio data (google-benchmark format, threads=1 rows
-  // whose baseline carries no speedup) never regress in ratio mode.
-  DiffRow no_ratio{"x", 50.0, 500.0, 900.0};
-  EXPECT_FALSE(IsRegression(no_ratio, 10.0, GateMode::kSpeedupRatio));
+  // Entries without ratio data (a side whose speedup is not > 0) never
+  // regress.
+  DiffRow no_ratio{"x"};
+  EXPECT_FALSE(IsRegression(no_ratio, 10.0));
 }
 
 TEST(RegressedNamesTest, CollectsFlaggedRowsInOrder) {
   std::vector<DiffRow> rows = {
-      {"a", 100.0, 150.0, 50.0},
-      {"b", 100.0, 101.0, 1.0},
-      {"c", 100.0, 130.0, 30.0},
+      {"a", 2.0, 1.0, 50.0},
+      {"b", 2.0, 1.98, 1.0},
+      {"c", 2.0, 1.4, 30.0},
   };
-  auto names = RegressedNames(rows, 10.0, GateMode::kAbsoluteMs);
+  auto names = RegressedNames(rows, 10.0);
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "a");
   EXPECT_EQ(names[1], "c");
-  EXPECT_TRUE(RegressedNames(rows, 10.0, GateMode::kSpeedupRatio).empty());
 }
 
 TEST(ConsecutiveRegressionsTest, FirstTripWarnsSecondTripFails) {
@@ -193,13 +175,12 @@ TEST(ConsecutiveRegressionsTest, FirstTripWarnsSecondTripFails) {
 
 TEST(MarkdownTableTest, SpeedupModeShowsRatiosAndWarnThenFailStatus) {
   std::vector<DiffRow> rows = {
-      {"group/threads=4", 40.0, 42.0, 5.0, 3.0, 2.0, 33.3},
-      {"vectorize/threads=4", 55.0, 54.0, -1.8, 3.5, 2.4, 31.4},
-      {"embed/threads=4", 30.0, 29.0, -3.3, 3.0, 2.9, 3.3},
+      {"group/threads=4", 3.0, 2.0, 33.3},
+      {"vectorize/threads=4", 3.5, 2.4, 31.4},
+      {"embed/threads=4", 3.0, 2.9, 3.3},
   };
   std::vector<std::string> prior = {"group/threads=4"};
-  std::string table = MarkdownTable(rows, 20.0, GateMode::kSpeedupRatio,
-                                    &prior);
+  std::string table = MarkdownTable(rows, 20.0, &prior);
   EXPECT_NE(table.find("baseline speedup"), std::string::npos);
   EXPECT_NE(table.find("| group/threads=4 | 3.00x | 2.00x | +33.3% |"),
             std::string::npos);
@@ -210,11 +191,11 @@ TEST(MarkdownTableTest, SpeedupModeShowsRatiosAndWarnThenFailStatus) {
 
 TEST(MarkdownTableTest, FlagsRegressionsPastThreshold) {
   std::vector<DiffRow> rows = {
-      {"group/threads=2", 40.0, 48.0, 20.0},
-      {"vectorize/threads=2", 55.0, 54.0, -1.8},
+      {"group/threads=2", 2.0, 1.6, 20.0},
+      {"vectorize/threads=2", 2.0, 2.05, -2.5},
   };
   std::string table = MarkdownTable(rows, 10.0);
-  EXPECT_NE(table.find("| group/threads=2 | 40.000 | 48.000 | +20.0% |"),
+  EXPECT_NE(table.find("| group/threads=2 | 2.00x | 1.60x | +20.0% |"),
             std::string::npos);
   EXPECT_NE(table.find("regression"), std::string::npos);
   EXPECT_NE(table.find("ok"), std::string::npos);

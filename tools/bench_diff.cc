@@ -1,17 +1,15 @@
 // bench_diff — the CI bench-regression gate.
 //
 //   bench_diff BASELINE.json CURRENT.json [--threshold=PCT]
-//              [--mode=ms|speedup] [--markdown_out=FILE]
+//              [--markdown_out=FILE]
 //              [--warn_state_in=FILE] [--warn_state_out=FILE]
 //
-// Compares two bench JSON artifacts (either the bench_micro --speedup_json
-// sweep format or google-benchmark --benchmark_out format), prints the
-// per-entry delta table, and optionally writes it as markdown (for the
-// GitHub job summary).
-//
-// --mode=ms (default) gates on absolute per-entry milliseconds; --mode=speedup
-// gates on the drop in parallel speedup ratios, which divide out the host —
-// the robust setting for heterogeneous hosted CI runners.
+// Compares two bench_micro --speedup_json sweeps, prints the per-entry
+// speedup table, and optionally writes it as markdown (for the GitHub job
+// summary). The gate trips on an entry whose parallel speedup ratio drops by
+// more than the threshold; ratios divide out the host, so the gate holds up
+// on heterogeneous hosted CI runners. Two sweeps that share no entry fail:
+// a renamed stage must not switch the gate off.
 //
 // With --warn_state_in / --warn_state_out the gate is warn-then-fail: a
 // regression only fails when the same entry is also listed in the state file
@@ -26,22 +24,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "tools/bench_diff_lib.h"
+#include "util/file_io.h"
 
 namespace {
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
 
 std::vector<std::string> ReadLines(const std::string& path) {
   std::vector<std::string> lines;
@@ -56,8 +45,8 @@ std::vector<std::string> ReadLines(const std::string& path) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s BASELINE.json CURRENT.json [--threshold=PCT] "
-               "[--mode=ms|speedup] [--markdown_out=FILE] "
-               "[--warn_state_in=FILE] [--warn_state_out=FILE]\n",
+               "[--markdown_out=FILE] [--warn_state_in=FILE] "
+               "[--warn_state_out=FILE]\n",
                argv0);
   return 2;
 }
@@ -67,7 +56,6 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   std::string baseline_path, current_path, markdown_path;
   std::string warn_state_in, warn_state_out;
-  pghive::tools::GateMode mode = pghive::tools::GateMode::kAbsoluteMs;
   double threshold = 10.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threshold=", 12) == 0) {
@@ -77,15 +65,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "invalid --threshold value: %s\n", argv[i] + 12);
         return 2;
       }
-    } else if (std::strncmp(argv[i], "--mode=", 7) == 0) {
-      if (std::strcmp(argv[i] + 7, "ms") == 0) {
-        mode = pghive::tools::GateMode::kAbsoluteMs;
-      } else if (std::strcmp(argv[i] + 7, "speedup") == 0) {
-        mode = pghive::tools::GateMode::kSpeedupRatio;
-      } else {
-        std::fprintf(stderr, "invalid --mode value: %s\n", argv[i] + 7);
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--markdown_out=", 15) == 0) {
       markdown_path = argv[i] + 15;
     } else if (std::strncmp(argv[i], "--warn_state_in=", 16) == 0) {
@@ -93,6 +72,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--warn_state_out=", 17) == 0) {
       warn_state_out = argv[i] + 17;
     } else if (argv[i][0] == '-') {
+      std::fprintf(stderr, "unknown option %s\n", argv[i]);
       return Usage(argv[0]);
     } else if (baseline_path.empty()) {
       baseline_path = argv[i];
@@ -104,16 +84,17 @@ int main(int argc, char** argv) {
   }
   if (baseline_path.empty() || current_path.empty()) return Usage(argv[0]);
 
-  std::string baseline_text, current_text;
-  if (!ReadFile(baseline_path, &baseline_text)) {
-    std::fprintf(stderr, "cannot read %s\n", baseline_path.c_str());
+  auto baseline_text = pghive::util::ReadWholeFile(baseline_path);
+  if (!baseline_text.ok()) {
+    std::fprintf(stderr, "%s\n", baseline_text.status().ToString().c_str());
     return 2;
   }
-  if (!ReadFile(current_path, &current_text)) {
-    std::fprintf(stderr, "cannot read %s\n", current_path.c_str());
+  auto current_text = pghive::util::ReadWholeFile(current_path);
+  if (!current_text.ok()) {
+    std::fprintf(stderr, "%s\n", current_text.status().ToString().c_str());
     return 2;
   }
-  auto baseline = pghive::tools::ParseBenchJson(baseline_text);
+  auto baseline = pghive::tools::ParseBenchJson(*baseline_text);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s: %s\n", baseline_path.c_str(),
                  baseline.status().ToString().c_str());
@@ -123,7 +104,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: no entries\n", baseline_path.c_str());
     return 2;
   }
-  auto current = pghive::tools::ParseBenchJson(current_text);
+  auto current = pghive::tools::ParseBenchJson(*current_text);
   if (!current.ok()) {
     std::fprintf(stderr, "%s: %s\n", current_path.c_str(),
                  current.status().ToString().c_str());
@@ -139,31 +120,20 @@ int main(int argc, char** argv) {
   if (!warn_state_in.empty()) prior = ReadLines(warn_state_in);
 
   auto rows = pghive::tools::DiffEntries(*baseline, *current);
-  auto regressed = pghive::tools::RegressedNames(rows, threshold, mode);
+  auto regressed = pghive::tools::RegressedNames(rows, threshold);
   auto failures = warn_then_fail
                       ? pghive::tools::ConsecutiveRegressions(regressed, prior)
                       : regressed;
 
-  const bool speedup_mode = mode == pghive::tools::GateMode::kSpeedupRatio;
   for (const auto& row : rows) {
     const char* flag = "";
-    if (pghive::tools::IsRegression(row, threshold, mode)) {
+    if (pghive::tools::IsRegression(row, threshold)) {
       bool fails = std::find(failures.begin(), failures.end(), row.name) !=
                    failures.end();
       flag = fails ? "  REGRESSION" : "  WARN";
     }
-    if (speedup_mode) {
-      std::printf("%-40s %9.2fx -> %9.2fx     %+7.1f%%%s\n", row.name.c_str(),
-                  row.base_speedup, row.cur_speedup, row.speedup_drop_pct,
-                  flag);
-    } else {
-      std::printf("%-40s %10.3f -> %10.3f ms  %+7.1f%%%s\n", row.name.c_str(),
-                  row.base_ms, row.cur_ms, row.delta_pct, flag);
-    }
-  }
-  if (rows.empty()) {
-    std::fprintf(stderr, "warning: no comparable entries between %s and %s\n",
-                 baseline_path.c_str(), current_path.c_str());
+    std::printf("%-40s %9.2fx -> %9.2fx     %+7.1f%%%s\n", row.name.c_str(),
+                row.base_speedup, row.cur_speedup, row.speedup_drop_pct, flag);
   }
 
   if (!warn_state_out.empty()) {
@@ -181,12 +151,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", markdown_path.c_str());
       return 2;
     }
-    md << "### Bench regression gate ("
-       << (speedup_mode ? "speedup ratios" : "absolute ms") << ", threshold "
+    md << "### Bench regression gate (speedup ratios, threshold "
        << threshold << "%"
        << (warn_then_fail ? ", warn-then-fail" : "") << ")\n\n"
-       << pghive::tools::MarkdownTable(rows, threshold, mode,
+       << pghive::tools::MarkdownTable(rows, threshold,
                                        warn_then_fail ? &prior : nullptr);
+  }
+
+  if (rows.empty()) {
+    std::fprintf(stderr, "FAIL: no common entry between %s and %s\n",
+                 baseline_path.c_str(), current_path.c_str());
+    return 1;
   }
 
   if (!failures.empty()) {

@@ -13,7 +13,7 @@ namespace {
 
 // ---- Minimal JSON reader ------------------------------------------------
 //
-// Just enough of RFC 8259 for the two bench artifact formats: objects,
+// Just enough of RFC 8259 for the speedup sweep artifact: objects,
 // arrays, strings (common escapes), numbers, true/false/null. No external
 // dependency, fails soft (parse error -> empty result + message).
 
@@ -197,14 +197,7 @@ class JsonParser {
   std::string error_;
 };
 
-// ---- Format extraction --------------------------------------------------
-
-double AsMillis(double value, const std::string& unit) {
-  if (unit == "ns") return value / 1e6;
-  if (unit == "us") return value / 1e3;
-  if (unit == "s") return value * 1e3;
-  return value;  // "ms" (google-benchmark default is ns, always present).
-}
+// ---- Sweep extraction ---------------------------------------------------
 
 bool ExtractSweepStages(const JsonValue& root, std::vector<BenchEntry>* out,
                         std::string* error) {
@@ -218,41 +211,16 @@ bool ExtractSweepStages(const JsonValue& root, std::vector<BenchEntry>* out,
     }
     for (const JsonValue& result : results->array) {
       const JsonValue* threads = result.Get("threads");
-      const JsonValue* ms = result.Get("ms");
-      if (threads == nullptr || ms == nullptr) {
-        *error = "result entry missing 'threads' or 'ms'";
+      const JsonValue* speedup = result.Get("speedup");
+      if (threads == nullptr || speedup == nullptr) {
+        *error = "result entry missing 'threads' or 'speedup'";
         return false;
       }
-      const JsonValue* speedup = result.Get("speedup");
       out->push_back(
           {name->string + "/threads=" +
                std::to_string(static_cast<long long>(threads->number)),
-           ms->number, speedup == nullptr ? 0.0 : speedup->number});
+           speedup->number});
     }
-  }
-  return true;
-}
-
-bool ExtractGoogleBenchmarks(const JsonValue& root,
-                             std::vector<BenchEntry>* out,
-                             std::string* error) {
-  const JsonValue* benchmarks = root.Get("benchmarks");
-  for (const JsonValue& bench : benchmarks->array) {
-    const JsonValue* name = bench.Get("name");
-    const JsonValue* real_time = bench.Get("real_time");
-    if (name == nullptr || real_time == nullptr) {
-      *error = "benchmark entry missing 'name' or 'real_time'";
-      return false;
-    }
-    // Skip aggregate rows (mean/median/stddev repeats of the same name).
-    if (bench.Get("run_type") != nullptr &&
-        bench.Get("run_type")->string == "aggregate") {
-      continue;
-    }
-    const JsonValue* unit = bench.Get("time_unit");
-    out->push_back({name->string,
-                    AsMillis(real_time->number,
-                             unit == nullptr ? "ns" : unit->string)});
   }
   return true;
 }
@@ -266,17 +234,15 @@ util::StatusOr<std::vector<BenchEntry>> ParseBenchJson(
   if (!parser.Parse(&root)) {
     return util::Status::ParseError("JSON parse error: " + parser.error());
   }
+  if (root.Get("stages") == nullptr) {
+    return util::Status::ParseError(
+        "unrecognized bench JSON: no 'stages' key (not a speedup sweep)");
+  }
   std::vector<BenchEntry> entries;
   std::string error;
-  bool ok = false;
-  if (root.Get("stages") != nullptr) {
-    ok = ExtractSweepStages(root, &entries, &error);
-  } else if (root.Get("benchmarks") != nullptr) {
-    ok = ExtractGoogleBenchmarks(root, &entries, &error);
-  } else {
-    error = "unrecognized bench JSON: no 'stages' or 'benchmarks' key";
+  if (!ExtractSweepStages(root, &entries, &error)) {
+    return util::Status::ParseError(error);
   }
-  if (!ok) return util::Status::ParseError(error);
   return entries;
 }
 
@@ -292,9 +258,6 @@ std::vector<DiffRow> DiffEntries(const std::vector<BenchEntry>& baseline,
     const BenchEntry& cur = *it->second;
     DiffRow row;
     row.name = base.name;
-    row.base_ms = base.ms;
-    row.cur_ms = cur.ms;
-    row.delta_pct = base.ms > 0 ? (cur.ms - base.ms) / base.ms * 100.0 : 0.0;
     if (base.speedup > 0 && cur.speedup > 0) {
       row.base_speedup = base.speedup;
       row.cur_speedup = cur.speedup;
@@ -306,26 +269,22 @@ std::vector<DiffRow> DiffEntries(const std::vector<BenchEntry>& baseline,
   return rows;
 }
 
-bool IsRegression(const DiffRow& row, double threshold_pct, GateMode mode) {
-  if (mode == GateMode::kSpeedupRatio) {
-    return row.base_speedup > 0 && row.speedup_drop_pct > threshold_pct;
-  }
-  return row.base_ms > 0 && row.delta_pct > threshold_pct;
+bool IsRegression(const DiffRow& row, double threshold_pct) {
+  return row.base_speedup > 0 && row.speedup_drop_pct > threshold_pct;
 }
 
-bool AnyRegression(const std::vector<DiffRow>& rows, double threshold_pct,
-                   GateMode mode) {
+bool AnyRegression(const std::vector<DiffRow>& rows, double threshold_pct) {
   for (const DiffRow& row : rows) {
-    if (IsRegression(row, threshold_pct, mode)) return true;
+    if (IsRegression(row, threshold_pct)) return true;
   }
   return false;
 }
 
 std::vector<std::string> RegressedNames(const std::vector<DiffRow>& rows,
-                                        double threshold_pct, GateMode mode) {
+                                        double threshold_pct) {
   std::vector<std::string> names;
   for (const DiffRow& row : rows) {
-    if (IsRegression(row, threshold_pct, mode)) names.push_back(row.name);
+    if (IsRegression(row, threshold_pct)) names.push_back(row.name);
   }
   return names;
 }
@@ -343,32 +302,17 @@ std::vector<std::string> ConsecutiveRegressions(
 }
 
 std::string MarkdownTable(const std::vector<DiffRow>& rows,
-                          double threshold_pct, GateMode mode,
+                          double threshold_pct,
                           const std::vector<std::string>* prior) {
-  std::string out;
-  switch (mode) {
-    case GateMode::kSpeedupRatio:
-      out =
-          "| benchmark | baseline speedup | current speedup | drop "
-          "| status |\n|---|---:|---:|---:|:---|\n";
-      break;
-    case GateMode::kAbsoluteMs:
-      out =
-          "| benchmark | baseline (ms) | current (ms) | delta "
-          "| status |\n|---|---:|---:|---:|:---|\n";
-      break;
-  }
+  std::string out =
+      "| benchmark | baseline speedup | current speedup | drop "
+      "| status |\n|---|---:|---:|---:|:---|\n";
   char buf[96];
   for (const DiffRow& row : rows) {
-    if (mode == GateMode::kSpeedupRatio) {
-      std::snprintf(buf, sizeof(buf), " | %.2fx | %.2fx | %+.1f%% | ",
-                    row.base_speedup, row.cur_speedup, row.speedup_drop_pct);
-    } else {
-      std::snprintf(buf, sizeof(buf), " | %.3f | %.3f | %+.1f%% | ",
-                    row.base_ms, row.cur_ms, row.delta_pct);
-    }
+    std::snprintf(buf, sizeof(buf), " | %.2fx | %.2fx | %+.1f%% | ",
+                  row.base_speedup, row.cur_speedup, row.speedup_drop_pct);
     const char* status = "✅ ok";
-    if (IsRegression(row, threshold_pct, mode)) {
+    if (IsRegression(row, threshold_pct)) {
       if (prior == nullptr) {
         status = "❌ regression";
       } else if (std::find(prior->begin(), prior->end(), row.name) !=

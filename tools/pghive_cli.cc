@@ -51,12 +51,12 @@
 //             [--from V] [--timeout-ms T] [--fail-on-alert]
 //       Scans a changefeed — a segment/--changefeed file or a live pghived
 //       session — and flags schema drift: property retypes and cardinality
-//       flips (non-widening transitions, only reachable via instance
-//       decay/removal). --fail-on-alert exits 1 when anything was flagged.
+//       flips (non-widening transitions, which insertion alone never
+//       makes). --fail-on-alert exits 1 when anything was flagged.
 //
-// Each subcommand accepts only the flags it reads: an unknown flag (a typo,
-// or a knob the subcommand would ignore) or a stray positional argument
-// exits 1 with a message naming it.
+// Each subcommand accepts only the flags it reads, each at most once: an
+// unknown flag (a typo, or a knob the subcommand would ignore), a repeated
+// flag or a stray positional argument exits 1 with a message naming it.
 //
 // Exit code 0 on success (and, for validate, on conformance), 1 otherwise.
 
@@ -117,9 +117,9 @@ struct Command {
   std::set<std::string> flags;
 };
 
-/// Parses argv[2..] against the flags `command` reads. An unknown flag, a
-/// flag missing its value, a switch given one, or a positional token is an
-/// InvalidArgument naming it.
+/// Parses argv[2..] against the flags `command` reads. An unknown or
+/// repeated flag, a flag missing its value, a switch given one, or a
+/// positional token is an InvalidArgument naming it.
 util::StatusOr<Args> ParseArgs(int argc, char** argv, const Command& command) {
   auto reject = [&](const std::string& what) {
     return util::Status::InvalidArgument(std::string(command.name) + ": " +
@@ -148,7 +148,11 @@ util::StatusOr<Args> ParseArgs(int argc, char** argv, const Command& command) {
       }
       value = argv[++i];
     }
-    args.options[key] = value;
+    // Keeping either value of a repeated flag would run a command the user
+    // did not type in full.
+    if (!args.options.emplace(key, value).second) {
+      return reject("duplicate option --" + key);
+    }
   }
   return args;
 }
@@ -184,6 +188,19 @@ std::map<std::string, std::string> DiscoveryKnobs(const Args& args) {
   }
   if (args.Has("sample-datatypes")) knobs["sample-datatypes"] = "true";
   return knobs;
+}
+
+/// Writes PREFIX.pgs and PREFIX.xsd (discover and client --out). Every
+/// whole-file output goes through util::AtomicWriteFile, which checks the
+/// flush on close and names the path it could not write.
+util::Status WriteSchemaFiles(const std::string& prefix, const std::string& pgs,
+                              const std::string& xsd) {
+  util::Status status = util::AtomicWriteFile(prefix + ".pgs", pgs);
+  if (status.ok()) status = util::AtomicWriteFile(prefix + ".xsd", xsd);
+  if (status.ok()) {
+    std::printf("wrote %s.pgs and %s.xsd\n", prefix.c_str(), prefix.c_str());
+  }
+  return status;
 }
 
 /// Atomically replaces `path` with a fresh SaveState snapshot, so a crash
@@ -355,12 +372,11 @@ int CmdDiscover(const Args& args) {
   core::SchemaMode mode = args.Has("loose") ? core::SchemaMode::kLoose
                                             : core::SchemaMode::kStrict;
   if (args.Has("out")) {
-    std::string prefix = args.Get("out");
-    std::ofstream pgs(prefix + ".pgs");
-    pgs << core::SerializePgSchema(pipeline.schema(), graph.vocab(), mode);
-    std::ofstream xsd(prefix + ".xsd");
-    xsd << core::SerializeXsd(pipeline.schema(), graph.vocab());
-    std::printf("wrote %s.pgs and %s.xsd\n", prefix.c_str(), prefix.c_str());
+    util::Status written = WriteSchemaFiles(
+        args.Get("out"),
+        core::SerializePgSchema(pipeline.schema(), graph.vocab(), mode),
+        core::SerializeXsd(pipeline.schema(), graph.vocab()));
+    if (!written.ok()) return Fail(written.ToString());
   }
   return 0;
 }
@@ -510,18 +526,13 @@ int CmdClient(const Args& args) {
   std::printf("%s", describe->c_str());
 
   if (args.Has("out")) {
-    const std::string prefix = args.Get("out");
     auto pgs = client->GetSchema(session,
                                  args.Has("loose") ? "pgs-loose" : "pgs");
     if (!pgs.ok()) return Fail(pgs.status().ToString());
     auto xsd = client->GetSchema(session, "xsd");
     if (!xsd.ok()) return Fail(xsd.status().ToString());
-    std::ofstream pgs_out(prefix + ".pgs");
-    pgs_out << *pgs;
-    std::ofstream xsd_out(prefix + ".xsd");
-    xsd_out << *xsd;
-    if (!pgs_out || !xsd_out) return Fail("cannot write " + prefix + ".*");
-    std::printf("wrote %s.pgs and %s.xsd\n", prefix.c_str(), prefix.c_str());
+    util::Status written = WriteSchemaFiles(args.Get("out"), *pgs, *xsd);
+    if (!written.ok()) return Fail(written.ToString());
   }
   if (args.Has("changefeed-out")) {
     // The full history from version 1. With --checkpoint-dir on the daemon
@@ -532,9 +543,8 @@ int CmdClient(const Args& args) {
                                             /*timeout_ms=*/0);
     if (!feed.ok()) return Fail(feed.status().ToString());
     const std::string path = args.Get("changefeed-out");
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << *feed;
-    if (!out) return Fail("cannot write " + path);
+    util::Status written = util::AtomicWriteFile(path, *feed);
+    if (!written.ok()) return Fail(written.ToString());
     std::printf("wrote changefeed to %s (%zu bytes)\n", path.c_str(),
                 feed->size());
   }
