@@ -1,7 +1,6 @@
 #ifndef PGHIVE_CORE_PGHIVE_H_
 #define PGHIVE_CORE_PGHIVE_H_
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <utility>
@@ -218,7 +217,7 @@ class PgHive {
   /// Either the shared pool passed at construction or the owned one.
   util::ThreadPool* pool() const { return pool_; }
 
-  /// Writes a versioned snapshot of the full cross-batch discovery state:
+  /// Returns a versioned snapshot of the full cross-batch discovery state:
   /// the vocabulary (all three interners), the incremental Word2Vec weights,
   /// the running schema, the options fingerprint, and the batch cursor.
   /// Format: "PGHS" magic + u32 version, then CRC-framed util/binio
@@ -231,9 +230,9 @@ class PgHive {
   /// ProcessBatch calls, or after a BatchPipeline::Run returned) —
   /// mid-pipeline the preprocess of a later batch may already have advanced
   /// the vocabulary. A failed hive cannot be snapshotted.
-  util::Status SaveState(std::ostream& out) const;
+  util::StatusOr<std::string> SaveState() const;
 
-  /// Restores a SaveState snapshot into a freshly created hive: same
+  /// Restores SaveState bytes into a freshly created hive: same
   /// discovery-relevant options (method, embedder, dim, LSH parameters,
   /// thresholds, datatype sampling, seed — the thread count may differ, its
   /// byte-identity contract makes it free to change across a resume), zero
@@ -244,7 +243,7 @@ class PgHive {
   /// run's schema byte for byte. Statistics are not restored: last_stats()
   /// and total_stats() count only batches merged after the restore. On
   /// failure the hive may be partially mutated and must be discarded.
-  util::StatusOr<uint64_t> RestoreState(std::istream& in);
+  util::StatusOr<uint64_t> RestoreState(const std::string& bytes);
 
  private:
   pg::PropertyGraph* graph_;

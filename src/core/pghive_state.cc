@@ -11,9 +11,7 @@
 // pipeline is derived per batch from these. No wall-clock value is written,
 // so two runs with the same options and batches write the same bytes.
 
-#include <istream>
 #include <map>
-#include <ostream>
 #include <utility>
 
 #include "core/pghive.h"
@@ -203,7 +201,7 @@ util::StatusOr<std::map<uint32_t, std::string_view>> ReadSections(
 
 }  // namespace
 
-util::Status PgHive::SaveState(std::ostream& out) const {
+util::StatusOr<std::string> PgHive::SaveState() const {
   if (phase_ == Phase::kFailed) {
     return util::Status::FailedPrecondition(
         "cannot snapshot a failed hive");
@@ -226,20 +224,13 @@ util::Status PgHive::SaveState(std::ostream& out) const {
   util::PutU64(&cursor, batches_processed_);
   util::PutU8(&cursor, phase_ == Phase::kFinished ? 1 : 0);
   util::AppendSection(&bytes, kCursorSection, cursor);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) return util::Status::IoError("failed to write state snapshot");
-  return util::Status::Ok();
+  return bytes;
 }
 
-util::StatusOr<uint64_t> PgHive::RestoreState(std::istream& in) {
+util::StatusOr<uint64_t> PgHive::RestoreState(const std::string& bytes) {
   if (phase_ != Phase::kIngesting || batches_processed_ != 0) {
     return util::Status::FailedPrecondition(
         "RestoreState needs a fresh hive: no batches processed yet");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return util::Status::IoError("failed to read state snapshot");
   }
   auto sections = ReadSections(bytes);
   if (!sections.ok()) return sections.status();

@@ -1,11 +1,13 @@
 #include "core/schema_diff.h"
 
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <utility>
 
 #include "pg/value.h"
 #include "util/binio.h"
+#include "util/file_io.h"
 
 namespace pghive::core {
 
@@ -369,6 +371,17 @@ std::string SerializeSchemaDiffBinary(const SchemaDiff& diff) {
   return out;
 }
 
+std::string BuildChangefeedRecord(const SchemaGraph& prev,
+                                  const SchemaGraph& next,
+                                  const pg::Vocabulary& vocab,
+                                  uint64_t version, uint64_t batch) {
+  SchemaDiff diff = DiffSchemas(prev, next, vocab);
+  diff.version_from = version - 1;
+  diff.version_to = version;
+  diff.batch = batch;
+  return SerializeSchemaDiffBinary(diff);
+}
+
 util::StatusOr<std::vector<SchemaDiff>> ParseSchemaDiffStream(
     const std::string& bytes) {
   std::vector<SchemaDiff> records;
@@ -399,6 +412,24 @@ std::vector<SchemaDiffRecord> ScanSchemaDiffStream(std::string_view bytes,
   }
   if (valid_prefix != nullptr) *valid_prefix = offset;
   return records;
+}
+
+util::Status TruncateFeedFile(const std::string& path, uint64_t max_version) {
+  std::error_code error;
+  if (!std::filesystem::is_regular_file(path, error)) {
+    return util::Status::Ok();
+  }
+  auto bytes = util::ReadWholeFile(path);
+  if (!bytes.ok()) return bytes.status();
+  size_t keep = 0;
+  uint64_t expect = 1;
+  for (const SchemaDiffRecord& record : ScanSchemaDiffStream(*bytes, nullptr)) {
+    if (expect > max_version || record.diff.version_to != expect) break;
+    keep = record.offset + record.length;
+    ++expect;
+  }
+  if (keep == bytes->size()) return util::Status::Ok();
+  return util::TruncateFile(path, keep);
 }
 
 bool IsCardinalityWidening(CardinalityKind from, CardinalityKind to) {

@@ -47,8 +47,8 @@ struct TypeDelta {
 };
 
 /// One changefeed record: everything that changed between two published
-/// schema versions. Versions are the producer's monotonically increasing
-/// counters (batches merged for the CLI, versions published for pghived).
+/// schema versions. Versions count publishes: one per merged batch, one
+/// for Finish (the same numbering in the CLI and in pghived).
 struct SchemaDiff {
   uint64_t version_from = 0;
   uint64_t version_to = 0;
@@ -75,6 +75,14 @@ SchemaDiff DiffSchemas(const SchemaGraph& prev, const SchemaGraph& next,
 /// designed to be appended to a feed file back to back.
 std::string SerializeSchemaDiffBinary(const SchemaDiff& diff);
 
+/// The serialized changefeed record of schema `version` (from version - 1),
+/// `next` diffed against `prev`, with `batch` batches merged. Both
+/// `pghive discover --changefeed` and pghived sessions build theirs here.
+std::string BuildChangefeedRecord(const SchemaGraph& prev,
+                                  const SchemaGraph& next,
+                                  const pg::Vocabulary& vocab,
+                                  uint64_t version, uint64_t batch);
+
 /// Parses a feed of zero or more concatenated SerializeSchemaDiffBinary
 /// records. Truncation, bit flips (CRC), and malformed payloads fail with
 /// ParseError; untrusted counts are clamped against the remaining input
@@ -98,6 +106,14 @@ struct SchemaDiffRecord {
 /// untrusted and should be truncated away before appending new records.
 std::vector<SchemaDiffRecord> ScanSchemaDiffStream(std::string_view bytes,
                                                    size_t* valid_prefix);
+
+/// Cuts the feed file at `path` back to its longest clean prefix of records
+/// numbered 1..max_version, dropping a torn tail and the versions a resumed
+/// producer writes again. A restored pghived session and `pghive discover
+/// --resume-from` call it with their snapshot's versions (batches, plus 1 if
+/// finished). Only a regular file is read: a missing one is an empty feed,
+/// and a device or FIFO is left alone (reading /dev/zero never ends).
+util::Status TruncateFeedFile(const std::string& path, uint64_t max_version);
 
 /// Human-readable rendering, one line per delta:
 ///   == v3 -> v4 (batch 4): 2 node / 1 edge deltas

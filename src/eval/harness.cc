@@ -45,7 +45,6 @@ RunResult RunPgHive(pg::PropertyGraph* graph,
   options.adaptive = config.adaptive;
   options.bucket_length = config.bucket_length;
   options.num_tables = config.num_tables;
-  options.alpha_scale = config.alpha_scale;
   options.seed = config.seed;
 
   core::PgHive pipeline(graph, options);

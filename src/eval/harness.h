@@ -27,7 +27,6 @@ struct RunConfig {
   bool adaptive = true;
   double bucket_length = 2.0;
   size_t num_tables = 20;
-  double alpha_scale = 1.0;
   /// Incremental mode: >1 splits the stream into this many random batches.
   size_t num_batches = 1;
 };

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
-#include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "core/options.h"
@@ -27,36 +27,19 @@ constexpr std::string_view kOldSessionMagic = "PGHD";
 /// server shutdown for longer than this.
 constexpr uint64_t kMaxFeedWaitMs = 30000;
 
-/// Cuts `path`, whose contents are `bytes`, back to its first `keep` bytes
-/// (atomically; no-op when nothing lies past `keep`). The restore policy of
-/// both append-only files, the ingest log and the feed segment: keep the
-/// records the snapshot covers, drop a torn tail from a crash and every
-/// record the restored session will write again while the client re-sends
-/// the batches the snapshot had not yet seen.
-util::Status CutToPrefix(const std::string& path, const std::string& bytes,
-                         size_t keep) {
-  if (keep == bytes.size()) return util::Status::Ok();
-  return util::AtomicWriteFile(path, bytes.substr(0, keep));
-}
-
-/// Reconciles a feed segment file with a restored session's version counter:
-/// keeps the longest clean prefix of records numbered contiguously
-/// 1..max_version and cuts everything past it.
-util::Status TruncateFeedFile(const std::string& path, uint64_t max_version) {
-  auto bytes = util::ReadWholeFile(path);
-  if (bytes.status().code() == util::StatusCode::kNotFound) {
-    return util::Status::Ok();  // No segment yet: nothing to reconcile.
+/// Runs `job` as a job on `lane` of `queue` and waits for its result: how a
+/// connection thread reads or checkpoints a session at a batch boundary.
+/// FailedPrecondition when the service is shutting down.
+template <typename Job>
+std::invoke_result_t<Job> RunInLane(JobQueue* queue, const std::string& lane,
+                                    Job job) {
+  using Result = std::invoke_result_t<Job>;
+  auto task = std::make_shared<std::packaged_task<Result()>>(std::move(job));
+  std::future<Result> future = task->get_future();
+  if (!queue->Submit(lane, [task] { (*task)(); })) {
+    return util::Status::FailedPrecondition("service is shutting down");
   }
-  if (!bytes.ok()) return bytes.status();
-  size_t keep = 0;
-  uint64_t expect = 1;
-  for (const core::SchemaDiffRecord& record :
-       core::ScanSchemaDiffStream(*bytes, nullptr)) {
-    if (expect > max_version || record.diff.version_to != expect) break;
-    keep = record.offset + record.length;
-    ++expect;
-  }
-  return CutToPrefix(path, *bytes, keep);
+  return future.get();
 }
 
 /// Replays ingest-log records 1..batches through `assembler`, rebuilding the
@@ -100,7 +83,9 @@ Session::Session(std::string id, core::PgHiveOptions options,
     : id_(std::move(id)),
       options_(options),
       durability_(std::move(durability)),
-      queue_(queue) {
+      queue_(queue),
+      log_(durability_.log_path),
+      feed_(durability_.feed_path) {
   graph_ = std::make_unique<pg::PropertyGraph>();
   // The hive shares the cross-session pool; per-session ordering comes from
   // the job lane, not from a dedicated pool.
@@ -150,10 +135,7 @@ util::StatusOr<uint64_t> Session::SubmitIngest(std::string payload) {
 }
 
 void Session::IngestJob(const std::string& payload) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!status_.ok()) return;  // Poisoned: drop follow-on batches.
-  }
+  if (!status().ok()) return;  // Poisoned: drop follow-on batches.
   pg::GraphBatch batch;
   util::Status status = assembler_->ApplyPayload(payload, &batch);
   if (status.ok()) {
@@ -162,66 +144,38 @@ void Session::IngestJob(const std::string& payload) {
   // Log before publishing: a checkpoint that counts this batch can only be
   // written after this job, so a snapshot of k batches always finds log
   // records 1..k on disk.
-  if (status.ok()) {
-    status = AppendLogRecord(hive_->batches_processed(), payload);
+  if (status.ok() && !durability_.log_path.empty()) {
+    std::string record;
+    util::AppendSection(&record,
+                        static_cast<uint32_t>(hive_->batches_processed()),
+                        payload);
+    status = log_.Append(record);
   }
-  if (!status.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (status_.ok()) status_ = status;
-    return;
-  }
+  if (!status.ok()) return Latch(status);
   Publish();
-  if (!durability_.state_path.empty() && durability_.checkpoint_every > 0 &&
+  if (durability_.checkpoint_every > 0 &&
       hive_->batches_processed() % durability_.checkpoint_every == 0) {
-    util::Status checkpointed = CheckpointInLane();
-    if (!checkpointed.ok()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (status_.ok()) status_ = checkpointed;
-    }
+    Latch(CheckpointInLane());
   }
 }
 
-util::Status Session::AppendLogRecord(uint64_t batch,
-                                      const std::string& payload) {
-  if (durability_.log_path.empty()) return util::Status::Ok();
-  if (!log_out_.is_open()) {
-    log_out_.open(durability_.log_path, std::ios::binary | std::ios::app);
-  }
-  std::string record;
-  util::AppendSection(&record, static_cast<uint32_t>(batch), payload);
-  log_out_.write(record.data(), static_cast<std::streamsize>(record.size()));
-  log_out_.flush();
-  if (!log_out_) {
-    return util::Status::IoError("cannot append ingest log " +
-                                 durability_.log_path);
-  }
-  return util::Status::Ok();
+void Session::Latch(const util::Status& status) {
+  if (status.ok()) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (status_.ok()) status_ = status;
 }
 
 void Session::FinishJob() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!status_.ok()) return;
-  }
+  if (!status().ok()) return;
   util::Status status = assembler_->CheckComplete();
   if (status.ok()) {
     status = hive_->Finish();
   }
-  if (!status.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (status_.ok()) status_ = status;
-    return;
-  }
+  if (!status.ok()) return Latch(status);
   Publish();
   // The final schema always checkpoints (regardless of checkpoint_every), so
   // a restart after Finish still serves the post-processed snapshot.
-  if (!durability_.state_path.empty()) {
-    util::Status checkpointed = CheckpointInLane();
-    if (!checkpointed.ok()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (status_.ok()) status_ = checkpointed;
-    }
-  }
+  Latch(CheckpointInLane());
 }
 
 std::shared_ptr<const SchemaSnapshot> Session::MakeSnapshot(
@@ -245,18 +199,15 @@ void Session::Publish() {
   // The changefeed record for this publish: the schema against the one the
   // previous snapshot holds (none before the first).
   const std::shared_ptr<const SchemaSnapshot> previous = Snapshot();
-  const core::SchemaGraph none;
-  core::SchemaDiff diff =
-      core::DiffSchemas(previous ? *previous->schema : none, *snapshot->schema,
-                        snapshot->vocab);
-  diff.batch = snapshot->batches;
-  diff.version_from = version - 1;
-  diff.version_to = version;
-  std::string record = core::SerializeSchemaDiffBinary(diff);
+  const core::SchemaGraph none;  // An lvalue, so the ?: below copies nothing.
+  std::string record = core::BuildChangefeedRecord(
+      previous ? *previous->schema : none, *snapshot->schema, snapshot->vocab,
+      version, snapshot->batches);
   // Spill to the segment file *before* the version becomes visible: once a
   // subscriber can name this version, the file must already cover it — that
-  // invariant is what lets WaitForDiffs serve pruned versions from disk.
-  AppendFeedRecord(record);
+  // invariant is what lets WaitForDiffs serve pruned versions from disk. A
+  // failed append poisons the session: durability was promised.
+  if (!durability_.feed_path.empty()) Latch(feed_.Append(record));
   std::lock_guard<std::mutex> lock(mutex_);
   versions_published_ = version;
   feed_records_.push_back(std::move(record));
@@ -266,22 +217,6 @@ void Session::Publish() {
   }
   snapshot_ = std::move(snapshot);
   feed_cv_.notify_all();
-}
-
-void Session::AppendFeedRecord(const std::string& record) {
-  if (durability_.feed_path.empty()) return;
-  if (!feed_out_.is_open()) {
-    feed_out_.open(durability_.feed_path, std::ios::binary | std::ios::app);
-  }
-  feed_out_.write(record.data(), static_cast<std::streamsize>(record.size()));
-  feed_out_.flush();
-  if (!feed_out_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (status_.ok()) {
-      status_ = util::Status::IoError("cannot append changefeed segment " +
-                                      durability_.feed_path);
-    }
-  }
 }
 
 std::shared_ptr<const SchemaSnapshot> Session::Snapshot() const {
@@ -314,8 +249,7 @@ util::StatusOr<std::shared_ptr<const SchemaSnapshot>> Session::FinalSnapshot() {
 
 util::StatusOr<ValidationResult> Session::Validate(
     const std::string& pgs_text, bool strict) {
-  auto task = std::make_shared<std::packaged_task<
-      util::StatusOr<ValidationResult>()>>([this, pgs_text, strict] {
+  return RunInLane(queue_, id_, [this, pgs_text, strict] {
     // A vocabulary copy keeps schema parsing from interning labels or keys
     // the stream never mentioned — interning into the live vocabulary would
     // shift token order for batches still to come.
@@ -331,11 +265,6 @@ util::StatusOr<ValidationResult> Session::Validate(
     result.report = report.Summary();
     return util::StatusOr<ValidationResult>(std::move(result));
   });
-  std::future<util::StatusOr<ValidationResult>> future = task->get_future();
-  if (!queue_->Submit(id_, [task] { (*task)(); })) {
-    return util::Status::FailedPrecondition("service is shutting down");
-  }
-  return future.get();
 }
 
 util::Status Session::status() const {
@@ -344,14 +273,8 @@ util::Status Session::status() const {
 }
 
 util::StatusOr<std::string> Session::BuildStateBytes() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!status_.ok()) return status_;
-  }
-  std::ostringstream bytes;
-  util::Status saved = hive_->SaveState(bytes);
-  if (!saved.ok()) return saved;
-  return bytes.str();
+  if (util::Status latched = status(); !latched.ok()) return latched;
+  return hive_->SaveState();
 }
 
 util::Status Session::CheckpointInLane() {
@@ -362,25 +285,12 @@ util::Status Session::CheckpointInLane() {
 }
 
 util::StatusOr<std::string> Session::SaveState() {
-  auto task = std::make_shared<
-      std::packaged_task<util::StatusOr<std::string>()>>(
-      [this] { return BuildStateBytes(); });
-  std::future<util::StatusOr<std::string>> future = task->get_future();
-  if (!queue_->Submit(id_, [task] { (*task)(); })) {
-    return util::Status::FailedPrecondition("service is shutting down");
-  }
-  return future.get();
+  return RunInLane(queue_, id_, [this] { return BuildStateBytes(); });
 }
 
 util::Status Session::WriteCheckpoint() {
   if (durability_.state_path.empty()) return util::Status::Ok();
-  auto task = std::make_shared<std::packaged_task<util::Status()>>(
-      [this] { return CheckpointInLane(); });
-  std::future<util::Status> future = task->get_future();
-  if (!queue_->Submit(id_, [task] { (*task)(); })) {
-    return util::Status::FailedPrecondition("service is shutting down");
-  }
-  return future.get();
+  return RunInLane(queue_, id_, [this] { return CheckpointInLane(); });
 }
 
 util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
@@ -404,8 +314,7 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
   // position-consistent with the empty graph), so the log replay below
   // resolves every label and key to its snapshotted id — the id order the
   // stream preamble had fixed, which the feature layout depends on.
-  std::istringstream hive_in(bytes);
-  auto restored = session->hive_->RestoreState(hive_in);
+  auto restored = session->hive_->RestoreState(bytes);
   if (!restored.ok()) return restored.status();
   const uint64_t batches = *restored;
   const SessionDurability& paths = session->durability_;
@@ -430,8 +339,10 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
       auto kept = ReplayIngestLog(paths.log_path, *log, batches,
                                   session->assembler_.get());
       if (!kept.ok()) return kept.status();
-      util::Status cut = CutToPrefix(paths.log_path, *log, *kept);
-      if (!cut.ok()) return cut;
+      if (*kept < log->size()) {
+        util::Status cut = util::TruncateFile(paths.log_path, *kept);
+        if (!cut.ok()) return cut;
+      }
     } else if (batches > 0 ||
                log.status().code() != util::StatusCode::kNotFound) {
       return util::Status(log.status().code(),
@@ -442,7 +353,7 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
   }
   if (!paths.feed_path.empty()) {
     util::Status truncated =
-        TruncateFeedFile(paths.feed_path, versions_published);
+        core::TruncateFeedFile(paths.feed_path, versions_published);
     if (!truncated.ok()) return truncated;
   }
 

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -15,6 +14,7 @@
 #include "pg/vocabulary.h"
 #include "service/assembler.h"
 #include "service/job_queue.h"
+#include "util/file_io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -176,27 +176,24 @@ class Session {
           JobQueue* queue, SessionDurability durability);
 
   void IngestJob(const std::string& payload);
-  /// Appends `payload` to the ingest log as record `batch` and flushes; Ok
-  /// without a log_path. Lane jobs only.
-  util::Status AppendLogRecord(uint64_t batch, const std::string& payload);
   void FinishJob();
+  /// Latches `status` as the session's first error; a no-op when it is Ok
+  /// or an error is already latched. A latched session drops its jobs.
+  void Latch(const util::Status& status);
   /// Copies the live schema and vocabulary into a snapshot of `version`.
   /// Lane jobs only.
   std::shared_ptr<const SchemaSnapshot> MakeSnapshot(uint64_t version) const;
   /// Swaps in a new snapshot, appending its changefeed record (its schema
   /// diffed against the previous snapshot's, spilled to the feed segment
   /// file *before* the version becomes visible, so the file always covers
-  /// every published version). Lane jobs only.
+  /// every published version; a failed append poisons the session). Lane
+  /// jobs only.
   void Publish();
   /// The hive's SaveState bytes. Lane jobs only.
   util::StatusOr<std::string> BuildStateBytes();
   /// Atomic (tmp + rename) checkpoint to durability_.state_path; Ok when no
   /// path is configured. Lane jobs only.
   util::Status CheckpointInLane();
-  /// Appends one serialized diff record to the feed segment file and
-  /// flushes; a write failure poisons the session (durability was promised).
-  /// Lane jobs only.
-  void AppendFeedRecord(const std::string& record);
   /// Reads versions in (after_version, until_version) from the feed segment
   /// file, verifying the range is covered contiguously; OutOfRange when it
   /// is not (or no file is configured). Called without mutex_ — safe because
@@ -214,10 +211,10 @@ class Session {
   std::unique_ptr<pg::PropertyGraph> graph_;
   std::unique_ptr<core::PgHive> hive_;
   std::unique_ptr<GraphAssembler> assembler_;
-  /// Appenders for durability_.log_path and feed_path (lazily opened); lane
-  /// jobs only.
-  std::ofstream log_out_;
-  std::ofstream feed_out_;
+  /// Appenders for durability_.log_path and feed_path (opened at the first
+  /// record); lane jobs only.
+  util::AppendOnlyFile log_;
+  util::AppendOnlyFile feed_;
 
   mutable std::mutex mutex_;
   std::condition_variable feed_cv_;

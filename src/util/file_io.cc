@@ -5,8 +5,21 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 namespace pghive::util {
+
+namespace {
+
+/// "cannot WHAT PATH", with errno's reason when the failed call set one.
+/// Takes errno as an argument, read before anything else can clobber it.
+Status IoFailure(const char* what, const std::string& path, int error) {
+  std::string message = std::string("cannot ") + what + " " + path;
+  if (error != 0) message += ": " + std::string(std::strerror(error));
+  return Status::IoError(message);
+}
+
+}  // namespace
 
 Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
@@ -40,13 +53,37 @@ StatusOr<std::string> ReadWholeFile(const std::string& path) {
   while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
     bytes.append(chunk, static_cast<size_t>(in.gcount()));
   }
-  if (in.bad()) {
-    const int error = errno;
-    std::string message = "cannot read " + path;
-    if (error != 0) message += ": " + std::string(std::strerror(error));
-    return Status::IoError(message);
-  }
+  if (in.bad()) return IoFailure("read", path, errno);
   return bytes;
+}
+
+Status TruncateFile(const std::string& path, uint64_t size) {
+  std::error_code error;
+  std::filesystem::resize_file(path, size, error);
+  if (error) return IoFailure("truncate", path, error.value());
+  return Status::Ok();
+}
+
+AppendOnlyFile::AppendOnlyFile(std::string path, bool truncate)
+    : path_(std::move(path)),
+      mode_(std::ios::binary | (truncate ? std::ios::trunc : std::ios::app)) {}
+
+Status AppendOnlyFile::Open() {
+  if (out_.is_open()) return Status::Ok();
+  errno = 0;
+  out_.open(path_, mode_);
+  if (!out_) return IoFailure("open", path_, errno);
+  return Status::Ok();
+}
+
+Status AppendOnlyFile::Append(std::string_view record) {
+  Status opened = Open();
+  if (!opened.ok()) return opened;
+  errno = 0;
+  out_.write(record.data(), static_cast<std::streamsize>(record.size()));
+  out_.flush();
+  if (!out_) return IoFailure("append to", path_, errno);
+  return Status::Ok();
 }
 
 }  // namespace pghive::util

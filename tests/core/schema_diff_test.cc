@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/schema.h"
 #include "pg/vocabulary.h"
+#include "util/file_io.h"
 
 namespace pghive::core {
 namespace {
@@ -286,6 +288,67 @@ TEST_F(SchemaDiffTest, ScanStopsAtCorruptRecordNotBefore) {
   auto records = ScanSchemaDiffStream(stream, &valid_prefix);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(valid_prefix, record.size());
+}
+
+TEST_F(SchemaDiffTest, ChangefeedRecordNumbersTheDiffOfTwoVersions) {
+  SchemaGraph prev;
+  prev.node_types().push_back(MakeNodeType({person_}, 2));
+  SchemaGraph next = prev;
+  next.node_types().push_back(MakeNodeType({company_}, 1));
+  auto parsed = ParseSchemaDiffStream(
+      BuildChangefeedRecord(prev, next, vocab_, /*version=*/5, /*batch=*/4));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 1u);
+  const SchemaDiff& diff = parsed->front();
+  EXPECT_EQ(diff.version_from, 4u);
+  EXPECT_EQ(diff.version_to, 5u);
+  EXPECT_EQ(diff.batch, 4u);
+  ASSERT_EQ(diff.node_deltas.size(), 1u);
+  EXPECT_EQ(diff.node_deltas[0].kind, TypeDelta::Kind::kAdded);
+  EXPECT_EQ(diff.node_deltas[0].name, "Company");
+}
+
+// --- TruncateFeedFile: how a resumed producer reconciles its feed file with
+// its snapshot before appending. ---
+
+TEST_F(SchemaDiffTest, TruncateFeedFileKeepsTheCleanPrefixUpToTheSnapshot) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "schema_diff_truncate";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/feed";
+  const SchemaGraph empty;
+  std::vector<std::string> records;
+  for (uint64_t version = 1; version <= 4; ++version) {
+    records.push_back(
+        BuildChangefeedRecord(empty, empty, vocab_, version, version));
+  }
+  auto write = [&](const std::string& bytes) {
+    ASSERT_TRUE(util::AtomicWriteFile(path, bytes).ok());
+  };
+  auto read = [&] { return *util::ReadWholeFile(path); };
+
+  // Versions past the snapshot go, and so does a torn tail.
+  write(records[0] + records[1] + records[2] +
+        records[3].substr(0, records[3].size() - 10));
+  ASSERT_TRUE(TruncateFeedFile(path, 2).ok());
+  EXPECT_EQ(read(), records[0] + records[1]);
+  // A feed already within the snapshot is left as it is.
+  ASSERT_TRUE(TruncateFeedFile(path, 3).ok());
+  EXPECT_EQ(read(), records[0] + records[1]);
+  // The kept records are numbered 1, 2, ... with no gap.
+  write(records[0] + records[2]);
+  ASSERT_TRUE(TruncateFeedFile(path, 4).ok());
+  EXPECT_EQ(read(), records[0]);
+  ASSERT_TRUE(TruncateFeedFile(path, 0).ok());
+  EXPECT_EQ(fs::file_size(path), 0u);
+
+  // A missing file is an empty feed and stays missing; a device is left
+  // alone, never read.
+  ASSERT_TRUE(TruncateFeedFile(dir + "/no_such_feed", 2).ok());
+  EXPECT_FALSE(fs::exists(dir + "/no_such_feed"));
+  ASSERT_TRUE(TruncateFeedFile("/dev/null", 0).ok());
+  EXPECT_TRUE(fs::is_character_file("/dev/null"));
 }
 
 // --- Drift alerts over a changefeed record. ---

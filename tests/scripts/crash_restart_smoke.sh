@@ -8,9 +8,12 @@
 # is cut from the log and the feed, and the client re-sends it. The resumed
 # schema and the full wire changefeed must be byte-identical to the one-shot
 # run. The killed daemon's checkpoint is also the snapshot `pghive discover
-# --checkpoint-to` writes: resumed with `discover --resume-from`, it must
-# land on the one-shot schema too. The same scenario runs in the CI release
-# job; this CTest copy keeps it reproducible locally.
+# --checkpoint-to` writes: resumed with `discover --resume-from` and the
+# killed daemon's feed segment as its --changefeed, it must land on the
+# one-shot schema too, and cut the feed (v1..v3) back to the checkpoint's
+# two versions before appending, so the feed equals the one-shot feed. The
+# same scenario runs in the CI release job; this CTest copy keeps it
+# reproducible locally.
 #
 # Usage: crash_restart_smoke.sh <pghive> <pghived> <workdir>
 set -eu
@@ -21,7 +24,7 @@ WORK=$3
 
 mkdir -p "$WORK"
 cd "$WORK"
-rm -rf crash.port ckpt killed.pghd
+rm -rf crash.port ckpt killed.pghd killed.feed
 mkdir -p ckpt
 
 cleanup() {
@@ -69,10 +72,12 @@ kill -KILL "$daemon"
 wait "$daemon" || true
 daemon=
 rm -f crash.port
-# The restarted daemon checkpoints over s1.pghd; keep what the kill left.
+# The restarted daemon checkpoints over s1.pghd and cuts s1.feed; keep what
+# the kill left.
 cp ckpt/s1.pghd killed.pghd
+cp ckpt/s1.feed killed.feed
 "$PGHIVE" discover --graph smoke.pg --batches 6 --resume-from killed.pghd \
-  --out cli_resumed > cli_resumed.log
+  --changefeed killed.feed --out cli_resumed > cli_resumed.log
 grep -q "resumed from killed.pghd: 2 batches already merged" cli_resumed.log
 
 "$PGHIVED" --port 0 --port-file crash.port --checkpoint-dir ckpt \
@@ -93,4 +98,5 @@ cmp oneshot.xsd resumed.xsd
 cmp oneshot.feed wire.feed
 cmp oneshot.pgs cli_resumed.pgs
 cmp oneshot.xsd cli_resumed.xsd
-echo "crash-restart resume, CLI resume and changefeed are byte-identical to the one-shot run"
+cmp oneshot.feed killed.feed
+echo "crash-restart resume, CLI resume and both changefeeds are byte-identical to the one-shot run"

@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -666,9 +665,9 @@ TEST(DurableSessionTest, CheckpointIsTheDiscoverSnapshotByteForByte) {
     {
       core::PgHive hive(&dataset.graph, *options);
       auto save = [&] {
-        std::ostringstream out;
-        EXPECT_TRUE(hive.SaveState(out).ok());
-        expected.push_back(out.str());
+        auto bytes = hive.SaveState();
+        EXPECT_TRUE(bytes.ok());
+        expected.push_back(bytes.ok() ? *bytes : std::string());
       };
       for (const pg::GraphBatch& batch :
            pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/1)) {
@@ -782,6 +781,30 @@ TEST(DurableSessionTest, SnapshotWithBatchesNeedsAnIngestLog) {
   auto from_one = Session::CreateFromState("r2", *one, nullptr, &queue);
   ASSERT_FALSE(from_one.ok());
   EXPECT_EQ(from_one.status().code(), util::StatusCode::kFailedPrecondition);
+}
+
+TEST(DurableSessionTest, AFailedAppendPoisonsTheSessionNamingTheFile) {
+  // Log and feed records go through one checked appender: a record that
+  // cannot be written fails the session with an error naming its file, and
+  // the session refuses further batches instead of running on without it.
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, 2);
+  for (const std::string file : {"log", "feed"}) {
+    const std::string path =
+        FreshCheckpointDir("unwritable_" + file) + "/no_dir/s1." + file;
+    SessionDurability durability;
+    (file == "log" ? durability.log_path : durability.feed_path) = path;
+    JobQueue queue(nullptr);
+    auto session = Session::Create("s1", {}, nullptr, &queue, durability);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
+    (*session)->Drain();
+    const util::Status status = (*session)->status();
+    EXPECT_EQ(status.code(), util::StatusCode::kIoError) << file;
+    EXPECT_NE(status.message().find("cannot open " + path), std::string::npos)
+        << status.message();
+    EXPECT_FALSE((*session)->SubmitIngest(payloads[1]).ok()) << file;
+  }
 }
 
 }  // namespace

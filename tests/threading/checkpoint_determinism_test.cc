@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -67,16 +66,15 @@ std::string CheckpointedRun(const datasets::DatasetSpec& spec, size_t batches,
         std::make_move_iterator(split.begin()),
         std::make_move_iterator(split.begin() + checkpoint_at));
     EXPECT_TRUE(executor.Run(head).ok());
-    std::ostringstream sink;
-    EXPECT_TRUE(hive.SaveState(sink).ok());
-    snapshot = sink.str();
+    auto bytes = hive.SaveState();
+    EXPECT_TRUE(bytes.ok());
+    if (bytes.ok()) snapshot = *bytes;
   }
 
   datasets::Dataset dataset = datasets::Generate(spec, /*scale=*/0.04,
                                                  /*seed=*/99);
   core::PgHive hive(&dataset.graph, MakeOptions(num_threads));
-  std::istringstream source(snapshot);
-  auto restored = hive.RestoreState(source);
+  auto restored = hive.RestoreState(snapshot);
   EXPECT_TRUE(restored.ok()) << restored.status().ToString();
   if (!restored.ok()) return {};
   auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
@@ -119,15 +117,14 @@ TEST(CheckpointDeterminismTest, PlanChangeAcrossResume) {
     auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
     split.resize(2);
     ASSERT_TRUE(executor.Run(split).ok());
-    std::ostringstream sink;
-    ASSERT_TRUE(hive.SaveState(sink).ok());
-    snapshot = sink.str();
+    auto bytes = hive.SaveState();
+    ASSERT_TRUE(bytes.ok());
+    snapshot = *bytes;
   }
 
   datasets::Dataset dataset = datasets::Generate(spec, 0.04, 99);
   core::PgHive hive(&dataset.graph, MakeOptions(1));
-  std::istringstream source(snapshot);
-  auto restored = hive.RestoreState(source);
+  auto restored = hive.RestoreState(snapshot);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ASSERT_EQ(*restored, 2u);
   auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);

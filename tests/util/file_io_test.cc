@@ -1,6 +1,7 @@
 // util/file_io: the one atomic file write (checkpoints of `pghive discover`
-// and of pghived sessions, and the cut-back of their append-only files) and
-// the whole-file read behind every restore.
+// and of pghived sessions), the one appender of their append-only files
+// (ingest log, changefeed) and its in-place cut-back, and the whole-file
+// read behind every restore.
 
 #include "util/file_io.h"
 
@@ -72,6 +73,75 @@ TEST(FileIoTest, ReadingADirectoryIsAnIoErrorNamingIt) {
   EXPECT_NE(read.status().message().find("cannot read " + dir),
             std::string::npos)
       << read.status().message();
+}
+
+TEST(FileIoTest, AppendedRecordsAreInTheFileBeforeTheWriterCloses) {
+  // Each Append flushes, so a reader (or a process kill) sees every record
+  // the writer accepted while the writer is still open.
+  const std::string path = FreshDir("append") + "/feed";
+  ASSERT_TRUE(AtomicWriteFile(path, "old|").ok());
+  AppendOnlyFile appender(path);
+  ASSERT_TRUE(appender.Append("one|").ok());
+  ASSERT_TRUE(appender.Append(std::string("two\0", 4)).ok());
+  auto read = ReadWholeFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, std::string("old|one|two\0", 12));
+
+  AppendOnlyFile fresh(path, /*truncate=*/true);
+  ASSERT_TRUE(fresh.Open().ok());
+  EXPECT_EQ(fs::file_size(path), 0u);
+  ASSERT_TRUE(fresh.Append("new").ok());
+  EXPECT_EQ(*ReadWholeFile(path), "new");
+}
+
+TEST(FileIoTest, NoFileIsCreatedBeforeTheFirstRecord) {
+  const std::string path = FreshDir("lazy") + "/log";
+  AppendOnlyFile appender(path);
+  EXPECT_FALSE(fs::exists(path));
+  ASSERT_TRUE(appender.Append("record").ok());
+  EXPECT_TRUE(fs::exists(path));
+}
+
+TEST(FileIoTest, AppendFailuresNameThePath) {
+  const std::string missing = FreshDir("append_fail") + "/no_dir/feed";
+  AppendOnlyFile unopenable(missing);
+  Status status = unopenable.Append("record");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("cannot open " + missing),
+            std::string::npos)
+      << status.message();
+
+  // A full device takes the open and refuses the flushed write; every later
+  // Append fails too. Opening it with trunc leaves the device as it is.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  AppendOnlyFile full("/dev/full", /*truncate=*/true);
+  ASSERT_TRUE(full.Open().ok());
+  status = full.Append("record");
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("cannot append to /dev/full"),
+            std::string::npos)
+      << status.message();
+  EXPECT_FALSE(full.Append("again").ok());
+  EXPECT_TRUE(fs::is_character_file("/dev/full"));
+}
+
+TEST(FileIoTest, TruncateCutsInPlaceAndNamesAFailure) {
+  const std::string dir = FreshDir("truncate");
+  const std::string path = dir + "/log";
+  AppendOnlyFile appender(path);
+  ASSERT_TRUE(appender.Append("keep|drop").ok());
+  ASSERT_TRUE(TruncateFile(path, 5).ok());
+  // The open appender keeps appending at the new end.
+  ASSERT_TRUE(appender.Append("next").ok());
+  EXPECT_EQ(*ReadWholeFile(path), "keep|next");
+
+  Status status = TruncateFile(dir + "/no_such_file", 0);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("cannot truncate " + dir + "/no_such_file"),
+            std::string::npos)
+      << status.message();
 }
 
 }  // namespace

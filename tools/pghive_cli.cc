@@ -11,15 +11,19 @@
 //       Discovers the schema of a graph file (pg::SaveGraphFile format) and
 //       prints it; with --out also writes PREFIX.pgs and PREFIX.xsd.
 //       Durability: --checkpoint-to FILE snapshots the full discovery state
-//       (PgHive::SaveState) every --checkpoint-every K batches (default 1)
-//       and after Finish; --resume-from FILE restores such a snapshot and
-//       continues with the remaining batches of the same split — the final
-//       schema is byte-identical to the uninterrupted run. A pghived session
-//       checkpoint (DIR/<id>.pghd) is the same snapshot and resumes here
-//       too. After a resume, "discovery took" counts only the batches this
-//       process merged. --changefeed FILE appends one binary SchemaDiff
-//       record per merged batch (plus one for post-processing); `pghive
-//       changefeed --feed FILE` prints it.
+//       (PgHive::SaveState) every --checkpoint-every K batches (default 1;
+//       the flag needs --checkpoint-to) and after Finish; --resume-from FILE
+//       restores such a snapshot and continues with the remaining batches of
+//       the same split — the final schema is byte-identical to the
+//       uninterrupted run. A pghived session checkpoint (DIR/<id>.pghd) is
+//       the same snapshot and resumes here too. After a resume, "discovery
+//       took" counts only the batches this process merged. --changefeed FILE
+//       writes one binary SchemaDiff record per merged batch (plus one for
+//       post-processing); `pghive changefeed --feed FILE` prints it. A
+//       resume cuts FILE back to the snapshot's versions first, as a
+//       restored pghived session does. Both files go through the session's
+//       writers, so they survive a process kill (not a power loss: nothing
+//       calls fsync), and a failed write exits 1 naming the file.
 //   changefeed --feed FILE
 //       Renders a --changefeed file as human-readable schema deltas.
 //   import    --nodes FILE[,FILE...] --edges FILE[,FILE...] --out GRAPH
@@ -63,11 +67,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -203,16 +205,6 @@ util::Status WriteSchemaFiles(const std::string& prefix, const std::string& pgs,
   return status;
 }
 
-/// Atomically replaces `path` with a fresh SaveState snapshot, so a crash
-/// mid-checkpoint never destroys the previous good checkpoint.
-util::Status WriteCheckpoint(const core::PgHive& pipeline,
-                             const std::string& path) {
-  std::ostringstream bytes;
-  util::Status saved = pipeline.SaveState(bytes);
-  if (!saved.ok()) return saved;
-  return util::AtomicWriteFile(path, bytes.str());
-}
-
 int CmdDiscover(const Args& args) {
   if (!args.Has("graph")) return Fail("discover needs --graph FILE");
   auto loaded = pg::LoadGraphFile(args.Get("graph"));
@@ -227,6 +219,9 @@ int CmdDiscover(const Args& args) {
                                              1000000, "--batches");
   if (!num_batches.ok()) return Fail(num_batches.status().ToString());
   const std::string checkpoint_to = args.Get("checkpoint-to");
+  if (args.Has("checkpoint-every") && checkpoint_to.empty()) {
+    return Fail("--checkpoint-every requires --checkpoint-to");
+  }
   auto checkpoint_every = util::ParseInt64InRange(
       args.Get("checkpoint-every", "1"), 1, 1000000, "--checkpoint-every");
   if (!checkpoint_every.ok()) return Fail(checkpoint_every.status().ToString());
@@ -245,120 +240,112 @@ int CmdDiscover(const Args& args) {
   // Resume: the graph file reload above re-interned every label and key at
   // its original id, so the snapshot's vocabulary is position-consistent
   // and RestoreState reconstructs the mid-stream state exactly.
+  const bool resuming = args.Has("resume-from");
   uint64_t restored = 0;
-  if (args.Has("resume-from")) {
+  if (resuming) {
     auto bytes = util::ReadWholeFile(args.Get("resume-from"));
     if (!bytes.ok()) return Fail(bytes.status().ToString());
-    std::istringstream in(std::move(bytes).value());
-    auto r = pipeline.RestoreState(in);
+    auto r = pipeline.RestoreState(*bytes);
     if (!r.ok()) return Fail(r.status().ToString());
     restored = *r;
     std::printf("resumed from %s: %llu batches already merged\n",
                 args.Get("resume-from").c_str(),
                 static_cast<unsigned long long>(restored));
   }
-
-  std::ofstream feed;
-  if (!changefeed_path.empty()) {
-    // Fresh runs start a new feed; resumes append to the interrupted one.
-    feed.open(changefeed_path,
-              std::ios::binary |
-                  (restored > 0 ? std::ios::app : std::ios::trunc));
-    if (!feed) return Fail("cannot open " + changefeed_path);
+  std::vector<pg::GraphBatch> batches = pg::SplitIntoBatches(
+      graph, static_cast<size_t>(*num_batches), /*seed=*/1);
+  if (restored > batches.size()) {
+    return Fail("snapshot has " + std::to_string(restored) +
+                " batches merged but --batches is only " +
+                std::to_string(batches.size()) +
+                "; resume with the original --batches");
   }
-  auto emit_diff = [&](const core::SchemaGraph& prev, uint64_t version_from,
-                       uint64_t version_to, uint64_t batch) {
-    core::SchemaDiff diff =
-        core::DiffSchemas(prev, pipeline.schema(), graph.vocab());
-    diff.version_from = version_from;
-    diff.version_to = version_to;
-    diff.batch = batch;
-    feed << core::SerializeSchemaDiffBinary(diff);
+
+  // One feed record per published version: one per merged batch, one for
+  // Finish. A fresh run starts the feed empty; a resume cuts it back to the
+  // snapshot's versions, as a restored pghived session does.
+  const bool has_feed = !changefeed_path.empty();
+  uint64_t version =
+      restored + (pipeline.phase() == core::PgHive::Phase::kFinished ? 1 : 0);
+  util::AppendOnlyFile feed(changefeed_path, /*truncate=*/!resuming);
+  if (has_feed) {
+    util::Status ready = resuming
+                             ? core::TruncateFeedFile(changefeed_path, version)
+                             : util::Status::Ok();
+    if (ready.ok()) ready = feed.Open();
+    if (!ready.ok()) return Fail(ready.ToString());
+  }
+  size_t done = static_cast<size_t>(restored);
+  // Runs a step that publishes a version (merging batches up to `done`, or
+  // Finish), then appends its record: the schema against the one before.
+  auto publish = [&](const auto& step) {
+    core::SchemaGraph prev;
+    if (has_feed) prev = pipeline.schema();
+    util::Status status = step();
+    if (!status.ok() || !has_feed) return status;
+    return feed.Append(core::BuildChangefeedRecord(
+        prev, pipeline.schema(), graph.vocab(), ++version, done));
+  };
+  // Tmp + rename: a crash mid-checkpoint keeps the previous one.
+  auto checkpoint = [&] {
+    auto bytes = pipeline.SaveState();
+    if (!bytes.ok()) return bytes.status();
+    return util::AtomicWriteFile(checkpoint_to, *bytes);
   };
 
-  const bool stateful = !checkpoint_to.empty() || !changefeed_path.empty() ||
-                        restored > 0;
-  if (*num_batches <= 1 && !stateful) {
-    auto status = pipeline.Run();
+  // Checkpoints and feed records are only valid at pipeline barriers, so the
+  // run goes chunk by chunk: full pipelining within a chunk, a snapshot or
+  // record at each chunk boundary. The changefeed forces chunk size 1 (each
+  // merge is one published schema version, and the diff reads the
+  // vocabulary, which an overlapped preprocess would be advancing). A run
+  // with neither is one chunk.
+  size_t chunk = batches.size();
+  if (has_feed) {
+    chunk = 1;
+  } else if (!checkpoint_to.empty()) {
+    chunk = static_cast<size_t>(*checkpoint_every);
+  }
+  double wall_ms = 0;
+  // --stop-after simulates an interrupted run deterministically: process
+  // that many batches, checkpoint, and exit without finishing.
+  const size_t limit =
+      *stop_after > 0
+          ? std::min(batches.size(), static_cast<size_t>(*stop_after))
+          : batches.size();
+  while (done < limit) {
+    size_t end = std::min(limit, done + chunk);
+    std::vector<pg::GraphBatch> slice(
+        std::make_move_iterator(batches.begin() + done),
+        std::make_move_iterator(batches.begin() + end));
+    done = end;
+    core::BatchPipeline executor(&pipeline);
+    util::Status status = publish([&] { return executor.Run(slice); });
+    wall_ms += executor.wall_ms();
+    if (status.ok() && !checkpoint_to.empty() &&
+        (done % static_cast<size_t>(*checkpoint_every) == 0 ||
+         done == limit)) {
+      status = checkpoint();
+    }
     if (!status.ok()) return Fail(status.ToString());
-  } else {
-    std::vector<pg::GraphBatch> batches = pg::SplitIntoBatches(
-        graph, static_cast<size_t>(*num_batches), /*seed=*/1);
-    if (restored > batches.size()) {
-      return Fail("snapshot has " + std::to_string(restored) +
-                  " batches merged but --batches is only " +
-                  std::to_string(batches.size()) +
-                  "; resume with the original --batches");
-    }
-    // Checkpoints and feed records are only valid at pipeline barriers, so
-    // stateful runs go chunk by chunk: full pipelining within a chunk, a
-    // snapshot/diff at each chunk boundary. The changefeed forces chunk
-    // size 1 (each merge is one published schema version, and the diff
-    // renderer reads the vocabulary, which an overlapped preprocess would
-    // be advancing).
-    size_t chunk = batches.size();
-    if (!changefeed_path.empty()) {
-      chunk = 1;
-    } else if (!checkpoint_to.empty()) {
-      chunk = static_cast<size_t>(*checkpoint_every);
-    }
-    size_t done = static_cast<size_t>(restored);
-    uint64_t version = restored;
-    double wall_ms = 0;
-    // --stop-after simulates an interrupted run deterministically: process
-    // that many batches, checkpoint, and exit without finishing.
-    const size_t limit = *stop_after > 0
-                             ? std::min(batches.size(),
-                                        static_cast<size_t>(*stop_after))
-                             : batches.size();
-    while (done < limit) {
-      size_t end = std::min(limit, done + chunk);
-      std::vector<pg::GraphBatch> slice(
-          std::make_move_iterator(batches.begin() + done),
-          std::make_move_iterator(batches.begin() + end));
-      core::SchemaGraph prev;
-      if (!changefeed_path.empty()) prev = pipeline.schema();
-      core::BatchPipeline executor(&pipeline);
-      auto status = executor.Run(slice);
-      if (!status.ok()) return Fail(status.ToString());
-      wall_ms += executor.wall_ms();
-      done = end;
-      if (!changefeed_path.empty()) {
-        emit_diff(prev, version, version + 1, done);
-        ++version;
-      }
-      if (!checkpoint_to.empty() &&
-          (done % static_cast<size_t>(*checkpoint_every) == 0 ||
-           done == limit)) {
-        auto saved = WriteCheckpoint(pipeline, checkpoint_to);
-        if (!saved.ok()) return Fail(saved.ToString());
-      }
-    }
-    if (done < batches.size()) {
-      std::printf("stopped after %zu of %zu batches; resume with "
-                  "--resume-from %s\n",
-                  done, batches.size(), checkpoint_to.c_str());
-      return 0;
-    }
-    if (pipeline.phase() == core::PgHive::Phase::kIngesting) {
-      core::SchemaGraph prev;
-      if (!changefeed_path.empty()) prev = pipeline.schema();
-      auto status = pipeline.Finish();
-      if (!status.ok()) return Fail(status.ToString());
-      // Post-processing can retype properties and settle cardinalities, so
-      // the feed closes with one record for the finished schema.
-      if (!changefeed_path.empty()) {
-        emit_diff(prev, version, version + 1, done);
-      }
-    }
-    if (!checkpoint_to.empty()) {
-      auto saved = WriteCheckpoint(pipeline, checkpoint_to);
-      if (!saved.ok()) return Fail(saved.ToString());
-      std::printf("checkpointed state to %s\n", checkpoint_to.c_str());
-    }
-    if (!changefeed_path.empty() && !feed) {
-      return Fail("cannot write " + changefeed_path);
-    }
+  }
+  if (done < batches.size()) {
+    std::printf("stopped after %zu of %zu batches; resume with "
+                "--resume-from %s\n",
+                done, batches.size(), checkpoint_to.c_str());
+    return 0;
+  }
+  if (pipeline.phase() == core::PgHive::Phase::kIngesting) {
+    // Post-processing can retype properties and settle cardinalities, so
+    // the feed closes with one record for the finished schema.
+    util::Status status = publish([&] { return pipeline.Finish(); });
+    if (!status.ok()) return Fail(status.ToString());
+  }
+  if (!checkpoint_to.empty()) {
+    util::Status saved = checkpoint();
+    if (!saved.ok()) return Fail(saved.ToString());
+    std::printf("checkpointed state to %s\n", checkpoint_to.c_str());
+  }
+  if (batches.size() > 1) {
     std::printf("ingested %zu batches in %.1f ms\n",
                 batches.size() - static_cast<size_t>(restored), wall_ms);
   }
