@@ -16,10 +16,13 @@ util::Status BatchPipeline::Run(const std::vector<pg::GraphBatch>& batches) {
   batch_stats_.reserve(batches.size());
   util::Timer wall;
   // Overlap needs a pool (the preprocess thread alone would just time-slice
-  // a single core's serial schedule) and at least two batches.
-  util::Status status = (hive_->pool() != nullptr && batches.size() > 1)
-                            ? RunOverlapped(batches)
-                            : RunSequential(batches);
+  // a single core's serial schedule) and at least two batches. A finished
+  // or failed hive takes the sequential loop, whose ProcessBatch refuses it
+  // before any preprocess could intern tokens or train the embedder.
+  const bool overlap = hive_->pool() != nullptr && batches.size() > 1 &&
+                       hive_->phase() == PgHive::Phase::kIngesting;
+  util::Status status =
+      overlap ? RunOverlapped(batches) : RunSequential(batches);
   wall_ms_ = wall.ElapsedMillis();
   return status;
 }

@@ -37,7 +37,8 @@ namespace pghive::core {
 /// Error handling: on a failed batch the pipeline stops once the lookahead
 /// preprocess in flight has finished; that preprocess may already have
 /// advanced vocabulary/embedder state for the batch past the failure
-/// (harmless for the schema, which never saw it).
+/// (harmless for the schema, which never saw it). A finished or failed hive
+/// is refused before anything runs, and left unchanged.
 class BatchPipeline {
  public:
   explicit BatchPipeline(PgHive* hive);

@@ -4,8 +4,7 @@ namespace pghive::core {
 
 namespace {
 
-template <typename TypeT>
-void InferForType(TypeT* type) {
+void InferForType(SchemaType* type) {
   for (auto& [key, info] : type->properties) {
     info.requiredness = (type->instance_count > 0 &&
                          info.count == type->instance_count)
@@ -14,28 +13,11 @@ void InferForType(TypeT* type) {
   }
 }
 
-template <typename TypeT>
-double FrequencyImpl(const TypeT& type, pg::PropKeyId key) {
-  if (type.instance_count == 0) return 0.0;
-  auto it = type.properties.find(key);
-  if (it == type.properties.end()) return 0.0;
-  return static_cast<double>(it->second.count) /
-         static_cast<double>(type.instance_count);
-}
-
 }  // namespace
 
 void InferPropertyConstraints(SchemaGraph* schema) {
   for (auto& t : schema->node_types()) InferForType(&t);
   for (auto& t : schema->edge_types()) InferForType(&t);
-}
-
-double PropertyFrequency(const NodeType& type, pg::PropKeyId key) {
-  return FrequencyImpl(type, key);
-}
-
-double PropertyFrequency(const EdgeType& type, pg::PropKeyId key) {
-  return FrequencyImpl(type, key);
 }
 
 }  // namespace pghive::core

@@ -11,10 +11,6 @@ namespace pghive::core {
 /// property marked mandatory is indeed present in all observed instances.
 void InferPropertyConstraints(SchemaGraph* schema);
 
-/// The frequency f_T(p) for one property of one type (0 if unknown key).
-double PropertyFrequency(const NodeType& type, pg::PropKeyId key);
-double PropertyFrequency(const EdgeType& type, pg::PropKeyId key);
-
 }  // namespace pghive::core
 
 #endif  // PGHIVE_CORE_CONSTRAINTS_H_

@@ -26,9 +26,8 @@ pg::DataType OrStringDefault(pg::DataType joined) {
 // keys, so an instance is read once however many keys the type lists. Per
 // key, values join in instance order, as FullScanType joins them. STRING
 // absorbs every join, so a key that reached it skips InferType from then on.
-template <typename TypeT>
 void FullScanAllKeys(const pg::PropertyGraph& graph, bool edges,
-                     TypeT* type) {
+                     SchemaType* type) {
   std::vector<std::pair<pg::PropKeyId, pg::DataType>> joined;
   joined.reserve(type->properties.size());
   for (const auto& [key, info] : type->properties) {
@@ -54,10 +53,9 @@ void FullScanAllKeys(const pg::PropertyGraph& graph, bool edges,
   }
 }
 
-template <typename TypeT>
 void InferForType(const pg::PropertyGraph& graph, bool edges,
                   const DataTypeOptions& options, util::Rng* rng,
-                  TypeT* type) {
+                  SchemaType* type) {
   if (!options.sample || type->instances.size() <= options.min_sample) {
     FullScanAllKeys(graph, edges, type);
     return;
@@ -85,24 +83,17 @@ void InferDataTypes(const pg::PropertyGraph& graph, SchemaGraph* schema,
                     const DataTypeOptions& options, util::ThreadPool* pool) {
   // One pre-split RNG per type (seeded by kind + index, not by a shared
   // stream) so the sampled values do not depend on scan order or pool size.
-  auto type_rng = [&options](uint64_t kind, size_t index) {
-    return util::Rng(util::HashCombine(util::Mix64(options.seed ^ kind),
-                                       static_cast<uint64_t>(index)));
+  auto infer = [&](auto& types, uint64_t kind, bool edges) {
+    util::ParallelFor(pool, 0, types.size(), 1, [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        util::Rng rng(util::HashCombine(util::Mix64(options.seed ^ kind),
+                                        static_cast<uint64_t>(i)));
+        InferForType(graph, edges, options, &rng, &types[i]);
+      }
+    });
   };
-  auto& node_types = schema->node_types();
-  util::ParallelFor(pool, 0, node_types.size(), 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      util::Rng rng = type_rng(0x4E, i);
-      InferForType(graph, /*edges=*/false, options, &rng, &node_types[i]);
-    }
-  });
-  auto& edge_types = schema->edge_types();
-  util::ParallelFor(pool, 0, edge_types.size(), 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      util::Rng rng = type_rng(0xED, i);
-      InferForType(graph, /*edges=*/true, options, &rng, &edge_types[i]);
-    }
-  });
+  infer(schema->node_types(), 0x4E, /*edges=*/false);
+  infer(schema->edge_types(), 0xED, /*edges=*/true);
 }
 
 pg::DataType FullScanType(const pg::PropertyGraph& graph,
@@ -140,11 +131,9 @@ std::array<double, 4> SamplingErrorReport::BinFractions() const {
 
 namespace {
 
-template <typename TypeT>
 void SamplingErrorsForType(const pg::PropertyGraph& graph, bool edges,
                            const DataTypeOptions& options, util::Rng* rng,
-                           const TypeT& type,
-                           std::vector<double>* out) {
+                           const SchemaType& type, std::vector<double>* out) {
   for (const auto& [key, info] : type.properties) {
     pg::DataType full = FullScanType(graph, type.instances, edges, key);
     // Sample values.

@@ -154,6 +154,18 @@ class Parser {
     }
   }
 
+  // What a node and an edge declaration share: "[ABSTRACT] TypeName
+  // [: Labels] [{props}]". The text carries no evidence, so the type counts
+  // as one instance (and ParsePropertyBlock each MANDATORY property as
+  // present in it), which re-inference reads as MANDATORY again.
+  util::Status ParseTypeBody(SchemaType* type) {
+    (void)ConsumeWord("ABSTRACT");
+    (void)Identifier();  // Type name.
+    if (Consume(':')) type->labels = ParseLabelSpec();
+    type->instance_count = 1;
+    return ParsePropertyBlock(&type->properties);
+  }
+
   // Elements: "(TypeName : Labels {props})" or
   // "(:SrcType)-[TypeName : Labels {props}]->(:DstType)".
   util::Status ParseElement(SchemaGraph* schema) {
@@ -173,10 +185,7 @@ class Parser {
       if (!Consume(')')) return Error("expected ')' after source");
       if (!Consume('-') || !Consume('[')) return Error("expected '-['");
       EdgeType edge;
-      (void)ConsumeWord("ABSTRACT");
-      (void)Identifier();  // Type name.
-      if (Consume(':')) edge.labels = ParseLabelSpec();
-      util::Status status = ParsePropertyBlock(&edge.properties);
+      util::Status status = ParseTypeBody(&edge);
       if (!status.ok()) return status;
       if (!Consume(']') || !Consume('-') || !Consume('>')) {
         return Error("expected ']->'");
@@ -188,10 +197,6 @@ class Parser {
         if (!Consume('|')) break;
       }
       if (!Consume(')')) return Error("expected ')' after target");
-      edge.instance_count = 1;
-      for (auto& [key, info] : edge.properties) {
-        if (info.requiredness == Requiredness::kMandatory) info.count = 1;
-      }
       last_comment_.clear();
       SkipSpace();  // May capture the cardinality comment.
       if (!last_comment_.empty()) {
@@ -235,16 +240,9 @@ class Parser {
 
     // Node element.
     NodeType node;
-    (void)ConsumeWord("ABSTRACT");
-    (void)Identifier();  // Type name.
-    if (Consume(':')) node.labels = ParseLabelSpec();
-    util::Status status = ParsePropertyBlock(&node.properties);
+    util::Status status = ParseTypeBody(&node);
     if (!status.ok()) return status;
     if (!Consume(')')) return Error("expected ')'");
-    node.instance_count = 1;
-    for (auto& [key, info] : node.properties) {
-      if (info.requiredness == Requiredness::kMandatory) info.count = 1;
-    }
     schema->node_types().push_back(std::move(node));
     return util::Status::Ok();
   }

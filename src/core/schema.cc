@@ -82,24 +82,14 @@ uint64_t EdgePatternHash(const pg::PropertyGraph& graph, const pg::Edge& edge) {
                   graph.node(edge.src).labels, graph.node(edge.dst).labels);
 }
 
-std::vector<pg::PropKeyId> NodeType::Keys() const {
+std::vector<pg::PropKeyId> SchemaType::Keys() const {
   std::vector<pg::PropKeyId> keys;
   keys.reserve(properties.size());
   for (const auto& [k, info] : properties) keys.push_back(k);
   return keys;
 }
 
-std::vector<pg::PropKeyId> EdgeType::Keys() const {
-  std::vector<pg::PropKeyId> keys;
-  keys.reserve(properties.size());
-  for (const auto& [k, info] : properties) keys.push_back(k);
-  return keys;
-}
-
-namespace {
-
-std::string TypeName(const pg::Vocabulary& vocab,
-                     const std::vector<pg::LabelId>& labels, size_t index) {
+std::string SchemaType::Name(const pg::Vocabulary& vocab, size_t index) const {
   if (labels.empty()) return "Abstract#" + std::to_string(index);
   std::vector<std::string> names;
   names.reserve(labels.size());
@@ -113,34 +103,33 @@ std::string TypeName(const pg::Vocabulary& vocab,
   return out;
 }
 
-}  // namespace
-
-std::string NodeType::Name(const pg::Vocabulary& vocab, size_t index) const {
-  return TypeName(vocab, labels, index);
+uint64_t LabelSetKey(const std::vector<pg::LabelId>& labels) {
+  uint64_t h = 0x2545F4914F6CDD1DULL;
+  for (pg::LabelId l : labels) h = util::HashCombine(h, l + 1);
+  return h;
 }
 
-std::string EdgeType::Name(const pg::Vocabulary& vocab, size_t index) const {
-  return TypeName(vocab, labels, index);
-}
+namespace {
 
-std::vector<uint32_t> SchemaGraph::NodeAssignment(size_t num_nodes) const {
-  std::vector<uint32_t> assignment(num_nodes, UINT32_MAX);
-  for (uint32_t t = 0; t < node_types_.size(); ++t) {
-    for (uint64_t id : node_types_[t].instances) {
-      if (id < num_nodes) assignment[id] = t;
+template <typename TypeT>
+std::vector<uint32_t> Assignment(const std::vector<TypeT>& types, size_t n) {
+  std::vector<uint32_t> assignment(n, UINT32_MAX);
+  for (uint32_t t = 0; t < types.size(); ++t) {
+    for (uint64_t id : types[t].instances) {
+      if (id < n) assignment[id] = t;
     }
   }
   return assignment;
+}
+
+}  // namespace
+
+std::vector<uint32_t> SchemaGraph::NodeAssignment(size_t num_nodes) const {
+  return Assignment(node_types_, num_nodes);
 }
 
 std::vector<uint32_t> SchemaGraph::EdgeAssignment(size_t num_edges) const {
-  std::vector<uint32_t> assignment(num_edges, UINT32_MAX);
-  for (uint32_t t = 0; t < edge_types_.size(); ++t) {
-    for (uint64_t id : edge_types_[t].instances) {
-      if (id < num_edges) assignment[id] = t;
-    }
-  }
-  return assignment;
+  return Assignment(edge_types_, num_edges);
 }
 
 std::vector<uint32_t> UnionSorted(const std::vector<uint32_t>& a,

@@ -72,14 +72,15 @@ struct PropertyInfo {
   Requiredness requiredness = Requiredness::kOptional;
 };
 
-/// A discovered node type (Def. 3.2) together with its supporting evidence:
-/// instance ids, per-property counts, and the distinct patterns it covers.
-struct NodeType {
+/// What node and edge types share (Defs. 3.2 and 3.3): a label set, the
+/// per-property evidence, the instances and the distinct patterns they
+/// cover. Algorithm 2 merges both kinds by the same unions (Lemmas 1 & 2).
+struct SchemaType {
   std::vector<pg::LabelId> labels;  ///< Sorted union; empty => ABSTRACT.
   std::map<pg::PropKeyId, PropertyInfo> properties;
-  std::vector<uint64_t> instances;  ///< Node ids assigned to this type.
+  std::vector<uint64_t> instances;  ///< Node or edge ids of this type.
   size_t instance_count = 0;
-  std::set<uint64_t> pattern_hashes;  ///< Distinct NodePattern hashes seen.
+  std::set<uint64_t> pattern_hashes;  ///< Distinct element pattern hashes.
 
   bool is_abstract() const { return labels.empty(); }
 
@@ -90,23 +91,21 @@ struct NodeType {
   std::string Name(const pg::Vocabulary& vocab, size_t index) const;
 };
 
+/// A discovered node type (Def. 3.2).
+struct NodeType : SchemaType {};
+
 /// A discovered edge type (Def. 3.3). Endpoints rho_e accumulate as pairs of
 /// source/target *node-type label-set tokens* so connectivity survives
 /// merging without pointer chasing.
-struct EdgeType {
-  std::vector<pg::LabelId> labels;
-  std::map<pg::PropKeyId, PropertyInfo> properties;
-  std::vector<uint64_t> instances;  ///< Edge ids assigned to this type.
-  size_t instance_count = 0;
-  std::set<uint64_t> pattern_hashes;
+struct EdgeType : SchemaType {
   /// Distinct (src token, dst token) endpoint pairs (pg::kNoToken allowed).
   std::set<std::pair<uint32_t, uint32_t>> endpoints;
   Cardinality cardinality;
-
-  bool is_abstract() const { return labels.empty(); }
-  std::vector<pg::PropKeyId> Keys() const;
-  std::string Name(const pg::Vocabulary& vocab, size_t index) const;
 };
+
+/// The hash that identifies a label set: Algorithm 2 merges labeled
+/// candidates on it, and the validator matches labeled elements with it.
+uint64_t LabelSetKey(const std::vector<pg::LabelId>& labels);
 
 /// The schema graph of Def. 3.4: node types, edge types, and connectivity.
 /// Also tracks instance -> type assignments for evaluation.

@@ -414,22 +414,26 @@ std::vector<SchemaDiffRecord> ScanSchemaDiffStream(std::string_view bytes,
   return records;
 }
 
-util::Status TruncateFeedFile(const std::string& path, uint64_t max_version) {
+util::StatusOr<uint64_t> TruncateFeedFile(const std::string& path,
+                                          uint64_t max_version) {
   std::error_code error;
-  if (!std::filesystem::is_regular_file(path, error)) {
-    return util::Status::Ok();
-  }
+  const auto file = std::filesystem::status(path, error);
+  if (!std::filesystem::exists(file)) return uint64_t{0};
+  if (!std::filesystem::is_regular_file(file)) return max_version;
   auto bytes = util::ReadWholeFile(path);
   if (!bytes.ok()) return bytes.status();
   size_t keep = 0;
-  uint64_t expect = 1;
+  uint64_t kept = 0;
   for (const SchemaDiffRecord& record : ScanSchemaDiffStream(*bytes, nullptr)) {
-    if (expect > max_version || record.diff.version_to != expect) break;
+    if (kept == max_version || record.diff.version_to != kept + 1) break;
     keep = record.offset + record.length;
-    ++expect;
+    ++kept;
   }
-  if (keep == bytes->size()) return util::Status::Ok();
-  return util::TruncateFile(path, keep);
+  if (keep < bytes->size()) {
+    util::Status cut = util::TruncateFile(path, keep);
+    if (!cut.ok()) return cut;
+  }
+  return kept;
 }
 
 bool IsCardinalityWidening(CardinalityKind from, CardinalityKind to) {

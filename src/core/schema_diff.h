@@ -109,11 +109,14 @@ std::vector<SchemaDiffRecord> ScanSchemaDiffStream(std::string_view bytes,
 
 /// Cuts the feed file at `path` back to its longest clean prefix of records
 /// numbered 1..max_version, dropping a torn tail and the versions a resumed
-/// producer writes again. A restored pghived session and `pghive discover
-/// --resume-from` call it with their snapshot's versions (batches, plus 1 if
-/// finished). Only a regular file is read: a missing one is an empty feed,
-/// and a device or FIFO is left alone (reading /dev/zero never ends).
-util::Status TruncateFeedFile(const std::string& path, uint64_t max_version);
+/// producer writes again, and returns how many versions that prefix holds. A
+/// restored pghived session and `pghive discover --resume-from` call it with
+/// their snapshot's versions (batches, plus 1 if finished). Only a regular
+/// file is read: a missing one is an empty feed (0 versions), and a device or
+/// FIFO is left alone (reading /dev/zero never ends) and counts as holding
+/// all max_version versions.
+util::StatusOr<uint64_t> TruncateFeedFile(const std::string& path,
+                                          uint64_t max_version);
 
 /// Human-readable rendering, one line per delta:
 ///   == v3 -> v4 (batch 4): 2 node / 1 edge deltas

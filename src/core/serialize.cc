@@ -34,8 +34,7 @@ std::string LabelSpec(const pg::Vocabulary& vocab,
   return out;
 }
 
-template <typename TypeT>
-std::string PropertyBlock(const pg::Vocabulary& vocab, const TypeT& type,
+std::string PropertyBlock(const pg::Vocabulary& vocab, const SchemaType& type,
                           SchemaMode mode) {
   if (type.properties.empty()) return "";
   std::string out = " {";
@@ -60,6 +59,16 @@ std::string PropertyBlock(const pg::Vocabulary& vocab, const TypeT& type,
   return out;
 }
 
+// What a node and an edge declaration share: "[ABSTRACT ]<Name><suffix>
+// [ : Labels] {props}", the part inside "( )" or "-[ ]->".
+std::string TypeSpec(const pg::Vocabulary& vocab, const SchemaType& type,
+                     size_t index, const char* suffix, SchemaMode mode) {
+  std::string out = type.is_abstract() ? "ABSTRACT " : "";
+  out += SanitizeIdentifier(type.Name(vocab, index)) + suffix;
+  if (!type.labels.empty()) out += " : " + LabelSpec(vocab, type.labels);
+  return out + PropertyBlock(vocab, type, mode);
+}
+
 }  // namespace
 
 std::string SerializePgSchema(const SchemaGraph& schema,
@@ -72,16 +81,12 @@ std::string SerializePgSchema(const SchemaGraph& schema,
     const NodeType& t = schema.node_types()[i];
     if (!first) out << ",\n";
     first = false;
-    std::string type_name = SanitizeIdentifier(t.Name(vocab, i)) + "Type";
-    out << "  (" << (t.is_abstract() ? "ABSTRACT " : "") << type_name;
-    if (!t.labels.empty()) out << " : " << LabelSpec(vocab, t.labels);
-    out << PropertyBlock(vocab, t, mode) << ")";
+    out << "  (" << TypeSpec(vocab, t, i, "Type", mode) << ")";
   }
   for (size_t i = 0; i < schema.edge_types().size(); ++i) {
     const EdgeType& t = schema.edge_types()[i];
     if (!first) out << ",\n";
     first = false;
-    std::string type_name = SanitizeIdentifier(t.Name(vocab, i)) + "EdgeType";
     // Endpoint spec: the union of source/target tokens observed.
     auto token_list = [&](bool src_side) {
       std::string spec;
@@ -99,12 +104,9 @@ std::string SerializePgSchema(const SchemaGraph& schema,
       if (spec.empty()) spec = "ANY";
       return spec;
     };
-    out << "  (:" << token_list(true) << ")-[";
-    if (t.is_abstract()) out << "ABSTRACT ";
-    out << type_name;
-    if (!t.labels.empty()) out << " : " << LabelSpec(vocab, t.labels);
-    out << PropertyBlock(vocab, t, mode) << "]->(:" << token_list(false)
-        << ")";
+    out << "  (:" << token_list(true) << ")-["
+        << TypeSpec(vocab, t, i, "EdgeType", mode) << "]->(:"
+        << token_list(false) << ")";
     if (mode == SchemaMode::kStrict &&
         t.cardinality.kind != CardinalityKind::kUnknown) {
       out << " /* " << CardinalityKindName(t.cardinality.kind) << " */";
@@ -138,8 +140,11 @@ std::string SerializeXsd(const SchemaGraph& schema,
   std::ostringstream out;
   out << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
       << "<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n";
-  auto emit_properties = [&](const std::map<pg::PropKeyId, PropertyInfo>& props) {
-    for (const auto& [key, info] : props) {
+  // Opens a type's element and declares its properties as attributes.
+  auto open_element = [&](const SchemaType& t, size_t i, const char* suffix) {
+    out << "  <xs:element name=\"" << SanitizeIdentifier(t.Name(vocab, i))
+        << suffix << "\">\n    <xs:complexType>\n";
+    for (const auto& [key, info] : t.properties) {
       out << "      <xs:attribute name=\""
           << SanitizeIdentifier(vocab.KeyName(key)) << "\" type=\""
           << XsdTypeName(info.data_type) << "\" use=\""
@@ -148,18 +153,15 @@ std::string SerializeXsd(const SchemaGraph& schema,
           << "\"/>\n";
     }
   };
+  constexpr const char* kCloseElement =
+      "    </xs:complexType>\n  </xs:element>\n";
   for (size_t i = 0; i < schema.node_types().size(); ++i) {
-    const NodeType& t = schema.node_types()[i];
-    out << "  <xs:element name=\"" << SanitizeIdentifier(t.Name(vocab, i))
-        << "\">\n    <xs:complexType>\n";
-    emit_properties(t.properties);
-    out << "    </xs:complexType>\n  </xs:element>\n";
+    open_element(schema.node_types()[i], i, "");
+    out << kCloseElement;
   }
   for (size_t i = 0; i < schema.edge_types().size(); ++i) {
     const EdgeType& t = schema.edge_types()[i];
-    out << "  <xs:element name=\"" << SanitizeIdentifier(t.Name(vocab, i))
-        << "_edge\">\n    <xs:complexType>\n";
-    emit_properties(t.properties);
+    open_element(t, i, "_edge");
     out << "      <xs:attribute name=\"source\" type=\"xs:IDREF\" "
            "use=\"required\"/>\n"
         << "      <xs:attribute name=\"target\" type=\"xs:IDREF\" "
@@ -168,7 +170,7 @@ std::string SerializeXsd(const SchemaGraph& schema,
       out << "      <!-- cardinality: "
           << CardinalityKindName(t.cardinality.kind) << " -->\n";
     }
-    out << "    </xs:complexType>\n  </xs:element>\n";
+    out << kCloseElement;
   }
   out << "</xs:schema>\n";
   return out.str();
@@ -179,27 +181,25 @@ std::string DescribeSchema(const SchemaGraph& schema,
   std::ostringstream out;
   out << "Schema: " << schema.num_node_types() << " node types, "
       << schema.num_edge_types() << " edge types\n";
-  for (size_t i = 0; i < schema.node_types().size(); ++i) {
-    const NodeType& t = schema.node_types()[i];
-    out << "  node " << t.Name(vocab, i) << " [" << t.instance_count
-        << " instances, " << t.pattern_hashes.size() << " patterns]";
+  auto properties = [&](const SchemaType& t) {
     for (const auto& [key, info] : t.properties) {
       out << ' ' << vocab.KeyName(key) << ':'
           << pg::DataTypeName(info.data_type)
           << (info.requiredness == Requiredness::kMandatory ? "!" : "?");
     }
     out << '\n';
+  };
+  for (size_t i = 0; i < schema.node_types().size(); ++i) {
+    const NodeType& t = schema.node_types()[i];
+    out << "  node " << t.Name(vocab, i) << " [" << t.instance_count
+        << " instances, " << t.pattern_hashes.size() << " patterns]";
+    properties(t);
   }
   for (size_t i = 0; i < schema.edge_types().size(); ++i) {
     const EdgeType& t = schema.edge_types()[i];
     out << "  edge " << t.Name(vocab, i) << " [" << t.instance_count
         << " instances, " << CardinalityKindName(t.cardinality.kind) << "]";
-    for (const auto& [key, info] : t.properties) {
-      out << ' ' << vocab.KeyName(key) << ':'
-          << pg::DataTypeName(info.data_type)
-          << (info.requiredness == Requiredness::kMandatory ? "!" : "?");
-    }
-    out << '\n';
+    properties(t);
   }
   return out.str();
 }
@@ -223,36 +223,45 @@ using util::PutU64Set;
 using util::PutU64Vector;
 using util::PutU8;
 
-void PutProperties(std::string* out,
-                   const std::map<pg::PropKeyId, PropertyInfo>& props) {
-  PutU64(out, props.size());
-  for (const auto& [key, info] : props) {
+// The record fields every type carries; an edge type's endpoints and
+// cardinality follow them.
+void PutType(std::string* out, const SchemaType& type) {
+  PutU32Vector(out, type.labels);
+  PutU64(out, type.properties.size());
+  for (const auto& [key, info] : type.properties) {
     PutU32(out, key);
     PutU64(out, info.count);
     PutU8(out, static_cast<uint8_t>(info.data_type));
     PutU8(out, info.requiredness == Requiredness::kMandatory ? 1 : 0);
   }
+  PutU64Vector(out, type.instances);
+  PutU64(out, type.instance_count);
+  PutU64Set(out, type.pattern_hashes);
 }
 
-bool ReadProperties(ByteReader* in,
-                    std::map<pg::PropKeyId, PropertyInfo>* props) {
+// Each field stops the read immediately on a bad length prefix, so a corrupt
+// early field can never let a later untrusted count through.
+bool ReadType(ByteReader* in, SchemaType* type) {
+  if (!in->ReadU32Vector(&type->labels)) return false;
   uint64_t n = in->ReadU64();
   if (!in->SaneCount(n, 14)) return false;
   for (uint64_t i = 0; i < n; ++i) {
     pg::PropKeyId key = in->ReadU32();
     PropertyInfo info;
     info.count = in->ReadU64();
-    uint8_t type = in->ReadU8();
-    if (type > static_cast<uint8_t>(pg::DataType::kString)) {
+    uint8_t data_type = in->ReadU8();
+    if (data_type > static_cast<uint8_t>(pg::DataType::kString)) {
       in->Fail();
       return false;
     }
-    info.data_type = static_cast<pg::DataType>(type);
+    info.data_type = static_cast<pg::DataType>(data_type);
     info.requiredness =
         in->ReadU8() != 0 ? Requiredness::kMandatory : Requiredness::kOptional;
-    (*props)[key] = info;
+    type->properties[key] = info;
   }
-  return in->ok();
+  if (!in->ok() || !in->ReadU64Vector(&type->instances)) return false;
+  type->instance_count = in->ReadU64();
+  return in->ReadU64Set(&type->pattern_hashes) && in->ok();
 }
 
 }  // namespace
@@ -263,19 +272,9 @@ std::string SerializeSchemaBinary(const SchemaGraph& schema) {
   PutU32(&out, kBinaryVersion);
   PutU64(&out, schema.num_node_types());
   PutU64(&out, schema.num_edge_types());
-  for (const NodeType& t : schema.node_types()) {
-    PutU32Vector(&out, t.labels);
-    PutProperties(&out, t.properties);
-    PutU64Vector(&out, t.instances);
-    PutU64(&out, t.instance_count);
-    PutU64Set(&out, t.pattern_hashes);
-  }
+  for (const NodeType& t : schema.node_types()) PutType(&out, t);
   for (const EdgeType& t : schema.edge_types()) {
-    PutU32Vector(&out, t.labels);
-    PutProperties(&out, t.properties);
-    PutU64Vector(&out, t.instances);
-    PutU64(&out, t.instance_count);
-    PutU64Set(&out, t.pattern_hashes);
+    PutType(&out, t);
     PutU64(&out, t.endpoints.size());
     for (const auto& [src, dst] : t.endpoints) {
       PutU32(&out, src);
@@ -306,24 +305,12 @@ util::StatusOr<SchemaGraph> ParseSchemaBinary(const std::string& bytes) {
   SchemaGraph schema;
   for (uint64_t i = 0; i < num_node_types && in.ok(); ++i) {
     NodeType t;
-    if (!in.ReadU32Vector(&t.labels) || !ReadProperties(&in, &t.properties) ||
-        !in.ReadU64Vector(&t.instances)) {
-      break;
-    }
-    t.instance_count = in.ReadU64();
-    if (!in.ReadU64Set(&t.pattern_hashes) || !in.ok()) break;
+    if (!ReadType(&in, &t)) break;
     schema.node_types().push_back(std::move(t));
   }
   for (uint64_t i = 0; i < num_edge_types && in.ok(); ++i) {
     EdgeType t;
-    // Each field stops the parse immediately on a bad length prefix, so a
-    // corrupt early field can never let a later untrusted count through.
-    if (!in.ReadU32Vector(&t.labels) || !ReadProperties(&in, &t.properties) ||
-        !in.ReadU64Vector(&t.instances)) {
-      break;
-    }
-    t.instance_count = in.ReadU64();
-    if (!in.ReadU64Set(&t.pattern_hashes)) break;
+    if (!ReadType(&in, &t)) break;
     uint64_t num_endpoints = in.ReadU64();
     if (!in.SaneCount(num_endpoints, 8)) break;
     for (uint64_t e = 0; e < num_endpoints && in.ok(); ++e) {

@@ -2,40 +2,15 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 #include <unordered_map>
 
-#include "util/rng.h"
 #include "util/status.h"
 #include "util/union_find.h"
 
 namespace pghive::core {
 
 namespace {
-
-uint64_t LabelSetKey(const std::vector<pg::LabelId>& labels) {
-  uint64_t h = 0x2545F4914F6CDD1DULL;
-  for (pg::LabelId l : labels) h = util::HashCombine(h, l + 1);
-  return h;
-}
-
-// The Jaccard universe for unlabeled-cluster merging. Nodes compare property
-// keys only (§4.3); edges also mix in endpoint tokens so property-less edge
-// types with different endpoints do not collapse.
-std::vector<uint32_t> NodeJaccardSet(const CandidateType& c) { return c.keys; }
-
-std::vector<uint32_t> EdgeJaccardSet(const CandidateType& c) {
-  std::vector<uint32_t> set = c.keys;
-  // Offset endpoint tokens into a disjoint id range.
-  constexpr uint32_t kSrcBase = 0x40000000u;
-  constexpr uint32_t kDstBase = 0x80000000u;
-  for (const auto& [src, dst] : c.endpoints) {
-    if (src != pg::kNoToken) set.push_back(kSrcBase + src);
-    if (dst != pg::kNoToken) set.push_back(kDstBase + dst);
-  }
-  std::sort(set.begin(), set.end());
-  set.erase(std::unique(set.begin(), set.end()), set.end());
-  return set;
-}
 
 // The candidate builders fold each pattern into its cluster's candidate
 // once, reading the pattern's representative element in place, then walk
@@ -89,199 +64,128 @@ void FinishCandidate(CandidateType* cand) {
   SortUnique(&cand->endpoints);
 }
 
-// Merges candidate `from` into candidate `into` by set union (Lemma 1/2).
-void MergeCandidate(const CandidateType& from, CandidateType* into) {
-  into->labels = UnionSorted(into->labels, from.labels);
-  into->keys = UnionSorted(into->keys, from.keys);
-  into->instances.insert(into->instances.end(), from.instances.begin(),
-                         from.instances.end());
-  into->instance_count += from.instance_count;
-  // Merge sorted key-count runs.
-  std::vector<std::pair<pg::PropKeyId, size_t>> merged;
-  merged.reserve(into->key_counts.size() + from.key_counts.size());
-  size_t i = 0, j = 0;
-  while (i < into->key_counts.size() || j < from.key_counts.size()) {
-    if (j >= from.key_counts.size() ||
-        (i < into->key_counts.size() &&
-         into->key_counts[i].first < from.key_counts[j].first)) {
-      merged.push_back(into->key_counts[i++]);
-    } else if (i >= into->key_counts.size() ||
-               from.key_counts[j].first < into->key_counts[i].first) {
-      merged.push_back(from.key_counts[j++]);
-    } else {
-      merged.emplace_back(into->key_counts[i].first,
-                          into->key_counts[i].second +
-                              from.key_counts[j].second);
-      ++i;
-      ++j;
-    }
-  }
-  into->key_counts = std::move(merged);
-  into->pattern_hashes.insert(into->pattern_hashes.end(),
-                              from.pattern_hashes.begin(),
-                              from.pattern_hashes.end());
-  into->endpoints.insert(into->endpoints.end(), from.endpoints.begin(),
-                         from.endpoints.end());
-}
-
-// Applies a candidate's evidence to a NodeType (union semantics).
-void ApplyToNodeType(const CandidateType& c, NodeType* type) {
-  type->labels = UnionSorted(type->labels, c.labels);
-  for (const auto& [key, count] : c.key_counts) {
-    type->properties[key].count += count;
-  }
-  // Keys present in the pattern but never counted (shouldn't happen, but
-  // keep the union property airtight).
-  for (pg::PropKeyId key : c.keys) type->properties[key];
-  type->instances.insert(type->instances.end(), c.instances.begin(),
-                         c.instances.end());
-  type->instance_count += c.instance_count;
-  for (uint64_t h : c.pattern_hashes) type->pattern_hashes.insert(h);
-}
-
-void ApplyToEdgeType(const CandidateType& c, EdgeType* type) {
-  type->labels = UnionSorted(type->labels, c.labels);
-  for (const auto& [key, count] : c.key_counts) {
-    type->properties[key].count += count;
-  }
-  for (pg::PropKeyId key : c.keys) type->properties[key];
-  type->instances.insert(type->instances.end(), c.instances.begin(),
-                         c.instances.end());
-  type->instance_count += c.instance_count;
-  for (uint64_t h : c.pattern_hashes) type->pattern_hashes.insert(h);
-  for (const auto& ep : c.endpoints) type->endpoints.insert(ep);
-}
-
-template <typename TypeT>
-std::vector<uint32_t> TypeJaccardSet(const TypeT& type);
-
-template <>
-std::vector<uint32_t> TypeJaccardSet<NodeType>(const NodeType& type) {
-  return type.Keys();
-}
-
-template <>
-std::vector<uint32_t> TypeJaccardSet<EdgeType>(const EdgeType& type) {
-  std::vector<uint32_t> set = type.Keys();
+// The Jaccard universe of unlabeled merging (§4.3): the property keys, plus
+// the endpoint tokens in disjoint id ranges, so that property-less edge
+// types with different endpoints do not collapse. Nodes have no endpoints.
+template <typename Endpoints>
+std::vector<uint32_t> JaccardSet(std::vector<uint32_t> set,
+                                 const Endpoints& endpoints) {
   constexpr uint32_t kSrcBase = 0x40000000u;
   constexpr uint32_t kDstBase = 0x80000000u;
-  for (const auto& [src, dst] : type.endpoints) {
+  for (const auto& [src, dst] : endpoints) {
     if (src != pg::kNoToken) set.push_back(kSrcBase + src);
     if (dst != pg::kNoToken) set.push_back(kDstBase + dst);
   }
-  std::sort(set.begin(), set.end());
-  set.erase(std::unique(set.begin(), set.end()), set.end());
+  SortUnique(&set);
   return set;
 }
 
-// Shared skeleton of Algorithm 2 for node and edge types.
-template <typename TypeT, typename ApplyFn, typename CandSetFn>
-void ExtractTypesImpl(std::vector<CandidateType> candidates,
-                      const ExtractionOptions& options,
-                      std::vector<TypeT>* types, ApplyFn apply,
-                      CandSetFn cand_set) {
-  // Index existing types by exact label-set key.
-  std::unordered_map<uint64_t, uint32_t> by_label_set;
-  for (uint32_t t = 0; t < types->size(); ++t) {
-    const TypeT& type = (*types)[t];
-    if (!type.labels.empty()) by_label_set[LabelSetKey(type.labels)] = t;
+template <typename TypeT>
+std::vector<uint32_t> JaccardSet(const TypeT& type) {
+  if constexpr (std::is_same_v<TypeT, EdgeType>) {
+    return JaccardSet(type.Keys(), type.endpoints);
+  } else {
+    return type.Keys();
   }
+}
 
-  // Phase 1: labeled candidates merge by identical label set (Alg. 2 l.2-7).
-  std::vector<CandidateType> unlabeled;
-  for (auto& c : candidates) {
+// Folds a candidate's evidence into a type by union (Lemmas 1 & 2): no
+// label, property, instance, pattern or endpoint is ever dropped.
+template <typename TypeT>
+void Apply(const CandidateType& c, TypeT* type) {
+  type->labels = UnionSorted(type->labels, c.labels);
+  for (const auto& [key, count] : c.key_counts) {
+    type->properties[key].count += count;
+  }
+  // A key the candidate lists without a count still joins the type.
+  for (pg::PropKeyId key : c.keys) type->properties[key];
+  type->instances.insert(type->instances.end(), c.instances.begin(),
+                         c.instances.end());
+  type->instance_count += c.instance_count;
+  type->pattern_hashes.insert(c.pattern_hashes.begin(), c.pattern_hashes.end());
+  if constexpr (std::is_same_v<TypeT, EdgeType>) {
+    type->endpoints.insert(c.endpoints.begin(), c.endpoints.end());
+  }
+}
+
+// The labeled (or the ABSTRACT) type whose Jaccard set matches `set` best
+// with a score >= theta, the first of equals; -1 when none reaches theta.
+template <typename TypeT>
+int BestMatch(const std::vector<uint32_t>& set, const std::vector<TypeT>& types,
+              bool abstract, double theta) {
+  double best = -1.0;
+  int best_type = -1;
+  for (uint32_t t = 0; t < types.size(); ++t) {
+    if (types[t].is_abstract() != abstract) continue;
+    double j = JaccardSorted(set, JaccardSet(types[t]));
+    if (j >= theta && j > best) {
+      best = j;
+      best_type = static_cast<int>(t);
+    }
+  }
+  return best_type;
+}
+
+// Algorithm 2 over one kind of type; see ExtractNodeTypes.
+template <typename TypeT>
+void ExtractTypes(const std::vector<CandidateType>& candidates, double theta,
+                  std::vector<TypeT>* types) {
+  // Phase 1: labeled candidates merge by identical label set (Alg. 2
+  // l.2-7); a new label set appends a type.
+  std::unordered_map<uint64_t, size_t> by_label_set;
+  for (size_t t = 0; t < types->size(); ++t) {
+    if (!(*types)[t].is_abstract()) {
+      by_label_set[LabelSetKey((*types)[t].labels)] = t;
+    }
+  }
+  std::vector<const CandidateType*> unlabeled;
+  for (const CandidateType& c : candidates) {
     if (!c.labeled()) {
-      unlabeled.push_back(std::move(c));
+      unlabeled.push_back(&c);
       continue;
     }
-    uint64_t key = LabelSetKey(c.labels);
-    auto it = by_label_set.find(key);
-    if (it != by_label_set.end()) {
-      apply(c, &(*types)[it->second]);
+    auto [it, added] =
+        by_label_set.try_emplace(LabelSetKey(c.labels), types->size());
+    if (added) types->emplace_back();
+    Apply(c, &(*types)[it->second]);
+  }
+
+  // Phase 2: an unlabeled candidate merges into the best labeled type with
+  // Jaccard >= theta (Alg. 2 l.8-11). Phase 3a: failing that, into the best
+  // ABSTRACT type of an earlier batch. Phase 2 only grows labeled types and
+  // 3a only ABSTRACT ones, so one pass per candidate equals the two passes.
+  std::vector<const CandidateType*> rest;
+  std::vector<std::vector<uint32_t>> rest_sets;
+  for (const CandidateType* c : unlabeled) {
+    std::vector<uint32_t> set = JaccardSet(c->keys, c->endpoints);
+    int t = BestMatch(set, *types, /*abstract=*/false, theta);
+    if (t < 0) t = BestMatch(set, *types, /*abstract=*/true, theta);
+    if (t >= 0) {
+      Apply(*c, &(*types)[t]);
     } else {
-      TypeT fresh;
-      apply(c, &fresh);
-      types->push_back(std::move(fresh));
-      by_label_set[key] = static_cast<uint32_t>(types->size() - 1);
+      rest.push_back(c);
+      rest_sets.push_back(std::move(set));
     }
   }
 
-  // Phase 2: unlabeled candidates merge into the best labeled type with
-  // Jaccard >= theta (Alg. 2 l.8-11).
-  std::vector<CandidateType> still_unlabeled;
-  for (auto& c : unlabeled) {
-    auto c_set = cand_set(c);
-    double best = -1.0;
-    int best_type = -1;
-    for (uint32_t t = 0; t < types->size(); ++t) {
-      const TypeT& type = (*types)[t];
-      if (type.labels.empty()) continue;
-      double j = JaccardSorted(c_set, TypeJaccardSet<TypeT>(type));
-      if (j >= options.jaccard_threshold && j > best) {
-        best = j;
-        best_type = static_cast<int>(t);
-      }
-    }
-    if (best_type >= 0) {
-      apply(c, &(*types)[best_type]);
-    } else {
-      still_unlabeled.push_back(std::move(c));
+  // Phase 3b: the rest merge pairwise by the same rule, transitively
+  // (Alg. 2 l.12-14). Each group becomes one new ABSTRACT type, appended in
+  // ascending union-find root order, and takes its members in candidate
+  // order.
+  util::UnionFind uf(rest.size());
+  for (uint32_t i = 0; i < rest.size(); ++i) {
+    for (uint32_t j = i + 1; j < rest.size(); ++j) {
+      if (JaccardSorted(rest_sets[i], rest_sets[j]) >= theta) uf.Union(i, j);
     }
   }
-
-  // Phase 3a: try existing ABSTRACT types (incremental mode keeps abstract
-  // types from previous batches alive).
-  std::vector<CandidateType> fresh_unlabeled;
-  for (auto& c : still_unlabeled) {
-    auto c_set = cand_set(c);
-    double best = -1.0;
-    int best_type = -1;
-    for (uint32_t t = 0; t < types->size(); ++t) {
-      const TypeT& type = (*types)[t];
-      if (!type.labels.empty()) continue;
-      double j = JaccardSorted(c_set, TypeJaccardSet<TypeT>(type));
-      if (j >= options.jaccard_threshold && j > best) {
-        best = j;
-        best_type = static_cast<int>(t);
-      }
-    }
-    if (best_type >= 0) {
-      apply(c, &(*types)[best_type]);
-    } else {
-      fresh_unlabeled.push_back(std::move(c));
-    }
+  std::map<uint32_t, size_t> type_of_root;
+  for (uint32_t i = 0; i < rest.size(); ++i) type_of_root[uf.Find(i)];
+  for (auto& [root, t] : type_of_root) {
+    t = types->size();
+    types->emplace_back();
   }
-
-  // Phase 3b: pairwise merging among the remaining unlabeled clusters
-  // (Alg. 2 l.12-14) via union-find, then append as ABSTRACT types.
-  if (!fresh_unlabeled.empty()) {
-    std::vector<std::vector<uint32_t>> sets;
-    sets.reserve(fresh_unlabeled.size());
-    for (const auto& c : fresh_unlabeled) sets.push_back(cand_set(c));
-    util::UnionFind uf(fresh_unlabeled.size());
-    for (size_t i = 0; i < fresh_unlabeled.size(); ++i) {
-      for (size_t j = i + 1; j < fresh_unlabeled.size(); ++j) {
-        if (JaccardSorted(sets[i], sets[j]) >= options.jaccard_threshold) {
-          uf.Union(static_cast<uint32_t>(i), static_cast<uint32_t>(j));
-        }
-      }
-    }
-    std::vector<uint32_t> comp(fresh_unlabeled.size());
-    for (uint32_t i = 0; i < fresh_unlabeled.size(); ++i) comp[i] = uf.Find(i);
-    std::map<uint32_t, CandidateType> groups;
-    for (uint32_t i = 0; i < fresh_unlabeled.size(); ++i) {
-      auto it = groups.find(comp[i]);
-      if (it == groups.end()) {
-        groups.emplace(comp[i], std::move(fresh_unlabeled[i]));
-      } else {
-        MergeCandidate(fresh_unlabeled[i], &it->second);
-      }
-    }
-    for (auto& [root, c] : groups) {
-      TypeT fresh;
-      apply(c, &fresh);
-      types->push_back(std::move(fresh));
-    }
+  for (uint32_t i = 0; i < rest.size(); ++i) {
+    Apply(*rest[i], &(*types)[type_of_root[uf.Find(i)]]);
   }
 }
 
@@ -364,18 +268,12 @@ std::vector<CandidateType> BuildEdgeCandidates(
 
 void ExtractNodeTypes(std::vector<CandidateType> candidates,
                       const ExtractionOptions& options, SchemaGraph* schema) {
-  ExtractTypesImpl<NodeType>(
-      std::move(candidates), options, &schema->node_types(),
-      [](const CandidateType& c, NodeType* t) { ApplyToNodeType(c, t); },
-      [](const CandidateType& c) { return NodeJaccardSet(c); });
+  ExtractTypes(candidates, options.jaccard_threshold, &schema->node_types());
 }
 
 void ExtractEdgeTypes(std::vector<CandidateType> candidates,
                       const ExtractionOptions& options, SchemaGraph* schema) {
-  ExtractTypesImpl<EdgeType>(
-      std::move(candidates), options, &schema->edge_types(),
-      [](const CandidateType& c, EdgeType* t) { ApplyToEdgeType(c, t); },
-      [](const CandidateType& c) { return EdgeJaccardSet(c); });
+  ExtractTypes(candidates, options.jaccard_threshold, &schema->edge_types());
 }
 
 }  // namespace pghive::core

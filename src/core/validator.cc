@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/cardinality.h"
-#include "util/rng.h"
 
 namespace pghive::core {
 
@@ -58,11 +57,45 @@ std::string ValidationReport::Summary() const {
 
 namespace {
 
-uint64_t LabelSetKey(const std::vector<pg::LabelId>& labels) {
-  uint64_t h = 0x2545F4914F6CDD1DULL;
-  for (pg::LabelId l : labels) h = util::HashCombine(h, l + 1);
-  return h;
-}
+// One kind's types as matching reads them: by exact label set, the labeled
+// ones and the ABSTRACT ones.
+template <typename TypeT>
+struct TypeIndex {
+  std::unordered_map<uint64_t, const TypeT*> by_labels;
+  std::vector<const TypeT*> labeled;
+  std::vector<const TypeT*> abstract;
+
+  explicit TypeIndex(const std::vector<TypeT>& types) {
+    for (const TypeT& t : types) {
+      if (t.is_abstract()) {
+        abstract.push_back(&t);
+      } else {
+        by_labels[LabelSetKey(t.labels)] = &t;
+        labeled.push_back(&t);
+      }
+    }
+  }
+
+  // The types a labeled element may match: the one with its exact label
+  // set first, then, unless STRICT, every other whose label set is a
+  // superset of the element's (union-labeled types emerge when the LSH pass
+  // groups structurally identical elements of several labels, §4.3).
+  std::vector<const TypeT*> Candidates(const std::vector<pg::LabelId>& labels,
+                                       bool strict) const {
+    std::vector<const TypeT*> out;
+    auto it = by_labels.find(LabelSetKey(labels));
+    if (it != by_labels.end()) out.push_back(it->second);
+    if (strict) return out;
+    for (const TypeT* t : labeled) {
+      if (t != (out.empty() ? nullptr : out[0]) &&
+          std::includes(t->labels.begin(), t->labels.end(), labels.begin(),
+                        labels.end())) {
+        out.push_back(t);
+      }
+    }
+    return out;
+  }
+};
 
 // Whether a value is compatible with a declared type: the value's inferred
 // type joined with the declared type must not generalize past it.
@@ -97,36 +130,8 @@ ValidationReport SchemaValidator::Validate(
     report.violations.push_back({kind, is_edge, id, std::move(detail)});
   };
 
-  // Index types by exact label set; collect abstract and labeled types
-  // separately. LOOSE matching falls back to any type whose label set is a
-  // superset of the element's (union-labeled types emerge when the LSH pass
-  // groups structurally identical elements of several labels, §4.3).
-  std::unordered_map<uint64_t, const NodeType*> node_by_labels;
-  std::vector<const NodeType*> labeled_node_types;
-  std::vector<const NodeType*> abstract_node_types;
-  for (const NodeType& t : schema_->node_types()) {
-    if (t.is_abstract()) {
-      abstract_node_types.push_back(&t);
-    } else {
-      node_by_labels[LabelSetKey(t.labels)] = &t;
-      labeled_node_types.push_back(&t);
-    }
-  }
-  std::unordered_map<uint64_t, const EdgeType*> edge_by_labels;
-  std::vector<const EdgeType*> labeled_edge_types;
-  std::vector<const EdgeType*> abstract_edge_types;
-  for (const EdgeType& t : schema_->edge_types()) {
-    if (t.is_abstract()) {
-      abstract_edge_types.push_back(&t);
-    } else {
-      edge_by_labels[LabelSetKey(t.labels)] = &t;
-      labeled_edge_types.push_back(&t);
-    }
-  }
-  auto is_label_subset = [](const std::vector<pg::LabelId>& sub,
-                            const std::vector<pg::LabelId>& super) {
-    return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
-  };
+  const TypeIndex<NodeType> nodes(schema_->node_types());
+  const TypeIndex<EdgeType> edges(schema_->edge_types());
 
   // Property checks for a candidate type, collected into `out` so callers
   // can compare candidates and keep the cleanest match.
@@ -199,8 +204,8 @@ ValidationReport SchemaValidator::Validate(
     if (full()) break;
     ++report.nodes_checked;
     if (node.labels.empty()) {
-      if (!matches_abstract(abstract_node_types, node.properties) &&
-          node_by_labels.empty() == false) {
+      if (!matches_abstract(nodes.abstract, node.properties) &&
+          !nodes.by_labels.empty()) {
         // An unlabeled node is fine in LOOSE mode if some labeled type could
         // host it (Jaccard-mergeable); in STRICT mode it must match an
         // ABSTRACT type.
@@ -211,17 +216,7 @@ ValidationReport SchemaValidator::Validate(
       }
       continue;
     }
-    std::vector<const NodeType*> candidates;
-    auto it = node_by_labels.find(LabelSetKey(node.labels));
-    if (it != node_by_labels.end()) candidates.push_back(it->second);
-    if (!strict) {
-      for (const NodeType* t : labeled_node_types) {
-        if (t != (candidates.empty() ? nullptr : candidates[0]) &&
-            is_label_subset(node.labels, t->labels)) {
-          candidates.push_back(t);
-        }
-      }
-    }
+    auto candidates = nodes.Candidates(node.labels, strict);
     if (candidates.empty()) {
       add(ViolationKind::kUnknownNodeType, false, node.id,
           "no type with this label set");
@@ -240,23 +235,13 @@ ValidationReport SchemaValidator::Validate(
     ++report.edges_checked;
     const EdgeType* type = nullptr;
     if (edge.labels.empty()) {
-      if (strict && !matches_abstract(abstract_edge_types, edge.properties)) {
+      if (strict && !matches_abstract(edges.abstract, edge.properties)) {
         add(ViolationKind::kUnknownEdgeType, true, edge.id,
             "unlabeled edge matches no ABSTRACT type");
       }
       continue;
     }
-    std::vector<const EdgeType*> candidates;
-    auto it = edge_by_labels.find(LabelSetKey(edge.labels));
-    if (it != edge_by_labels.end()) candidates.push_back(it->second);
-    if (!strict) {
-      for (const EdgeType* t : labeled_edge_types) {
-        if (t != (candidates.empty() ? nullptr : candidates[0]) &&
-            is_label_subset(edge.labels, t->labels)) {
-          candidates.push_back(t);
-        }
-      }
-    }
+    auto candidates = edges.Candidates(edge.labels, strict);
     if (candidates.empty()) {
       add(ViolationKind::kUnknownEdgeType, true, edge.id,
           "no type with this label set");

@@ -37,6 +37,17 @@ Response BodyResponse(std::string info, std::string body) {
   return response;
 }
 
+// The code an ERR line names, as FormatResponse wrote it; INTERNAL names
+// itself, and so does any name this build does not know.
+util::StatusCode CodeNamed(const std::string& name) {
+  for (auto code = util::StatusCode::kInvalidArgument;
+       code != util::StatusCode::kInternal;
+       code = static_cast<util::StatusCode>(static_cast<int>(code) + 1)) {
+    if (name == util::StatusCodeName(code)) return code;
+  }
+  return util::StatusCode::kInternal;
+}
+
 }  // namespace
 
 util::StatusOr<std::string> SnapshotForm(const SchemaSnapshot& snapshot,
@@ -116,8 +127,7 @@ util::Status ParseResponseLine(const std::string& line, Response* response,
     std::getline(ls, message);
     if (!message.empty() && message[0] == ' ') message.erase(0, 1);
     response->status =
-        util::Status(util::StatusCode::kInternal,
-                     code + ": " + pg::UnescapeField(message));
+        util::Status(CodeNamed(code), pg::UnescapeField(message));
     return util::Status::Ok();
   }
   if (tag != "OK") {

@@ -116,7 +116,9 @@ std::string FormatResponse(const Response& response);
 
 /// Parses the first response line (without newline) into `response`; for
 /// body-carrying responses sets has_body and returns the byte count via
-/// `body_bytes` so the transport can read the remainder.
+/// `body_bytes` so the transport can read the remainder. An ERR line keeps
+/// its code and message; a code name this build does not know reads as
+/// INTERNAL.
 util::Status ParseResponseLine(const std::string& line, Response* response,
                                size_t* body_bytes);
 

@@ -352,9 +352,11 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
     }
   }
   if (!paths.feed_path.empty()) {
-    util::Status truncated =
+    // A feed that holds fewer versions than the snapshot is served as it
+    // is: subscribe-changefeed answers the missing range with OutOfRange.
+    auto truncated =
         core::TruncateFeedFile(paths.feed_path, versions_published);
-    if (!truncated.ok()) return truncated;
+    if (!truncated.ok()) return truncated.status();
   }
 
   session->batches_submitted_ = batches;

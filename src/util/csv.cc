@@ -1,7 +1,9 @@
 #include "util/csv.h"
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <string_view>
+
+#include "util/file_io.h"
 
 namespace pghive::util {
 
@@ -37,40 +39,20 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   return out;
 }
 
-std::string CsvEscape(const std::string& field) {
-  bool needs_quotes = false;
-  for (char c : field) {
-    if (c == ',' || c == '"' || c == '\n' || c == '\r') {
-      needs_quotes = true;
-      break;
-    }
-  }
-  if (!needs_quotes) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::string JoinCsvLine(const std::vector<std::string>& fields) {
-  std::string out;
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (i) out.push_back(',');
-    out += CsvEscape(fields[i]);
-  }
-  return out;
-}
-
 StatusOr<CsvTable> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
+  auto bytes = ReadWholeFile(path);
+  if (!bytes.ok()) {
+    // A file that cannot be opened is an I/O error like one that cannot be
+    // read (a directory).
+    return Status::IoError(bytes.status().message());
+  }
   CsvTable table;
-  std::string line;
   bool first = true;
-  while (std::getline(in, line)) {
+  std::string_view rest = *bytes;
+  while (!rest.empty()) {
+    const size_t end = std::min(rest.find('\n'), rest.size());
+    const std::string line(rest.substr(0, end));
+    rest.remove_prefix(std::min(end + 1, rest.size()));
     if (line.empty()) continue;
     auto fields = SplitCsvLine(line);
     if (first) {
@@ -82,15 +64,6 @@ StatusOr<CsvTable> ReadCsvFile(const std::string& path) {
   }
   if (first) return Status::ParseError("empty CSV file: " + path);
   return table;
-}
-
-Status WriteCsvFile(const std::string& path, const CsvTable& table) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << JoinCsvLine(table.header) << "\n";
-  for (const auto& row : table.rows) out << JoinCsvLine(row) << "\n";
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
 }
 
 }  // namespace pghive::util

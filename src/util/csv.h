@@ -11,23 +11,16 @@ namespace pghive::util {
 /// Splits one CSV line honoring double-quote escaping ("" inside quotes).
 std::vector<std::string> SplitCsvLine(const std::string& line);
 
-/// Quotes a field if it contains a comma, quote, or newline.
-std::string CsvEscape(const std::string& field);
-
-/// Joins fields into one CSV line (no trailing newline).
-std::string JoinCsvLine(const std::vector<std::string>& fields);
-
 /// A fully-parsed CSV file: the header row plus data rows.
 struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
 };
 
-/// Reads an entire CSV file; the first line is the header.
+/// Reads an entire CSV file through ReadWholeFile; the first non-empty line
+/// is the header. IoError naming the path when the file cannot be opened or
+/// read (a directory), ParseError when it holds no line.
 StatusOr<CsvTable> ReadCsvFile(const std::string& path);
-
-/// Writes a CSV file (header + rows).
-Status WriteCsvFile(const std::string& path, const CsvTable& table);
 
 }  // namespace pghive::util
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 
 namespace pghive::util {
 
@@ -36,6 +37,50 @@ StatusOr<int64_t> ParseInt64InRange(const std::string& text, int64_t min,
                               ", " + std::to_string(max) + "], got " + text);
   }
   return *parsed;
+}
+
+std::string Args::Get(const std::string& key,
+                      const std::string& fallback) const {
+  auto it = options.find(key);
+  return it == options.end() ? fallback : it->second;
+}
+
+StatusOr<Args> ParseArgs(int argc, const char* const* argv, int first,
+                         const std::set<std::string>& flags,
+                         const std::set<std::string>& switches) {
+  Args args;
+  for (int i = first; i < argc; ++i) {
+    std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) {
+      return Status::InvalidArgument("unexpected argument '" + key + "'");
+    }
+    key.erase(0, 2);
+    std::string value = "true";
+    const size_t eq = key.find('=');
+    if (eq != std::string::npos) {
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    }
+    if (!flags.count(key)) {
+      return Status::InvalidArgument("unknown option --" + key);
+    }
+    if (eq != std::string::npos && switches.count(key)) {
+      return Status::InvalidArgument("--" + key +
+                                     " is a switch and takes no value");
+    }
+    if (eq == std::string::npos && !switches.count(key)) {
+      if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        return Status::InvalidArgument("--" + key + " needs a value");
+      }
+      value = argv[++i];
+    }
+    // Keeping either value of a repeated flag would run a command the user
+    // did not type in full.
+    if (!args.options.emplace(key, value).second) {
+      return Status::InvalidArgument("duplicate option --" + key);
+    }
+  }
+  return args;
 }
 
 }  // namespace pghive::util

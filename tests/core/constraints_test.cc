@@ -52,15 +52,6 @@ TEST(ConstraintsTest, EdgeTypesAlsoClassified) {
             Requiredness::kOptional);
 }
 
-TEST(ConstraintsTest, FrequencyComputation) {
-  NodeType t = MakeType(8, {{1, 8}, {2, 2}});
-  EXPECT_DOUBLE_EQ(PropertyFrequency(t, 1), 1.0);
-  EXPECT_DOUBLE_EQ(PropertyFrequency(t, 2), 0.25);
-  EXPECT_DOUBLE_EQ(PropertyFrequency(t, 99), 0.0);  // Unknown key.
-  NodeType empty;
-  EXPECT_DOUBLE_EQ(PropertyFrequency(empty, 1), 0.0);
-}
-
 // Soundness (§4.7): after more evidence arrives, a mandatory property can
 // become optional, but an optional one can never become mandatory when its
 // count stops tracking the instance count.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -328,26 +329,33 @@ TEST_F(SchemaDiffTest, TruncateFeedFileKeepsTheCleanPrefixUpToTheSnapshot) {
   };
   auto read = [&] { return *util::ReadWholeFile(path); };
 
-  // Versions past the snapshot go, and so does a torn tail.
+  // Versions past the snapshot go, and so does a torn tail. Each call
+  // returns how many versions the kept prefix holds.
+  auto kept = [&](const std::string& feed, uint64_t max_version) {
+    auto versions = TruncateFeedFile(feed, max_version);
+    EXPECT_TRUE(versions.ok()) << versions.status().ToString();
+    return versions.ok() ? *versions : UINT64_MAX;
+  };
   write(records[0] + records[1] + records[2] +
         records[3].substr(0, records[3].size() - 10));
-  ASSERT_TRUE(TruncateFeedFile(path, 2).ok());
+  EXPECT_EQ(kept(path, 2), 2u);
   EXPECT_EQ(read(), records[0] + records[1]);
-  // A feed already within the snapshot is left as it is.
-  ASSERT_TRUE(TruncateFeedFile(path, 3).ok());
+  // A feed already within the snapshot is left as it is, holding fewer
+  // versions than the snapshot.
+  EXPECT_EQ(kept(path, 3), 2u);
   EXPECT_EQ(read(), records[0] + records[1]);
   // The kept records are numbered 1, 2, ... with no gap.
   write(records[0] + records[2]);
-  ASSERT_TRUE(TruncateFeedFile(path, 4).ok());
+  EXPECT_EQ(kept(path, 4), 1u);
   EXPECT_EQ(read(), records[0]);
-  ASSERT_TRUE(TruncateFeedFile(path, 0).ok());
+  EXPECT_EQ(kept(path, 0), 0u);
   EXPECT_EQ(fs::file_size(path), 0u);
 
   // A missing file is an empty feed and stays missing; a device is left
-  // alone, never read.
-  ASSERT_TRUE(TruncateFeedFile(dir + "/no_such_feed", 2).ok());
+  // alone, never read, and counts as holding every version.
+  EXPECT_EQ(kept(dir + "/no_such_feed", 2), 0u);
   EXPECT_FALSE(fs::exists(dir + "/no_such_feed"));
-  ASSERT_TRUE(TruncateFeedFile("/dev/null", 0).ok());
+  EXPECT_EQ(kept("/dev/null", 3), 3u);
   EXPECT_TRUE(fs::is_character_file("/dev/null"));
 }
 

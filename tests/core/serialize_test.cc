@@ -117,6 +117,114 @@ TEST(SerializeTest, DescribeSchemaSummarizes) {
   EXPECT_NE(out.find("N:1"), std::string::npos);  // Both persons -> one org.
 }
 
+// Every field the text renderings read, on both kinds of type: a labeled and
+// an ABSTRACT node type, a labeled edge type with endpoints and a
+// cardinality, and an ABSTRACT edge type with neither.
+SchemaGraph RenderingSchema(pg::Vocabulary* vocab) {
+  const pg::LabelId person = vocab->InternLabel("Person");
+  const pg::LabelId works_at = vocab->InternLabel("WORKS_AT");
+  const pg::PropKeyId name = vocab->InternKey("name");
+  const pg::PropKeyId bday = vocab->InternKey("bday");
+  const pg::PropKeyId url = vocab->InternKey("url");
+  const pg::PropKeyId from = vocab->InternKey("from");
+  const uint32_t person_token = vocab->TokenForLabelSet({person});
+  const uint32_t org_token =
+      vocab->TokenForLabelSet({vocab->InternLabel("Org")});
+  SchemaGraph schema;
+  NodeType people;
+  people.labels = {person};
+  people.properties[name] = {2, pg::DataType::kString,
+                             Requiredness::kMandatory};
+  people.properties[bday] = {1, pg::DataType::kDate, Requiredness::kOptional};
+  people.instance_count = 2;
+  people.pattern_hashes = {11, 12};
+  schema.node_types().push_back(people);
+  NodeType sites;
+  sites.properties[url] = {1, pg::DataType::kString,
+                           Requiredness::kMandatory};
+  sites.instance_count = 1;
+  sites.pattern_hashes = {13};
+  schema.node_types().push_back(sites);
+  EdgeType works;
+  works.labels = {works_at};
+  works.properties[from] = {1, pg::DataType::kInteger,
+                            Requiredness::kOptional};
+  works.instance_count = 2;
+  works.endpoints = {{person_token, org_token}};
+  works.cardinality = {1, 2, CardinalityKind::kManyToOne};
+  schema.edge_types().push_back(works);
+  EdgeType links;
+  links.instance_count = 1;
+  links.endpoints = {{pg::kNoToken, pg::kNoToken}};
+  schema.edge_types().push_back(links);
+  return schema;
+}
+
+// Node and edge types share their rendering code, so every form is pinned
+// whole here, on both kinds of type, labeled and ABSTRACT; the binary form
+// round-trips them.
+TEST(SerializeTest, EveryFormIsPinned) {
+  pg::Vocabulary vocab;
+  const SchemaGraph schema = RenderingSchema(&vocab);
+  const std::string binary = SerializeSchemaBinary(schema);
+  auto parsed = ParseSchemaBinary(binary);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(SerializeSchemaBinary(*parsed), binary);
+  EXPECT_EQ(SerializePgSchema(schema, vocab, SchemaMode::kStrict),
+            R"(CREATE GRAPH TYPE PgHiveSchema STRICT {
+  (PersonType : Person {name STRING, OPTIONAL bday DATE}),
+  (ABSTRACT Abstract_1Type {url STRING}),
+  (:PersonType)-[WORKS_ATEdgeType : WORKS_AT {OPTIONAL from INTEGER}]->(:OrgType) /* N:1 */,
+  (:ANY)-[ABSTRACT Abstract_1EdgeType]->(:ANY)
+}
+)");
+  EXPECT_EQ(SerializePgSchema(schema, vocab, SchemaMode::kLoose),
+            R"(CREATE GRAPH TYPE PgHiveSchema LOOSE {
+  (PersonType : Person {name, bday, OPEN}),
+  (ABSTRACT Abstract_1Type {url, OPEN}),
+  (:PersonType)-[WORKS_ATEdgeType : WORKS_AT {from, OPEN}]->(:OrgType),
+  (:ANY)-[ABSTRACT Abstract_1EdgeType]->(:ANY)
+}
+)");
+  EXPECT_EQ(SerializeXsd(schema, vocab),
+            R"(<?xml version="1.0" encoding="UTF-8"?>
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="Person">
+    <xs:complexType>
+      <xs:attribute name="name" type="xs:string" use="required"/>
+      <xs:attribute name="bday" type="xs:date" use="optional"/>
+    </xs:complexType>
+  </xs:element>
+  <xs:element name="Abstract_1">
+    <xs:complexType>
+      <xs:attribute name="url" type="xs:string" use="required"/>
+    </xs:complexType>
+  </xs:element>
+  <xs:element name="WORKS_AT_edge">
+    <xs:complexType>
+      <xs:attribute name="from" type="xs:long" use="optional"/>
+      <xs:attribute name="source" type="xs:IDREF" use="required"/>
+      <xs:attribute name="target" type="xs:IDREF" use="required"/>
+      <!-- cardinality: N:1 -->
+    </xs:complexType>
+  </xs:element>
+  <xs:element name="Abstract_1_edge">
+    <xs:complexType>
+      <xs:attribute name="source" type="xs:IDREF" use="required"/>
+      <xs:attribute name="target" type="xs:IDREF" use="required"/>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>
+)");
+  EXPECT_EQ(DescribeSchema(schema, vocab),
+            R"(Schema: 2 node types, 2 edge types
+  node Person [2 instances, 2 patterns] name:STRING! bday:DATE?
+  node Abstract#1 [1 instances, 1 patterns] url:STRING!
+  edge WORKS_AT [2 instances, N:1] from:INTEGER?
+  edge Abstract#1 [1 instances, ?]
+)");
+}
+
 TEST(SerializeTest, CardinalityCommentInStrictMode) {
   Fixture f;
   std::string out =

@@ -88,7 +88,64 @@ TEST(ExtractNodeTypesTest, UnlabeledPicksBestMatch) {
   EXPECT_EQ(label2->instance_count, 2u);
 }
 
+// Of two labeled types that match equally well, the first one takes the
+// candidate.
+TEST(ExtractNodeTypesTest, EqualMatchesPickTheFirstType) {
+  SchemaGraph schema;
+  ExtractionOptions options;
+  options.jaccard_threshold = 0.5;
+  ExtractNodeTypes({MakeCandidate({1}, {10, 11}, {0}),
+                    MakeCandidate({2}, {10, 12}, {1}),
+                    MakeCandidate({}, {10}, {2})},  // J = 1/2 with both.
+                   options, &schema);
+  ASSERT_EQ(schema.num_node_types(), 2u);
+  EXPECT_EQ(schema.node_types()[0].instances, (std::vector<uint64_t>{0, 2}));
+  EXPECT_EQ(schema.node_types()[1].instances, (std::vector<uint64_t>{1}));
+}
+
+// Phase 2 comes before phase 3a: an unlabeled candidate that matches a
+// labeled type and an ABSTRACT type of an earlier batch equally joins the
+// labeled one.
+TEST(ExtractNodeTypesTest, UnlabeledPrefersLabeledOverEarlierAbstractType) {
+  SchemaGraph schema;
+  ExtractNodeTypes({MakeCandidate({}, {10, 11}, {0})}, {}, &schema);
+  ExtractNodeTypes({MakeCandidate({1}, {10, 11}, {1})}, {}, &schema);
+  ExtractNodeTypes({MakeCandidate({}, {10, 11}, {2})}, {}, &schema);
+  ASSERT_EQ(schema.num_node_types(), 2u);
+  EXPECT_TRUE(schema.node_types()[0].is_abstract());
+  EXPECT_EQ(schema.node_types()[0].instances, (std::vector<uint64_t>{0}));
+  EXPECT_EQ(schema.node_types()[1].instances, (std::vector<uint64_t>{1, 2}));
+}
+
 // --- Phase 3: unlabeled-unlabeled merging, leftovers become ABSTRACT ---
+
+// The new ABSTRACT types are part of the schema bytes, so their order is
+// pinned: one per union-find group, in ascending order of the group's root,
+// each taking its members' instances in candidate order. Here candidates 0,
+// 1, 3, 5, 6 and 7 chain into one group through the pairs (0,5), (1,7),
+// (3,6), (3,7) and (5,6), whose union-by-rank root is 3, so that group comes
+// after candidate 2's and before candidate 4's.
+TEST(ExtractNodeTypesTest, NewAbstractTypesFollowUnionFindRoots) {
+  SchemaGraph schema;
+  ExtractionOptions options;
+  options.jaccard_threshold = 0.25;
+  ExtractNodeTypes({MakeCandidate({}, {100}, {0}),
+                    MakeCandidate({}, {101}, {1}),
+                    MakeCandidate({}, {200}, {2}),
+                    MakeCandidate({}, {102, 103}, {3}),
+                    MakeCandidate({}, {201}, {4}),
+                    MakeCandidate({}, {100, 104}, {5}),
+                    MakeCandidate({}, {102, 104}, {6}),
+                    MakeCandidate({}, {101, 103}, {7})},
+                   options, &schema);
+  ASSERT_EQ(schema.num_node_types(), 3u);
+  EXPECT_EQ(schema.node_types()[0].instances, (std::vector<uint64_t>{2}));
+  EXPECT_EQ(schema.node_types()[1].instances,
+            (std::vector<uint64_t>{0, 1, 3, 5, 6, 7}));
+  EXPECT_EQ(schema.node_types()[2].instances, (std::vector<uint64_t>{4}));
+  EXPECT_EQ(schema.node_types()[1].Keys(),
+            (std::vector<pg::PropKeyId>{100, 101, 102, 103, 104}));
+}
 
 TEST(ExtractNodeTypesTest, SimilarUnlabeledClustersMergeTogether) {
   SchemaGraph schema;

@@ -95,10 +95,38 @@ TEST(ProtocolTest, ErrorResponsesEscapeAndCarryTheCode) {
   size_t body_bytes = 0;
   std::string line = wire.substr(0, wire.size() - 1);
   ASSERT_TRUE(ParseResponseLine(line, &parsed, &body_bytes).ok());
-  EXPECT_FALSE(parsed.status.ok());
-  EXPECT_NE(parsed.status.message().find("NOT_FOUND"), std::string::npos);
-  EXPECT_NE(parsed.status.message().find("no session; try create-session"),
-            std::string::npos);
+  EXPECT_EQ(parsed.status.code(), util::StatusCode::kNotFound);
+  EXPECT_EQ(parsed.status.message(), "no session; try create-session");
+}
+
+// Every error code crosses the wire as itself, so a client can tell a
+// retryable status from a fatal one; a code name it does not know reads as
+// INTERNAL.
+TEST(ProtocolTest, EveryErrorCodeRoundTrips) {
+  for (auto code : {util::StatusCode::kInvalidArgument,
+                    util::StatusCode::kNotFound, util::StatusCode::kOutOfRange,
+                    util::StatusCode::kFailedPrecondition,
+                    util::StatusCode::kParseError, util::StatusCode::kIoError,
+                    util::StatusCode::kInternal}) {
+    Response response;
+    response.status = util::Status(code, "what went wrong");
+    std::string wire = FormatResponse(response);
+    Response parsed;
+    size_t body_bytes = 0;
+    ASSERT_TRUE(
+        ParseResponseLine(wire.substr(0, wire.size() - 1), &parsed, &body_bytes)
+            .ok());
+    EXPECT_EQ(parsed.status.code(), code) << wire;
+    EXPECT_EQ(parsed.status.message(), "what went wrong");
+  }
+  Response parsed;
+  size_t body_bytes = 0;
+  ASSERT_TRUE(ParseResponseLine("ERR NO_SUCH_CODE boom", &parsed, &body_bytes)
+                  .ok());
+  EXPECT_EQ(parsed.status.code(), util::StatusCode::kInternal);
+  EXPECT_EQ(parsed.status.message(), "boom");
+  ASSERT_TRUE(ParseResponseLine("ERR OK boom", &parsed, &body_bytes).ok());
+  EXPECT_EQ(parsed.status.code(), util::StatusCode::kInternal);
 }
 
 TEST(ProtocolTest, ParseResponseLineRejectsUnknownTag) {

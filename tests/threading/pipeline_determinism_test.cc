@@ -190,5 +190,28 @@ TEST(PipelineDeterminismTest, EdgesBeforeEndpointsTolerated) {
   EXPECT_EQ(pipelined.NodeAssignment(), sequential.NodeAssignment());
 }
 
+// A finished hive refuses more batches and stays as it was: with a pool, the
+// lookahead must not preprocess a batch (intern its tokens, train the
+// embedder on it) before the refusal, so the snapshot bytes do not change.
+TEST(PipelineDeterminismTest, FinishedHiveRefusesRunUnchanged) {
+  datasets::Dataset dataset =
+      datasets::Generate(datasets::PoleSpec(), 0.05, 3);
+  core::PgHive hive(&dataset.graph,
+                    BaseOptions(core::ClusterMethod::kElsh, 4, false));
+  ASSERT_NE(hive.pool(), nullptr);
+  const auto batches = pg::SplitIntoBatches(dataset.graph, 3, 1);
+  core::BatchPipeline executor(&hive);
+  ASSERT_TRUE(executor.Run(batches).ok());
+  ASSERT_TRUE(hive.Finish().ok());
+  auto before = hive.SaveState();
+  ASSERT_TRUE(before.ok());
+
+  EXPECT_EQ(executor.Run(batches).code(),
+            util::StatusCode::kFailedPrecondition);
+  auto after = hive.SaveState();
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(*after == *before) << "the refused Run changed the hive";
+}
+
 }  // namespace
 }  // namespace pghive

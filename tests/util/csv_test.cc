@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "util/file_io.h"
+
 namespace pghive::util {
 namespace {
 
@@ -39,18 +41,6 @@ TEST(CsvTest, StripsCarriageReturn) {
   EXPECT_EQ(fields[1], "b");
 }
 
-TEST(CsvTest, EscapeQuotesWhenNeeded) {
-  EXPECT_EQ(CsvEscape("plain"), "plain");
-  EXPECT_EQ(CsvEscape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvEscape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(CsvTest, JoinSplitRoundTrip) {
-  std::vector<std::string> fields = {"a", "b,c", "d\"e", ""};
-  auto back = SplitCsvLine(JoinCsvLine(fields));
-  EXPECT_EQ(back, fields);
-}
-
 TEST(CsvTest, FileRoundTrip) {
   std::string path =
       (std::filesystem::temp_directory_path() / "pghive_csv_test.csv")
@@ -58,7 +48,8 @@ TEST(CsvTest, FileRoundTrip) {
   CsvTable table;
   table.header = {"name", "value"};
   table.rows = {{"x", "1"}, {"with,comma", "2"}};
-  ASSERT_TRUE(WriteCsvFile(path, table).ok());
+  ASSERT_TRUE(
+      AtomicWriteFile(path, "name,value\nx,1\n\"with,comma\",2\n").ok());
   auto loaded = ReadCsvFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().header, table.header);

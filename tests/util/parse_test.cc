@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace pghive::util {
 namespace {
@@ -45,6 +46,39 @@ TEST(ParseInt64InRangeTest, ErrorNamesTheKnob) {
   auto v = ParseInt64InRange("banana", 1, 10, "--batches");
   ASSERT_FALSE(v.ok());
   EXPECT_NE(v.status().message().find("--batches"), std::string::npos);
+}
+
+// The flag parser of both tools: "--key V", "--key=V" and bare switches.
+TEST(ParseArgsTest, ReadsValuesAndSwitches) {
+  const char* argv[] = {"tool",        "cmd",    "--port", "7",
+                        "--out=x.pgs", "--loose"};
+  auto args =
+      ParseArgs(6, argv, 2, {"port", "out", "loose", "seed"}, {"loose"});
+  ASSERT_TRUE(args.ok()) << args.status().ToString();
+  EXPECT_EQ(args->Get("port"), "7");
+  EXPECT_EQ(args->Get("out"), "x.pgs");
+  EXPECT_TRUE(args->Has("loose"));
+  EXPECT_FALSE(args->Has("seed"));
+  EXPECT_EQ(args->Get("seed", "42"), "42");
+}
+
+TEST(ParseArgsTest, RefusesWhatItCannotReadAsTyped) {
+  auto message = [](std::vector<const char*> argv) {
+    auto args = ParseArgs(static_cast<int>(argv.size()), argv.data(), 1,
+                          {"port", "port-file", "loose"}, {"loose"});
+    EXPECT_FALSE(args.ok());
+    EXPECT_EQ(args.status().code(), StatusCode::kInvalidArgument);
+    return args.status().message();
+  };
+  EXPECT_EQ(message({"d", "--port-file", "--threads=4"}),
+            "--port-file needs a value");
+  EXPECT_EQ(message({"d", "--port"}), "--port needs a value");
+  EXPECT_EQ(message({"d", "--threads", "4"}), "unknown option --threads");
+  EXPECT_EQ(message({"d", "--port", "1", "--port=2"}),
+            "duplicate option --port");
+  EXPECT_EQ(message({"d", "--loose=no"}),
+            "--loose is a switch and takes no value");
+  EXPECT_EQ(message({"d", "extra"}), "unexpected argument 'extra'");
 }
 
 }  // namespace

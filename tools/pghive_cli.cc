@@ -21,9 +21,11 @@
 //       writes one binary SchemaDiff record per merged batch (plus one for
 //       post-processing); `pghive changefeed --feed FILE` prints it. A
 //       resume cuts FILE back to the snapshot's versions first, as a
-//       restored pghived session does. Both files go through the session's
-//       writers, so they survive a process kill (not a power loss: nothing
-//       calls fsync), and a failed write exits 1 naming the file.
+//       restored pghived session does, and exits 1 if FILE holds fewer
+//       versions than the snapshot (a missing FILE holds none). Both files
+//       go through the session's writers, so they survive a process kill
+//       (not a power loss: nothing calls fsync), and a failed write exits 1
+//       naming the file.
 //   changefeed --feed FILE
 //       Renders a --changefeed file as human-readable schema deltas.
 //   import    --nodes FILE[,FILE...] --edges FILE[,FILE...] --out GRAPH
@@ -66,7 +68,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
@@ -93,14 +94,7 @@ namespace {
 
 using namespace pghive;
 
-struct Args {
-  std::map<std::string, std::string> options;
-  bool Has(const std::string& key) const { return options.count(key) > 0; }
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-};
+using util::Args;
 
 /// The discovery knobs `discover` and `client` forward to
 /// core::ApplyOptionFlags, besides the --sample-datatypes switch.
@@ -118,46 +112,6 @@ struct Command {
   int (*run)(const Args&);
   std::set<std::string> flags;
 };
-
-/// Parses argv[2..] against the flags `command` reads. An unknown or
-/// repeated flag, a flag missing its value, a switch given one, or a
-/// positional token is an InvalidArgument naming it.
-util::StatusOr<Args> ParseArgs(int argc, char** argv, const Command& command) {
-  auto reject = [&](const std::string& what) {
-    return util::Status::InvalidArgument(std::string(command.name) + ": " +
-                                         what);
-  };
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      return reject("unexpected argument '" + key + "'");
-    }
-    key.erase(0, 2);
-    std::string value = "true";
-    const size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key.resize(eq);
-    }
-    if (!command.flags.count(key)) return reject("unknown option --" + key);
-    if (eq != std::string::npos && kSwitches.count(key)) {
-      return reject("--" + key + " is a switch and takes no value");
-    }
-    if (eq == std::string::npos && !kSwitches.count(key)) {
-      if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-        return reject("--" + key + " needs a value");
-      }
-      value = argv[++i];
-    }
-    // Keeping either value of a repeated flag would run a command the user
-    // did not type in full.
-    if (!args.options.emplace(key, value).second) {
-      return reject("duplicate option --" + key);
-    }
-  }
-  return args;
-}
 
 std::vector<std::string> SplitComma(const std::string& s) {
   std::vector<std::string> out;
@@ -263,16 +217,25 @@ int CmdDiscover(const Args& args) {
 
   // One feed record per published version: one per merged batch, one for
   // Finish. A fresh run starts the feed empty; a resume cuts it back to the
-  // snapshot's versions, as a restored pghived session does.
+  // snapshot's versions, as a restored pghived session does, and refuses a
+  // feed that holds fewer: appending to it would leave a hole in the
+  // version sequence.
   const bool has_feed = !changefeed_path.empty();
   uint64_t version =
       restored + (pipeline.phase() == core::PgHive::Phase::kFinished ? 1 : 0);
   util::AppendOnlyFile feed(changefeed_path, /*truncate=*/!resuming);
   if (has_feed) {
-    util::Status ready = resuming
-                             ? core::TruncateFeedFile(changefeed_path, version)
-                             : util::Status::Ok();
-    if (ready.ok()) ready = feed.Open();
+    if (resuming) {
+      auto kept = core::TruncateFeedFile(changefeed_path, version);
+      if (!kept.ok()) return Fail(kept.status().ToString());
+      if (*kept < version) {
+        return Fail("changefeed " + changefeed_path + " holds " +
+                    std::to_string(*kept) + " versions but the snapshot " +
+                    "needs " + std::to_string(version) +
+                    "; resume with the feed the snapshot's run wrote");
+      }
+    }
+    util::Status ready = feed.Open();
     if (!ready.ok()) return Fail(ready.ToString());
   }
   size_t done = static_cast<size_t>(restored);
@@ -680,8 +643,10 @@ int main(int argc, char** argv) {
   const std::string name = argc >= 2 ? argv[1] : "";
   for (const Command& command : Commands()) {
     if (name != command.name) continue;
-    auto args = ParseArgs(argc, argv, command);
-    if (!args.ok()) return Fail(args.status().message());
+    auto args = util::ParseArgs(argc, argv, 2, command.flags, kSwitches);
+    if (!args.ok()) {
+      return Fail(std::string(command.name) + ": " + args.status().message());
+    }
     return command.run(*args);
   }
   std::fprintf(stderr,

@@ -24,8 +24,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 #include <thread>
 
@@ -47,33 +45,18 @@ int Fail(const std::string& message) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> options;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      return Fail("unknown argument '" + arg + "'");
-    }
-    std::string key = arg.substr(2);
-    std::string value;
-    size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else if (i + 1 < argc) {
-      value = argv[++i];
-    } else {
-      return Fail("--" + key + " needs a value");
-    }
-    // A repeated flag is a typo or a mangled service file, and for a daemon
-    // silently taking one of the two values is worse than refusing to start.
-    if (!options.emplace(key, value).second) {
-      return Fail("duplicate option --" + key);
-    }
-  }
+  // pghive's flag rules: a typo, a repeated flag (a mangled service file)
+  // or a flag where a value belongs refuses to start, where a daemon that
+  // guessed would serve with options nobody wrote.
+  auto args = pghive::util::ParseArgs(
+      argc, argv, 1,
+      {"port", "port-file", "threads", "max-sessions", "checkpoint-dir",
+       "checkpoint-every"});
+  if (!args.ok()) return Fail(args.status().message());
 
   pghive::service::PghivedServer::Options server_options;
   std::string port_file;
-  for (const auto& [key, value] : options) {
+  for (const auto& [key, value] : args->options) {
     if (key == "port") {
       auto port = pghive::util::ParseInt64InRange(value, 0, 65535, "--port");
       if (!port.ok()) return Fail(port.status().ToString());
@@ -93,16 +76,14 @@ int main(int argc, char** argv) {
     } else if (key == "checkpoint-dir") {
       if (value.empty()) return Fail("--checkpoint-dir needs a directory");
       server_options.checkpoint_dir = value;
-    } else if (key == "checkpoint-every") {
+    } else {  // checkpoint-every
       auto every = pghive::util::ParseInt64InRange(value, 1, 1000000,
                                                    "--checkpoint-every");
       if (!every.ok()) return Fail(every.status().ToString());
       server_options.checkpoint_every = static_cast<uint64_t>(*every);
-    } else {
-      return Fail("unknown option --" + key);
     }
   }
-  if (options.count("checkpoint-every") && !options.count("checkpoint-dir")) {
+  if (args->Has("checkpoint-every") && !args->Has("checkpoint-dir")) {
     return Fail("--checkpoint-every requires --checkpoint-dir");
   }
 
