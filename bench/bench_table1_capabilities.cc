@@ -36,8 +36,7 @@ int main() {
       baselines::GmmSchema(baselines::GmmSchemaOptions{})
           .Discover(unlabeled)
           .ok();
-  bool schemi_label_independent =
-      baselines::SchemI(baselines::SchemiOptions{}).Discover(unlabeled).ok();
+  bool schemi_label_independent = baselines::SchemI::Discover(unlabeled).ok();
 
   bool gmm_has_edges = false;  // GmmSchemaResult has no edge assignment.
   bool schemi_has_edges = true;

@@ -38,14 +38,13 @@ double LogSumExp(const std::vector<double>& xs) {
 }  // namespace
 
 GmmFit GaussianMixture::Fit(const std::vector<float>& data, size_t num,
-                            size_t dim, size_t k) const {
+                            size_t dim, size_t k) {
   return FitWithInit(data, num, dim, k, {});
 }
 
 GmmFit GaussianMixture::FitWithInit(const std::vector<float>& data,
                                     size_t num, size_t dim, size_t k,
-                                    const std::vector<double>& init_means)
-    const {
+                                    const std::vector<double>& init_means) {
   PGHIVE_CHECK(data.size() == num * dim);
   PGHIVE_CHECK(k >= 1);
   k = std::min(k, num);
@@ -63,7 +62,7 @@ GmmFit GaussianMixture::FitWithInit(const std::vector<float>& data,
     for (size_t d = 0; d < dim; ++d) global_mean[d] += data[i * dim + d];
   }
   for (auto& m : global_mean) m /= static_cast<double>(num);
-  std::vector<double> global_var(dim, options_.min_variance);
+  std::vector<double> global_var(dim, kMinVariance);
   for (size_t i = 0; i < num; ++i) {
     for (size_t d = 0; d < dim; ++d) {
       double diff = data[i * dim + d] - global_mean[d];
@@ -79,7 +78,7 @@ GmmFit GaussianMixture::FitWithInit(const std::vector<float>& data,
       }
     }
   } else {
-    util::Rng rng(options_.seed);
+    util::Rng rng(kSeed);
     auto seeds = rng.SampleWithoutReplacement(num, k);
     for (size_t c = 0; c < k; ++c) {
       for (size_t d = 0; d < dim; ++d) {
@@ -92,7 +91,7 @@ GmmFit GaussianMixture::FitWithInit(const std::vector<float>& data,
   std::vector<double> resp(num * k);
   std::vector<double> log_probs(k);
   double prev_ll = -1e300;
-  for (size_t iter = 1; iter <= options_.max_iterations; ++iter) {
+  for (size_t iter = 1; iter <= kMaxIterations; ++iter) {
     fit.iterations = iter;
     // E step.
     double ll = 0.0;
@@ -120,7 +119,7 @@ GmmFit GaussianMixture::FitWithInit(const std::vector<float>& data,
           mean += resp[i * k + c] * data[i * dim + d];
         }
         mean /= nk;
-        double var = options_.min_variance;
+        double var = kMinVariance;
         for (size_t i = 0; i < num; ++i) {
           double diff = data[i * dim + d] - mean;
           var += resp[i * k + c] * diff * diff / nk;
@@ -129,8 +128,7 @@ GmmFit GaussianMixture::FitWithInit(const std::vector<float>& data,
         fit.variances[c * dim + d] = var;
       }
     }
-    if (std::abs(ll - prev_ll) <
-        options_.tolerance * (std::abs(prev_ll) + 1.0)) {
+    if (std::abs(ll - prev_ll) < kTolerance * (std::abs(prev_ll) + 1.0)) {
       break;
     }
     prev_ll = ll;

@@ -7,14 +7,6 @@
 
 namespace pghive::baselines {
 
-/// EM options for the diagonal-covariance Gaussian mixture.
-struct GmmOptions {
-  size_t max_iterations = 25;
-  double tolerance = 1e-3;   ///< Relative log-likelihood change to stop.
-  double min_variance = 1e-2;
-  uint64_t seed = 17;
-};
-
 /// Result of one EM fit.
 struct GmmFit {
   std::vector<double> means;      ///< k x dim.
@@ -34,25 +26,28 @@ struct GmmFit {
 /// initialized from k distinct random data points.
 class GaussianMixture {
  public:
-  explicit GaussianMixture(GmmOptions options) : options_(options) {}
+  /// EM's fixed settings. EM stops after kMaxIterations, or once the
+  /// log-likelihood changes by less than kTolerance relative to its value.
+  static constexpr size_t kMaxIterations = 25;
+  static constexpr double kTolerance = 1e-3;
+  static constexpr double kMinVariance = 1e-2;  ///< Variance floor.
+  static constexpr uint64_t kSeed = 17;  ///< Draws Fit's initial means.
 
   /// Fits k components to `num` row-major points of dimension `dim`.
-  GmmFit Fit(const std::vector<float>& data, size_t num, size_t dim,
-             size_t k) const;
+  static GmmFit Fit(const std::vector<float>& data, size_t num, size_t dim,
+                    size_t k);
 
   /// Fits with caller-provided initial means (k x dim); variances start at
   /// the global per-dimension variance. Used by GMMSchema to seed one
   /// component per label group.
-  GmmFit FitWithInit(const std::vector<float>& data, size_t num, size_t dim,
-                     size_t k, const std::vector<double>& init_means) const;
+  static GmmFit FitWithInit(const std::vector<float>& data, size_t num,
+                            size_t dim, size_t k,
+                            const std::vector<double>& init_means);
 
   /// Hard-assigns each point to its most probable component.
   static std::vector<uint32_t> Assign(const GmmFit& fit,
                                       const std::vector<float>& data,
                                       size_t num);
-
- private:
-  GmmOptions options_;
 };
 
 }  // namespace pghive::baselines

@@ -53,14 +53,13 @@ double SingleGaussianBic(const std::vector<float>& data, size_t num,
 
 // Recursively splits a point set while the 2-component fit beats the
 // 1-component BIC; appends resulting leaves.
-void SplitRecursive(const GaussianMixture& gmm, const GmmOptions& gmm_opts,
-                    const std::vector<float>& data, size_t num, size_t dim,
+void SplitRecursive(const std::vector<float>& data, size_t num, size_t dim,
                     size_t depth, size_t* em_iterations,
                     std::vector<Leaf>* leaves) {
   auto make_leaf = [&]() {
     Leaf leaf;
     leaf.mean.assign(dim, 0.0);
-    leaf.var.assign(dim, gmm_opts.min_variance);
+    leaf.var.assign(dim, GaussianMixture::kMinVariance);
     for (size_t i = 0; i < num; ++i) {
       for (size_t d = 0; d < dim; ++d) leaf.mean[d] += data[i * dim + d];
     }
@@ -79,9 +78,10 @@ void SplitRecursive(const GaussianMixture& gmm, const GmmOptions& gmm_opts,
     make_leaf();
     return;
   }
-  GmmFit split = gmm.Fit(data, num, dim, 2);
+  GmmFit split = GaussianMixture::Fit(data, num, dim, 2);
   *em_iterations += split.iterations;
-  double bic1 = SingleGaussianBic(data, num, dim, gmm_opts.min_variance);
+  double bic1 =
+      SingleGaussianBic(data, num, dim, GaussianMixture::kMinVariance);
   if (split.k < 2 || split.Bic(num) >= bic1) {
     make_leaf();
     return;
@@ -98,10 +98,8 @@ void SplitRecursive(const GaussianMixture& gmm, const GmmOptions& gmm_opts,
     make_leaf();
     return;
   }
-  SplitRecursive(gmm, gmm_opts, part[0], counts[0], dim, depth - 1,
-                 em_iterations, leaves);
-  SplitRecursive(gmm, gmm_opts, part[1], counts[1], dim, depth - 1,
-                 em_iterations, leaves);
+  SplitRecursive(part[0], counts[0], dim, depth - 1, em_iterations, leaves);
+  SplitRecursive(part[1], counts[1], dim, depth - 1, em_iterations, leaves);
 }
 
 }  // namespace
@@ -159,11 +157,10 @@ util::StatusOr<GmmSchemaResult> GmmSchema::Discover(
   }
 
   GmmSchemaResult result;
-  GaussianMixture gmm(options_.gmm);
   util::Rng rng(options_.seed);
 
   // Fit on a sample, hierarchically refine, assign everything.
-  size_t fit_n = std::min(n, options_.fit_sample_cap);
+  size_t fit_n = std::min(n, kFitSampleCap);
   std::vector<float> sample;
   const std::vector<float>* fit_data = &features;
   if (fit_n < n) {
@@ -174,7 +171,8 @@ util::StatusOr<GmmSchemaResult> GmmSchema::Discover(
     }
     fit_data = &sample;
   }
-  GmmFit base = gmm.FitWithInit(*fit_data, fit_n, dim, k, init_means);
+  GmmFit base =
+      GaussianMixture::FitWithInit(*fit_data, fit_n, dim, k, init_means);
   result.em_iterations = base.iterations;
 
   // Hierarchical step: split each base component's sample points while BIC
@@ -191,8 +189,8 @@ util::StatusOr<GmmSchemaResult> GmmSchema::Discover(
       ++count;
     }
     if (count == 0) continue;
-    SplitRecursive(gmm, options_.gmm, members, count, dim,
-                   options_.split_depth, &result.em_iterations, &leaves);
+    SplitRecursive(members, count, dim, kSplitDepth, &result.em_iterations,
+                   &leaves);
   }
   if (leaves.empty()) {
     return util::Status::Internal("GMMSchema produced no clusters");

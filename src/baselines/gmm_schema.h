@@ -10,18 +10,9 @@
 
 namespace pghive::baselines {
 
-/// GMMSchema baseline options.
+/// What a caller chooses of the GMMSchema baseline: the seed of its fit
+/// sample. The rest are the published settings, GmmSchema's constants.
 struct GmmSchemaOptions {
-  /// Sampling cap for the EM fit — the published system "applies sampling
-  /// techniques to improve performance on large graphs"; the mixture is fit
-  /// on at most this many nodes and then all nodes are hard-assigned.
-  size_t fit_sample_cap = 2000;
-  /// Hierarchical refinement: components whose 2-way split improves BIC are
-  /// split recursively up to this depth (0 disables). Under noise the
-  /// inflated within-type variance triggers more splits, reproducing both
-  /// the accuracy collapse and the runtime growth the paper reports.
-  size_t split_depth = 2;
-  GmmOptions gmm;
   uint64_t seed = 23;
 };
 
@@ -50,6 +41,16 @@ struct GmmSchemaResult {
 ///   - samples for performance, affecting completeness.
 class GmmSchema {
  public:
+  /// Sampling cap for the EM fit — the published system "applies sampling
+  /// techniques to improve performance on large graphs"; the mixture is fit
+  /// on at most this many nodes and then all nodes are hard-assigned.
+  static constexpr size_t kFitSampleCap = 2000;
+  /// Hierarchical refinement: components whose 2-way split improves BIC are
+  /// split recursively up to this depth. Under noise the inflated
+  /// within-type variance triggers more splits, reproducing both the
+  /// accuracy collapse and the runtime growth the paper reports.
+  static constexpr size_t kSplitDepth = 2;
+
   explicit GmmSchema(GmmSchemaOptions options) : options_(options) {}
 
   util::StatusOr<GmmSchemaResult> Discover(const pg::PropertyGraph& graph) const;

@@ -28,7 +28,6 @@ double JaccardSets(const std::set<pg::PropKeyId>& a,
 // types with high structural similarity.
 template <typename ElementVec, typename LabelFreq>
 void ClusterElements(const ElementVec& elements, const LabelFreq& label_freq,
-                     const SchemiOptions& options,
                      std::vector<uint32_t>* assignment,
                      size_t* num_clusters) {
   const size_t n = elements.size();
@@ -109,7 +108,7 @@ void ClusterElements(const ElementVec& elements, const LabelFreq& label_freq,
   // reason SchemI's runtime trails in Fig. 5 (pattern counts P grow with
   // noise, compounding the cost).
   util::UnionFind uf(type_keys.size());
-  for (size_t round = 0; round < options.refinement_rounds; ++round) {
+  for (size_t round = 0; round < SchemI::kRefinementRounds; ++round) {
     for (size_t i = 0; i < n; ++i) {
       std::set<pg::PropKeyId> keys;
       for (const auto& [key, value] : elements[i].properties.entries()) {
@@ -128,7 +127,7 @@ void ClusterElements(const ElementVec& elements, const LabelFreq& label_freq,
           best_type = uf.Find(pattern_type[p]);
         }
       }
-      if (best_type != t && best >= options.merge_threshold) {
+      if (best_type != t && best >= SchemI::kMergeThreshold) {
         initial[i] = best_type;
       }
     }
@@ -139,7 +138,7 @@ void ClusterElements(const ElementVec& elements, const LabelFreq& label_freq,
         uint32_t rb = uf.Find(static_cast<uint32_t>(b));
         if (ra == rb) continue;
         if (JaccardSets(type_keys[ra], type_keys[rb]) >=
-            options.merge_threshold) {
+            SchemI::kMergeThreshold) {
           uf.Union(ra, rb);
           uint32_t root = uf.Find(ra);
           uint32_t other = root == ra ? rb : ra;
@@ -158,7 +157,7 @@ void ClusterElements(const ElementVec& elements, const LabelFreq& label_freq,
 }  // namespace
 
 util::StatusOr<SchemiResult> SchemI::Discover(
-    const pg::PropertyGraph& graph) const {
+    const pg::PropertyGraph& graph) {
   if (graph.num_nodes() == 0) {
     return util::Status::FailedPrecondition("empty graph");
   }
@@ -186,11 +185,11 @@ util::StatusOr<SchemiResult> SchemI::Discover(
   }
 
   SchemiResult result;
-  ClusterElements(graph.nodes(), node_label_freq, options_,
-                  &result.node_assignment, &result.num_node_clusters);
+  ClusterElements(graph.nodes(), node_label_freq, &result.node_assignment,
+                  &result.num_node_clusters);
   if (graph.num_edges() > 0) {
-    ClusterElements(graph.edges(), edge_label_freq, options_,
-                    &result.edge_assignment, &result.num_edge_clusters);
+    ClusterElements(graph.edges(), edge_label_freq, &result.edge_assignment,
+                    &result.num_edge_clusters);
   }
   return result;
 }

@@ -9,21 +9,6 @@
 
 namespace pghive::baselines {
 
-/// SchemI baseline options.
-struct SchemiOptions {
-  /// Types whose property sets have Jaccard >= this are merged in the
-  /// refinement step ("groups similar node types based on shared labels").
-  /// The loose threshold is the baseline's documented inaccuracy source: it
-  /// over-merges structurally similar but semantically distinct types, and
-  /// under property noise the shrunken key sets trigger further spurious
-  /// merges.
-  double merge_threshold = 0.5;
-  /// Refinement rounds: each round re-scans every instance against every
-  /// current type (the naive per-instance comparisons that make SchemI
-  /// ~2x slower than PG-HIVE's single LSH pass; Fig. 5).
-  size_t refinement_rounds = 3;
-};
-
 /// Result of a SchemI run: node and edge clusterings.
 struct SchemiResult {
   std::vector<uint32_t> node_assignment;  ///< node id -> cluster.
@@ -46,12 +31,19 @@ struct SchemiResult {
 ///   - the structure-based merge step over-merges under noise.
 class SchemI {
  public:
-  explicit SchemI(SchemiOptions options) : options_(options) {}
+  /// Types whose property sets have Jaccard >= this are merged in the
+  /// refinement step ("groups similar node types based on shared labels").
+  /// The loose threshold is the baseline's documented inaccuracy source: it
+  /// over-merges structurally similar but semantically distinct types, and
+  /// under property noise the shrunken key sets trigger further spurious
+  /// merges.
+  static constexpr double kMergeThreshold = 0.5;
+  /// Refinement rounds: each round re-scans every instance against every
+  /// current type (the naive per-instance comparisons that make SchemI
+  /// ~2x slower than PG-HIVE's single LSH pass; Fig. 5).
+  static constexpr size_t kRefinementRounds = 3;
 
-  util::StatusOr<SchemiResult> Discover(const pg::PropertyGraph& graph) const;
-
- private:
-  SchemiOptions options_;
+  static util::StatusOr<SchemiResult> Discover(const pg::PropertyGraph& graph);
 };
 
 }  // namespace pghive::baselines

@@ -59,12 +59,12 @@ AdaptiveChoice Choose(const FeatureMatrix& patterns,
   const size_t num_rows = row_patterns.size();
   // "randomly sample 1% of the graph, or at least 10k nodes (whichever is
   // larger)" — capped at the population size.
-  size_t want = std::max(num_rows / 100, options.min_sample);
-  choice.mu = EstimateDistanceScale(patterns, row_patterns,
-                                    options.sample_pairs, want, options.seed);
+  size_t want = std::max(num_rows / 100, kMinSample);
+  choice.mu = EstimateDistanceScale(patterns, row_patterns, kSamplePairs, want,
+                                    options.seed);
   choice.alpha = AlphaForLabelCount(num_labels);
-  if (edges) choice.alpha *= options.edge_alpha_scale;
-  double b_base = options.base_factor * choice.mu;
+  if (edges) choice.alpha *= kEdgeAlphaScale;
+  double b_base = kBaseFactor * choice.mu;
   choice.bucket_length = std::max(1e-6, b_base * choice.alpha);
 
   double n = static_cast<double>(std::max<size_t>(num_rows, 2));
@@ -76,7 +76,7 @@ AdaptiveChoice Choose(const FeatureMatrix& patterns,
     t_raw = b_base * std::max(5.0, choice.alpha * std::min(25.0, log_n));
   }
   size_t t = static_cast<size_t>(std::lround(t_raw));
-  t = std::clamp(t, options.min_tables, options.max_tables);
+  t = std::clamp(t, kMinTables, kMaxTables);
   choice.num_tables = t;
   return choice;
 }

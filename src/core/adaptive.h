@@ -17,21 +17,23 @@ struct AdaptiveChoice {
   size_t num_tables = 16;     ///< T from the size/label heuristic, clamped.
 };
 
-/// Knobs of the adaptive strategy (the paper's constants as defaults).
+/// The adaptive strategy's fixed constants (§4.2).
+constexpr double kBaseFactor = 1.2;    ///< b_base = kBaseFactor * mu.
+constexpr size_t kSamplePairs = 2000;  ///< Pairs used to estimate mu.
+constexpr size_t kMinSample = 10000;   ///< "1% of the graph or at least 10k".
+constexpr size_t kMinTables = 15;  ///< Clamp floor for T (paper: T in [15,35]).
+constexpr size_t kMaxTables = 40;  ///< Clamp ceiling for T.
+/// Edges benefit from slightly smaller alpha (§4.2, "practical ranges"):
+/// their 3d-embedding block makes inter-type distances smaller relative
+/// to mu, so buckets must be narrower to keep types separated.
+constexpr double kEdgeAlphaScale = 0.5;
+
+/// What a caller chooses of the adaptive strategy: the sampling seed.
 struct AdaptiveOptions {
-  double base_factor = 1.2;      ///< b_base = base_factor * mu.
-  size_t sample_pairs = 2000;    ///< Pairs used to estimate mu.
-  size_t min_sample = 10000;     ///< "1% of the graph or at least 10k".
-  size_t min_tables = 15;        ///< Clamp floor for T (paper: T in [15,35]).
-  size_t max_tables = 40;        ///< Clamp ceiling for T.
-  /// Edges benefit from slightly smaller alpha (§4.2, "practical ranges"):
-  /// their 3d-embedding block makes inter-type distances smaller relative
-  /// to mu, so buckets must be narrower to keep types separated.
-  double edge_alpha_scale = 0.5;
   uint64_t seed = 7;
 };
 
-/// Chooses (b, T) for node clustering: samples max(1% of N, min_sample)
+/// Chooses (b, T) for node clustering: samples max(1% of N, kMinSample)
 /// elements (capped at N), estimates the distance scale mu over random
 /// pairs, sets b = 1.2*mu adjusted by the label-count factor
 ///   alpha = 0.8 (L<=3), 1.0 (4<=L<=10), 1.5 (L>10),

@@ -23,6 +23,46 @@ std::string SanitizeIdentifier(const std::string& name) {
   return out;
 }
 
+// Spells `names` uniquely in a namespace that already holds `taken`: a name
+// keeps its spelling unless a name in `taken` or an earlier one in `names`
+// has it, and then takes the first suffix "_2", "_3", ... that no name in
+// the namespace spells.
+std::vector<std::string> UniqueNames(std::vector<std::string> names,
+                                     std::set<std::string> taken) {
+  std::set<std::string> spelled = taken;
+  spelled.insert(names.begin(), names.end());
+  for (std::string& name : names) {
+    if (taken.insert(name).second) continue;
+    const std::string base = name;
+    size_t k = 1;
+    do {
+      name = base + '_' + std::to_string(++k);
+    } while (!spelled.insert(name).second);
+    taken.insert(name);
+  }
+  return names;
+}
+
+// The names a file declares for its node types, then its edge types: each
+// type's sanitized name plus its kind's suffix, unique in the file.
+std::vector<std::string> TypeNames(const SchemaGraph& schema,
+                                   const pg::Vocabulary& vocab,
+                                   const char* node_suffix,
+                                   const char* edge_suffix) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < schema.node_types().size(); ++i) {
+    names.push_back(
+        SanitizeIdentifier(schema.node_types()[i].Name(vocab, i)) +
+        node_suffix);
+  }
+  for (size_t i = 0; i < schema.edge_types().size(); ++i) {
+    names.push_back(
+        SanitizeIdentifier(schema.edge_types()[i].Name(vocab, i)) +
+        edge_suffix);
+  }
+  return UniqueNames(std::move(names), {});
+}
+
 std::string LabelSpec(const pg::Vocabulary& vocab,
                       const std::vector<pg::LabelId>& labels) {
   std::string out;
@@ -59,12 +99,12 @@ std::string PropertyBlock(const pg::Vocabulary& vocab, const SchemaType& type,
   return out;
 }
 
-// What a node and an edge declaration share: "[ABSTRACT ]<Name><suffix>
+// What a node and an edge declaration share: "[ABSTRACT ]<name>
 // [ : Labels] {props}", the part inside "( )" or "-[ ]->".
 std::string TypeSpec(const pg::Vocabulary& vocab, const SchemaType& type,
-                     size_t index, const char* suffix, SchemaMode mode) {
+                     const std::string& name, SchemaMode mode) {
   std::string out = type.is_abstract() ? "ABSTRACT " : "";
-  out += SanitizeIdentifier(type.Name(vocab, index)) + suffix;
+  out += name;
   if (!type.labels.empty()) out += " : " + LabelSpec(vocab, type.labels);
   return out + PropertyBlock(vocab, type, mode);
 }
@@ -76,12 +116,15 @@ std::string SerializePgSchema(const SchemaGraph& schema,
   std::ostringstream out;
   out << "CREATE GRAPH TYPE PgHiveSchema "
       << (mode == SchemaMode::kStrict ? "STRICT" : "LOOSE") << " {\n";
+  const std::vector<std::string> names =
+      TypeNames(schema, vocab, "Type", "EdgeType");
+  const size_t num_nodes = schema.node_types().size();
   bool first = true;
-  for (size_t i = 0; i < schema.node_types().size(); ++i) {
-    const NodeType& t = schema.node_types()[i];
+  for (size_t i = 0; i < num_nodes; ++i) {
     if (!first) out << ",\n";
     first = false;
-    out << "  (" << TypeSpec(vocab, t, i, "Type", mode) << ")";
+    out << "  (" << TypeSpec(vocab, schema.node_types()[i], names[i], mode)
+        << ")";
   }
   for (size_t i = 0; i < schema.edge_types().size(); ++i) {
     const EdgeType& t = schema.edge_types()[i];
@@ -105,7 +148,7 @@ std::string SerializePgSchema(const SchemaGraph& schema,
       return spec;
     };
     out << "  (:" << token_list(true) << ")-["
-        << TypeSpec(vocab, t, i, "EdgeType", mode) << "]->(:"
+        << TypeSpec(vocab, t, names[num_nodes + i], mode) << "]->(:"
         << token_list(false) << ")";
     if (mode == SchemaMode::kStrict &&
         t.cardinality.kind != CardinalityKind::kUnknown) {
@@ -140,13 +183,21 @@ std::string SerializeXsd(const SchemaGraph& schema,
   std::ostringstream out;
   out << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
       << "<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n";
-  // Opens a type's element and declares its properties as attributes.
-  auto open_element = [&](const SchemaType& t, size_t i, const char* suffix) {
-    out << "  <xs:element name=\"" << SanitizeIdentifier(t.Name(vocab, i))
-        << suffix << "\">\n    <xs:complexType>\n";
+  const std::vector<std::string> names = TypeNames(schema, vocab, "", "_edge");
+  const size_t num_nodes = schema.node_types().size();
+  // Opens a type's element and declares its properties as attributes, named
+  // apart from each other and from the element's `reserved` attributes.
+  auto open_element = [&](const SchemaType& t, const std::string& name,
+                          std::set<std::string> reserved) {
+    out << "  <xs:element name=\"" << name << "\">\n    <xs:complexType>\n";
+    std::vector<std::string> keys;
     for (const auto& [key, info] : t.properties) {
-      out << "      <xs:attribute name=\""
-          << SanitizeIdentifier(vocab.KeyName(key)) << "\" type=\""
+      keys.push_back(SanitizeIdentifier(vocab.KeyName(key)));
+    }
+    keys = UniqueNames(std::move(keys), std::move(reserved));
+    size_t k = 0;
+    for (const auto& [key, info] : t.properties) {
+      out << "      <xs:attribute name=\"" << keys[k++] << "\" type=\""
           << XsdTypeName(info.data_type) << "\" use=\""
           << (info.requiredness == Requiredness::kMandatory ? "required"
                                                             : "optional")
@@ -155,13 +206,14 @@ std::string SerializeXsd(const SchemaGraph& schema,
   };
   constexpr const char* kCloseElement =
       "    </xs:complexType>\n  </xs:element>\n";
-  for (size_t i = 0; i < schema.node_types().size(); ++i) {
-    open_element(schema.node_types()[i], i, "");
+  for (size_t i = 0; i < num_nodes; ++i) {
+    open_element(schema.node_types()[i], names[i], {});
     out << kCloseElement;
   }
   for (size_t i = 0; i < schema.edge_types().size(); ++i) {
     const EdgeType& t = schema.edge_types()[i];
-    open_element(t, i, "_edge");
+    // The structural endpoint references keep their names.
+    open_element(t, names[num_nodes + i], {"source", "target"});
     out << "      <xs:attribute name=\"source\" type=\"xs:IDREF\" "
            "use=\"required\"/>\n"
         << "      <xs:attribute name=\"target\" type=\"xs:IDREF\" "

@@ -2,6 +2,7 @@
 #define PGHIVE_EMBED_EMBEDDER_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "pg/vocabulary.h"
@@ -28,6 +29,17 @@ class LabelEmbedder {
     Embed(token, v.data());
     return v;
   }
+
+ protected:
+  /// An RNG seed derived from `seed` and every byte of a token's name.
+  /// Hashing the name, not the id, keeps a token's draws stable across
+  /// vocabularies that interned their tokens in different orders.
+  static uint64_t TokenSeed(std::string_view name, uint64_t seed);
+
+  /// Writes `dim` standard Gaussian draws seeded by TokenSeed(name, seed)
+  /// to out[0..dim) and returns their squared L2 norm.
+  static double TokenGaussian(std::string_view name, uint64_t seed,
+                              size_t dim, float* out);
 };
 
 /// Cosine similarity between two equal-length vectors (0 if either is zero).

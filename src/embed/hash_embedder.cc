@@ -19,6 +19,25 @@ float CosineSimilarity(const std::vector<float>& a,
   return static_cast<float>(dot / (std::sqrt(na) * std::sqrt(nb)));
 }
 
+uint64_t LabelEmbedder::TokenSeed(std::string_view name, uint64_t seed) {
+  uint64_t h = seed;
+  for (char c : name) {
+    h = util::HashCombine(h, static_cast<uint64_t>(static_cast<uint8_t>(c)));
+  }
+  return h;
+}
+
+double LabelEmbedder::TokenGaussian(std::string_view name, uint64_t seed,
+                                    size_t dim, float* out) {
+  util::Rng rng(TokenSeed(name, seed));
+  double norm2 = 0.0;
+  for (size_t i = 0; i < dim; ++i) {
+    out[i] = static_cast<float>(rng.NextGaussian());
+    norm2 += static_cast<double>(out[i]) * out[i];
+  }
+  return norm2;
+}
+
 HashEmbedder::HashEmbedder(const pg::Vocabulary* vocab, size_t dim,
                            uint64_t seed)
     : vocab_(vocab), dim_(dim), seed_(seed) {}
@@ -28,19 +47,8 @@ void HashEmbedder::Embed(pg::LabelSetToken token, float* out) const {
     for (size_t i = 0; i < dim_; ++i) out[i] = 0.0f;
     return;
   }
-  // Hash the token *name* (not the id) so embeddings are stable across
-  // vocabularies that interned tokens in different orders.
-  const std::string& name = vocab_->TokenName(token);
-  uint64_t h = seed_;
-  for (char c : name) {
-    h = util::HashCombine(h, static_cast<uint64_t>(static_cast<uint8_t>(c)));
-  }
-  util::Rng rng(h);
-  double norm2 = 0.0;
-  for (size_t i = 0; i < dim_; ++i) {
-    out[i] = static_cast<float>(rng.NextGaussian());
-    norm2 += static_cast<double>(out[i]) * out[i];
-  }
+  const double norm2 =
+      TokenGaussian(vocab_->TokenName(token), seed_, dim_, out);
   // Normalize to a unit vector so the embedding block has a consistent
   // scale relative to the binary property block.
   double inv = norm2 > 0 ? 1.0 / std::sqrt(norm2) : 0.0;

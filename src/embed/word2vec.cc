@@ -28,23 +28,22 @@ struct TrainPair {
 };
 
 /// Walks the corpus in sentence order and collects every in-window pair,
-/// stopping exactly at max_pairs_per_epoch. Every epoch trains on this same
+/// stopping exactly at kMaxPairsPerEpoch. Every epoch trains on this same
 /// list (only the negative-sample streams differ by epoch).
-std::vector<TrainPair> EnumeratePairs(const LabelCorpus& corpus,
-                                      const Word2VecOptions& options) {
+std::vector<TrainPair> EnumeratePairs(const LabelCorpus& corpus) {
   std::vector<TrainPair> pairs;
   for (size_t s = 0; s < corpus.num_sentences(); ++s) {
     const std::span<const pg::LabelSetToken> sentence = corpus.sentence(s);
     for (size_t i = 0; i < sentence.size(); ++i) {
       pg::LabelSetToken center = sentence[i];
       if (center == pg::kNoToken) continue;
-      size_t lo = i >= options.window ? i - options.window : 0;
-      size_t hi = std::min(sentence.size(), i + options.window + 1);
+      size_t lo = i >= Word2Vec::kWindow ? i - Word2Vec::kWindow : 0;
+      size_t hi = std::min(sentence.size(), i + Word2Vec::kWindow + 1);
       for (size_t j = lo; j < hi; ++j) {
         if (j == i) continue;
         pg::LabelSetToken context = sentence[j];
         if (context == pg::kNoToken) continue;
-        if (pairs.size() >= options.max_pairs_per_epoch) return pairs;
+        if (pairs.size() >= Word2Vec::kMaxPairsPerEpoch) return pairs;
         pairs.push_back({center, context});
       }
     }
@@ -66,12 +65,6 @@ struct BatchGrad {
   size_t num_pairs = 0;
 };
 
-/// Batches whose gradients are computed concurrently against one snapshot
-/// before any update lands. Fixed (never derived from the pool size) so the
-/// gradient staleness — and therefore the trained model — is identical at
-/// every thread count.
-constexpr size_t kBatchesPerWave = 16;
-
 }  // namespace
 
 Word2Vec::Word2Vec(const pg::Vocabulary* vocab, Word2VecOptions options)
@@ -88,12 +81,8 @@ void Word2Vec::EnsureCapacity(size_t vocab_size) {
   // New rows: small random init derived from the token name so the starting
   // point is deterministic and stable across runs.
   for (size_t row = old_rows; row < vocab_size; ++row) {
-    const std::string& name = vocab_->TokenName(static_cast<uint32_t>(row));
-    uint64_t h = options_.seed;
-    for (char c : name) {
-      h = util::HashCombine(h, static_cast<uint64_t>(static_cast<uint8_t>(c)));
-    }
-    util::Rng rng(h);
+    util::Rng rng(TokenSeed(vocab_->TokenName(static_cast<uint32_t>(row)),
+                            options_.seed));
     for (size_t d = 0; d < options_.dim; ++d) {
       input_[row * options_.dim + d] =
           static_cast<float>((rng.NextDouble() - 0.5) / options_.dim);
@@ -109,21 +98,20 @@ void Word2Vec::Train(const LabelCorpus& corpus, util::ThreadPool* pool) {
   // Negative sampling is uniform over tokens (a unigram table buys nothing
   // for label vocabularies, which are tiny compared to text vocabularies).
   const size_t vocab_size = corpus.vocab_size;
-  const size_t batch_size = std::max<size_t>(1, options_.batch_size);
 
-  const std::vector<TrainPair> pairs = EnumeratePairs(corpus, options_);
+  const std::vector<TrainPair> pairs = EnumeratePairs(corpus);
   if (pairs.empty()) return;
-  const size_t num_batches = (pairs.size() + batch_size - 1) / batch_size;
+  const size_t num_batches = (pairs.size() + kBatchSize - 1) / kBatchSize;
 
   std::vector<BatchGrad> wave(std::min(kBatchesPerWave, num_batches));
   for (BatchGrad& grad : wave) {
-    grad.center_snap.resize(batch_size * dim);
-    grad.center_delta.resize(batch_size * dim);
-    grad.counts.resize(batch_size);
-    grad.outputs.reserve(batch_size * (options_.negatives + 1));
+    grad.center_snap.resize(kBatchSize * dim);
+    grad.center_delta.resize(kBatchSize * dim);
+    grad.counts.resize(kBatchSize);
+    grad.outputs.reserve(kBatchSize * (kNegatives + 1));
   }
 
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
+  for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
     for (size_t wave_begin = 0; wave_begin < num_batches;
          wave_begin += kBatchesPerWave) {
       const size_t wave_end =
@@ -136,9 +124,9 @@ void Word2Vec::Train(const LabelCorpus& corpus, util::ThreadPool* pool) {
           pool, wave_begin, wave_end, 1, [&](size_t b_lo, size_t b_hi) {
             for (size_t b = b_lo; b < b_hi; ++b) {
               BatchGrad& grad = wave[b - wave_begin];
-              const size_t pair_begin = b * batch_size;
+              const size_t pair_begin = b * kBatchSize;
               const size_t pair_end =
-                  std::min(pairs.size(), pair_begin + batch_size);
+                  std::min(pairs.size(), pair_begin + kBatchSize);
               grad.num_pairs = pair_end - pair_begin;
               grad.outputs.clear();
               std::fill_n(grad.center_delta.begin(), grad.num_pairs * dim,
@@ -153,8 +141,8 @@ void Word2Vec::Train(const LabelCorpus& corpus, util::ThreadPool* pool) {
                 std::copy(v_in, v_in + dim, snap);
                 float* delta = &grad.center_delta[p * dim];
                 uint32_t count = 0;
-                // One positive plus `negatives` negative samples.
-                for (size_t n = 0; n <= options_.negatives; ++n) {
+                // One positive plus kNegatives negative samples.
+                for (size_t n = 0; n <= kNegatives; ++n) {
                   uint32_t target;
                   float label;
                   if (n == 0) {
@@ -169,7 +157,7 @@ void Word2Vec::Train(const LabelCorpus& corpus, util::ThreadPool* pool) {
                   const float* v_out = &output_[target * dim];
                   float dot = 0.0f;
                   for (size_t d = 0; d < dim; ++d) dot += snap[d] * v_out[d];
-                  float g = (label - Sigmoid(dot)) * options_.learning_rate;
+                  float g = (label - Sigmoid(dot)) * kLearningRate;
                   for (size_t d = 0; d < dim; ++d) delta[d] += g * v_out[d];
                   grad.outputs.emplace_back(target, g);
                   ++count;
@@ -191,7 +179,7 @@ void Word2Vec::Train(const LabelCorpus& corpus, util::ThreadPool* pool) {
             float* v_out = &output_[target * dim];
             for (size_t d = 0; d < dim; ++d) v_out[d] += g * snap[d];
           }
-          float* v_in = &input_[pairs[b * batch_size + p].center * dim];
+          float* v_in = &input_[pairs[b * kBatchSize + p].center * dim];
           const float* delta = &grad.center_delta[p * dim];
           for (size_t d = 0; d < dim; ++d) v_in[d] += delta[d];
         }
@@ -214,30 +202,20 @@ void Word2Vec::Embed(pg::LabelSetToken token, float* out) const {
   for (size_t d = 0; d < dim; ++d) {
     out[d] = static_cast<float>(row[d] * inv);
   }
-  if (options_.identity_weight > 0.0f) {
-    // Deterministic unit vector derived from the token name.
-    const std::string& name = vocab_->TokenName(token);
-    uint64_t h = options_.seed ^ 0x1DE47171;
-    for (char c : name) {
-      h = util::HashCombine(h, static_cast<uint64_t>(static_cast<uint8_t>(c)));
-    }
-    util::Rng rng(h);
-    std::vector<float> id(dim);
-    double id_norm2 = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      id[d] = static_cast<float>(rng.NextGaussian());
-      id_norm2 += static_cast<double>(id[d]) * id[d];
-    }
-    double id_inv = id_norm2 > 1e-12 ? 1.0 / std::sqrt(id_norm2) : 0.0;
-    double out_norm2 = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      out[d] += static_cast<float>(options_.identity_weight * id[d] * id_inv);
-      out_norm2 += static_cast<double>(out[d]) * out[d];
-    }
-    double out_inv = out_norm2 > 1e-12 ? 1.0 / std::sqrt(out_norm2) : 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      out[d] = static_cast<float>(out[d] * out_inv);
-    }
+  // Blend in the deterministic unit vector derived from the token name.
+  std::vector<float> id(dim);
+  const double id_norm2 = TokenGaussian(vocab_->TokenName(token),
+                                        options_.seed ^ 0x1DE47171, dim,
+                                        id.data());
+  double id_inv = id_norm2 > 1e-12 ? 1.0 / std::sqrt(id_norm2) : 0.0;
+  double out_norm2 = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    out[d] += static_cast<float>(kIdentityWeight * id[d] * id_inv);
+    out_norm2 += static_cast<double>(out[d]) * out[d];
+  }
+  double out_inv = out_norm2 > 1e-12 ? 1.0 / std::sqrt(out_norm2) : 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    out[d] = static_cast<float>(out[d] * out_inv);
   }
 }
 

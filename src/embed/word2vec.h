@@ -15,30 +15,11 @@ class ThreadPool;
 
 namespace pghive::embed {
 
-/// Training options for the skip-gram negative-sampling model.
+/// What a caller chooses of the skip-gram negative-sampling model; the rest
+/// of its hyperparameters are the constants of Word2Vec.
 struct Word2VecOptions {
   size_t dim = 8;           ///< Embedding dimension d (paper uses small d).
-  size_t window = 2;        ///< Context window in tokens.
-  size_t negatives = 4;     ///< Negative samples per positive pair.
-  size_t epochs = 3;        ///< Passes over the corpus.
-  float learning_rate = 0.05f;
-  /// Weight of a deterministic per-token component blended into the trained
-  /// vector. High-dimensional Word2Vec keeps distinct words distinguishable
-  /// even when their contexts coincide; at our small `dim`, SGNS would
-  /// collapse same-context tokens onto one point, so a token-identity
-  /// component restores that property (0 disables).
-  float identity_weight = 0.5f;
   uint64_t seed = 0x9e3779b9ULL;
-  /// Caps training pairs per epoch to bound cost on large graphs; the label
-  /// corpus is highly redundant so subsampling loses nothing. The cap is
-  /// exact: pair enumeration stops at this many (center, context) pairs.
-  size_t max_pairs_per_epoch = 200000;
-  /// Pairs per minibatch. The minibatch is the unit of deterministic
-  /// parallelism: every pair in a batch reads the weights as of the start of
-  /// the batch's wave, and the per-batch negative-sample RNG stream is
-  /// seeded only by (epoch, batch index), so batch contents never depend on
-  /// the thread count. 0 is treated as 1.
-  size_t batch_size = 256;
 };
 
 /// A miniature Word2Vec (skip-gram with negative sampling) over label-set
@@ -48,6 +29,33 @@ struct Word2VecOptions {
 /// so the embedding block of the feature vector has unit scale.
 class Word2Vec : public LabelEmbedder {
  public:
+  /// The model's fixed hyperparameters (§4.1 trains a small-d skip-gram).
+  static constexpr size_t kWindow = 2;     ///< Context window in tokens.
+  static constexpr size_t kNegatives = 4;  ///< Negative samples per pair.
+  static constexpr size_t kEpochs = 3;     ///< Passes per Train call.
+  static constexpr float kLearningRate = 0.05f;
+  /// Weight of a deterministic per-token component blended into the trained
+  /// vector. High-dimensional Word2Vec keeps distinct words distinguishable
+  /// even when their contexts coincide; at our small `dim`, SGNS would
+  /// collapse same-context tokens onto one point, so a token-identity
+  /// component restores that property.
+  static constexpr float kIdentityWeight = 0.5f;
+  /// Caps training pairs per epoch to bound cost on large graphs; the label
+  /// corpus is highly redundant so subsampling loses nothing. The cap is
+  /// exact: pair enumeration stops at this many (center, context) pairs.
+  static constexpr size_t kMaxPairsPerEpoch = 200000;
+  /// Pairs per minibatch. The minibatch is the unit of deterministic
+  /// parallelism: every pair in a batch reads the weights as of the start of
+  /// the batch's wave, and the per-batch negative-sample RNG stream is
+  /// seeded only by (epoch, batch index), so batch contents never depend on
+  /// the thread count.
+  static constexpr size_t kBatchSize = 256;
+  /// Batches whose gradients are computed concurrently against one snapshot
+  /// before any update lands. Fixed (never derived from the pool size) so
+  /// the gradient staleness — and therefore the trained model — is
+  /// identical at every thread count.
+  static constexpr size_t kBatchesPerWave = 16;
+
   Word2Vec(const pg::Vocabulary* vocab, Word2VecOptions options);
 
   /// Trains (or continues training) on the corpus. Tokens added to the

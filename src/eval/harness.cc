@@ -113,10 +113,8 @@ RunResult RunSchemi(pg::PropertyGraph* graph,
                     const datasets::Dataset& dataset,
                     const RunConfig& /*config*/) {
   RunResult result;
-  baselines::SchemiOptions options;
-  baselines::SchemI schemi(options);
   util::Timer timer;
-  auto run = schemi.Discover(*graph);
+  auto run = baselines::SchemI::Discover(*graph);
   result.discovery_ms = timer.ElapsedMillis();
   result.total_ms = result.discovery_ms;
   if (!run.ok()) {

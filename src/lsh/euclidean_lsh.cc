@@ -34,40 +34,29 @@ void EuclideanLsh::Hash(const float* x, uint64_t* out) const {
   }
 }
 
-std::vector<uint64_t> EuclideanLsh::HashAll(const float* data, size_t num,
+std::vector<uint64_t> EuclideanLsh::HashAll(const std::vector<float>& data,
+                                            size_t num,
                                             util::ThreadPool* pool) const {
+  PGHIVE_CHECK(data.size() == num * dim_);
   std::vector<uint64_t> sigs(num * params_.num_tables);
   // Grain sized so one chunk is ~100k multiply-adds regardless of T*dim.
   const size_t grain =
       std::max<size_t>(16, 100000 / std::max<size_t>(1, params_.num_tables * dim_));
   util::ParallelFor(pool, 0, num, grain, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      Hash(&data[i * dim_], &sigs[i * params_.num_tables]);
+      Hash(data.data() + i * dim_, &sigs[i * params_.num_tables]);
     }
   });
   return sigs;
 }
 
-std::vector<uint64_t> EuclideanLsh::HashAll(const std::vector<float>& data,
-                                            size_t num,
-                                            util::ThreadPool* pool) const {
-  PGHIVE_CHECK(data.size() == num * dim_);
-  return HashAll(data.data(), num, pool);
-}
-
-ClusterSet EuclideanLsh::Cluster(const float* data, size_t num,
+ClusterSet EuclideanLsh::Cluster(const std::vector<float>& data, size_t num,
                                  util::ThreadPool* pool) const {
   auto sigs = HashAll(data, num, pool);
   if (params_.amplification == Amplification::kAnd) {
     return ClusterBySignature(sigs, num, params_.num_tables, pool);
   }
   return ClusterByAnyCollision(sigs, num, params_.num_tables, pool);
-}
-
-ClusterSet EuclideanLsh::Cluster(const std::vector<float>& data, size_t num,
-                                 util::ThreadPool* pool) const {
-  PGHIVE_CHECK(data.size() == num * dim_);
-  return Cluster(data.data(), num, pool);
 }
 
 double EuclideanLsh::CollisionProbability(double distance,

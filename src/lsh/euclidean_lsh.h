@@ -34,16 +34,12 @@ class EuclideanLsh {
   /// Hashes `num` row-major vectors; returns num x T signatures. With a
   /// pool, rows are hashed in parallel (each row writes its own T-slot
   /// stripe, so the result is identical at every pool size).
-  std::vector<uint64_t> HashAll(const float* data, size_t num,
-                                util::ThreadPool* pool = nullptr) const;
   std::vector<uint64_t> HashAll(const std::vector<float>& data, size_t num,
                                 util::ThreadPool* pool = nullptr) const;
 
   /// Full clustering pass over row-major vectors: parallel hashing followed
   /// by the grouping step (radix group-by for kAnd, ClusterByAnyCollision's
   /// serial union for kOr). Output is byte-identical at every pool size.
-  ClusterSet Cluster(const float* data, size_t num,
-                     util::ThreadPool* pool = nullptr) const;
   ClusterSet Cluster(const std::vector<float>& data, size_t num,
                      util::ThreadPool* pool = nullptr) const;
 

@@ -37,25 +37,6 @@ void MinHashLsh::Signature(const uint64_t* elements, size_t count,
   }
 }
 
-void MinHashLsh::Signature(const std::vector<uint64_t>& elements,
-                           uint64_t* out) const {
-  Signature(elements.data(), elements.size(), out);
-}
-
-std::vector<uint64_t> MinHashLsh::SignatureAll(
-    const std::vector<std::vector<uint64_t>>& sets,
-    util::ThreadPool* pool) const {
-  const size_t t = params_.num_hashes;
-  std::vector<uint64_t> sigs(sets.size() * t);
-  const size_t grain = std::max<size_t>(16, 4096 / std::max<size_t>(1, t));
-  util::ParallelFor(pool, 0, sets.size(), grain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      Signature(sets[i], &sigs[i * t]);
-    }
-  });
-  return sigs;
-}
-
 std::vector<uint64_t> MinHashLsh::SignatureAll(const SetSpans& sets,
                                                util::ThreadPool* pool) const {
   const size_t t = params_.num_hashes;
@@ -68,11 +49,6 @@ std::vector<uint64_t> MinHashLsh::SignatureAll(const SetSpans& sets,
     }
   });
   return sigs;
-}
-
-ClusterSet MinHashLsh::Cluster(const std::vector<std::vector<uint64_t>>& sets,
-                               util::ThreadPool* pool) const {
-  return ClusterFromSignatures(SignatureAll(sets, pool), sets.size(), pool);
 }
 
 ClusterSet MinHashLsh::Cluster(const SetSpans& sets,

@@ -22,8 +22,7 @@ struct MinHashParams {
 
 /// A CSR view over many integer element sets: set i's elements are
 /// elements[offsets[i] .. offsets[i+1]) and offsets has num_sets + 1
-/// entries. The contiguous (columnar) alternative to
-/// vector<vector<uint64_t>>; the view does not own the arrays.
+/// entries (none when num_sets is 0). The view does not own the arrays.
 struct SetSpans {
   const uint64_t* elements = nullptr;
   const uint32_t* offsets = nullptr;
@@ -36,19 +35,11 @@ class MinHashLsh {
  public:
   explicit MinHashLsh(MinHashParams params);
 
-  /// Writes the T-slot signature of `elements` (arbitrary uint64 ids).
-  /// Empty sets receive a sentinel signature unique to empty sets.
-  void Signature(const uint64_t* elements, size_t count, uint64_t* out) const;
-  void Signature(const std::vector<uint64_t>& elements, uint64_t* out) const;
-
-  /// Signatures of many sets, row-major num x T. With a pool, the T-hash
-  /// permutations of each set are computed in parallel across sets (every
-  /// set writes its own signature stripe; identical at every pool size).
-  /// The SetSpans overload walks one flat element array and yields the same
-  /// signatures as the nested-vector form over equal sets.
-  std::vector<uint64_t> SignatureAll(
-      const std::vector<std::vector<uint64_t>>& sets,
-      util::ThreadPool* pool = nullptr) const;
+  /// Signatures of many sets, row-major num x T: set i's T slots are its
+  /// minimum hashes under the T hash functions (element ids are arbitrary
+  /// uint64 values), and an empty set gets a sentinel signature that only
+  /// empty sets share. With a pool, sets are hashed in parallel (every set
+  /// writes its own signature stripe; identical at every pool size).
   std::vector<uint64_t> SignatureAll(const SetSpans& sets,
                                      util::ThreadPool* pool = nullptr) const;
 
@@ -58,8 +49,6 @@ class MinHashLsh {
   /// pool; kAnd groups with the radix group-by, kOr unions the band keys
   /// serially (ClusterByAnyKey). Output is byte-identical at every pool
   /// size.
-  ClusterSet Cluster(const std::vector<std::vector<uint64_t>>& sets,
-                     util::ThreadPool* pool = nullptr) const;
   ClusterSet Cluster(const SetSpans& sets,
                      util::ThreadPool* pool = nullptr) const;
 
@@ -73,15 +62,18 @@ class MinHashLsh {
   /// The banding threshold (1/B)^(1/R) for these parameters.
   double BandingThreshold() const;
 
-  /// Grouping step shared by both Cluster overloads, over precomputed
-  /// num x T signatures (row-major). Public so callers that compute the
-  /// signatures themselves — e.g. perfbench's layer-by-layer replay, which
-  /// times SignatureAll and the grouping apart — reuse the exact grouping
-  /// the fused Cluster path applies.
+  /// Cluster's grouping step, over precomputed num x T signatures
+  /// (row-major). Public so callers that compute the signatures themselves
+  /// — e.g. perfbench's layer-by-layer replay, which times SignatureAll and
+  /// the grouping apart — reuse the exact grouping the fused Cluster path
+  /// applies.
   ClusterSet ClusterFromSignatures(const std::vector<uint64_t>& sigs,
                                    size_t num, util::ThreadPool* pool) const;
 
  private:
+  /// Writes the T-slot signature of one set to out[0..T).
+  void Signature(const uint64_t* elements, size_t count, uint64_t* out) const;
+
   MinHashParams params_;
   std::vector<uint64_t> hash_seeds_;  // One per hash function.
 };

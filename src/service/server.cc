@@ -10,22 +10,10 @@
 
 namespace pghive::service {
 
-namespace {
-
-SessionManager::Options ManagerOptions(const PghivedServer::Options& options) {
-  SessionManager::Options manager_options;
-  manager_options.max_sessions = options.max_sessions;
-  manager_options.checkpoint_dir = options.checkpoint_dir;
-  manager_options.checkpoint_every = options.checkpoint_every;
-  return manager_options;
-}
-
-}  // namespace
-
 PghivedServer::PghivedServer(Options options)
     : options_(std::move(options)),
       pool_(options_.threads),
-      manager_(&pool_, ManagerOptions(options_)),
+      manager_(&pool_, options_.sessions),
       handler_(&manager_) {}
 
 PghivedServer::~PghivedServer() { Stop(); }

@@ -6,7 +6,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 
 #include "service/protocol.h"
@@ -27,13 +26,10 @@ class PghivedServer {
   struct Options {
     uint16_t port = 0;         ///< 0 picks an ephemeral port (see port()).
     size_t threads = 0;        ///< Shared pool size; 0 = hardware threads.
-    size_t max_sessions = 64;
-    /// Daemon-owned durability (--checkpoint-dir): sessions checkpoint here
-    /// on a schedule and on SIGTERM drain, feed segments spill here, and
-    /// Start() restores every snapshot found here. Empty = in-memory only.
-    std::string checkpoint_dir;
-    /// Batches between scheduled checkpoints (--checkpoint-every).
-    uint64_t checkpoint_every = 1;
+    /// The session table (--max-sessions) and daemon-owned durability
+    /// (--checkpoint-dir, --checkpoint-every). Start() restores every
+    /// snapshot found in the checkpoint directory.
+    SessionManager::Options sessions;
   };
 
   explicit PghivedServer(Options options);

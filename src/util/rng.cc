@@ -114,6 +114,4 @@ std::vector<size_t> Rng::Permutation(size_t n) {
   return SampleWithoutReplacement(n, n);
 }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 }  // namespace pghive::util

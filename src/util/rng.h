@@ -38,9 +38,6 @@ class Rng {
   /// Fisher-Yates shuffles the index range [0, n).
   std::vector<size_t> Permutation(size_t n);
 
-  /// Derives an independent child generator (for per-component seeding).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
   bool has_cached_gaussian_ = false;

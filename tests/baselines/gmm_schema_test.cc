@@ -68,26 +68,13 @@ TEST(GmmSchemaTest, AssignsEveryNode) {
 }
 
 TEST(GmmSchemaTest, SamplingCapRespected) {
-  auto dataset = datasets::Generate(datasets::PoleSpec(), 0.3, 14);
-  GmmSchemaOptions options;
-  options.fit_sample_cap = 200;  // Much smaller than the graph.
-  auto result = GmmSchema(options).Discover(dataset.graph);
+  auto dataset = datasets::Generate(datasets::PoleSpec(), 1.0, 14);
+  ASSERT_GT(dataset.graph.num_nodes(), GmmSchema::kFitSampleCap);
+  auto result = GmmSchema(GmmSchemaOptions{}).Discover(dataset.graph);
   ASSERT_TRUE(result.ok());
   // Still assigns everyone despite fitting on a sample.
   EXPECT_EQ(result.value().node_assignment.size(),
             dataset.graph.num_nodes());
-}
-
-TEST(GmmSchemaTest, SplitDepthZeroDisablesHierarchy) {
-  auto dataset = datasets::Generate(datasets::IcijSpec(), 0.1, 15);
-  GmmSchemaOptions no_split;
-  no_split.split_depth = 0;
-  GmmSchemaOptions with_split;
-  with_split.split_depth = 2;
-  auto a = GmmSchema(no_split).Discover(dataset.graph);
-  auto b = GmmSchema(with_split).Discover(dataset.graph);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_LE(a.value().num_clusters, b.value().num_clusters);
 }
 
 }  // namespace

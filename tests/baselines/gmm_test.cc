@@ -26,8 +26,7 @@ std::vector<float> TwoBlobs(size_t per_blob, size_t dim, double separation,
 TEST(GmmTest, RecoversSeparableBlobs) {
   const size_t per_blob = 100, dim = 4;
   auto data = TwoBlobs(per_blob, dim, 10.0, 1);
-  GaussianMixture gmm(GmmOptions{});
-  GmmFit fit = gmm.Fit(data, 2 * per_blob, dim, 2);
+  GmmFit fit = GaussianMixture::Fit(data, 2 * per_blob, dim, 2);
   auto assign = GaussianMixture::Assign(fit, data, 2 * per_blob);
   // All of blob 0 in one component, all of blob 1 in the other.
   for (size_t i = 1; i < per_blob; ++i) {
@@ -41,8 +40,7 @@ TEST(GmmTest, RecoversSeparableBlobs) {
 
 TEST(GmmTest, WeightsApproximateBlobShares) {
   auto data = TwoBlobs(100, 4, 10.0, 2);
-  GaussianMixture gmm(GmmOptions{});
-  GmmFit fit = gmm.Fit(data, 200, 4, 2);
+  GmmFit fit = GaussianMixture::Fit(data, 200, 4, 2);
   EXPECT_NEAR(fit.weights[0], 0.5, 0.05);
   EXPECT_NEAR(fit.weights[1], 0.5, 0.05);
   EXPECT_NEAR(fit.weights[0] + fit.weights[1], 1.0, 1e-6);
@@ -50,9 +48,8 @@ TEST(GmmTest, WeightsApproximateBlobShares) {
 
 TEST(GmmTest, LogLikelihoodImprovesWithBetterModel) {
   auto data = TwoBlobs(100, 4, 10.0, 3);
-  GaussianMixture gmm(GmmOptions{});
-  GmmFit k1 = gmm.Fit(data, 200, 4, 1);
-  GmmFit k2 = gmm.Fit(data, 200, 4, 2);
+  GmmFit k1 = GaussianMixture::Fit(data, 200, 4, 1);
+  GmmFit k2 = GaussianMixture::Fit(data, 200, 4, 2);
   EXPECT_GT(k2.log_likelihood, k1.log_likelihood);
   // And BIC prefers the 2-component model for clearly bimodal data.
   EXPECT_LT(k2.Bic(200), k1.Bic(200));
@@ -64,9 +61,8 @@ TEST(GmmTest, BicPenalizesOverfitting) {
   const size_t n = 200, dim = 4;
   std::vector<float> data(n * dim);
   for (auto& x : data) x = static_cast<float>(rng.NextGaussian());
-  GaussianMixture gmm(GmmOptions{});
-  GmmFit k1 = gmm.Fit(data, n, dim, 1);
-  GmmFit k4 = gmm.Fit(data, n, dim, 4);
+  GmmFit k1 = GaussianMixture::Fit(data, n, dim, 1);
+  GmmFit k4 = GaussianMixture::Fit(data, n, dim, 4);
   // The parameter penalty grows: BIC(k4) - (-2 ll4) > BIC(k1) - (-2 ll1).
   double penalty1 = k1.Bic(n) + 2 * k1.log_likelihood;
   double penalty4 = k4.Bic(n) + 2 * k4.log_likelihood;
@@ -75,27 +71,22 @@ TEST(GmmTest, BicPenalizesOverfitting) {
 
 TEST(GmmTest, KClampedToPopulation) {
   std::vector<float> data = {0.f, 1.f, 2.f};  // 3 points, dim 1.
-  GaussianMixture gmm(GmmOptions{});
-  GmmFit fit = gmm.Fit(data, 3, 1, 10);
+  GmmFit fit = GaussianMixture::Fit(data, 3, 1, 10);
   EXPECT_LE(fit.k, 3u);
 }
 
 TEST(GmmTest, DeterministicInSeed) {
   auto data = TwoBlobs(50, 4, 5.0, 5);
-  GmmOptions options;
-  options.seed = 9;
-  GaussianMixture gmm(options);
-  GmmFit a = gmm.Fit(data, 100, 4, 2);
-  GmmFit b = gmm.Fit(data, 100, 4, 2);
+  GmmFit a = GaussianMixture::Fit(data, 100, 4, 2);
+  GmmFit b = GaussianMixture::Fit(data, 100, 4, 2);
   EXPECT_EQ(a.means, b.means);
   EXPECT_EQ(a.log_likelihood, b.log_likelihood);
 }
 
 TEST(GmmTest, InitMeansAreUsed) {
   auto data = TwoBlobs(50, 2, 8.0, 6);
-  GaussianMixture gmm(GmmOptions{});
   std::vector<double> init = {0.0, 0.0, 8.0, 8.0};
-  GmmFit fit = gmm.FitWithInit(data, 100, 2, 2, init);
+  GmmFit fit = GaussianMixture::FitWithInit(data, 100, 2, 2, init);
   // Means stay near the blob centers.
   double m0 = fit.means[0], m1 = fit.means[2];
   if (m0 > m1) std::swap(m0, m1);
@@ -104,12 +95,9 @@ TEST(GmmTest, InitMeansAreUsed) {
 }
 
 TEST(GmmTest, IterationsBounded) {
-  GmmOptions options;
-  options.max_iterations = 5;
   auto data = TwoBlobs(50, 4, 1.0, 7);  // Overlapping: slow convergence.
-  GaussianMixture gmm(options);
-  GmmFit fit = gmm.Fit(data, 100, 4, 2);
-  EXPECT_LE(fit.iterations, 5u);
+  GmmFit fit = GaussianMixture::Fit(data, 100, 4, 2);
+  EXPECT_LE(fit.iterations, GaussianMixture::kMaxIterations);
 }
 
 }  // namespace

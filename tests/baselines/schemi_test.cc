@@ -12,7 +12,7 @@ namespace {
 TEST(SchemiTest, RejectsUnlabeledNodes) {
   pg::PropertyGraph g;
   g.AddNode({});
-  auto result = SchemI(SchemiOptions{}).Discover(g);
+  auto result = SchemI::Discover(g);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
 }
@@ -22,7 +22,7 @@ TEST(SchemiTest, RejectsUnlabeledEdges) {
   pg::NodeId a = g.AddNode({"A"});
   pg::NodeId b = g.AddNode({"B"});
   g.AddEdge(a, b, {});
-  EXPECT_FALSE(SchemI(SchemiOptions{}).Discover(g).ok());
+  EXPECT_FALSE(SchemI::Discover(g).ok());
 }
 
 TEST(SchemiTest, GroupsBySingleLabel) {
@@ -35,7 +35,7 @@ TEST(SchemiTest, GroupsBySingleLabel) {
     pg::NodeId n = g.AddNode({"B"});
     g.SetNodeProperty(n, "totally_different", pg::Value("1"));
   }
-  auto result = SchemI(SchemiOptions{}).Discover(g);
+  auto result = SchemI::Discover(g);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_node_clusters, 2u);
   EXPECT_EQ(result.value().node_assignment[0],
@@ -55,7 +55,7 @@ TEST(SchemiTest, MultiLabelElementsUseLeastFrequentLabel) {
     pg::NodeId n = g.AddNode({"Common", "RareB"});
     g.SetNodeProperty(n, "b", pg::Value("1"));
   }
-  auto result = SchemI(SchemiOptions{}).Discover(g);
+  auto result = SchemI::Discover(g);
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result.value().node_assignment[0],
             result.value().node_assignment[4]);
@@ -75,7 +75,7 @@ TEST(SchemiTest, StructuralMergeJoinsSimilarTypes) {
     g.SetNodeProperty(n, "name", pg::Value("x"));
     g.SetNodeProperty(n, "url", pg::Value("y"));
   }
-  auto result = SchemI(SchemiOptions{}).Discover(g);
+  auto result = SchemI::Discover(g);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_node_clusters, 1u);
 }
@@ -84,7 +84,7 @@ TEST(SchemiTest, PropertyLessTypesDoNotCollapse) {
   pg::PropertyGraph g;
   for (int i = 0; i < 3; ++i) g.AddNode({"A"});
   for (int i = 0; i < 3; ++i) g.AddNode({"B"});
-  auto result = SchemI(SchemiOptions{}).Discover(g);
+  auto result = SchemI::Discover(g);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_node_clusters, 2u);
 }
@@ -97,7 +97,7 @@ TEST(SchemiTest, EdgeTypesKeyedByLabel) {
   g.AddEdge(a, b, {"R"});
   g.AddEdge(c, b, {"R"});  // Different endpoints, same label: merged.
   g.AddEdge(a, c, {"S"});
-  auto result = SchemI(SchemiOptions{}).Discover(g);
+  auto result = SchemI::Discover(g);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_edge_clusters, 2u);
   EXPECT_EQ(result.value().edge_assignment[0],
@@ -106,7 +106,7 @@ TEST(SchemiTest, EdgeTypesKeyedByLabel) {
 
 TEST(SchemiTest, PerfectOnFlatSingleLabelDataset) {
   auto dataset = datasets::Generate(datasets::PoleSpec(), 0.2, 21);
-  auto result = SchemI(SchemiOptions{}).Discover(dataset.graph);
+  auto result = SchemI::Discover(dataset.graph);
   ASSERT_TRUE(result.ok());
   auto f1 = eval::MajorityF1(result.value().node_assignment,
                              dataset.truth.node_type);
@@ -128,7 +128,7 @@ TEST(SchemiTest, MixesTypesThatShareTheirOnlyLabel) {
     g.SetNodeProperty(n, "content", pg::Value("text"));
     truth.push_back(1);
   }
-  auto result = SchemI(SchemiOptions{}).Discover(g);
+  auto result = SchemI::Discover(g);
   ASSERT_TRUE(result.ok());
   auto f1 = eval::MajorityF1(result.value().node_assignment, truth);
   EXPECT_DOUBLE_EQ(f1.f1, 6.0 / 9.0);  // The minority type is misplaced.

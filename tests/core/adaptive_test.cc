@@ -74,22 +74,18 @@ TEST(AdaptiveTest, AlphaAdjustsBucket) {
 
 TEST(AdaptiveTest, TablesAreClamped) {
   auto features = RandomFeatures(200, 8, 1.0, 8);
-  AdaptiveOptions options;
-  options.min_tables = 15;
-  options.max_tables = 40;
-  auto choice = ChooseNodeParams(features, 5, options);
-  EXPECT_GE(choice.num_tables, 15u);
-  EXPECT_LE(choice.num_tables, 40u);
+  auto choice = ChooseNodeParams(features, 5);
+  EXPECT_GE(choice.num_tables, kMinTables);
+  EXPECT_LE(choice.num_tables, kMaxTables);
 }
 
 TEST(AdaptiveTest, EdgeAlphaIsSmaller) {
   auto features = RandomFeatures(1000, 16, 1.0, 9);
-  AdaptiveOptions options;
-  auto node = ChooseNodeParams(features, 5, options);
-  auto edge = ChooseEdgeParams(features, 5, options);
+  auto node = ChooseNodeParams(features, 5);
+  auto edge = ChooseEdgeParams(features, 5);
   EXPECT_LT(edge.bucket_length, node.bucket_length);
-  EXPECT_NEAR(edge.bucket_length / node.bucket_length,
-              options.edge_alpha_scale, 1e-6);
+  EXPECT_NEAR(edge.bucket_length / node.bucket_length, kEdgeAlphaScale,
+              1e-6);
 }
 
 TEST(AdaptiveTest, DeterministicInSeed) {

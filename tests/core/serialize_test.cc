@@ -225,6 +225,69 @@ TEST(SerializeTest, EveryFormIsPinned) {
 )");
 }
 
+// Names that sanitize alike are spelled apart in each file: type names
+// across the file, and attribute names within an element, where an edge's
+// structural `source` and `target` keep theirs. A name that collides with
+// nothing keeps its spelling, and no suffix takes one that a later name
+// spells.
+TEST(SerializeTest, NamesAreUniqueInEachFile) {
+  pg::Vocabulary vocab;
+  SchemaGraph schema;
+  NodeType pipe;
+  pipe.labels = {vocab.InternLabel("A|B")};
+  pipe.properties[vocab.InternKey("a-b")] = {1, pg::DataType::kString,
+                                             Requiredness::kMandatory};
+  pipe.properties[vocab.InternKey("a_b")] = {1, pg::DataType::kString,
+                                             Requiredness::kMandatory};
+  schema.node_types().push_back(pipe);
+  NodeType set;
+  set.labels = {vocab.InternLabel("A"), vocab.InternLabel("B")};
+  schema.node_types().push_back(set);
+  NodeType suffixed;
+  suffixed.labels = {vocab.InternLabel("A_B_2")};
+  schema.node_types().push_back(suffixed);
+  EdgeType edge;
+  edge.labels = {vocab.InternLabel("R")};
+  edge.properties[vocab.InternKey("source")] = {1, pg::DataType::kString,
+                                                Requiredness::kOptional};
+  schema.edge_types().push_back(edge);
+
+  EXPECT_EQ(SerializePgSchema(schema, vocab, SchemaMode::kStrict),
+            R"(CREATE GRAPH TYPE PgHiveSchema STRICT {
+  (A_BType : A|B {a-b STRING, a_b STRING}),
+  (A_BType_2 : A & B),
+  (A_B_2Type : A_B_2),
+  (:ANY)-[REdgeType : R {OPTIONAL source STRING}]->(:ANY)
+}
+)");
+  EXPECT_EQ(SerializeXsd(schema, vocab),
+            R"(<?xml version="1.0" encoding="UTF-8"?>
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="A_B">
+    <xs:complexType>
+      <xs:attribute name="a_b" type="xs:string" use="required"/>
+      <xs:attribute name="a_b_2" type="xs:string" use="required"/>
+    </xs:complexType>
+  </xs:element>
+  <xs:element name="A_B_3">
+    <xs:complexType>
+    </xs:complexType>
+  </xs:element>
+  <xs:element name="A_B_2">
+    <xs:complexType>
+    </xs:complexType>
+  </xs:element>
+  <xs:element name="R_edge">
+    <xs:complexType>
+      <xs:attribute name="source_2" type="xs:string" use="optional"/>
+      <xs:attribute name="source" type="xs:IDREF" use="required"/>
+      <xs:attribute name="target" type="xs:IDREF" use="required"/>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>
+)");
+}
+
 TEST(SerializeTest, CardinalityCommentInStrictMode) {
   Fixture f;
   std::string out =

@@ -73,10 +73,9 @@ TEST(Word2VecTest, TrainingIsDeterministic) {
 TEST(Word2VecTest, CoOccurringTokensMoreSimilarThanUnrelated) {
   pg::PropertyGraph g = CommunityGraph();
   LabelCorpus corpus = BuildLabelCorpus(g);
-  Word2VecOptions options;
-  options.epochs = 8;
-  Word2Vec model(&g.vocab(), options);
-  model.Train(corpus);
+  Word2Vec model(&g.vocab(), {});
+  // Three continued passes: 3 * kEpochs epochs over the corpus.
+  for (int pass = 0; pass < 3; ++pass) model.Train(corpus);
   auto token = [&](const char* name) {
     return g.vocab().TokenForLabelSet({g.vocab().FindLabel(name)});
   };
@@ -120,56 +119,37 @@ TEST(Word2VecTest, CorpusWithoutPairsLeavesInitializationUntouched) {
   EXPECT_EQ(model.EmbedVec(t), before);
 }
 
-TEST(Word2VecTest, CorpusSmallerThanOneMinibatchIsBatchSizeInvariant) {
-  // All pairs fall into batch 0 whenever the corpus is smaller than one
-  // minibatch, so any sufficiently large batch_size must train identically
-  // (same pair schedule, same (epoch, batch=0) RNG stream).
-  pg::PropertyGraph g = CommunityGraph();
-  LabelCorpus corpus = BuildLabelCorpus(g);
-  // CommunityGraph yields 360 pairs; both sizes hold them in one batch.
-  Word2VecOptions small;
-  small.batch_size = 512;
-  Word2VecOptions large;
-  large.batch_size = 100000;
-  Word2Vec m1(&g.vocab(), small);
-  Word2Vec m2(&g.vocab(), large);
-  m1.Train(corpus);
-  m2.Train(corpus);
-  auto t = g.vocab().TokenForLabelSet({g.vocab().FindLabel("A")});
-  EXPECT_EQ(m1.EmbedVec(t), m2.EmbedVec(t));
-}
-
 TEST(Word2VecTest, MaxPairsPerEpochTruncatesExactly) {
   pg::PropertyGraph g = CommunityGraph();
   auto token = [&](const char* name) {
     return g.vocab().TokenForLabelSet({g.vocab().FindLabel(name)});
   };
-  // A 3-token sentence yields 6 in-window pairs at the default window of 2.
-  std::vector<pg::LabelSetToken> sentence = {token("A"), token("B"),
-                                             token("C")};
-  LabelCorpus two_sentences;
-  two_sentences.vocab_size = g.vocab().num_tokens();
-  two_sentences.AddSentence(sentence);
-  two_sentences.AddSentence(sentence);
-  LabelCorpus three_sentences = two_sentences;
-  three_sentences.AddSentence(sentence);
+  // A 2-token sentence yields 2 pairs (each token is the other's context),
+  // so `at_cap` such sentences fill the cap exactly.
+  const size_t at_cap = Word2Vec::kMaxPairsPerEpoch / 2;
+  const std::vector<pg::LabelSetToken> ab = {token("A"), token("B")};
+  const std::vector<pg::LabelSetToken> cd = {token("C"), token("D")};
+  // `sentences - 1` copies of {A, B}, then `last`.
+  auto trained = [&](size_t sentences,
+                     const std::vector<pg::LabelSetToken>& last) {
+    LabelCorpus corpus;
+    corpus.vocab_size = g.vocab().num_tokens();
+    for (size_t s = 1; s < sentences; ++s) corpus.AddSentence(ab);
+    corpus.AddSentence(last);
+    Word2Vec model(&g.vocab(), {});
+    model.Train(corpus);
+    return model;
+  };
+  const Word2Vec full = trained(at_cap, ab);
 
-  // Capped at exactly the first two sentences' pairs, the third sentence
-  // must not influence training at all.
-  Word2VecOptions options;
-  options.max_pairs_per_epoch = 12;
-  Word2Vec capped(&g.vocab(), options);
-  Word2Vec uncapped(&g.vocab(), options);
-  capped.Train(three_sentences);
-  uncapped.Train(two_sentences);
-  EXPECT_EQ(capped.EmbedVec(token("A")), uncapped.EmbedVec(token("A")));
-  EXPECT_EQ(capped.EmbedVec(token("C")), uncapped.EmbedVec(token("C")));
+  // One sentence past the cap must not influence training at all.
+  const Word2Vec capped = trained(at_cap + 1, cd);
+  EXPECT_EQ(capped.EmbedVec(token("A")), full.EmbedVec(token("A")));
+  EXPECT_EQ(capped.EmbedVec(token("C")), full.EmbedVec(token("C")));
 
-  // One more allowed pair and the cap is no longer a no-op.
-  options.max_pairs_per_epoch = 13;
-  Word2Vec looser(&g.vocab(), options);
-  looser.Train(three_sentences);
-  EXPECT_NE(looser.EmbedVec(token("A")), capped.EmbedVec(token("A")));
+  // A different last sentence under the cap does.
+  const Word2Vec changed = trained(at_cap, cd);
+  EXPECT_NE(changed.EmbedVec(token("C")), full.EmbedVec(token("C")));
 }
 
 TEST(Word2VecTest, IncrementalTrainingGrowsVocabulary) {
@@ -206,9 +186,7 @@ TEST(Word2VecTest, DistinctTokensStayDistinguishable) {
     g.AddEdge(hub, x, {"R"});
     g.AddEdge(hub, y, {"R"});
   }
-  Word2VecOptions options;
-  options.epochs = 10;
-  Word2Vec model(&g.vocab(), options);
+  Word2Vec model(&g.vocab(), {});
   model.Train(BuildLabelCorpus(g));
   auto tx = g.vocab().TokenForLabelSet({g.vocab().FindLabel("X")});
   auto ty = g.vocab().TokenForLabelSet({g.vocab().FindLabel("Y")});

@@ -11,13 +11,42 @@
 namespace pghive::lsh {
 namespace {
 
+// MinHashLsh takes sets as one CSR (SetSpans); the tests write them as one
+// vector per set and lay them out with these helpers.
+
+SetSpans SpansOf(const std::vector<std::vector<uint64_t>>& sets,
+                 std::vector<uint64_t>* elements,
+                 std::vector<uint32_t>* offsets) {
+  elements->clear();
+  offsets->assign(1, 0);
+  for (const auto& set : sets) {
+    elements->insert(elements->end(), set.begin(), set.end());
+    offsets->push_back(static_cast<uint32_t>(elements->size()));
+  }
+  return SetSpans{elements->data(), offsets->data(), sets.size()};
+}
+
+/// The T-slot signature of one set.
+std::vector<uint64_t> SignatureOf(const MinHashLsh& hasher,
+                                  const std::vector<uint64_t>& set) {
+  const uint32_t offsets[2] = {0, static_cast<uint32_t>(set.size())};
+  return hasher.SignatureAll(SetSpans{set.data(), offsets, 1});
+}
+
+ClusterSet ClusterOf(const MinHashLsh& hasher,
+                     const std::vector<std::vector<uint64_t>>& sets,
+                     util::ThreadPool* pool = nullptr) {
+  std::vector<uint64_t> elements;
+  std::vector<uint32_t> offsets;
+  return hasher.Cluster(SpansOf(sets, &elements, &offsets), pool);
+}
+
 TEST(MinHashTest, IdenticalSetsShareSignature) {
   MinHashLsh hasher(MinHashParams{});
   std::vector<uint64_t> set = {1, 5, 9};
-  std::vector<uint64_t> s1(hasher.params().num_hashes);
-  std::vector<uint64_t> s2(hasher.params().num_hashes);
-  hasher.Signature(set, s1.data());
-  hasher.Signature(set, s2.data());
+  std::vector<uint64_t> s1 = SignatureOf(hasher, set);
+  std::vector<uint64_t> s2 = SignatureOf(hasher, set);
+  EXPECT_EQ(s1.size(), hasher.params().num_hashes);
   EXPECT_EQ(s1, s2);
 }
 
@@ -25,18 +54,14 @@ TEST(MinHashTest, SignatureIsOrderInvariant) {
   MinHashLsh hasher(MinHashParams{});
   std::vector<uint64_t> a = {1, 5, 9};
   std::vector<uint64_t> b = {9, 1, 5};
-  std::vector<uint64_t> sa(hasher.params().num_hashes);
-  std::vector<uint64_t> sb(hasher.params().num_hashes);
-  hasher.Signature(a, sa.data());
-  hasher.Signature(b, sb.data());
-  EXPECT_EQ(sa, sb);
+  EXPECT_EQ(SignatureOf(hasher, a), SignatureOf(hasher, b));
 }
 
 TEST(MinHashTest, EmptySetsOnlyCollideWithEmptySets) {
   MinHashParams params;
   MinHashLsh hasher(params);
   std::vector<std::vector<uint64_t>> sets = {{}, {}, {1}, {1, 2}};
-  auto clusters = hasher.Cluster(sets);
+  auto clusters = ClusterOf(hasher, sets);
   EXPECT_EQ(clusters.cluster_of(0), clusters.cluster_of(1));
   EXPECT_NE(clusters.cluster_of(0), clusters.cluster_of(2));
 }
@@ -47,9 +72,8 @@ TEST(MinHashTest, DisjointSetsRarelyAgree) {
   MinHashLsh hasher(params);
   std::vector<uint64_t> a = {1, 2, 3, 4};
   std::vector<uint64_t> b = {100, 200, 300, 400};
-  std::vector<uint64_t> sa(32), sb(32);
-  hasher.Signature(a, sa.data());
-  hasher.Signature(b, sb.data());
+  std::vector<uint64_t> sa = SignatureOf(hasher, a);
+  std::vector<uint64_t> sb = SignatureOf(hasher, b);
   EXPECT_LT(MinHashLsh::EstimateJaccard(sa.data(), sb.data(), 32), 0.15);
 }
 
@@ -81,9 +105,8 @@ TEST_P(JaccardEstimationTest, SignatureAgreementTracksJaccard) {
   MinHashParams params;
   params.num_hashes = 256;  // Many hashes for a tight estimate.
   MinHashLsh hasher(params);
-  std::vector<uint64_t> sa(256), sb(256);
-  hasher.Signature(a, sa.data());
-  hasher.Signature(b, sb.data());
+  std::vector<uint64_t> sa = SignatureOf(hasher, a);
+  std::vector<uint64_t> sb = SignatureOf(hasher, b);
   double estimate = MinHashLsh::EstimateJaccard(sa.data(), sb.data(), 256);
   EXPECT_NEAR(estimate, exact, 0.08) << "target J = " << target;
 }
@@ -96,7 +119,7 @@ TEST(MinHashTest, AndClusteringGroupsIdenticalSetsOnly) {
   params.amplification = Amplification::kAnd;
   MinHashLsh hasher(params);
   std::vector<std::vector<uint64_t>> sets = {{1, 2}, {1, 2}, {1, 2, 3}};
-  auto clusters = hasher.Cluster(sets);
+  auto clusters = ClusterOf(hasher, sets);
   EXPECT_EQ(clusters.cluster_of(0), clusters.cluster_of(1));
   EXPECT_NE(clusters.cluster_of(0), clusters.cluster_of(2));
 }
@@ -114,7 +137,7 @@ TEST(MinHashTest, BandingMergesHighlySimilarSets) {
   near[0] = 999;
   // Disjoint set stays apart.
   std::vector<uint64_t> other = {500, 501, 502, 503, 504};
-  auto clusters = hasher.Cluster({big, near, other});
+  auto clusters = ClusterOf(hasher, {big, near, other});
   EXPECT_EQ(clusters.cluster_of(0), clusters.cluster_of(1));
   EXPECT_NE(clusters.cluster_of(0), clusters.cluster_of(2));
 }
@@ -149,7 +172,7 @@ TEST(MinHashBandingEdgeCaseTest, EmptyInput) {
   MinHashLsh hasher = BandingHasher();
   util::ThreadPool pool(4);
   for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    auto clusters = hasher.Cluster(std::vector<std::vector<uint64_t>>{}, p);
+    auto clusters = ClusterOf(hasher, {}, p);
     EXPECT_EQ(clusters.num_items(), 0u);
     EXPECT_EQ(clusters.num_clusters(), 0u);
   }
@@ -159,7 +182,7 @@ TEST(MinHashBandingEdgeCaseTest, SingleSet) {
   MinHashLsh hasher = BandingHasher();
   util::ThreadPool pool(4);
   for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    auto clusters = hasher.Cluster({{1, 2, 3}}, p);
+    auto clusters = ClusterOf(hasher, {{1, 2, 3}}, p);
     EXPECT_EQ(clusters.num_clusters(), 1u);
     EXPECT_EQ(clusters.cluster_of(0), 0u);
   }
@@ -170,7 +193,7 @@ TEST(MinHashBandingEdgeCaseTest, AllSetsCollide) {
   std::vector<std::vector<uint64_t>> sets(100, {4, 8, 15, 16, 23, 42});
   util::ThreadPool pool(8);
   for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    auto clusters = hasher.Cluster(sets, p);
+    auto clusters = ClusterOf(hasher, sets, p);
     EXPECT_EQ(clusters.num_clusters(), 1u);
     EXPECT_EQ(clusters.members(0).size(), sets.size());
   }
@@ -183,29 +206,17 @@ TEST(MinHashBandingEdgeCaseTest, SingleHashSingleRowBand) {
   std::vector<std::vector<uint64_t>> sets = {{1, 2}, {1, 2}, {900}};
   util::ThreadPool pool(4);
   for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    auto clusters = hasher.Cluster(sets, p);
+    auto clusters = ClusterOf(hasher, sets, p);
     EXPECT_EQ(clusters.cluster_of(0), clusters.cluster_of(1));
     EXPECT_NE(clusters.cluster_of(0), clusters.cluster_of(2));
   }
 }
 
-// ---- Flat-span (CSR) overloads -----------------------------------------
+// ---- Many sets in one span ---------------------------------------------
 //
-// The SetSpans entry points walk one contiguous element array instead of
-// nested vectors; signatures and clusters must be identical — including the
-// empty-set sentinel rows.
-
-SetSpans SpansOf(const std::vector<std::vector<uint64_t>>& sets,
-                 std::vector<uint64_t>* elements,
-                 std::vector<uint32_t>* offsets) {
-  elements->clear();
-  offsets->assign(1, 0);
-  for (const auto& set : sets) {
-    elements->insert(elements->end(), set.begin(), set.end());
-    offsets->push_back(static_cast<uint32_t>(elements->size()));
-  }
-  return SetSpans{elements->data(), offsets->data(), sets.size()};
-}
+// Walking one contiguous element array, each set's signature and cluster
+// must be what that set (one of the nested vectors) gets on its own —
+// including the empty-set sentinel rows.
 
 TEST(MinHashSpanTest, SpanSignaturesMatchNestedSignatures) {
   util::Rng rng(31);
@@ -220,9 +231,14 @@ TEST(MinHashSpanTest, SpanSignaturesMatchNestedSignatures) {
   std::vector<uint64_t> elements;
   std::vector<uint32_t> offsets;
   SetSpans spans = SpansOf(sets, &elements, &offsets);
+  std::vector<uint64_t> nested;
+  for (const auto& set : sets) {
+    const std::vector<uint64_t> sig = SignatureOf(hasher, set);
+    nested.insert(nested.end(), sig.begin(), sig.end());
+  }
   util::ThreadPool pool(4);
   for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    EXPECT_EQ(hasher.SignatureAll(spans, p), hasher.SignatureAll(sets, p));
+    EXPECT_EQ(hasher.SignatureAll(spans, p), nested);
   }
 }
 
@@ -230,7 +246,9 @@ TEST(MinHashSpanTest, SpanClusteringMatchesNestedClustering) {
   util::Rng rng(37);
   std::vector<std::vector<uint64_t>> sets(180);
   for (auto& set : sets) {
-    // Few distinct shapes so real collisions happen.
+    // Few distinct shapes so real collisions happen. Distinct shapes are
+    // disjoint, so they share no signature slot: two sets cluster together
+    // exactly when they are equal, under AND and banding alike.
     const size_t shape = rng.NextBounded(6);
     for (size_t e = 0; e <= shape; ++e) set.push_back(shape * 10 + e);
   }
@@ -245,11 +263,13 @@ TEST(MinHashSpanTest, SpanClusteringMatchesNestedClustering) {
     params.rows_per_band = 3;
     params.amplification = amp;
     MinHashLsh hasher(params);
-    auto nested = hasher.Cluster(sets);
     auto flat = hasher.Cluster(spans);
-    ASSERT_EQ(flat.num_items(), nested.num_items());
+    ASSERT_EQ(flat.num_items(), sets.size());
     for (size_t i = 0; i < sets.size(); ++i) {
-      EXPECT_EQ(flat.cluster_of(i), nested.cluster_of(i)) << i;
+      for (size_t j = 0; j < sets.size(); ++j) {
+        EXPECT_EQ(flat.cluster_of(i) == flat.cluster_of(j), sets[i] == sets[j])
+            << i << " " << j;
+      }
     }
   }
 }

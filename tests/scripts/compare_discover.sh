@@ -1,0 +1,63 @@
+#!/usr/bin/env bash
+# Byte-compares what two `pghive` builds write from `discover`. OLD
+# generates the 8 zoo datasets once (seed 42); both builds then run every
+# one of them under {elsh, minhash} x {1, 4 batches} x {1, 4 threads}, each
+# run writing its .pgs, .xsd, --changefeed and --checkpoint-to files: 256
+# files per build. Prints each file that differs (or exists on one side
+# only) and the count, and exits 1 on any difference.
+#
+# Usage: compare_discover.sh OLD_PGHIVE NEW_PGHIVE DIR [SCALE]
+# SCALE defaults to 1.0. DIR/graphs, DIR/old and DIR/new are recreated.
+set -eu
+
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+  echo "usage: $0 OLD_PGHIVE NEW_PGHIVE DIR [SCALE]" >&2
+  exit 2
+fi
+OLD=$1
+NEW=$2
+DIR=$3
+SCALE=${4:-1.0}
+DATASETS="POLE MB6 HET.IO FIB25 ICIJ CORD19 LDBC IYP"
+
+rm -rf "$DIR/graphs" "$DIR/old" "$DIR/new"
+mkdir -p "$DIR/graphs" "$DIR/old" "$DIR/new"
+for ds in $DATASETS; do
+  "$OLD" generate --dataset "$ds" --scale "$SCALE" --seed 42 \
+    --out "$DIR/graphs/$ds.graph" > /dev/null
+done
+
+# run SIDE PGHIVE: every discover run of the grid, outputs under DIR/SIDE.
+run() {
+  local ds method batches threads out
+  for ds in $DATASETS; do
+    for method in elsh minhash; do
+      for batches in 1 4; do
+        for threads in 1 4; do
+          out="$DIR/$1/$ds.$method.b$batches.t$threads"
+          if ! "$2" discover --graph "$DIR/graphs/$ds.graph" \
+              --method "$method" --batches "$batches" --threads "$threads" \
+              --out "$out" --changefeed "$out.feed" \
+              --checkpoint-to "$out.ckpt" > /dev/null; then
+            echo "failed: $2 on $ds $method b$batches t$threads" >&2
+            exit 1
+          fi
+        done
+      done
+    done
+  done
+}
+run old "$OLD"
+run new "$NEW"
+
+total=0
+differ=0
+for name in $( (ls "$DIR/old"; ls "$DIR/new") | sort -u); do
+  total=$((total + 1))
+  if ! cmp -s "$DIR/old/$name" "$DIR/new/$name"; then
+    echo "differs: $name"
+    differ=$((differ + 1))
+  fi
+done
+echo "$differ of $total files differ"
+[ "$differ" -eq 0 ]

@@ -44,7 +44,7 @@ struct Golden {
 constexpr Golden kGolden[] = {
     {"POLE", 0x86f1064d4f5acd56, 0x86f1064d4f5acd56},
     {"MB6", 0xbbdfb0fcccd07eeb, 0xbbdfb0fcccd07eeb},
-    {"HET.IO", 0xb6f7422b29b06192, 0xbcacbf86172aa9ae},
+    {"HET.IO", 0xc20e94fff83df80b, 0xdb45f7859be723fa},
     {"FIB25", 0x817997fac70a23e7, 0x817997fac70a23e7},
     {"ICIJ", 0x6443d5d12f550ffe, 0x7ce1a99981b0475f},
     {"CORD19", 0x9c10e78153a1efb2, 0x9a140bcbcb309609},

@@ -59,15 +59,24 @@ TEST(EmbedDeterminismTest, TrainIdenticalAcrossThreadCountsOnAllZooDatasets) {
 }
 
 TEST(EmbedDeterminismTest, TinyBatchesExerciseWaveBoundaries) {
-  // batch_size = 3 forces many partial batches and multiple waves even on a
-  // small corpus, so wave-boundary bookkeeping (partial last batch, scratch
-  // reuse across waves) is what this pins down.
+  // More than three waves of minibatches and a partial last batch, so
+  // wave-boundary bookkeeping (partial last batch, scratch reuse across
+  // waves) is what this pins down.
   datasets::Dataset dataset =
-      datasets::Generate(datasets::PoleSpec(), /*scale=*/0.05, /*seed=*/7);
+      datasets::Generate(datasets::PoleSpec(), /*scale=*/1.0, /*seed=*/7);
   embed::LabelCorpus corpus = embed::BuildLabelCorpus(dataset.graph);
+  // Every sentence fits in one window, so n tokens yield n * (n - 1) pairs.
+  size_t pairs = 0;
+  for (size_t s = 0; s < corpus.num_sentences(); ++s) {
+    const size_t n = corpus.sentence(s).size();
+    ASSERT_LE(n, embed::Word2Vec::kWindow + 1);
+    pairs += n * (n - 1);
+  }
+  ASSERT_LE(pairs, embed::Word2Vec::kMaxPairsPerEpoch);
+  EXPECT_GT(pairs, 3 * embed::Word2Vec::kBatchesPerWave *
+                       embed::Word2Vec::kBatchSize);
+  EXPECT_NE(pairs % embed::Word2Vec::kBatchSize, 0u);
   embed::Word2VecOptions options;
-  options.batch_size = 3;
-  options.epochs = 2;
   auto serial = TrainWithThreads(dataset.graph, corpus, options, 0);
   for (size_t threads : {size_t{2}, size_t{8}}) {
     EXPECT_EQ(TrainWithThreads(dataset.graph, corpus, options, threads),

@@ -101,17 +101,6 @@ TEST(RngTest, SampleFullPopulationIsPermutation) {
   EXPECT_EQ(unique.size(), 50u);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(23);
-  Rng child = parent.Fork();
-  // Child diverges from parent's subsequent output.
-  int same = 0;
-  for (int i = 0; i < 50; ++i) {
-    if (parent.NextU64() == child.NextU64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 TEST(Mix64Test, InjectiveOnSmallRange) {
   std::set<uint64_t> outputs;
   for (uint64_t i = 0; i < 10000; ++i) outputs.insert(Mix64(i));

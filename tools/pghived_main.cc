@@ -72,15 +72,15 @@ int main(int argc, char** argv) {
       auto max = pghive::util::ParseInt64InRange(value, 1, 1000000,
                                                  "--max-sessions");
       if (!max.ok()) return Fail(max.status().ToString());
-      server_options.max_sessions = static_cast<size_t>(*max);
+      server_options.sessions.max_sessions = static_cast<size_t>(*max);
     } else if (key == "checkpoint-dir") {
       if (value.empty()) return Fail("--checkpoint-dir needs a directory");
-      server_options.checkpoint_dir = value;
+      server_options.sessions.checkpoint_dir = value;
     } else {  // checkpoint-every
       auto every = pghive::util::ParseInt64InRange(value, 1, 1000000,
                                                    "--checkpoint-every");
       if (!every.ok()) return Fail(every.status().ToString());
-      server_options.checkpoint_every = static_cast<uint64_t>(*every);
+      server_options.sessions.checkpoint_every = static_cast<uint64_t>(*every);
     }
   }
   if (args->Has("checkpoint-every") && !args->Has("checkpoint-dir")) {
