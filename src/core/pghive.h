@@ -245,6 +245,14 @@ class PgHive {
   /// failure the hive may be partially mutated and must be discarded.
   util::StatusOr<uint64_t> RestoreState(const std::string& bytes);
 
+  /// After RestoreState, once the graph holds every element the snapshot's
+  /// run had merged (the reloaded graph file, or a session's replayed ingest
+  /// log): OK iff every instance id of every type names a node or edge of
+  /// the graph. A snapshot resumed against another graph with the same
+  /// labels and keys passes every other check; this one refuses it, naming
+  /// the type and the id, before post-processing reads past the graph.
+  util::Status CheckRestoredInstances() const;
+
  private:
   pg::PropertyGraph* graph_;
   PgHiveOptions options_;

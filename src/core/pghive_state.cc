@@ -4,8 +4,17 @@
 //
 // Layout: "PGHS" magic + u32 format version, then CRC-framed util/binio
 // sections (id + length + payload + CRC-32). Section ids are stable;
-// unknown ids are skipped so the format can grow within a version. The
-// snapshot captures exactly the state PreprocessBatch advances across
+// unknown ids are skipped so the format can grow within a version.
+//
+// Compatibility: a newer writer may append optional sections, and the
+// options, vocabulary, embedder and cursor layouts stay as they are. The
+// schema section (4) is a "PGHB" record (SerializeSchemaBinary) with its own
+// version: this build writes version 2 (varint instance ids) and reads 1 and
+// 2, and a reader refuses a version it does not know, naming it. So older
+// snapshots restore here, and a build that reads only version 1 refuses this
+// build's snapshots with "schema binary: unsupported version 2".
+//
+// The snapshot captures exactly the state PreprocessBatch advances across
 // batches (vocabulary interners, Word2Vec weights) plus the running schema,
 // the options fingerprint, and the batch cursor — everything else in the
 // pipeline is derived per batch from these. No wall-clock value is written,
@@ -174,10 +183,10 @@ util::StatusOr<std::map<uint32_t, std::string_view>> ReadSections(
   if (!in.ok()) {
     return util::Status::ParseError("state snapshot: truncated header");
   }
-  // Forward compatible: newer writers may only *append* optional sections
-  // (the required-section layouts are frozen within the "PGHS" magic), so a
-  // v1 reader accepts any version >= 1 and skips section ids it does not
-  // know. Unknown versions below ours are malformed, not futuristic.
+  // Newer writers may append optional sections (the schema section versions
+  // itself; see the compatibility note above), so a reader accepts any
+  // version >= 1 and skips section ids it does not know. Versions below ours
+  // are malformed, not futuristic.
   if (version < kStateVersion) {
     return util::Status::ParseError("state snapshot: unsupported version " +
                                     std::to_string(version));
@@ -263,7 +272,7 @@ util::StatusOr<uint64_t> PgHive::RestoreState(const std::string& bytes) {
     return util::Status::ParseError("state snapshot: corrupt cursor section");
   }
 
-  auto schema = ParseSchemaBinary(std::string(sections->at(kSchemaSection)));
+  auto schema = ParseSchemaBinary(sections->at(kSchemaSection));
   if (!schema.ok()) return schema.status();
 
   // Everything parsed and validated; start mutating. The vocabulary and
@@ -286,6 +295,26 @@ util::StatusOr<uint64_t> PgHive::RestoreState(const std::string& bytes) {
   batches_processed_ = static_cast<size_t>(batches);
   phase_ = finished != 0 ? Phase::kFinished : Phase::kIngesting;
   return batches;
+}
+
+util::Status PgHive::CheckRestoredInstances() const {
+  auto check = [&](const auto& types, size_t size, const std::string& kind) {
+    for (size_t i = 0; i < types.size(); ++i) {
+      for (uint64_t id : types[i].instances) {
+        if (id < size) continue;
+        return util::Status::FailedPrecondition(
+            "state snapshot: " + kind + " type " +
+            types[i].Name(graph_->vocab(), i) + " holds " + kind + " id " +
+            std::to_string(id) + " but the graph has " + std::to_string(size) +
+            " " + kind + "s; resume against the graph the snapshot's run "
+            "read");
+      }
+    }
+    return util::Status::Ok();
+  };
+  util::Status nodes = check(schema_.node_types(), graph_->num_nodes(), "node");
+  if (!nodes.ok()) return nodes;
+  return check(schema_.edge_types(), graph_->num_edges(), "edge");
 }
 
 util::StatusOr<PgHiveOptions> ReadSnapshotOptions(const std::string& bytes) {

@@ -1,5 +1,6 @@
 #include "core/pgschema_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <limits>
@@ -7,6 +8,17 @@
 namespace pghive::core {
 
 namespace {
+
+// The characters of an unquoted name (labels, keys, type names, keywords).
+bool IsNameChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+         c == '#' || c == '|' || c == '.';
+}
+
+// The words the property block reads where it otherwise reads a key.
+bool IsPropertyKeyword(std::string_view name) {
+  return name == "OPTIONAL" || name == "OPEN";
+}
 
 // A small hand-rolled recursive-descent tokenizer/parser for the dialect.
 class Parser {
@@ -80,12 +92,32 @@ class Parser {
   std::string Identifier() {
     SkipSpace();
     size_t start = pos_;
-    while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                        text_[pos_] == '_' || text_[pos_] == '#' ||
-                        text_[pos_] == '|' || text_[pos_] == '.')) {
-      ++pos_;
-    }
+    while (!AtEnd() && IsNameChar(text_[pos_])) ++pos_;
     return text_.substr(start, pos_ - start);
+  }
+
+  // A label or key: an Identifier, or a name in backticks where "``" stands
+  // for one backtick. False when neither starts here (nothing is consumed)
+  // or the quote is unterminated.
+  bool Name(std::string* out) {
+    SkipSpace();
+    if (AtEnd() || text_[pos_] != '`') {
+      *out = Identifier();
+      return !out->empty();
+    }
+    out->clear();
+    for (size_t i = pos_ + 1; i < text_.size(); ++i) {
+      if (text_[i] != '`') {
+        out->push_back(text_[i]);
+      } else if (i + 1 < text_.size() && text_[i + 1] == '`') {
+        out->push_back('`');
+        ++i;
+      } else {
+        pos_ = i + 1;
+        return true;
+      }
+    }
+    return false;
   }
 
   bool ConsumeWord(const char* word) {
@@ -93,8 +125,7 @@ class Parser {
     size_t len = std::strlen(word);
     if (text_.compare(pos_, len, word) == 0) {
       size_t after = pos_ + len;
-      if (after >= text_.size() ||
-          !std::isalnum(static_cast<unsigned char>(text_[after]))) {
+      if (after >= text_.size() || !IsNameChar(text_[after])) {
         pos_ = after;
         return true;
       }
@@ -110,9 +141,8 @@ class Parser {
   // Parses "Label & Label2" into interned ids.
   std::vector<pg::LabelId> ParseLabelSpec() {
     std::vector<pg::LabelId> labels;
-    for (;;) {
-      std::string name = Identifier();
-      if (name.empty()) break;
+    std::string name;
+    while (Name(&name)) {
       labels.push_back(vocab_->InternLabel(name));
       if (!Consume('&')) break;
     }
@@ -133,8 +163,8 @@ class Parser {
         Consume(',');
         continue;
       }
-      std::string key = Identifier();
-      if (key.empty()) return Error("expected property key");
+      std::string key;
+      if (!Name(&key)) return Error("expected property key");
       PropertyInfo info;
       info.requiredness =
           optional ? Requiredness::kOptional : Requiredness::kMandatory;
@@ -261,6 +291,19 @@ util::StatusOr<SchemaGraph> ParsePgSchema(const std::string& text,
   PGHIVE_CHECK(vocab != nullptr);
   Parser parser(text, vocab);
   return parser.Parse();
+}
+
+std::string PgSchemaName(std::string_view name, bool is_key) {
+  if (!name.empty() && std::all_of(name.begin(), name.end(), IsNameChar) &&
+      !(is_key && IsPropertyKeyword(name))) {
+    return std::string(name);
+  }
+  std::string out = "`";
+  for (char c : name) {
+    if (c == '`') out.push_back('`');
+    out.push_back(c);
+  }
+  return out + "`";
 }
 
 }  // namespace pghive::core

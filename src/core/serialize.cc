@@ -3,6 +3,7 @@
 #include <cctype>
 #include <sstream>
 
+#include "core/pgschema_parser.h"
 #include "util/binio.h"
 
 namespace pghive::core {
@@ -20,6 +21,8 @@ std::string SanitizeIdentifier(const std::string& name) {
     }
   }
   if (out.empty()) return "T";
+  // An XML name cannot start with a digit.
+  if (std::isdigit(static_cast<unsigned char>(out[0]))) out.insert(0, "_");
   return out;
 }
 
@@ -68,7 +71,7 @@ std::string LabelSpec(const pg::Vocabulary& vocab,
   std::string out;
   for (pg::LabelId l : labels) {
     out += " & ";
-    out += vocab.LabelName(l);
+    out += PgSchemaName(vocab.LabelName(l), /*is_key=*/false);
   }
   if (!out.empty()) out = out.substr(3);
   return out;
@@ -86,7 +89,7 @@ std::string PropertyBlock(const pg::Vocabulary& vocab, const SchemaType& type,
         info.requiredness == Requiredness::kOptional) {
       out += "OPTIONAL ";
     }
-    out += vocab.KeyName(key);
+    out += PgSchemaName(vocab.KeyName(key), /*is_key=*/true);
     if (mode == SchemaMode::kStrict) {
       out.push_back(' ');
       out += pg::DataTypeName(info.data_type == pg::DataType::kNull
@@ -262,18 +265,22 @@ namespace {
 //
 // Everything is little-endian and length-prefixed (util/binio framing);
 // there are no implicit sizes, so a reader can validate the payload before
-// building any structure.
+// building any structure. Version 2 writes each type's instance ids as a
+// varint count and one varint per id, in their in-memory order (datatype
+// sampling picks instances by position, so a resume must see that order);
+// version 1 wrote a u64 count and a u64 per id, and is still read.
 
 constexpr char kBinaryMagic[4] = {'P', 'G', 'H', 'B'};
-constexpr uint32_t kBinaryVersion = 1;
+constexpr uint32_t kBinaryVersion = 2;
+constexpr uint32_t kFixedWidthIdsVersion = 1;
 
 using util::ByteReader;
 using util::PutU32;
 using util::PutU32Vector;
 using util::PutU64;
 using util::PutU64Set;
-using util::PutU64Vector;
 using util::PutU8;
+using util::PutVarintVector;
 
 // The record fields every type carries; an edge type's endpoints and
 // cardinality follow them.
@@ -286,14 +293,14 @@ void PutType(std::string* out, const SchemaType& type) {
     PutU8(out, static_cast<uint8_t>(info.data_type));
     PutU8(out, info.requiredness == Requiredness::kMandatory ? 1 : 0);
   }
-  PutU64Vector(out, type.instances);
+  PutVarintVector(out, type.instances);
   PutU64(out, type.instance_count);
   PutU64Set(out, type.pattern_hashes);
 }
 
 // Each field stops the read immediately on a bad length prefix, so a corrupt
 // early field can never let a later untrusted count through.
-bool ReadType(ByteReader* in, SchemaType* type) {
+bool ReadType(ByteReader* in, uint32_t version, SchemaType* type) {
   if (!in->ReadU32Vector(&type->labels)) return false;
   uint64_t n = in->ReadU64();
   if (!in->SaneCount(n, 14)) return false;
@@ -311,7 +318,11 @@ bool ReadType(ByteReader* in, SchemaType* type) {
         in->ReadU8() != 0 ? Requiredness::kMandatory : Requiredness::kOptional;
     type->properties[key] = info;
   }
-  if (!in->ok() || !in->ReadU64Vector(&type->instances)) return false;
+  if (!in->ok()) return false;
+  const bool ids_read = version == kFixedWidthIdsVersion
+                            ? in->ReadU64Vector(&type->instances)
+                            : in->ReadVarintVector(&type->instances);
+  if (!ids_read) return false;
   type->instance_count = in->ReadU64();
   return in->ReadU64Set(&type->pattern_hashes) && in->ok();
 }
@@ -339,16 +350,14 @@ std::string SerializeSchemaBinary(const SchemaGraph& schema) {
   return out;
 }
 
-util::StatusOr<SchemaGraph> ParseSchemaBinary(const std::string& bytes) {
+util::StatusOr<SchemaGraph> ParseSchemaBinary(std::string_view bytes) {
   ByteReader in(bytes);
-  if (!in.Has(sizeof(kBinaryMagic)) ||
-      bytes.compare(0, sizeof(kBinaryMagic), kBinaryMagic,
-                    sizeof(kBinaryMagic)) != 0) {
+  if (in.ReadBytes(sizeof(kBinaryMagic)) !=
+      std::string_view(kBinaryMagic, sizeof(kBinaryMagic))) {
     return util::Status::ParseError("schema binary: bad magic");
   }
-  in.ReadBytes(sizeof(kBinaryMagic));
   uint32_t version = in.ReadU32();
-  if (version != kBinaryVersion) {
+  if (version != kBinaryVersion && version != kFixedWidthIdsVersion) {
     return util::Status::ParseError("schema binary: unsupported version " +
                                     std::to_string(version));
   }
@@ -357,12 +366,12 @@ util::StatusOr<SchemaGraph> ParseSchemaBinary(const std::string& bytes) {
   SchemaGraph schema;
   for (uint64_t i = 0; i < num_node_types && in.ok(); ++i) {
     NodeType t;
-    if (!ReadType(&in, &t)) break;
+    if (!ReadType(&in, version, &t)) break;
     schema.node_types().push_back(std::move(t));
   }
   for (uint64_t i = 0; i < num_edge_types && in.ok(); ++i) {
     EdgeType t;
-    if (!ReadType(&in, &t)) break;
+    if (!ReadType(&in, version, &t)) break;
     uint64_t num_endpoints = in.ReadU64();
     if (!in.SaneCount(num_endpoints, 8)) break;
     for (uint64_t e = 0; e < num_endpoints && in.ok(); ++e) {

@@ -2,6 +2,7 @@
 #define PGHIVE_CORE_SERIALIZE_H_
 
 #include <string>
+#include <string_view>
 
 #include "core/schema.h"
 #include "pg/vocabulary.h"
@@ -41,16 +42,19 @@ const char* XsdTypeName(pg::DataType t);
 
 /// Serializes the full SchemaGraph — including evidence the text renderings
 /// drop (instance ids, pattern hashes, endpoint tokens, cardinality bounds) —
-/// into a self-describing little-endian byte string. This is the snapshot
-/// seam for pghived: a session copies the schema under its job lane with
-/// these bytes, and readers reconstruct an independent SchemaGraph without
+/// into a self-describing little-endian byte string. This is the schema
+/// section of every PgHive::SaveState snapshot and pghived's `binary`
+/// get-schema form: readers reconstruct an independent SchemaGraph without
 /// touching the (still-mutating) vocabulary or hive. Format: "PGHB" magic,
-/// u32 version, then length-prefixed type records.
+/// u32 version (2), then length-prefixed type records whose instance ids are
+/// varints.
 std::string SerializeSchemaBinary(const SchemaGraph& schema);
 
-/// Inverse of SerializeSchemaBinary. Rejects bad magic, unknown versions,
-/// and truncated payloads with ParseError; a round trip is lossless.
-util::StatusOr<SchemaGraph> ParseSchemaBinary(const std::string& bytes);
+/// Inverse of SerializeSchemaBinary; also reads version 1 (fixed-width u64
+/// instance ids), so older snapshots still restore. Rejects bad magic, other
+/// versions (naming them), and truncated payloads with ParseError; a round
+/// trip is lossless.
+util::StatusOr<SchemaGraph> ParseSchemaBinary(std::string_view bytes);
 
 }  // namespace pghive::core
 

@@ -38,6 +38,10 @@ namespace pghive::service {
 ///       fails later requests.
 ///   get-schema <session> <form> [snapshot]
 ///       form: pgs | pgs-loose | xsd | describe | binary
+///       binary is a "PGHB" record (core::SerializeSchemaBinary, the schema
+///       section of a checkpoint), which carries its own version: 2, with
+///       varint instance ids; core::ParseSchemaBinary reads versions 1
+///       and 2 and names any other it is given.
 ///       default waits for the stream to finish (enqueues Finish once) and
 ///       returns the final schema; `snapshot` returns the latest published
 ///       snapshot immediately without draining the session's lane.

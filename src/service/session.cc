@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <optional>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -330,19 +331,18 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
       session->hive_->phase() == core::PgHive::Phase::kFinished;
   const uint64_t versions_published = batches + (finished ? 1 : 0);
 
-  // Rebuild the graph from log records 1..batches, then cut the log and the
-  // feed back to what the snapshot covers. Cutting last means a failed
-  // restore leaves every file as it found it.
+  // Rebuild the graph from log records 1..batches, check the snapshot's
+  // instances against it, then cut the log and the feed back to what the
+  // snapshot covers. Cutting last means a failed restore leaves every file
+  // as it found it.
+  std::optional<size_t> cut_log_to;
   if (!paths.log_path.empty()) {
     auto log = util::ReadWholeFile(paths.log_path);
     if (log.ok()) {
       auto kept = ReplayIngestLog(paths.log_path, *log, batches,
                                   session->assembler_.get());
       if (!kept.ok()) return kept.status();
-      if (*kept < log->size()) {
-        util::Status cut = util::TruncateFile(paths.log_path, *kept);
-        if (!cut.ok()) return cut;
-      }
+      if (*kept < log->size()) cut_log_to = *kept;
     } else if (batches > 0 ||
                log.status().code() != util::StatusCode::kNotFound) {
       return util::Status(log.status().code(),
@@ -350,6 +350,12 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
                               " (the snapshot holds " +
                               std::to_string(batches) + " batches)");
     }
+  }
+  util::Status instances = session->hive_->CheckRestoredInstances();
+  if (!instances.ok()) return instances;
+  if (cut_log_to) {
+    util::Status cut = util::TruncateFile(paths.log_path, *cut_log_to);
+    if (!cut.ok()) return cut;
   }
   if (!paths.feed_path.empty()) {
     // A feed that holds fewer versions than the snapshot is served as it

@@ -52,9 +52,9 @@ void PutU32Vector(std::string* out, const std::vector<uint32_t>& v) {
   for (uint32_t x : v) PutU32(out, x);
 }
 
-void PutU64Vector(std::string* out, const std::vector<uint64_t>& v) {
-  PutU64(out, v.size());
-  for (uint64_t x : v) PutU64(out, x);
+void PutVarintVector(std::string* out, const std::vector<uint64_t>& v) {
+  PutVarint(out, v.size());
+  for (uint64_t x : v) PutVarint(out, x);
 }
 
 void PutU64Set(std::string* out, const std::set<uint64_t>& v) {
@@ -210,6 +210,14 @@ bool ByteReader::ReadU64Vector(std::vector<uint64_t>* v) {
   if (!SaneCount(n, 8)) return false;
   v->reserve(n);
   for (uint64_t i = 0; i < n; ++i) v->push_back(ReadU64());
+  return ok_;
+}
+
+bool ByteReader::ReadVarintVector(std::vector<uint64_t>* v) {
+  uint64_t n = ReadVarint();
+  if (!SaneCount(n, 1)) return false;  // Every varint takes at least a byte.
+  v->reserve(n);
+  for (uint64_t i = 0; i < n && ok_; ++i) v->push_back(ReadVarint());
   return ok_;
 }
 

@@ -33,7 +33,8 @@ void PutVarint(std::string* out, uint64_t v);
 void PutString(std::string* out, std::string_view s);
 
 void PutU32Vector(std::string* out, const std::vector<uint32_t>& v);
-void PutU64Vector(std::string* out, const std::vector<uint64_t>& v);
+/// Varint count + one varint per element: small values take one byte.
+void PutVarintVector(std::string* out, const std::vector<uint64_t>& v);
 void PutU64Set(std::string* out, const std::set<uint64_t>& v);
 void PutF32Vector(std::string* out, const std::vector<float>& v);
 
@@ -84,7 +85,9 @@ class ByteReader {
   bool ReadString(std::string* out);
 
   bool ReadU32Vector(std::vector<uint32_t>* v);
+  /// The u64 count + fixed-width u64 layout that older writers used.
   bool ReadU64Vector(std::vector<uint64_t>* v);
+  bool ReadVarintVector(std::vector<uint64_t>* v);
   bool ReadU64Set(std::set<uint64_t>* v);
   bool ReadF32Vector(std::vector<float>* v);
 

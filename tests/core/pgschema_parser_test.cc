@@ -71,6 +71,81 @@ TEST(PgSchemaParserTest, RejectsGarbage) {
   EXPECT_FALSE(ParsePgSchema("", &vocab).ok());
 }
 
+// Labels and keys the bare syntax cannot carry are backtick-quoted, so each
+// reads back as the same name with the same requiredness and data type:
+// punctuation, a space, a backtick, and the property block's keywords as
+// keys. Names the bare syntax carries keep their spelling.
+TEST(PgSchemaParserTest, QuotedNamesRoundTrip) {
+  EXPECT_EQ(PgSchemaName("a_b", /*is_key=*/true), "a_b");
+  EXPECT_EQ(PgSchemaName("A|B", /*is_key=*/false), "A|B");
+  EXPECT_EQ(PgSchemaName("OPEN", /*is_key=*/false), "OPEN");
+  EXPECT_EQ(PgSchemaName("OPTIONAL_x", /*is_key=*/true), "OPTIONAL_x");
+  EXPECT_EQ(PgSchemaName("OPEN", /*is_key=*/true), "`OPEN`");
+  EXPECT_EQ(PgSchemaName("a-b", /*is_key=*/true), "`a-b`");
+  EXPECT_EQ(PgSchemaName("x`y", /*is_key=*/false), "`x``y`");
+  EXPECT_EQ(PgSchemaName("", /*is_key=*/false), "``");
+
+  pg::Vocabulary vocab;
+  SchemaGraph schema;
+  NodeType node;
+  node.labels = {vocab.InternLabel("my label"), vocab.InternLabel("x`y")};
+  const std::vector<std::string> keys = {"a-b",      "a b",  "x`y",
+                                         "OPTIONAL", "OPEN", "OPTIONAL_x",
+                                         "a_b"};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const bool mandatory = i % 2 == 0;
+    node.properties[vocab.InternKey(keys[i])] = {
+        mandatory ? 1u : 0u, pg::DataType::kInteger,
+        mandatory ? Requiredness::kMandatory : Requiredness::kOptional};
+  }
+  schema.node_types().push_back(node);
+  EdgeType edge;
+  edge.labels = {vocab.InternLabel("OPEN")};
+  edge.properties[vocab.FindKey("OPTIONAL")] = {1, pg::DataType::kString,
+                                                Requiredness::kMandatory};
+  schema.edge_types().push_back(edge);
+
+  for (SchemaMode mode : {SchemaMode::kStrict, SchemaMode::kLoose}) {
+    const std::string text = SerializePgSchema(schema, vocab, mode);
+    pg::Vocabulary fresh;
+    auto parsed = ParsePgSchema(text, &fresh);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+    ASSERT_EQ(parsed->num_node_types(), 1u) << text;
+    ASSERT_EQ(parsed->num_edge_types(), 1u) << text;
+    const NodeType& back = parsed->node_types()[0];
+    ASSERT_EQ(back.labels.size(), 2u) << text;
+    EXPECT_NE(fresh.FindLabel("my label"), util::StringInterner::kInvalidId) << text;
+    EXPECT_NE(fresh.FindLabel("x`y"), util::StringInterner::kInvalidId) << text;
+    ASSERT_EQ(back.properties.size(), keys.size()) << text;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const pg::PropKeyId key = fresh.FindKey(keys[i]);
+      ASSERT_TRUE(back.properties.count(key)) << keys[i] << "\n" << text;
+      if (mode == SchemaMode::kStrict) {
+        const PropertyInfo& info = back.properties.at(key);
+        EXPECT_EQ(info.requiredness, node.properties.at(vocab.FindKey(keys[i]))
+                                         .requiredness)
+            << keys[i];
+        EXPECT_EQ(info.data_type, pg::DataType::kInteger) << keys[i];
+      }
+    }
+    const EdgeType& back_edge = parsed->edge_types()[0];
+    EXPECT_EQ(back_edge.labels,
+              std::vector<pg::LabelId>{fresh.FindLabel("OPEN")});
+    EXPECT_TRUE(back_edge.properties.count(fresh.FindKey("OPTIONAL")));
+    // What was read writes the same text again.
+    EXPECT_EQ(SerializePgSchema(*parsed, fresh, mode), text);
+  }
+}
+
+TEST(PgSchemaParserTest, RejectsUnterminatedQuotedName) {
+  pg::Vocabulary vocab;
+  EXPECT_FALSE(ParsePgSchema("CREATE GRAPH TYPE S STRICT {\n"
+                             "  (T : L {`a-b STRING})\n"
+                             "}\n",
+                             &vocab)
+                   .ok());
+}
+
 // Round-trip property over every zoo dataset: serialize the discovered
 // schema, parse it back, and check type counts, labels, requiredness and
 // cardinalities survive.

@@ -254,7 +254,7 @@ TEST(SerializeTest, NamesAreUniqueInEachFile) {
 
   EXPECT_EQ(SerializePgSchema(schema, vocab, SchemaMode::kStrict),
             R"(CREATE GRAPH TYPE PgHiveSchema STRICT {
-  (A_BType : A|B {a-b STRING, a_b STRING}),
+  (A_BType : A|B {`a-b` STRING, a_b STRING}),
   (A_BType_2 : A & B),
   (A_B_2Type : A_B_2),
   (:ANY)-[REdgeType : R {OPTIONAL source STRING}]->(:ANY)
@@ -282,6 +282,32 @@ TEST(SerializeTest, NamesAreUniqueInEachFile) {
       <xs:attribute name="source_2" type="xs:string" use="optional"/>
       <xs:attribute name="source" type="xs:IDREF" use="required"/>
       <xs:attribute name="target" type="xs:IDREF" use="required"/>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>
+)");
+}
+
+// An XML name cannot start with a digit: such a label or key takes a
+// leading underscore in the .xsd, and is still spelled apart from a name
+// that already had one.
+TEST(SerializeTest, XsdNamesNeverStartWithADigit) {
+  pg::Vocabulary vocab;
+  SchemaGraph schema;
+  NodeType node;
+  node.labels = {vocab.InternLabel("2020s")};
+  node.properties[vocab.InternKey("2nd")] = {1, pg::DataType::kString,
+                                             Requiredness::kMandatory};
+  node.properties[vocab.InternKey("_2nd")] = {0, pg::DataType::kInteger,
+                                              Requiredness::kOptional};
+  schema.node_types().push_back(node);
+  EXPECT_EQ(SerializeXsd(schema, vocab),
+            R"(<?xml version="1.0" encoding="UTF-8"?>
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="_2020s">
+    <xs:complexType>
+      <xs:attribute name="_2nd" type="xs:string" use="required"/>
+      <xs:attribute name="_2nd_2" type="xs:long" use="optional"/>
     </xs:complexType>
   </xs:element>
 </xs:schema>

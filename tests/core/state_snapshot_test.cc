@@ -83,6 +83,48 @@ std::string ResumeAndFinish(const std::string& snapshot,
   return FinishAndSerialize(&hive, dataset.graph);
 }
 
+constexpr uint32_t kOptionsSectionId = 1;
+constexpr uint32_t kSchemaSectionId = 4;
+constexpr size_t kFinalLdbcSnapshotBound = 100000;
+
+// The payload of `snapshot`'s section `id` (empty if it has none).
+std::string SectionPayload(const std::string& snapshot, uint32_t id) {
+  util::ByteReader in(snapshot);
+  in.ReadBytes(8);  // "PGHS" + u32 version.
+  uint32_t read_id = 0;
+  std::string_view payload;
+  while (util::ReadSection(&in, &read_id, &payload)) {
+    if (read_id == id) return std::string(payload);
+  }
+  return {};
+}
+
+// Re-frames `snapshot` with section `id`'s payload replaced by `payload`.
+std::string WithSectionPayload(const std::string& snapshot, uint32_t id,
+                               const std::string& payload) {
+  util::ByteReader in(snapshot);
+  std::string out(in.ReadBytes(8));
+  uint32_t read_id = 0;
+  std::string_view view;
+  while (util::ReadSection(&in, &read_id, &view)) {
+    util::AppendSection(&out, read_id, read_id == id ? payload : view);
+  }
+  EXPECT_TRUE(in.AtEnd());
+  return out;
+}
+
+// Re-frames `snapshot` with the options-section bytes that start `from_end`
+// bytes before the section's end overwritten by `bytes`, and returns the
+// bytes they replaced through `*old`.
+std::string WithOptionsBytes(const std::string& snapshot, size_t from_end,
+                             const std::string& bytes, std::string* old) {
+  std::string payload = SectionPayload(snapshot, kOptionsSectionId);
+  const size_t at = payload.size() - from_end;
+  *old = payload.substr(at, bytes.size());
+  payload.replace(at, bytes.size(), bytes);
+  return WithSectionPayload(snapshot, kOptionsSectionId, payload);
+}
+
 // The options section ends with the u8 data-plane slot, alpha_scale,
 // threads, the u64 pipeline-depth and shard-count slots and the seed; all
 // three slots are retired (written as 1, ignored on read). Offsets count
@@ -91,25 +133,41 @@ constexpr size_t kDataPlaneSlotFromEnd = 41;
 constexpr size_t kDepthSlotFromEnd = 24;
 constexpr size_t kShardSlotFromEnd = 16;
 
-// Re-frames `snapshot` with the options-section bytes that start `from_end`
-// bytes before the section's end overwritten by `bytes`, and returns the
-// bytes they replaced through `*old`.
-std::string WithOptionsBytes(const std::string& snapshot, size_t from_end,
-                             const std::string& bytes, std::string* old) {
-  util::ByteReader in(snapshot);
-  std::string out(in.ReadBytes(8));  // "PGHS" + u32 version.
-  uint32_t id = 0;
-  std::string_view view;
-  while (util::ReadSection(&in, &id, &view)) {
-    std::string payload(view);
-    if (id == 1) {  // The options section.
-      const size_t at = payload.size() - from_end;
-      *old = payload.substr(at, bytes.size());
-      payload.replace(at, bytes.size(), bytes);
+// The PGHB version-1 layout of `schema`, as older builds wrote it: the
+// version-2 record with each type's instance ids as a u64 count and a u64
+// per id instead of varints.
+std::string SchemaBinaryVersion1(const SchemaGraph& schema) {
+  std::string out = "PGHB";
+  util::PutU32(&out, 1);
+  util::PutU64(&out, schema.num_node_types());
+  util::PutU64(&out, schema.num_edge_types());
+  auto put_type = [&out](const SchemaType& type) {
+    util::PutU32Vector(&out, type.labels);
+    util::PutU64(&out, type.properties.size());
+    for (const auto& [key, info] : type.properties) {
+      util::PutU32(&out, key);
+      util::PutU64(&out, info.count);
+      util::PutU8(&out, static_cast<uint8_t>(info.data_type));
+      util::PutU8(&out,
+                  info.requiredness == Requiredness::kMandatory ? 1 : 0);
     }
-    util::AppendSection(&out, id, payload);
+    util::PutU64(&out, type.instances.size());
+    for (uint64_t id : type.instances) util::PutU64(&out, id);
+    util::PutU64(&out, type.instance_count);
+    util::PutU64Set(&out, type.pattern_hashes);
+  };
+  for (const NodeType& t : schema.node_types()) put_type(t);
+  for (const EdgeType& t : schema.edge_types()) {
+    put_type(t);
+    util::PutU64(&out, t.endpoints.size());
+    for (const auto& [src, dst] : t.endpoints) {
+      util::PutU32(&out, src);
+      util::PutU32(&out, dst);
+    }
+    util::PutU64(&out, t.cardinality.max_out);
+    util::PutU64(&out, t.cardinality.max_in);
+    util::PutU8(&out, static_cast<uint8_t>(t.cardinality.kind));
   }
-  EXPECT_TRUE(in.AtEnd());
   return out;
 }
 
@@ -270,6 +328,101 @@ TEST(StateSnapshotTest, NewerVersionWithAppendedSectionRestores) {
   datasets::Dataset dataset = MakeDataset();
   PgHive hive(&dataset.graph, options);
   EXPECT_FALSE(hive.RestoreState(ancient).ok());
+}
+
+TEST(StateSnapshotTest, VersionOneSchemaRecordResumes) {
+  // Snapshots written before the varint ids carry a version-1 schema
+  // record; they still restore, and resume to the uninterrupted run's bytes.
+  PgHiveOptions options = BaseOptions(EmbedderKind::kWord2Vec);
+  CheckpointedRun run = RunWithCheckpoint(options, /*num_batches=*/4,
+                                          /*checkpoint_at=*/2);
+  const std::string current = SectionPayload(run.snapshot, kSchemaSectionId);
+  auto schema = ParseSchemaBinary(current);
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  ASSERT_EQ(util::ByteReader(current.substr(4)).ReadU32(), 2u);
+  const std::string version1 = SchemaBinaryVersion1(*schema);
+  ASSERT_GT(version1.size(), current.size());
+  // Version 1 reads back to the same schema, which writes version 2 again.
+  auto reread = ParseSchemaBinary(version1);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_EQ(SerializeSchemaBinary(*reread), current);
+
+  const std::string older =
+      WithSectionPayload(run.snapshot, kSchemaSectionId, version1);
+  EXPECT_EQ(ResumeAndFinish(older, options, 4), run.final_schema);
+}
+
+TEST(StateSnapshotTest, UnknownSchemaRecordVersionIsRefusedByName) {
+  CheckpointedRun run = RunWithCheckpoint(BaseOptions(), 3, 2);
+  std::string schema = SectionPayload(run.snapshot, kSchemaSectionId);
+  ASSERT_GT(schema.size(), 8u);
+  schema[4] = 3;  // The u32 version after "PGHB".
+  const std::string future =
+      WithSectionPayload(run.snapshot, kSchemaSectionId, schema);
+  datasets::Dataset dataset = MakeDataset();
+  PgHive hive(&dataset.graph, BaseOptions());
+  auto restored = hive.RestoreState(future);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(restored.status().message().find("unsupported version 3"),
+            std::string::npos)
+      << restored.status().ToString();
+}
+
+TEST(StateSnapshotTest, RestoredInstancesMustNameGraphElements) {
+  // A snapshot of a larger graph restores into a smaller one with the same
+  // labels and keys; the check names the first type with an id past the
+  // graph instead of letting post-processing read past it.
+  datasets::Dataset large = MakeDataset(/*scale=*/0.2);
+  PgHive run(&large.graph, BaseOptions());
+  auto batches = pg::SplitIntoBatches(large.graph, 4, /*seed=*/5);
+  ASSERT_TRUE(run.ProcessBatch(batches[0]).ok());
+  ASSERT_TRUE(run.ProcessBatch(batches[1]).ok());
+  auto snapshot = run.SaveState();
+  ASSERT_TRUE(snapshot.ok());
+
+  datasets::Dataset small = MakeDataset();
+  PgHive hive(&small.graph, BaseOptions());
+  auto restored = hive.RestoreState(*snapshot);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  util::Status status = hive.CheckRestoredInstances();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("node type"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("but the graph has " +
+                                  std::to_string(small.graph.num_nodes()) +
+                                  " nodes"),
+            std::string::npos)
+      << status.ToString();
+
+  // Against the graph the run read, every id names an element.
+  datasets::Dataset same = MakeDataset(/*scale=*/0.2);
+  PgHive resumed(&same.graph, BaseOptions());
+  ASSERT_TRUE(resumed.RestoreState(*snapshot).ok());
+  EXPECT_TRUE(resumed.CheckRestoredInstances().ok());
+}
+
+TEST(StateSnapshotTest, FinalSnapshotOfAnLdbcStreamStaysSmall) {
+  // The last snapshot of a 32-batch LDBC x1 stream (the daemon benchmark's
+  // shape) holds every instance id of the graph: 32,979 of them. As
+  // fixed-width u64s they made it about 270 KB; as varints it is 79,310
+  // bytes. The bound fails a return to fixed-width ids.
+  datasets::Dataset dataset =
+      datasets::Generate(datasets::LdbcSpec(), 1.0, /*seed=*/3001);
+  PgHive hive(&dataset.graph, PgHiveOptions{});
+  for (pg::GraphBatch& batch :
+       pg::SplitIntoBatches(dataset.graph, 32, /*seed=*/1)) {
+    ASSERT_TRUE(hive.ProcessBatch(std::move(batch)).ok());
+  }
+  ASSERT_TRUE(hive.Finish().ok());
+  auto bytes = hive.SaveState();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  size_t ids = 0;
+  for (const NodeType& t : hive.schema().node_types()) ids += t.instances.size();
+  for (const EdgeType& t : hive.schema().edge_types()) ids += t.instances.size();
+  EXPECT_LT(bytes->size(), kFinalLdbcSnapshotBound)
+      << ids << " instance ids";
 }
 
 TEST(StateSnapshotTest, HostileSectionLengthIsClampedNotAllocated) {

@@ -602,6 +602,40 @@ TEST(DurableSessionTest, DamagedLogWithinTheCheckpointFailsRestoreLoudly) {
   EXPECT_EQ((*manager.Lookup("s1"))->batches_ingested(), 3u);
 }
 
+TEST(DurableSessionTest, CheckpointOfAnotherStreamFailsRestoreLeavingTheLog) {
+  // A checkpoint beside the ingest log of a smaller stream with the same
+  // labels and keys: the log replays cleanly, but the snapshot's types hold
+  // instances the replayed graph lacks. The restore fails naming the type
+  // and the id, and leaves the log as it found it (one record past the
+  // snapshot, which a successful restore would cut).
+  const std::string large_dir = FreshCheckpointDir("other_stream_large");
+  const std::string dir = FreshCheckpointDir("other_stream_small");
+  datasets::Dataset large =
+      datasets::Generate(datasets::PoleSpec(), 0.2, /*seed=*/7);
+  datasets::Dataset small =
+      datasets::Generate(datasets::PoleSpec(), 0.05, /*seed=*/7);
+  StreamThenDie(large_dir, /*checkpoint_every=*/2,
+                BuildIngestPayloads(large.graph, 4), 2);
+  StreamThenDie(dir, /*checkpoint_every=*/2,
+                BuildIngestPayloads(small.graph, 4), 3);
+  fs::copy_file(large_dir + "/s1.pghd", dir + "/s1.pghd",
+                fs::copy_options::overwrite_existing);
+  const std::string log = ReadFile(dir + "/s1.log");
+  ASSERT_EQ(ScanLog(log).size(), 3u);
+
+  SessionManager manager(nullptr, DurableOptions(dir, 2));
+  util::Status status = manager.RestoreFromCheckpointDir();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("s1.pghd: state snapshot: node type "),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find(" holds node id "), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(manager.num_sessions(), 0u);
+  EXPECT_EQ(ReadFile(dir + "/s1.log"), log);
+}
+
 TEST(DurableSessionTest, PghdCheckpointFailsNamingItsVersion) {
   // Older builds wrapped the hive snapshot in a "PGHD" session file: the
   // magic, a u32 version and CRC-framed sections — in version 2 the hive

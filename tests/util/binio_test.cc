@@ -14,6 +14,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pghive::util {
@@ -104,7 +105,9 @@ TEST(BinioTest, VectorAndSetRoundTrip) {
   std::vector<float> f32s = {0.0f, -1.5f, 3.25f};
   std::string buf;
   PutU32Vector(&buf, u32s);
-  PutU64Vector(&buf, u64s);
+  // ReadU64Vector reads the fixed-width layout older writers used.
+  PutU64(&buf, u64s.size());
+  for (uint64_t x : u64s) PutU64(&buf, x);
   PutU64Set(&buf, set);
   PutF32Vector(&buf, f32s);
 
@@ -122,6 +125,60 @@ TEST(BinioTest, VectorAndSetRoundTrip) {
   EXPECT_EQ(set_back, set);
   EXPECT_EQ(f32s_back, f32s);
   EXPECT_TRUE(in.AtEnd());
+}
+
+TEST(BinioTest, VarintVectorRoundTrip) {
+  const std::vector<uint64_t> values = {
+      0, 127, 128, 1ull << 32, std::numeric_limits<uint64_t>::max()};
+  std::string buf;
+  PutVarintVector(&buf, values);
+  PutVarintVector(&buf, {});
+  // Count, then 1 + 1 + 2 + 5 + 10 bytes of values; then an empty vector.
+  EXPECT_EQ(buf.size(), 1u + 19u + 1u);
+  ByteReader in(buf);
+  std::vector<uint64_t> back, empty;
+  ASSERT_TRUE(in.ReadVarintVector(&back));
+  ASSERT_TRUE(in.ReadVarintVector(&empty));
+  EXPECT_EQ(back, values);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(in.AtEnd());
+}
+
+TEST(BinioTest, VarintVectorRejectsMalformedInput) {
+  std::string whole;
+  PutVarintVector(&whole, {5, 300});
+  // A truncated last element: 300 is two bytes, the second one cut off.
+  {
+    ByteReader in(std::string_view(whole).substr(0, whole.size() - 1));
+    std::vector<uint64_t> v;
+    EXPECT_FALSE(in.ReadVarintVector(&v));
+    EXPECT_FALSE(in.ok());
+  }
+  // An over-long element: eleven continuation bytes are no 64-bit varint.
+  {
+    std::string buf;
+    PutVarint(&buf, 1);
+    buf += std::string(11, '\x80');
+    buf += '\x01';
+    ByteReader in(buf);
+    std::vector<uint64_t> v;
+    EXPECT_FALSE(in.ReadVarintVector(&v));
+    EXPECT_FALSE(in.ok());
+  }
+  // A count above the remaining bytes (every element takes at least one) is
+  // refused before anything is reserved, even one that would fit in memory.
+  for (uint64_t count : {uint64_t{3}, uint64_t{1} << 40,
+                         std::numeric_limits<uint64_t>::max()}) {
+    std::string buf;
+    PutVarint(&buf, count);
+    PutVarint(&buf, 7);
+    PutVarint(&buf, 8);
+    ByteReader in(buf);
+    std::vector<uint64_t> v;
+    EXPECT_FALSE(in.ReadVarintVector(&v)) << count;
+    EXPECT_FALSE(in.ok());
+    EXPECT_EQ(v.capacity(), 0u) << count;
+  }
 }
 
 TEST(BinioTest, ReadPastEndLatchesFailure) {

@@ -15,7 +15,9 @@
 //       the flag needs --checkpoint-to) and after Finish; --resume-from FILE
 //       restores such a snapshot and continues with the remaining batches of
 //       the same split — the final schema is byte-identical to the
-//       uninterrupted run. A pghived session checkpoint (DIR/<id>.pghd) is
+//       uninterrupted run. It exits 1, naming the type and the id, if the
+//       snapshot holds an instance id the --graph file lacks (a snapshot of
+//       another graph). A pghived session checkpoint (DIR/<id>.pghd) is
 //       the same snapshot and resumes here too. After a resume, "discovery
 //       took" counts only the batches this process merged. --changefeed FILE
 //       writes one binary SchemaDiff record per merged batch (plus one for
@@ -201,6 +203,8 @@ int CmdDiscover(const Args& args) {
     if (!bytes.ok()) return Fail(bytes.status().ToString());
     auto r = pipeline.RestoreState(*bytes);
     if (!r.ok()) return Fail(r.status().ToString());
+    util::Status instances = pipeline.CheckRestoredInstances();
+    if (!instances.ok()) return Fail(instances.ToString());
     restored = *r;
     std::printf("resumed from %s: %llu batches already merged\n",
                 args.Get("resume-from").c_str(),
