@@ -36,8 +36,6 @@ int main() {
 
       core::DataTypeOptions dt;
       dt.sample = true;
-      dt.sample_fraction = 0.1;
-      dt.min_sample = 1000;
       core::SamplingErrorReport report =
           core::ComputeSamplingErrors(graph, pipeline.schema(), dt);
       auto bins = report.BinFractions();

@@ -14,12 +14,15 @@ namespace pghive::core {
 
 /// Data type inference options (§4.4). With sampling enabled, only a
 /// fraction of each property's values is examined ("10% of the properties,
-/// and at least 1000"), which trades a small error (Fig. 8) for speed.
+/// and at least 1000"), which trades a small error (Fig. 8) for speed. A
+/// type of at most min_sample instances is always scanned in full. The
+/// fraction and the floor are the paper's; they and the sampling seed are
+/// fixed.
 struct DataTypeOptions {
   bool sample = false;
-  double sample_fraction = 0.1;
-  size_t min_sample = 1000;
-  uint64_t seed = 13;
+  static constexpr double sample_fraction = 0.1;
+  static constexpr size_t min_sample = 1000;
+  static constexpr uint64_t seed = 13;
 };
 
 /// Fills PropertyInfo::data_type for every property of every type by

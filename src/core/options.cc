@@ -12,14 +12,8 @@ util::Status PgHiveOptions::Validate() const {
         "threads must be in [0, " + std::to_string(kMaxThreads) +
         "] (0 = hardware threads), got " + std::to_string(num_threads));
   }
-  if (embedding_dim == 0) {
-    return util::Status::OutOfRange("embedding_dim must be >= 1");
-  }
   if (jaccard_threshold < 0.0 || jaccard_threshold > 1.0) {
     return util::Status::OutOfRange("jaccard_threshold must be in [0, 1]");
-  }
-  if (alpha_scale <= 0.0) {
-    return util::Status::OutOfRange("alpha_scale must be > 0");
   }
   if (!adaptive && bucket_length <= 0.0) {
     return util::Status::OutOfRange(

@@ -85,7 +85,6 @@ PgHive::SideClusters PgHive::ClusterSide(const PreparedBatch& prepared,
                                       num_labels, aopts)
                    : ChooseEdgeParams(features, patterns.row_patterns,
                                       num_labels, aopts);
-    if (elsh) choice.bucket_length *= options_.alpha_scale;
   } else {
     if (elsh) choice.bucket_length = options_.bucket_length;
     choice.num_tables = options_.num_tables;
@@ -205,20 +204,10 @@ util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   }
   last_stats_.extract_ms = timer.ElapsedMillis();
 
-  // (e)-(g) Optional per-batch post-processing.
-  if (options_.post_process_each_batch) {
-    timer.Reset();
-    InferPropertyConstraints(&schema_);
-    InferDataTypes(*graph_, &schema_, options_.datatype_options, pool_);
-    ComputeCardinalities(*graph_, &schema_);
-    last_stats_.post_process_ms = timer.ElapsedMillis();
-  }
-
   ++batches_processed_;
   total_stats_.preprocess_ms += last_stats_.preprocess_ms;
   total_stats_.cluster_ms += last_stats_.cluster_ms;
   total_stats_.extract_ms += last_stats_.extract_ms;
-  total_stats_.post_process_ms += last_stats_.post_process_ms;
   total_stats_.node_clusters += last_stats_.node_clusters;
   total_stats_.edge_clusters += last_stats_.edge_clusters;
   return util::Status::Ok();

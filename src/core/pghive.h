@@ -29,33 +29,37 @@ enum class ClusterMethod { kElsh, kMinHash };
 enum class EmbedderKind { kWord2Vec, kHash };
 
 /// End-to-end pipeline options (Algorithm 1 inputs + engineering knobs).
+/// Every field is set by a front end: the CLI or pghived (method, sampling,
+/// threads, seed), the evaluation harness (the manual LSH parameters), or
+/// the ablation bench (embedder, amplification, theta). The static members
+/// are fixed. They keep their names because perfbench's replay reads them
+/// through an options object, and each keeps its slot in a snapshot's
+/// options section.
 struct PgHiveOptions {
   ClusterMethod method = ClusterMethod::kElsh;
   EmbedderKind embedder = EmbedderKind::kWord2Vec;
-  size_t embedding_dim = 8;
+  static constexpr size_t embedding_dim = 8;
 
   /// Adaptive parameterization (§4.2). When false, the manual values below
   /// are used ("users can always provide their own LSH parameters").
   bool adaptive = true;
   double bucket_length = 2.0;
   size_t num_tables = 20;
-  size_t minhash_rows_per_band = 4;
+  static constexpr size_t minhash_rows_per_band = 4;
   lsh::Amplification amplification = lsh::Amplification::kAnd;
 
   /// Jaccard threshold theta of Algorithm 2.
   double jaccard_threshold = 0.9;
 
-  /// postProcessing flag of Algorithm 1: when true, constraints, data types
-  /// and cardinalities are refreshed after *every* batch; otherwise only at
-  /// Finish().
-  bool post_process_each_batch = false;
+  /// postProcessing flag of Algorithm 1, fixed at false: constraints, data
+  /// types and cardinalities are computed once, at Finish().
+  static constexpr bool post_process_each_batch = false;
 
   /// Data type inference sampling (§4.4).
   DataTypeOptions datatype_options;
 
-  /// Scales the adaptive multiplier on alpha when sweeping Fig. 6's grid
-  /// (1.0 = the paper's heuristic).
-  double alpha_scale = 1.0;
+  /// The multiplier on the adaptive bucket length: the paper's heuristic.
+  static constexpr double alpha_scale = 1.0;
 
   /// Worker threads for the parallel pipeline stages (Word2Vec training
   /// waves, the pattern feature fills, ELSH hashing, the AND group-by from
@@ -71,7 +75,7 @@ struct PgHiveOptions {
   uint64_t seed = 42;
 
   /// The single source of truth for knob constraints: the thread range,
-  /// embedding dimension, thresholds. Called by the CLI parsers, by
+  /// the threshold, the manual bucket length. Called by the CLI parsers, by
   /// PgHive::Create, and by the pghived session-create path, so every entry
   /// point rejects the same inputs with the same messages.
   util::Status Validate() const;
@@ -183,10 +187,9 @@ class PgHive {
   /// iteration (the pipeline hands it to another thread).
   PreparedBatch PreprocessBatch(pg::GraphBatch batch);
 
-  /// Stages (c)-(g): LSH clustering, candidate build, Algorithm 2 merge into
-  /// the running schema, and optional per-batch post-processing. Must be
-  /// called in batch order (the schema merge is order-defined); reads no
-  /// vocabulary or embedder state.
+  /// Stages (c)-(d): LSH clustering, candidate build, and the Algorithm 2
+  /// merge into the running schema. Must be called in batch order (the
+  /// schema merge is order-defined); reads no vocabulary or embedder state.
   util::Status ProcessPrepared(PreparedBatch prepared);
 
   /// Runs the post-processing passes (constraints, data types,
@@ -233,8 +236,8 @@ class PgHive {
   util::StatusOr<std::string> SaveState() const;
 
   /// Restores SaveState bytes into a freshly created hive: same
-  /// discovery-relevant options (method, embedder, dim, LSH parameters,
-  /// thresholds, datatype sampling, seed — the thread count may differ, its
+  /// discovery-relevant options (method, embedder, LSH parameters,
+  /// threshold, datatype sampling, seed — the thread count may differ, its
   /// byte-identity contract makes it free to change across a resume), zero
   /// batches processed, and a graph whose vocabulary is position-consistent
   /// with the snapshot (empty, or reloaded from the same graph file).
@@ -276,7 +279,8 @@ util::StatusOr<SchemaGraph> DiscoverSchema(pg::PropertyGraph* graph,
 /// how a restarting pghived learns which options to construct the
 /// restored session with before any heavy state is touched. Verifies the
 /// header, the section framing/CRC, and the parsed options themselves
-/// (PgHiveOptions::Validate).
+/// (PgHiveOptions::Validate); a slot of a fixed option (a static member)
+/// that holds another value is FailedPrecondition, naming the option.
 util::StatusOr<PgHiveOptions> ReadSnapshotOptions(const std::string& bytes);
 
 }  // namespace pghive::core

@@ -44,6 +44,9 @@ constexpr uint32_t kEmbedderSection = 3;
 constexpr uint32_t kSchemaSection = 4;
 constexpr uint32_t kCursorSection = 6;
 
+// The static members of PgHiveOptions and DataTypeOptions are fixed in this
+// build; their slots keep the layout and the values older writers wrote, and
+// ParseOptionsPayload refuses a snapshot that holds another value there.
 std::string SerializeOptionsPayload(const PgHiveOptions& o) {
   std::string out;
   util::PutU8(&out, static_cast<uint8_t>(o.method));
@@ -79,20 +82,20 @@ util::StatusOr<PgHiveOptions> ParseOptionsPayload(std::string_view payload) {
   PgHiveOptions o;
   uint8_t method = in.ReadU8();
   uint8_t embedder = in.ReadU8();
-  o.embedding_dim = in.ReadU64();
+  const uint64_t embedding_dim = in.ReadU64();
   o.adaptive = in.ReadU8() != 0;
   o.bucket_length = in.ReadF64();
   o.num_tables = in.ReadU64();
-  o.minhash_rows_per_band = in.ReadU64();
+  const uint64_t rows_per_band = in.ReadU64();
   uint8_t amplification = in.ReadU8();
   o.jaccard_threshold = in.ReadF64();
-  o.post_process_each_batch = in.ReadU8() != 0;
+  const uint8_t post_each_batch = in.ReadU8();
   o.datatype_options.sample = in.ReadU8() != 0;
-  o.datatype_options.sample_fraction = in.ReadF64();
-  o.datatype_options.min_sample = in.ReadU64();
-  o.datatype_options.seed = in.ReadU64();
+  const double sample_fraction = in.ReadF64();
+  const uint64_t min_sample = in.ReadU64();
+  const uint64_t datatype_seed = in.ReadU64();
   in.ReadU8();  // Retired data-plane slot (see SerializeOptionsPayload).
-  o.alpha_scale = in.ReadF64();
+  const double alpha_scale = in.ReadF64();
   o.num_threads = in.ReadU64();
   in.ReadU64();  // Retired pipeline-depth slot (see SerializeOptionsPayload).
   in.ReadU64();  // Retired shard-count slot (see SerializeOptionsPayload).
@@ -104,6 +107,26 @@ util::StatusOr<PgHiveOptions> ParseOptionsPayload(std::string_view payload) {
       embedder > static_cast<uint8_t>(EmbedderKind::kHash) ||
       amplification > static_cast<uint8_t>(lsh::Amplification::kOr)) {
     return util::Status::ParseError("state snapshot: bad options enum value");
+  }
+  // The slots of the options this build fixes must hold its values: a run
+  // with any other value would not resume to its own bytes here.
+  const std::pair<const char*, bool> fixed[] = {
+      {"embedding-dim", embedding_dim == PgHiveOptions::embedding_dim},
+      {"minhash-rows-per-band",
+       rows_per_band == PgHiveOptions::minhash_rows_per_band},
+      {"post-process-each-batch",
+       post_each_batch == uint8_t{PgHiveOptions::post_process_each_batch}},
+      {"sample-fraction", sample_fraction == DataTypeOptions::sample_fraction},
+      {"datatype-min-sample", min_sample == DataTypeOptions::min_sample},
+      {"datatype-seed", datatype_seed == DataTypeOptions::seed},
+      {"alpha-scale", alpha_scale == PgHiveOptions::alpha_scale},
+  };
+  for (const auto& [knob, same] : fixed) {
+    if (same) continue;
+    return util::Status::FailedPrecondition(
+        std::string("state snapshot: option '") + knob +
+        "' differs from this build's fixed value; resume with the build "
+        "that wrote the snapshot");
   }
   o.method = static_cast<ClusterMethod>(method);
   o.embedder = static_cast<EmbedderKind>(embedder);
@@ -131,40 +154,20 @@ util::Status CheckDiscoveryOptionsMatch(const PgHiveOptions& have,
   };
   if (have.method != snap.method) return mismatch("method");
   if (have.embedder != snap.embedder) return mismatch("embedder");
-  if (have.embedding_dim != snap.embedding_dim) {
-    return mismatch("embedding-dim");
-  }
   if (have.adaptive != snap.adaptive) return mismatch("adaptive");
   if (have.bucket_length != snap.bucket_length) {
     return mismatch("bucket-length");
   }
   if (have.num_tables != snap.num_tables) return mismatch("num-tables");
-  if (have.minhash_rows_per_band != snap.minhash_rows_per_band) {
-    return mismatch("minhash-rows-per-band");
-  }
   if (have.amplification != snap.amplification) {
     return mismatch("amplification");
   }
   if (have.jaccard_threshold != snap.jaccard_threshold) {
     return mismatch("jaccard-threshold");
   }
-  if (have.post_process_each_batch != snap.post_process_each_batch) {
-    return mismatch("post-process-each-batch");
-  }
   if (have.datatype_options.sample != snap.datatype_options.sample) {
     return mismatch("sample-datatypes");
   }
-  if (have.datatype_options.sample_fraction !=
-      snap.datatype_options.sample_fraction) {
-    return mismatch("sample-fraction");
-  }
-  if (have.datatype_options.min_sample != snap.datatype_options.min_sample) {
-    return mismatch("datatype-min-sample");
-  }
-  if (have.datatype_options.seed != snap.datatype_options.seed) {
-    return mismatch("datatype-seed");
-  }
-  if (have.alpha_scale != snap.alpha_scale) return mismatch("alpha-scale");
   if (have.seed != snap.seed) return mismatch("seed");
   return util::Status::Ok();
 }

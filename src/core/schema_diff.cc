@@ -414,26 +414,31 @@ std::vector<SchemaDiffRecord> ScanSchemaDiffStream(std::string_view bytes,
   return records;
 }
 
-util::StatusOr<uint64_t> TruncateFeedFile(const std::string& path,
-                                          uint64_t max_version) {
+util::Status TruncateFeedFile(const std::string& path, uint64_t versions) {
   std::error_code error;
   const auto file = std::filesystem::status(path, error);
-  if (!std::filesystem::exists(file)) return uint64_t{0};
-  if (!std::filesystem::is_regular_file(file)) return max_version;
-  auto bytes = util::ReadWholeFile(path);
-  if (!bytes.ok()) return bytes.status();
+  std::string bytes;
+  if (std::filesystem::exists(file)) {
+    if (!std::filesystem::is_regular_file(file)) return util::Status::Ok();
+    auto read = util::ReadWholeFile(path);
+    if (!read.ok()) return read.status();
+    bytes = std::move(*read);
+  }
   size_t keep = 0;
   uint64_t kept = 0;
-  for (const SchemaDiffRecord& record : ScanSchemaDiffStream(*bytes, nullptr)) {
-    if (kept == max_version || record.diff.version_to != kept + 1) break;
+  for (const SchemaDiffRecord& record : ScanSchemaDiffStream(bytes, nullptr)) {
+    if (kept == versions || record.diff.version_to != kept + 1) break;
     keep = record.offset + record.length;
     ++kept;
   }
-  if (keep < bytes->size()) {
-    util::Status cut = util::TruncateFile(path, keep);
-    if (!cut.ok()) return cut;
+  if (kept < versions) {
+    return util::Status::FailedPrecondition(
+        "changefeed " + path + " holds " + std::to_string(kept) +
+        " versions but the snapshot needs " + std::to_string(versions) +
+        "; resume with the feed the snapshot's run wrote");
   }
-  return kept;
+  if (keep < bytes.size()) return util::TruncateFile(path, keep);
+  return util::Status::Ok();
 }
 
 bool IsCardinalityWidening(CardinalityKind from, CardinalityKind to) {

@@ -120,13 +120,8 @@ ValidationReport SchemaValidator::Validate(
   const bool strict = options_.mode == SchemaMode::kStrict;
   pg::Vocabulary& vocab = const_cast<pg::PropertyGraph&>(graph).vocab();
 
-  auto full = [&]() {
-    return options_.max_violations > 0 &&
-           report.violations.size() >= options_.max_violations;
-  };
   auto add = [&](ViolationKind kind, bool is_edge, uint64_t id,
                  std::string detail) {
-    if (full()) return;
     report.violations.push_back({kind, is_edge, id, std::move(detail)});
   };
 
@@ -177,10 +172,7 @@ ValidationReport SchemaValidator::Validate(
       if (first || current.size() < best.size()) best = std::move(current);
       first = false;
     }
-    for (Violation& v : best) {
-      if (full()) return;
-      report.violations.push_back(std::move(v));
-    }
+    for (Violation& v : best) report.violations.push_back(std::move(v));
   };
 
   // Unlabeled elements match any abstract type covering their key set.
@@ -201,7 +193,6 @@ ValidationReport SchemaValidator::Validate(
 
   // --- Nodes ---
   for (const pg::Node& node : graph.nodes()) {
-    if (full()) break;
     ++report.nodes_checked;
     if (node.labels.empty()) {
       if (!matches_abstract(nodes.abstract, node.properties) &&
@@ -231,7 +222,6 @@ ValidationReport SchemaValidator::Validate(
   std::vector<std::vector<std::pair<pg::NodeId, pg::NodeId>>> typed_pairs(
       strict ? schema_->edge_types().size() : 0);
   for (const pg::Edge& edge : graph.edges()) {
-    if (full()) break;
     ++report.edges_checked;
     const EdgeType* type = nullptr;
     if (edge.labels.empty()) {
@@ -269,21 +259,20 @@ ValidationReport SchemaValidator::Validate(
   // Cardinality bounds (STRICT): no node may have more distinct neighbours
   // through an edge type than the schema's recorded upper bound. Each
   // violation names the offending node; they are reported in ascending node
-  // id (then schema order, max_out before max_in), so a max_violations cap
-  // keeps the same ones on every run.
+  // id (then schema order, max_out before max_in), so `pghive validate`
+  // prints the same first ones on every run.
   if (strict) {
-    std::vector<Violation> exceeded;
+    const size_t first = report.violations.size();
     DistinctDegreeCounter counter(graph.num_nodes());
     auto check = [&](const auto& pairs, const std::string& type_name,
                      size_t bound, const char* neighbours,
                      const char* bound_name) {
       for (const auto& [node, degree] : counter.Count(pairs)) {
         if (degree <= bound) continue;
-        exceeded.push_back({ViolationKind::kCardinalityExceeded, false, node,
-                            std::to_string(degree) + " distinct " +
-                                neighbours + " through " + type_name +
-                                " exceed " + bound_name + " " +
-                                std::to_string(bound)});
+        add(ViolationKind::kCardinalityExceeded, false, node,
+            std::to_string(degree) + " distinct " + neighbours + " through " +
+                type_name + " exceed " + bound_name + " " +
+                std::to_string(bound));
       }
     };
     for (size_t t = 0; t < typed_pairs.size(); ++t) {
@@ -297,14 +286,11 @@ ValidationReport SchemaValidator::Validate(
       for (auto& [a, b] : pairs) std::swap(a, b);
       check(pairs, name, type.cardinality.max_in, "sources", "max_in");
     }
-    std::stable_sort(exceeded.begin(), exceeded.end(),
+    std::stable_sort(report.violations.begin() + first,
+                     report.violations.end(),
                      [](const Violation& a, const Violation& b) {
                        return a.element_id < b.element_id;
                      });
-    for (Violation& v : exceeded) {
-      if (full()) break;
-      report.violations.push_back(std::move(v));
-    }
   }
 
   return report;

@@ -50,8 +50,6 @@ struct ValidatorOptions {
   /// additionally enforces the closed property set, data types, endpoint
   /// pairs, and cardinality bounds (§4.5's STRICT/LOOSE trade-off).
   SchemaMode mode = SchemaMode::kLoose;
-  /// Stop after this many violations (0 = unlimited).
-  size_t max_violations = 0;
 };
 
 /// Validates a property graph against a (discovered or hand-written) schema.

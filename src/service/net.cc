@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -88,6 +89,19 @@ void SocketStream::Close() {
   }
 }
 
+void SocketStream::ShutdownAfterReply(size_t max_discard) {
+  if (fd_ < 0) return;
+  ::shutdown(fd_, SHUT_WR);
+  buffer_.clear();
+  size_t discarded = 0;
+  while (discarded <= max_discard) {
+    auto filled = Fill();
+    if (!filled.ok()) break;
+    discarded += *filled;
+    buffer_.clear();
+  }
+}
+
 util::StatusOr<size_t> SocketStream::Fill() {
   // A closed or moved-from stream must surface the same NotFound the
   // ReadLine/ReadExact entry guards promise, not an EBADF IoError from
@@ -106,16 +120,22 @@ util::StatusOr<size_t> SocketStream::Fill() {
   }
 }
 
-util::StatusOr<std::string> SocketStream::ReadLine() {
+util::StatusOr<std::string> SocketStream::ReadLine(size_t max_bytes) {
   if (fd_ < 0) return util::Status::NotFound("connection closed");
-  for (;;) {
-    size_t nl = buffer_.find('\n');
+  // Each pass scans only the bytes the last Fill added.
+  for (size_t scanned = 0;;) {
+    const size_t nl = buffer_.find('\n', scanned);
+    if (std::min(nl, buffer_.size()) > max_bytes) {
+      return util::Status::OutOfRange("line longer than " +
+                                      std::to_string(max_bytes) + " bytes");
+    }
     if (nl != std::string::npos) {
       std::string line = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
+    scanned = buffer_.size();
     auto filled = Fill();
     if (!filled.ok()) {
       // Bytes without a final newline count as a (last) line.

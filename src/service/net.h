@@ -2,6 +2,7 @@
 #define PGHIVE_SERVICE_NET_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -41,8 +42,12 @@ class SocketStream {
 
   /// Reads up to the next '\n' (stripped, along with a preceding '\r').
   /// A clean EOF before any byte returns NotFound("connection closed") so
-  /// servers can tell an orderly disconnect from a real IO error.
-  util::StatusOr<std::string> ReadLine();
+  /// servers can tell an orderly disconnect from a real IO error. A line of
+  /// more than `max_bytes` bytes before its '\n' is OutOfRange, found as
+  /// soon as that many bytes arrive without one; the stream holds at most
+  /// one receive chunk past them.
+  util::StatusOr<std::string> ReadLine(
+      size_t max_bytes = std::numeric_limits<size_t>::max());
 
   /// Reads exactly `n` bytes into `*out` (replacing its contents).
   util::Status ReadExact(size_t n, std::string* out);
@@ -50,6 +55,15 @@ class SocketStream {
   util::Status WriteAll(std::string_view data);
 
   void Close();
+
+  /// Ends the connection after a reply to a peer that may still be sending:
+  /// shuts down the write side, so the peer reads the reply and then EOF,
+  /// and discards input until the peer closes or `max_discard` bytes have
+  /// arrived. A close with unread input would reset the connection, and a
+  /// reset can drop the reply before the peer reads it. The fd stays open
+  /// until Close or the destructor.
+  void ShutdownAfterReply(size_t max_discard);
+
   bool closed() const { return fd_ < 0; }
   int fd() const { return fd_; }
 

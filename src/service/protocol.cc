@@ -13,10 +13,6 @@ namespace pghive::service {
 
 namespace {
 
-/// Upper bound on a request body; a defensive limit so a corrupt length
-/// prefix cannot make the server buffer gigabytes.
-constexpr size_t kMaxBodyBytes = size_t{1} << 31;  // 2 GiB
-
 Response ErrorResponse(util::Status status) {
   Response response;
   response.status = std::move(status);

@@ -89,6 +89,17 @@ namespace pghive::service {
 ///   4 — drops save-state and load-state (they answer "unknown command"):
 ///       with --checkpoint-dir the daemon owns every session's durability.
 constexpr uint32_t kProtocolVersion = 4;
+
+/// Upper bound on a request line, its newline not counted. A client's
+/// longest line is under 200 bytes. The server answers a longer one with
+/// ERR OUT_OF_RANGE and closes the connection, so a peer that never sends a
+/// newline cannot make it buffer without bound.
+constexpr size_t kMaxRequestLineBytes = size_t{64} << 10;  // 64 KiB
+
+/// Upper bound on a request body; a defensive limit so a corrupt length
+/// prefix cannot make the server buffer gigabytes.
+constexpr size_t kMaxBodyBytes = size_t{1} << 31;  // 2 GiB
+
 struct Request {
   std::string command;
   std::vector<std::string> args;  ///< Tokens after the command.

@@ -70,8 +70,20 @@ void PghivedServer::AcceptLoop() {
 void PghivedServer::ServeConnection(Connection* connection) {
   SocketStream stream(connection->fd);
   while (!stopping_.load()) {
-    auto line = stream.ReadLine();
-    if (!line.ok()) break;  // Disconnect or IO error ends the connection.
+    auto line = stream.ReadLine(kMaxRequestLineBytes);
+    if (!line.ok()) {
+      // An over-long request line is answered, and then the connection
+      // ends: the rest of the line is still unread. A disconnect or IO
+      // error just ends it.
+      if (line.status().code() == util::StatusCode::kOutOfRange) {
+        Response refused;
+        refused.status = line.status();
+        if (stream.WriteAll(FormatResponse(refused)).ok()) {
+          stream.ShutdownAfterReply(kMaxRequestLineBytes);
+        }
+      }
+      break;
+    }
     if (line->empty()) continue;
     Response response;
     auto request = ParseRequestLine(*line);

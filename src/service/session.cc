@@ -332,7 +332,7 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
   const uint64_t versions_published = batches + (finished ? 1 : 0);
 
   // Rebuild the graph from log records 1..batches, check the snapshot's
-  // instances against it, then cut the log and the feed back to what the
+  // instances against it, then cut the feed and the log back to what the
   // snapshot covers. Cutting last means a failed restore leaves every file
   // as it found it.
   std::optional<size_t> cut_log_to;
@@ -353,16 +353,16 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
   }
   util::Status instances = session->hive_->CheckRestoredInstances();
   if (!instances.ok()) return instances;
+  // A feed that holds fewer versions than the snapshot is refused, as the
+  // ingest log is: the next publish would append after a hole.
+  if (!paths.feed_path.empty()) {
+    util::Status cut =
+        core::TruncateFeedFile(paths.feed_path, versions_published);
+    if (!cut.ok()) return cut;
+  }
   if (cut_log_to) {
     util::Status cut = util::TruncateFile(paths.log_path, *cut_log_to);
     if (!cut.ok()) return cut;
-  }
-  if (!paths.feed_path.empty()) {
-    // A feed that holds fewer versions than the snapshot is served as it
-    // is: subscribe-changefeed answers the missing range with OutOfRange.
-    auto truncated =
-        core::TruncateFeedFile(paths.feed_path, versions_published);
-    if (!truncated.ok()) return truncated.status();
   }
 
   session->batches_submitted_ = batches;

@@ -91,8 +91,11 @@ class Session {
   /// replays records 1..k of durability.log_path through the assembler, k
   /// being the snapshot's batch count. Any of those records missing, torn,
   /// CRC-bad, out of sequence or rejected fails the restore with an error
-  /// naming the log. Log records past k, a torn log tail and feed versions
-  /// past the snapshot are cut off: the client re-sends those batches.
+  /// naming the log. A feed segment holding fewer versions than the
+  /// snapshot published fails it too, naming the feed and both counts, and
+  /// is left as it was. Log records past k, a torn log tail and feed
+  /// versions past the snapshot are cut off: the client re-sends those
+  /// batches.
   /// Streaming the remaining batches afterwards produces a schema
   /// byte-identical to the uninterrupted session's.
   ///

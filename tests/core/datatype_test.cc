@@ -101,8 +101,6 @@ TEST(DataTypeInferenceTest, SamplingMatchesFullScanOnHomogeneousData) {
   Fixture f(values);
   DataTypeOptions options;
   options.sample = true;
-  options.sample_fraction = 0.05;
-  options.min_sample = 100;
   InferDataTypes(f.graph, &f.schema, options);
   EXPECT_EQ(f.schema.node_types()[0].properties.at(f.key).data_type,
             pg::DataType::kInteger);
@@ -119,10 +117,7 @@ TEST(FullScanTypeTest, MatchesDirectJoin) {
 TEST(SamplingErrorTest, ZeroForHomogeneousProperty) {
   std::vector<pg::Value> values(2000, pg::Value(static_cast<int64_t>(7)));
   Fixture f(values);
-  DataTypeOptions options;
-  options.sample_fraction = 0.1;
-  options.min_sample = 100;
-  auto report = ComputeSamplingErrors(f.graph, f.schema, options);
+  auto report = ComputeSamplingErrors(f.graph, f.schema, {});
   ASSERT_EQ(report.errors.size(), 1u);
   EXPECT_EQ(report.errors[0], 0.0);
   auto bins = report.BinFractions();
@@ -131,17 +126,15 @@ TEST(SamplingErrorTest, ZeroForHomogeneousProperty) {
 
 TEST(SamplingErrorTest, MinorityDisagreementMeasured) {
   // 90% floats + 10% ints: the joined type is FLOAT, so roughly 10% of the
-  // sampled values individually infer INTEGER != FLOAT.
+  // sampled values individually infer INTEGER != FLOAT. The sample is 1,000
+  // of the 10,000 values (10%, and at least 1,000).
   std::vector<pg::Value> values;
-  for (int i = 0; i < 900; ++i) values.push_back(pg::Value(1.5));
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 9000; ++i) values.push_back(pg::Value(1.5));
+  for (int i = 0; i < 1000; ++i) {
     values.push_back(pg::Value(static_cast<int64_t>(i)));
   }
   Fixture f(values);
-  DataTypeOptions options;
-  options.sample_fraction = 0.5;
-  options.min_sample = 400;
-  auto report = ComputeSamplingErrors(f.graph, f.schema, options);
+  auto report = ComputeSamplingErrors(f.graph, f.schema, {});
   ASSERT_EQ(report.errors.size(), 1u);
   EXPECT_NEAR(report.errors[0], 0.1, 0.05);
 }
@@ -220,14 +213,14 @@ struct RandomTypedGraph {
         set("k" + std::to_string(k), value_for(k));
       }
     };
-    const size_t num_nodes = 30 + rng.NextBounded(200);
+    const size_t num_nodes = 30 + rng.NextBounded(3000);
     for (size_t i = 0; i < num_nodes; ++i) {
       const pg::NodeId id = graph.AddNode({"N"});
       fill([&](const std::string& key, pg::Value v) {
         graph.SetNodeProperty(id, key, std::move(v));
       });
     }
-    const size_t num_edges = 30 + rng.NextBounded(200);
+    const size_t num_edges = 30 + rng.NextBounded(3000);
     for (size_t i = 0; i < num_edges; ++i) {
       const pg::EdgeId id = graph.AddEdge(rng.NextBounded(num_nodes),
                                           rng.NextBounded(num_nodes), {"E"});
@@ -343,21 +336,36 @@ void ExpectSameDataTypes(const SchemaGraph& got, const SchemaGraph& want) {
   }
 }
 
-/// The sampled options the equivalence tests use: small enough that types
-/// of either size class (sampled, fully scanned) occur.
+/// The sampled options the equivalence tests use: a type above min_sample
+/// instances is sampled, and a smaller one fully scanned.
 DataTypeOptions SampledOptions() {
   DataTypeOptions options;
   options.sample = true;
-  options.sample_fraction = 0.3;
-  options.min_sample = 40;
   return options;
+}
+
+/// Counts the types of `schema` that sampling samples (`*sampled`) and
+/// those it scans in full (`*scanned`).
+void CountSizeClasses(const SchemaGraph& schema, size_t* sampled,
+                      size_t* scanned) {
+  auto count = [&](const auto& types) {
+    for (const auto& type : types) {
+      ++*(type.instances.size() > DataTypeOptions::min_sample ? sampled
+                                                               : scanned);
+    }
+  };
+  count(schema.node_types());
+  count(schema.edge_types());
 }
 
 TEST(DataTypeEquivalenceTest, RandomGraphsMatchPerKeyScans) {
   util::ThreadPool pool(3);
+  size_t sampled_types = 0;
+  size_t scanned_types = 0;
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     RandomTypedGraph fixture(seed);
+    CountSizeClasses(fixture.schema, &sampled_types, &scanned_types);
     for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
                                 &pool}) {
       SchemaGraph full = fixture.schema;
@@ -371,13 +379,17 @@ TEST(DataTypeEquivalenceTest, RandomGraphsMatchPerKeyScans) {
       ExpectSameDataTypes(sampled, reference);
     }
   }
+  EXPECT_GT(sampled_types, 0u);
+  EXPECT_GT(scanned_types, 0u);
 }
 
 TEST(DataTypeEquivalenceTest, ZooSchemasMatchPerKeyScans) {
+  size_t sampled_types = 0;
+  size_t scanned_types = 0;
   for (const datasets::DatasetSpec& spec : datasets::Zoo()) {
     for (const char* method : {"elsh", "minhash"}) {
       SCOPED_TRACE(spec.name + std::string(" ") + method);
-      datasets::Dataset data = datasets::Generate(spec, 0.02, 3);
+      datasets::Dataset data = datasets::Generate(spec, 0.3, 3);
       auto options = ParsePgHiveOptions({{"method", method}});
       ASSERT_TRUE(options.ok());
       auto hive = PgHive::Create(&data.graph, *options);
@@ -390,8 +402,11 @@ TEST(DataTypeEquivalenceTest, ZooSchemasMatchPerKeyScans) {
       InferDataTypes(data.graph, &sampled, SampledOptions());
       PerKeyInferDataTypes(data.graph, &reference, SampledOptions());
       ExpectSameDataTypes(sampled, reference);
+      CountSizeClasses(sampled, &sampled_types, &scanned_types);
     }
   }
+  EXPECT_GT(sampled_types, 0u);
+  EXPECT_GT(scanned_types, 0u);
 }
 
 }  // namespace

@@ -218,22 +218,6 @@ TEST(PgHiveTest, IncrementalMatchesStaticTypeCount) {
             full.schema().num_edge_types());
 }
 
-TEST(PgHiveTest, PostProcessEachBatchFlagWorks) {
-  pg::PropertyGraph g = RunningExample();
-  PgHiveOptions options;
-  options.post_process_each_batch = true;
-  PgHive pipeline(&g, options);
-  ASSERT_TRUE(pipeline.ProcessBatch(pg::FullBatch(g)).ok());
-  // Constraints already inferred without Finish().
-  bool any_mandatory = false;
-  for (const auto& t : pipeline.schema().node_types()) {
-    for (const auto& [k, info] : t.properties) {
-      if (info.requiredness == Requiredness::kMandatory) any_mandatory = true;
-    }
-  }
-  EXPECT_TRUE(any_mandatory);
-}
-
 // The two-stage API underneath the pipelined executor: ProcessBatch is
 // exactly PreprocessBatch + ProcessPrepared, and a PreparedBatch carries
 // everything the later stages need.
@@ -296,7 +280,7 @@ TEST(PgHiveTest, MutatingCallsAfterFinishReturnFailedPrecondition) {
 TEST(PgHiveTest, CreateValidatesOptions) {
   pg::PropertyGraph g = RunningExample();
   PgHiveOptions bad;
-  bad.embedding_dim = 0;
+  bad.jaccard_threshold = 1.5;
   EXPECT_FALSE(PgHive::Create(&g, bad).ok());
 
   PgHiveOptions good;

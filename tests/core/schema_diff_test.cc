@@ -329,33 +329,41 @@ TEST_F(SchemaDiffTest, TruncateFeedFileKeepsTheCleanPrefixUpToTheSnapshot) {
   };
   auto read = [&] { return *util::ReadWholeFile(path); };
 
-  // Versions past the snapshot go, and so does a torn tail. Each call
-  // returns how many versions the kept prefix holds.
-  auto kept = [&](const std::string& feed, uint64_t max_version) {
-    auto versions = TruncateFeedFile(feed, max_version);
-    EXPECT_TRUE(versions.ok()) << versions.status().ToString();
-    return versions.ok() ? *versions : UINT64_MAX;
-  };
+  // Versions past the snapshot go, and so does a torn tail.
   write(records[0] + records[1] + records[2] +
         records[3].substr(0, records[3].size() - 10));
-  EXPECT_EQ(kept(path, 2), 2u);
+  EXPECT_TRUE(TruncateFeedFile(path, 2).ok());
   EXPECT_EQ(read(), records[0] + records[1]);
-  // A feed already within the snapshot is left as it is, holding fewer
-  // versions than the snapshot.
-  EXPECT_EQ(kept(path, 3), 2u);
+  // A feed holding fewer versions than the snapshot is refused, naming the
+  // file and both counts, and left as it is.
+  auto refused = [&](const std::string& feed, uint64_t versions,
+                     uint64_t held) {
+    util::Status status = TruncateFeedFile(feed, versions);
+    EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
+    EXPECT_NE(status.message().find(
+                  "changefeed " + feed + " holds " + std::to_string(held) +
+                  " versions but the snapshot needs " +
+                  std::to_string(versions)),
+              std::string::npos)
+        << status.ToString();
+  };
+  refused(path, 3, 2);
   EXPECT_EQ(read(), records[0] + records[1]);
   // The kept records are numbered 1, 2, ... with no gap.
   write(records[0] + records[2]);
-  EXPECT_EQ(kept(path, 4), 1u);
+  refused(path, 2, 1);
+  EXPECT_EQ(read(), records[0] + records[2]);
+  EXPECT_TRUE(TruncateFeedFile(path, 1).ok());
   EXPECT_EQ(read(), records[0]);
-  EXPECT_EQ(kept(path, 0), 0u);
+  EXPECT_TRUE(TruncateFeedFile(path, 0).ok());
   EXPECT_EQ(fs::file_size(path), 0u);
 
   // A missing file is an empty feed and stays missing; a device is left
   // alone, never read, and counts as holding every version.
-  EXPECT_EQ(kept(dir + "/no_such_feed", 2), 0u);
+  EXPECT_TRUE(TruncateFeedFile(dir + "/no_such_feed", 0).ok());
+  refused(dir + "/no_such_feed", 2, 0);
   EXPECT_FALSE(fs::exists(dir + "/no_such_feed"));
-  EXPECT_EQ(kept("/dev/null", 3), 3u);
+  EXPECT_TRUE(TruncateFeedFile("/dev/null", 3).ok());
   EXPECT_TRUE(fs::is_character_file("/dev/null"));
 }
 

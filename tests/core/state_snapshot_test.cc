@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -23,16 +24,19 @@
 namespace pghive::core {
 namespace {
 
+// Datatype sampling is on; it samples only the types above
+// DataTypeOptions::min_sample instances.
 PgHiveOptions BaseOptions(EmbedderKind embedder = EmbedderKind::kHash) {
   PgHiveOptions options;
   options.embedder = embedder;
   options.datatype_options.sample = true;
-  options.datatype_options.min_sample = 50;
   return options;
 }
 
-datasets::Dataset MakeDataset(double scale = 0.05) {
-  return datasets::Generate(datasets::PoleSpec(), scale, /*seed=*/7);
+datasets::Dataset MakeDataset(
+    double scale = 0.05,
+    const datasets::DatasetSpec& spec = datasets::PoleSpec()) {
+  return datasets::Generate(spec, scale, /*seed=*/7);
 }
 
 std::string FinishAndSerialize(PgHive* hive, const pg::PropertyGraph& graph) {
@@ -47,11 +51,14 @@ std::string FinishAndSerialize(PgHive* hive, const pg::PropertyGraph& graph) {
 struct CheckpointedRun {
   std::string snapshot;
   std::string final_schema;
+  size_t largest_type = 0;  ///< Instances of the final schema's largest type.
 };
 
-CheckpointedRun RunWithCheckpoint(const PgHiveOptions& options,
-                                  size_t num_batches, size_t checkpoint_at) {
-  datasets::Dataset dataset = MakeDataset();
+CheckpointedRun RunWithCheckpoint(
+    const PgHiveOptions& options, size_t num_batches, size_t checkpoint_at,
+    double scale = 0.05,
+    const datasets::DatasetSpec& spec = datasets::PoleSpec()) {
+  datasets::Dataset dataset = MakeDataset(scale, spec);
   PgHive hive(&dataset.graph, options);
   auto batches = pg::SplitIntoBatches(dataset.graph, num_batches, /*seed=*/5);
   CheckpointedRun out;
@@ -64,14 +71,22 @@ CheckpointedRun RunWithCheckpoint(const PgHiveOptions& options,
     }
   }
   out.final_schema = FinishAndSerialize(&hive, dataset.graph);
+  for (const NodeType& t : hive.schema().node_types()) {
+    out.largest_type = std::max(out.largest_type, t.instances.size());
+  }
+  for (const EdgeType& t : hive.schema().edge_types()) {
+    out.largest_type = std::max(out.largest_type, t.instances.size());
+  }
   return out;
 }
 
 // Restores `snapshot` into a fresh hive over a freshly generated (identical)
 // graph and replays the remaining batches.
-std::string ResumeAndFinish(const std::string& snapshot,
-                            const PgHiveOptions& options, size_t num_batches) {
-  datasets::Dataset dataset = MakeDataset();
+std::string ResumeAndFinish(
+    const std::string& snapshot, const PgHiveOptions& options,
+    size_t num_batches, double scale = 0.05,
+    const datasets::DatasetSpec& spec = datasets::PoleSpec()) {
+  datasets::Dataset dataset = MakeDataset(scale, spec);
   PgHive hive(&dataset.graph, options);
   auto restored = hive.RestoreState(snapshot);
   EXPECT_TRUE(restored.ok()) << restored.status().ToString();
@@ -189,6 +204,21 @@ TEST(StateSnapshotTest, ResumeReproducesUninterruptedRunWord2Vec) {
   EXPECT_EQ(ResumeAndFinish(run.snapshot, options, 5), run.final_schema);
 }
 
+TEST(StateSnapshotTest, SampledDatatypesResumeIdentically) {
+  // Finish samples the datatypes of the types above min_sample instances;
+  // LDBC at scale 0.3 has one. A resume reproduces the sample.
+  PgHiveOptions options = BaseOptions(EmbedderKind::kWord2Vec);
+  const double scale = 0.3;
+  CheckpointedRun run =
+      RunWithCheckpoint(options, /*num_batches=*/4, /*checkpoint_at=*/2,
+                        scale, datasets::LdbcSpec());
+  ASSERT_FALSE(run.snapshot.empty());
+  EXPECT_GT(run.largest_type, DataTypeOptions::min_sample);
+  EXPECT_EQ(ResumeAndFinish(run.snapshot, options, 4, scale,
+                            datasets::LdbcSpec()),
+            run.final_schema);
+}
+
 TEST(StateSnapshotTest, EveryCheckpointBoundaryResumesIdentically) {
   PgHiveOptions options = BaseOptions();
   const size_t batches = 4;
@@ -271,6 +301,61 @@ TEST(StateSnapshotTest, OptionMismatchIsRejectedAndNamesTheKnob) {
   plan.num_threads = 8;
   PgHive hive(&dataset.graph, plan);
   EXPECT_TRUE(hive.RestoreState(run.snapshot).ok());
+}
+
+TEST(StateSnapshotTest, FixedOptionSlotsHoldThisBuildsValues) {
+  // The fixed options keep their slots in the options section and write
+  // their values there. A snapshot holding another value in one is refused
+  // by name, by ReadSnapshotOptions (how pghived restores) and by
+  // RestoreState alike.
+  CheckpointedRun run = RunWithCheckpoint(BaseOptions(), 3, 2);
+  auto u64 = [](uint64_t v) {
+    std::string out;
+    util::PutU64(&out, v);
+    return out;
+  };
+  auto f64 = [](double v) {
+    std::string out;
+    util::PutF64(&out, v);
+    return out;
+  };
+  struct Case {
+    const char* knob;
+    size_t from_end;  // The slot's offset, counted back from the end.
+    std::string fixed;
+    std::string other;
+  };
+  const Case cases[] = {
+      {"embedding-dim", 109, u64(PgHiveOptions::embedding_dim), u64(16)},
+      {"minhash-rows-per-band", 84, u64(PgHiveOptions::minhash_rows_per_band),
+       u64(2)},
+      {"post-process-each-batch", 67, std::string(1, '\0'),
+       std::string(1, '\1')},
+      {"sample-fraction", 65, f64(DataTypeOptions::sample_fraction),
+       f64(0.5)},
+      {"datatype-min-sample", 57, u64(DataTypeOptions::min_sample), u64(50)},
+      {"datatype-seed", 49, u64(DataTypeOptions::seed), u64(14)},
+      {"alpha-scale", 40, f64(PgHiveOptions::alpha_scale), f64(2.0)},
+  };
+  for (const Case& c : cases) {
+    std::string written;
+    const std::string other =
+        WithOptionsBytes(run.snapshot, c.from_end, c.other, &written);
+    EXPECT_EQ(written, c.fixed) << c.knob;
+    auto options = ReadSnapshotOptions(other);
+    ASSERT_FALSE(options.ok()) << c.knob;
+    EXPECT_EQ(options.status().code(), util::StatusCode::kFailedPrecondition);
+    EXPECT_NE(options.status().message().find(std::string("'") + c.knob +
+                                              "'"),
+              std::string::npos)
+        << options.status().ToString();
+    datasets::Dataset dataset = MakeDataset();
+    PgHive hive(&dataset.graph, BaseOptions());
+    auto restored = hive.RestoreState(other);
+    ASSERT_FALSE(restored.ok()) << c.knob;
+    EXPECT_EQ(restored.status().code(),
+              util::StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST(StateSnapshotTest, TruncationAtEveryOffsetIsRejected) {

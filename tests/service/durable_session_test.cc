@@ -305,8 +305,8 @@ TEST(DurableSessionTest, FullFeedHistorySurvivesRestartByteIdentically) {
   // After the restart every version predates the (empty) in-memory window,
   // so the whole history comes off disk — and it is the same bytes. This is
   // exactly what protocol v2 clients got OutOfRange for
-  // (SessionStateTest.RestoredSessionPrunesOldFeedWindow pins that a restart
-  // without the feed segment still does).
+  // (SessionStateTest.RestoredSessionPrunesOldFeedWindow pins that the
+  // restored in-memory window starts after the snapshot).
   SessionManager manager(nullptr, DurableOptions(dir, 1, 2));
   ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
   auto restored = manager.Lookup("s1");
@@ -431,51 +431,121 @@ TEST(DurableSessionTest, CorruptCheckpointFailsRestoreLoudly) {
 }
 
 TEST(DurableSessionTest, TornFeedTailIsDroppedOnRestore) {
+  // A torn record past the snapshot is dropped on restore, and the re-sent
+  // batch publishes it again. A torn record the snapshot covers would leave
+  // a permanent hole, since nothing publishes a checkpointed version again:
+  // that restore is refused, naming the feed, and leaves every file as it
+  // was.
   const size_t batches = 3;
+  const Uninterrupted expected = UninterruptedSession(batches);
   pg::PropertyGraph graph = SocialGraph();
   auto payloads = BuildIngestPayloads(graph, batches);
   const std::string dir = FreshCheckpointDir("torn");
+  const std::string feed_path = dir + "/s1.feed";
+  const std::string log_path = dir + "/s1.log";
 
+  // A snapshot of 2 batches under a feed of 3 versions: tear version 3.
+  StreamThenDie(dir, /*checkpoint_every=*/2, payloads, batches);
+  ASSERT_TRUE(fs::exists(feed_path));
+  fs::resize_file(feed_path, fs::file_size(feed_path) - 5);
   {
-    SessionManager manager(nullptr, DurableOptions(dir, 1, 1));
-    ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
-    auto session = manager.CreateSession({});
-    ASSERT_TRUE(session.ok());
-    for (const auto& p : payloads) {
-      ASSERT_TRUE((*session)->SubmitIngest(p).ok());
-    }
-    (*session)->Drain();
+    SessionManager manager(nullptr, DurableOptions(dir, 2));
+    util::Status restored_dir = manager.RestoreFromCheckpointDir();
+    ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
+    auto restored = manager.Lookup("s1");
+    ASSERT_TRUE(restored.ok());
+    ASSERT_TRUE((*restored)->SubmitIngest(payloads[2]).ok());
+    ASSERT_TRUE((*restored)->FinalSnapshot().ok());
+    auto feed = (*restored)->WaitForDiffs(0, 0);
+    ASSERT_TRUE(feed.ok()) << feed.status().ToString();
+    EXPECT_EQ(*feed, expected.feed);
   }
 
-  // Simulate a torn write: chop the last 5 bytes off the segment file. The
-  // restored session must reconcile (drop the torn record) and still serve
-  // a clean, contiguous prefix rather than erroring or serving garbage.
-  const std::string feed_path = dir + "/s1.feed";
-  ASSERT_TRUE(fs::exists(feed_path));
-  const auto full_size = fs::file_size(feed_path);
-  fs::resize_file(feed_path, full_size - 5);
+  // The final checkpoint covers all 4 versions: tear version 4.
+  fs::resize_file(feed_path, fs::file_size(feed_path) - 5);
+  const std::string torn = ReadFile(feed_path);
+  const std::string log = ReadFile(log_path);
+  SessionManager manager(nullptr, DurableOptions(dir, 2));
+  util::Status refused = manager.RestoreFromCheckpointDir();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("changefeed " + feed_path +
+                                   " holds 3 versions but the snapshot "
+                                   "needs 4"),
+            std::string::npos)
+      << refused.ToString();
+  EXPECT_EQ(manager.num_sessions(), 0u);
+  EXPECT_EQ(ReadFile(feed_path), torn);
+  EXPECT_EQ(ReadFile(log_path), log);
+}
 
-  SessionManager manager(nullptr, DurableOptions(dir, 1, 1));
-  ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
+// A feed tail lost under a kept snapshot (nothing fsyncs, so a power loss
+// can leave one): a restart that accepted it would append the next version
+// after the hole, and the restart after that would cut the feed back at the
+// hole, losing a version the session had published and checkpointed. So the
+// restore is refused. With the feed the run wrote put back, the session
+// resumes, and every version it publishes survives the next restart.
+TEST(DurableSessionTest, ShortFeedRefusesRestoreAndNoVersionIsLost) {
+  const size_t batches = 6;
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, batches);
+  const std::string dir = FreshCheckpointDir("short_feed");
+  const std::string feed_path = dir + "/s1.feed";
+  const std::string log_path = dir + "/s1.log";
+  StreamThenDie(dir, /*checkpoint_every=*/1, payloads, 4);
+  const std::string full_feed = ReadFile(feed_path);
+  const auto records = core::ScanSchemaDiffStream(full_feed, nullptr);
+  ASSERT_EQ(records.size(), 4u);
+  const std::string short_feed = full_feed.substr(0, records[2].offset);
+  WriteFile(feed_path, short_feed);
+  const std::string log = ReadFile(log_path);
+
+  {
+    SessionManager manager(nullptr, DurableOptions(dir, 1));
+    util::Status refused = manager.RestoreFromCheckpointDir();
+    ASSERT_FALSE(refused.ok()) << "a restore over a feed hole";
+    EXPECT_NE(refused.message().find("s1.pghd"), std::string::npos);
+    EXPECT_NE(refused.message().find("changefeed " + feed_path +
+                                     " holds 2 versions but the snapshot "
+                                     "needs 4"),
+              std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ(ReadFile(feed_path), short_feed);
+    EXPECT_EQ(ReadFile(log_path), log);
+  }
+
+  WriteFile(feed_path, full_feed);
+  {
+    SessionManager manager(nullptr, DurableOptions(dir, 1));
+    util::Status restored_dir = manager.RestoreFromCheckpointDir();
+    ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
+    auto restored = manager.Lookup("s1");
+    ASSERT_TRUE(restored.ok());
+    ASSERT_TRUE((*restored)->SubmitIngest(payloads[4]).ok());
+    (*restored)->Drain();
+    ASSERT_TRUE((*restored)->status().ok());
+  }
+
+  SessionManager manager(nullptr, DurableOptions(dir, 1));
+  util::Status restored_dir = manager.RestoreFromCheckpointDir();
+  ASSERT_TRUE(restored_dir.ok()) << restored_dir.ToString();
   auto restored = manager.Lookup("s1");
   ASSERT_TRUE(restored.ok());
-  // Version 3's record was torn away and the checkpoint already covers
-  // batch 3, so nothing will ever re-publish it: the history has a permanent
-  // hole. Subscribers behind the hole get OutOfRange (refetch the schema,
-  // resubscribe) — never a feed with a version silently missing.
-  auto stale = (*restored)->WaitForDiffs(0, 0);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.status().code(), util::StatusCode::kOutOfRange);
-
-  // From the checkpointed version onward the feed is clean: Finish
-  // publishes version 4 and a subscriber at 3 sees exactly it.
-  ASSERT_TRUE((*restored)->FinalSnapshot().ok());
-  auto feed = (*restored)->WaitForDiffs(batches, 0);
-  ASSERT_TRUE(feed.ok()) << feed.status().ToString();
-  auto records = core::ParseSchemaDiffStream(*feed);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 1u);
-  EXPECT_EQ((*records)[0].version_to, batches + 1);
+  auto from_4 = (*restored)->WaitForDiffs(/*after_version=*/4, 0);
+  ASSERT_TRUE(from_4.ok()) << from_4.status().ToString();
+  auto tail = core::ParseSchemaDiffStream(*from_4);
+  ASSERT_TRUE(tail.ok());
+  ASSERT_EQ(tail->size(), 1u);
+  EXPECT_EQ((*tail)[0].version_to, 5u);
+  auto whole = (*restored)->WaitForDiffs(/*after_version=*/0, 0);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole->substr(0, full_feed.size()), full_feed);
+  auto all = core::ParseSchemaDiffStream(*whole);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 5u);
+  for (size_t i = 0; i < all->size(); ++i) {
+    EXPECT_EQ((*all)[i].version_to, i + 1);
+  }
 }
 
 TEST(DurableSessionTest, LogAheadOfTheCheckpointIsCutBack) {

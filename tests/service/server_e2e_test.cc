@@ -6,6 +6,8 @@
 #include "service/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <algorithm>
 #include <fstream>
@@ -20,6 +22,8 @@
 #include "datasets/generator.h"
 #include "datasets/zoo.h"
 #include "service/client.h"
+#include "service/net.h"
+#include "service/protocol.h"
 #include "util/status.h"
 
 namespace pghive::service {
@@ -93,6 +97,35 @@ TEST(ServerE2eTest, ReconnectingClientDoesNotAccumulateThreads) {
   server.Stop();
 }
 
+// A request line longer than kMaxRequestLineBytes gets ERR OUT_OF_RANGE and
+// then EOF, however long the peer goes on without a newline, and other
+// connections are served as before. The receive timeout makes a server that
+// keeps waiting for the newline fail the test instead of hanging it.
+TEST(ServerE2eTest, OverlongRequestLineIsRefusedAndClosed) {
+  PghivedServer server({});
+  ASSERT_TRUE(server.Start().ok());
+  auto fd = ConnectTcp(server.port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(*fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  SocketStream stream(*fd);
+  ASSERT_TRUE(stream.WriteAll(std::string(2 * kMaxRequestLineBytes, 'x')).ok());
+  auto reply = stream.ReadLine();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->rfind("ERR OUT_OF_RANGE ", 0), 0u) << *reply;
+  auto eof = stream.ReadLine();
+  EXPECT_EQ(eof.status().code(), util::StatusCode::kNotFound)
+      << eof.status().ToString();
+
+  auto client = PghivedClient::Connect(server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_TRUE(client->Ping().ok());
+  server.Stop();
+}
+
 TEST(ServerE2eTest, StreamedSchemaIsByteIdenticalToOneShot) {
   const double kScale = 0.1;
   OneShot expected = OneShotDiscovery(kScale, /*batches=*/4);
@@ -137,6 +170,33 @@ TEST(ServerE2eTest, StreamedSchemaIsByteIdenticalToOneShot) {
   EXPECT_TRUE(verdict->conforms) << verdict->report;
 
   EXPECT_TRUE(client->CloseSession(*session).ok());
+  server.Stop();
+}
+
+// Self-conformance over the wire: the final schema of a MinHash session
+// streamed in 4 batches validates STRICT, through the session's validate
+// verb, against the graph the session assembled, on every zoo dataset.
+TEST(ServerE2eTest, MinHashSessionConformsToItsOwnSchema) {
+  PghivedServer server({});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = PghivedClient::Connect(server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (const datasets::DatasetSpec& spec : datasets::Zoo()) {
+    SCOPED_TRACE(spec.name);
+    auto session = client->CreateSession({{"method", "minhash"}});
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    datasets::Dataset dataset = datasets::Generate(spec, 0.25, /*seed=*/42);
+    for (const std::string& payload :
+         BuildIngestPayloads(dataset.graph, /*num_batches=*/4)) {
+      ASSERT_TRUE(client->IngestBatch(*session, payload).ok());
+    }
+    auto pgs = client->GetSchema(*session, "pgs");
+    ASSERT_TRUE(pgs.ok()) << pgs.status().ToString();
+    auto verdict = client->Validate(*session, /*strict=*/true, *pgs);
+    ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+    EXPECT_TRUE(verdict->conforms) << verdict->report;
+    EXPECT_TRUE(client->CloseSession(*session).ok());
+  }
   server.Stop();
 }
 

@@ -281,12 +281,15 @@ TEST(SessionStateTest, ChangefeedDeliversDiffsInVersionOrder) {
 }
 
 TEST(SessionStateTest, RestoredSessionPrunesOldFeedWindow) {
-  // Without its feed segment the feed backlog does not survive a restart: a
-  // subscriber resuming from a pre-restart version gets OutOfRange and must
-  // refetch the schema.
+  // A restored session's in-memory feed window starts after its snapshot:
+  // older versions come only from the feed segment. A restart without the
+  // segment is refused, naming it; with it, the session restores, and a
+  // subscriber resuming from a pre-restart version once the segment is gone
+  // gets OutOfRange and must refetch the schema.
   pg::PropertyGraph graph = SocialGraph();
   auto payloads = BuildIngestPayloads(graph, 2);
   const std::string dir = FreshCheckpointDir("pruned");
+  const std::string feed_path = dir + "/s1.feed";
   {
     SessionManager saver(nullptr, DurableOptions(dir));
     ASSERT_TRUE(saver.RestoreFromCheckpointDir().ok());
@@ -295,12 +298,29 @@ TEST(SessionStateTest, RestoredSessionPrunesOldFeedWindow) {
     ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
     ASSERT_TRUE((*session)->WriteCheckpoint().ok());
   }
-  ASSERT_TRUE(fs::remove(dir + "/s1.feed"));
+  const std::string feed = ReadFile(feed_path);
+  ASSERT_TRUE(fs::remove(feed_path));
+  {
+    SessionManager refuser(nullptr, DurableOptions(dir));
+    util::Status refused = refuser.RestoreFromCheckpointDir();
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.message().find("changefeed " + feed_path +
+                                     " holds 0 versions but the snapshot "
+                                     "needs 1"),
+              std::string::npos)
+        << refused.ToString();
+    EXPECT_FALSE(fs::exists(feed_path));
+  }
 
+  WriteFile(feed_path, feed);
   SessionManager restorer(nullptr, DurableOptions(dir));
   ASSERT_TRUE(restorer.RestoreFromCheckpointDir().ok());
   auto restored = restorer.Lookup("s1");
   ASSERT_TRUE(restored.ok());
+  auto from_disk = (*restored)->WaitForDiffs(/*after_version=*/0, 0);
+  ASSERT_TRUE(from_disk.ok()) << from_disk.status().ToString();
+  EXPECT_EQ(*from_disk, feed);
+  ASSERT_TRUE(fs::remove(feed_path));
   auto stale = (*restored)->WaitForDiffs(/*after_version=*/0, 0);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), util::StatusCode::kOutOfRange);

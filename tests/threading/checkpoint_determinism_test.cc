@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -22,13 +23,16 @@
 namespace pghive {
 namespace {
 
+// Datatype sampling is on; it samples only the types above
+// DataTypeOptions::min_sample instances.
 core::PgHiveOptions MakeOptions(size_t num_threads) {
   core::PgHiveOptions options;
   options.num_threads = num_threads;
   options.datatype_options.sample = true;
-  options.datatype_options.min_sample = 50;
   return options;
 }
+
+constexpr double kScale = 0.04;
 
 std::string SchemaBytes(const core::PgHive& hive,
                         const pg::PropertyGraph& graph) {
@@ -37,16 +41,26 @@ std::string SchemaBytes(const core::PgHive& hive,
          core::SerializeXsd(hive.schema(), graph.vocab());
 }
 
-// The uninterrupted ground truth: one pipelined run over all batches.
+// The uninterrupted ground truth: one pipelined run over all batches. When
+// `largest_type` is set, it receives the instances of the largest type.
 std::string UninterruptedRun(const datasets::DatasetSpec& spec,
-                             size_t batches) {
-  datasets::Dataset dataset = datasets::Generate(spec, /*scale=*/0.04,
-                                                 /*seed=*/99);
+                             size_t batches, double scale = kScale,
+                             size_t* largest_type = nullptr) {
+  datasets::Dataset dataset = datasets::Generate(spec, scale, /*seed=*/99);
   core::PgHive hive(&dataset.graph, MakeOptions(1));
   core::BatchPipeline executor(&hive);
   auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
   EXPECT_TRUE(executor.Run(split).ok());
   EXPECT_TRUE(hive.Finish().ok());
+  if (largest_type != nullptr) {
+    *largest_type = 0;
+    for (const auto& type : hive.schema().node_types()) {
+      *largest_type = std::max(*largest_type, type.instances.size());
+    }
+    for (const auto& type : hive.schema().edge_types()) {
+      *largest_type = std::max(*largest_type, type.instances.size());
+    }
+  }
   return SchemaBytes(hive, dataset.graph);
 }
 
@@ -54,11 +68,11 @@ std::string UninterruptedRun(const datasets::DatasetSpec& spec,
 // barrier, restores into a fresh hive (same thread count), and finishes
 // with the rest.
 std::string CheckpointedRun(const datasets::DatasetSpec& spec, size_t batches,
-                            size_t checkpoint_at, size_t num_threads) {
+                            size_t checkpoint_at, size_t num_threads,
+                            double scale = kScale) {
   std::string snapshot;
   {
-    datasets::Dataset dataset = datasets::Generate(spec, /*scale=*/0.04,
-                                                   /*seed=*/99);
+    datasets::Dataset dataset = datasets::Generate(spec, scale, /*seed=*/99);
     core::PgHive hive(&dataset.graph, MakeOptions(num_threads));
     core::BatchPipeline executor(&hive);
     auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
@@ -71,8 +85,7 @@ std::string CheckpointedRun(const datasets::DatasetSpec& spec, size_t batches,
     if (bytes.ok()) snapshot = *bytes;
   }
 
-  datasets::Dataset dataset = datasets::Generate(spec, /*scale=*/0.04,
-                                                 /*seed=*/99);
+  datasets::Dataset dataset = datasets::Generate(spec, scale, /*seed=*/99);
   core::PgHive hive(&dataset.graph, MakeOptions(num_threads));
   auto restored = hive.RestoreState(snapshot);
   EXPECT_TRUE(restored.ok()) << restored.status().ToString();
@@ -100,6 +113,25 @@ TEST(CheckpointDeterminismTest, ResumeIdenticalOnAllZooDatasets) {
   }
 }
 
+// Finish samples the datatypes of a type above min_sample instances, after
+// the resume; the sample depends only on the restored types, so the resumed
+// schema matches the uninterrupted one.
+TEST(CheckpointDeterminismTest, SampledResumeIdentical) {
+  const datasets::DatasetSpec spec = datasets::LdbcSpec();
+  const size_t batches = 4;
+  const double scale = 0.3;
+  size_t largest_type = 0;
+  std::string expected =
+      UninterruptedRun(spec, batches, scale, &largest_type);
+  EXPECT_GT(largest_type, core::DataTypeOptions::min_sample);
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    EXPECT_EQ(CheckpointedRun(spec, batches, /*checkpoint_at=*/2, threads,
+                              scale),
+              expected)
+        << "threads=" << threads;
+  }
+}
+
 // A snapshot taken under one execution plan must resume under a different
 // one: the thread count is byte-identity-neutral, so save at 8 threads (the
 // lookahead) and resume at 1 thread (the sequential loop); both land on the
@@ -111,7 +143,7 @@ TEST(CheckpointDeterminismTest, PlanChangeAcrossResume) {
 
   std::string snapshot;
   {
-    datasets::Dataset dataset = datasets::Generate(spec, 0.04, 99);
+    datasets::Dataset dataset = datasets::Generate(spec, kScale, 99);
     core::PgHive hive(&dataset.graph, MakeOptions(8));
     core::BatchPipeline executor(&hive);
     auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
@@ -122,7 +154,7 @@ TEST(CheckpointDeterminismTest, PlanChangeAcrossResume) {
     snapshot = *bytes;
   }
 
-  datasets::Dataset dataset = datasets::Generate(spec, 0.04, 99);
+  datasets::Dataset dataset = datasets::Generate(spec, kScale, 99);
   core::PgHive hive(&dataset.graph, MakeOptions(1));
   auto restored = hive.RestoreState(snapshot);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@ struct Discovery {
   std::string xsd;
   std::vector<uint32_t> node_assignment;
   std::vector<uint32_t> edge_assignment;
+  size_t largest_type = 0;  ///< Instances of the largest type.
 };
 
 Discovery Discover(const datasets::DatasetSpec& spec, double scale,
@@ -32,8 +34,9 @@ Discovery Discover(const datasets::DatasetSpec& spec, double scale,
   core::PgHiveOptions options;
   options.method = method;
   options.num_threads = num_threads;
+  // Samples the datatypes of the types above DataTypeOptions::min_sample
+  // instances.
   options.datatype_options.sample = true;
-  options.datatype_options.min_sample = 50;  // Force the sampling path.
   core::PgHive pipeline(&dataset.graph, options);
   if (batches <= 1) {
     EXPECT_TRUE(pipeline.Run().ok());
@@ -50,13 +53,20 @@ Discovery Discover(const datasets::DatasetSpec& spec, double scale,
   out.xsd = core::SerializeXsd(pipeline.schema(), dataset.graph.vocab());
   out.node_assignment = pipeline.NodeAssignment();
   out.edge_assignment = pipeline.EdgeAssignment();
+  for (const auto& type : pipeline.schema().node_types()) {
+    out.largest_type = std::max(out.largest_type, type.instances.size());
+  }
+  for (const auto& type : pipeline.schema().edge_types()) {
+    out.largest_type = std::max(out.largest_type, type.instances.size());
+  }
   return out;
 }
 
-void ExpectIdenticalAcrossThreadCounts(const datasets::DatasetSpec& spec,
-                                       double scale,
-                                       core::ClusterMethod method,
-                                       size_t batches = 1) {
+// Returns the serial run's discovery.
+Discovery ExpectIdenticalAcrossThreadCounts(const datasets::DatasetSpec& spec,
+                                            double scale,
+                                            core::ClusterMethod method,
+                                            size_t batches = 1) {
   Discovery serial = Discover(spec, scale, method, /*num_threads=*/1, batches);
   EXPECT_FALSE(serial.pgs.empty());
   for (size_t threads : {size_t{2}, size_t{8}}) {
@@ -70,6 +80,7 @@ void ExpectIdenticalAcrossThreadCounts(const datasets::DatasetSpec& spec,
     EXPECT_EQ(parallel.edge_assignment, serial.edge_assignment)
         << spec.name << " threads=" << threads;
   }
+  return serial;
 }
 
 TEST(DeterminismTest, ElshIdenticalAcrossThreadCountsOnAllZooDatasets) {
@@ -90,6 +101,19 @@ TEST(DeterminismTest, IncrementalBatchesIdenticalAcrossThreadCounts) {
   ExpectIdenticalAcrossThreadCounts(datasets::LdbcSpec(), /*scale=*/0.1,
                                     core::ClusterMethod::kElsh,
                                     /*batches=*/4);
+}
+
+// Each type draws its datatype sample from its own pre-split RNG, so the
+// sampled schema is identical at every thread count, in one batch and in
+// several.
+TEST(DeterminismTest, SampledDatatypesIdenticalAcrossThreadCounts) {
+  for (size_t batches : {size_t{1}, size_t{4}}) {
+    Discovery serial = ExpectIdenticalAcrossThreadCounts(
+        datasets::LdbcSpec(), /*scale=*/0.3, core::ClusterMethod::kElsh,
+        batches);
+    EXPECT_GT(serial.largest_type, core::DataTypeOptions::min_sample)
+        << batches << " batches";
+  }
 }
 
 TEST(DeterminismTest, HardwareDefaultMatchesSerial) {

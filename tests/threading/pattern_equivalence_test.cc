@@ -84,7 +84,6 @@ core::PgHive::SideClusters ClusterRows(const core::PgHive& hive,
   side.choice = nodes ? core::ChooseNodeParams(features, labels, adaptive)
                       : core::ChooseEdgeParams(features, labels, adaptive);
   if (elsh) {
-    side.choice.bucket_length *= options.alpha_scale;
     lsh::EuclideanLshParams params;
     params.bucket_length = std::max(1e-6, side.choice.bucket_length);
     params.num_tables = std::max<size_t>(1, side.choice.num_tables);

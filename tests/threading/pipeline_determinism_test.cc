@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -26,16 +27,17 @@ struct Discovery {
   std::string xsd;
   std::vector<uint32_t> node_assignment;
   std::vector<uint32_t> edge_assignment;
+  size_t largest_type = 0;  ///< Instances of the largest type.
 };
 
+// Datatype sampling is on; it samples only the types above
+// DataTypeOptions::min_sample instances.
 core::PgHiveOptions BaseOptions(core::ClusterMethod method,
-                                size_t num_threads, bool post_each_batch) {
+                                size_t num_threads) {
   core::PgHiveOptions options;
   options.method = method;
   options.num_threads = num_threads;
-  options.post_process_each_batch = post_each_batch;
   options.datatype_options.sample = true;
-  options.datatype_options.min_sample = 50;  // Force the sampling path.
   return options;
 }
 
@@ -47,6 +49,12 @@ Discovery Serialize(const core::PgHive& pipeline,
   out.xsd = core::SerializeXsd(pipeline.schema(), graph.vocab());
   out.node_assignment = pipeline.NodeAssignment();
   out.edge_assignment = pipeline.EdgeAssignment();
+  for (const auto& type : pipeline.schema().node_types()) {
+    out.largest_type = std::max(out.largest_type, type.instances.size());
+  }
+  for (const auto& type : pipeline.schema().edge_types()) {
+    out.largest_type = std::max(out.largest_type, type.instances.size());
+  }
   return out;
 }
 
@@ -54,11 +62,9 @@ Discovery Serialize(const core::PgHive& pipeline,
 // threaded. Each run regenerates the dataset so vocabularies never leak
 // across runs.
 Discovery SequentialDiscover(const datasets::DatasetSpec& spec, double scale,
-                             core::ClusterMethod method, size_t batches,
-                             bool post_each_batch) {
+                             core::ClusterMethod method, size_t batches) {
   datasets::Dataset dataset = datasets::Generate(spec, scale, /*seed=*/99);
-  core::PgHive pipeline(&dataset.graph,
-                        BaseOptions(method, 1, post_each_batch));
+  core::PgHive pipeline(&dataset.graph, BaseOptions(method, 1));
   for (const auto& batch :
        pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5)) {
     EXPECT_TRUE(pipeline.ProcessBatch(batch).ok());
@@ -69,10 +75,9 @@ Discovery SequentialDiscover(const datasets::DatasetSpec& spec, double scale,
 
 Discovery PipelinedDiscover(const datasets::DatasetSpec& spec, double scale,
                             core::ClusterMethod method, size_t batches,
-                            size_t num_threads, bool post_each_batch) {
+                            size_t num_threads) {
   datasets::Dataset dataset = datasets::Generate(spec, scale, /*seed=*/99);
-  core::PgHive pipeline(&dataset.graph,
-                        BaseOptions(method, num_threads, post_each_batch));
+  core::PgHive pipeline(&dataset.graph, BaseOptions(method, num_threads));
   core::BatchPipeline executor(&pipeline);
   auto split = pg::SplitIntoBatches(dataset.graph, batches, /*seed=*/5);
   EXPECT_TRUE(executor.Run(split).ok());
@@ -81,16 +86,16 @@ Discovery PipelinedDiscover(const datasets::DatasetSpec& spec, double scale,
   return Serialize(pipeline, dataset.graph);
 }
 
-void ExpectPipelineMatchesSequential(const datasets::DatasetSpec& spec,
-                                     double scale,
-                                     core::ClusterMethod method,
-                                     size_t batches, bool post_each_batch) {
-  Discovery sequential =
-      SequentialDiscover(spec, scale, method, batches, post_each_batch);
-  ASSERT_FALSE(sequential.pgs.empty());
+// Returns the sequential run's discovery.
+Discovery ExpectPipelineMatchesSequential(const datasets::DatasetSpec& spec,
+                                          double scale,
+                                          core::ClusterMethod method,
+                                          size_t batches) {
+  Discovery sequential = SequentialDiscover(spec, scale, method, batches);
+  EXPECT_FALSE(sequential.pgs.empty());
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    Discovery pipelined = PipelinedDiscover(spec, scale, method, batches,
-                                            threads, post_each_batch);
+    Discovery pipelined =
+        PipelinedDiscover(spec, scale, method, batches, threads);
     EXPECT_EQ(pipelined.pgs, sequential.pgs)
         << spec.name << " threads=" << threads;
     EXPECT_EQ(pipelined.xsd, sequential.xsd)
@@ -100,43 +105,41 @@ void ExpectPipelineMatchesSequential(const datasets::DatasetSpec& spec,
     EXPECT_EQ(pipelined.edge_assignment, sequential.edge_assignment)
         << spec.name << " threads=" << threads;
   }
+  return sequential;
 }
 
 TEST(PipelineDeterminismTest, ElshIdenticalOnAllZooDatasets) {
   for (const datasets::DatasetSpec& spec : datasets::Zoo()) {
     ExpectPipelineMatchesSequential(spec, /*scale=*/0.04,
                                     core::ClusterMethod::kElsh,
-                                    /*batches=*/3,
-                                    /*post_each_batch=*/false);
+                                    /*batches=*/3);
   }
 }
 
 TEST(PipelineDeterminismTest, MinHashIdentical) {
   ExpectPipelineMatchesSequential(datasets::PoleSpec(), /*scale=*/0.1,
                                   core::ClusterMethod::kMinHash,
-                                  /*batches=*/4,
-                                  /*post_each_batch=*/false);
+                                  /*batches=*/4);
 }
 
-// post_process_each_batch refreshes constraints/datatypes/cardinalities
-// after every batch; under overlap those refreshes must still happen in
-// batch order (they run on the coordinator), so the final schema matches
-// the sequential loop byte for byte.
-TEST(PipelineDeterminismTest, PerBatchPostProcessingIdentical) {
-  ExpectPipelineMatchesSequential(datasets::LdbcSpec(), /*scale=*/0.1,
-                                  core::ClusterMethod::kElsh,
-                                  /*batches=*/4,
-                                  /*post_each_batch=*/true);
+// Finish samples the datatypes of every type above min_sample instances
+// from that type's own pre-split RNG, so the sampled schema of a
+// lookahead run matches the sequential loop byte for byte too.
+TEST(PipelineDeterminismTest, SampledDatatypesIdentical) {
+  Discovery sequential = ExpectPipelineMatchesSequential(
+      datasets::LdbcSpec(), /*scale=*/0.3, core::ClusterMethod::kElsh,
+      /*batches=*/4);
+  EXPECT_GT(sequential.largest_type, core::DataTypeOptions::min_sample);
 }
 
 // Hardware-default thread count (0 resolves to whatever the host has) with
 // overlap enabled must also match.
 TEST(PipelineDeterminismTest, HardwareDefaultWithOverlapMatchesSequential) {
   Discovery sequential = SequentialDiscover(
-      datasets::IcijSpec(), 0.1, core::ClusterMethod::kElsh, 4, false);
+      datasets::IcijSpec(), 0.1, core::ClusterMethod::kElsh, 4);
   Discovery hw = PipelinedDiscover(datasets::IcijSpec(), 0.1,
                                    core::ClusterMethod::kElsh, 4,
-                                   /*num_threads=*/0, false);
+                                   /*num_threads=*/0);
   EXPECT_EQ(hw.pgs, sequential.pgs);
   EXPECT_EQ(hw.edge_assignment, sequential.edge_assignment);
 }
@@ -166,7 +169,7 @@ TEST(PipelineDeterminismTest, EdgesBeforeEndpointsTolerated) {
   pg::PropertyGraph sequential_graph = make_graph();
   core::PgHive sequential(
       &sequential_graph,
-      BaseOptions(core::ClusterMethod::kElsh, 1, false));
+      BaseOptions(core::ClusterMethod::kElsh, 1));
   for (const auto& batch : make_batches(sequential_graph)) {
     ASSERT_TRUE(sequential.ProcessBatch(batch).ok());
   }
@@ -175,7 +178,7 @@ TEST(PipelineDeterminismTest, EdgesBeforeEndpointsTolerated) {
   pg::PropertyGraph pipelined_graph = make_graph();
   core::PgHive pipelined(
       &pipelined_graph,
-      BaseOptions(core::ClusterMethod::kElsh, 4, false));
+      BaseOptions(core::ClusterMethod::kElsh, 4));
   core::BatchPipeline executor(&pipelined);
   auto batches = make_batches(pipelined_graph);
   ASSERT_TRUE(executor.Run(batches).ok());
@@ -197,7 +200,7 @@ TEST(PipelineDeterminismTest, FinishedHiveRefusesRunUnchanged) {
   datasets::Dataset dataset =
       datasets::Generate(datasets::PoleSpec(), 0.05, 3);
   core::PgHive hive(&dataset.graph,
-                    BaseOptions(core::ClusterMethod::kElsh, 4, false));
+                    BaseOptions(core::ClusterMethod::kElsh, 4));
   ASSERT_NE(hive.pool(), nullptr);
   const auto batches = pg::SplitIntoBatches(dataset.graph, 3, 1);
   core::BatchPipeline executor(&hive);

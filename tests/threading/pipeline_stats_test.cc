@@ -2,8 +2,7 @@
 // measured on the thread that ran the stage, so per-batch stats must stay
 // internally consistent (non-negative, totals = sum of stages, hive totals
 // = sum over batches) even while batch i+1's preprocess races batch i's
-// extract — and per-batch post-processing must keep refreshing datatypes
-// in batch order.
+// extract.
 
 #include <gtest/gtest.h>
 
@@ -20,17 +19,16 @@
 namespace pghive {
 namespace {
 
-core::PgHiveOptions OverlapOptions(bool post_each_batch) {
+core::PgHiveOptions OverlapOptions() {
   core::PgHiveOptions options;
   options.num_threads = 4;
-  options.post_process_each_batch = post_each_batch;
   return options;
 }
 
 TEST(PipelineStatsTest, PerBatchStatsConsistentUnderOverlap) {
   datasets::Dataset dataset =
       datasets::Generate(datasets::LdbcSpec(), 0.2, 21);
-  core::PgHive hive(&dataset.graph, OverlapOptions(false));
+  core::PgHive hive(&dataset.graph, OverlapOptions());
   core::BatchPipeline executor(&hive);
   auto batches = pg::SplitIntoBatches(dataset.graph, 5, 9);
   ASSERT_TRUE(executor.Run(batches).ok());
@@ -50,7 +48,7 @@ TEST(PipelineStatsTest, PerBatchStatsConsistentUnderOverlap) {
                                        s.extract_ms + s.post_process_ms);
     EXPECT_DOUBLE_EQ(s.discovery_ms(),
                      s.preprocess_ms + s.cluster_ms + s.extract_ms);
-    // Without per-batch post-processing the post stage never ran.
+    // Post-processing runs at Finish, never in a batch.
     EXPECT_EQ(s.post_process_ms, 0.0) << "batch " << i;
     // Non-empty batches did real preprocess + cluster work.
     if (!batches[i].empty()) {
@@ -82,30 +80,6 @@ TEST(PipelineStatsTest, PerBatchStatsConsistentUnderOverlap) {
   // The pipeline measured a positive wall clock, and on overlapped runs the
   // per-stage sum may legitimately exceed it (that is the speedup).
   EXPECT_GT(executor.wall_ms(), 0.0);
-}
-
-TEST(PipelineStatsTest, PerBatchPostProcessingRefreshesEveryBatch) {
-  datasets::Dataset dataset =
-      datasets::Generate(datasets::LdbcSpec(), 0.15, 22);
-  core::PgHive hive(&dataset.graph, OverlapOptions(true));
-  core::BatchPipeline executor(&hive);
-  auto batches = pg::SplitIntoBatches(dataset.graph, 4, 9);
-  ASSERT_TRUE(executor.Run(batches).ok());
-
-  // Every batch ran the post stage (constraints + datatypes +
-  // cardinalities), so the schema is already fully post-processed without
-  // Finish(): every property the schema knows carries an inferred datatype.
-  ASSERT_EQ(executor.batch_stats().size(), batches.size());
-  size_t properties_seen = 0;
-  for (const auto& type : hive.schema().node_types()) {
-    for (const auto& [key, info] : type.properties) {
-      if (info.count == 0) continue;  // Never observed with a value.
-      ++properties_seen;
-      EXPECT_NE(info.data_type, pg::DataType::kNull)
-          << "node property " << key << " missing a datatype";
-    }
-  }
-  EXPECT_GT(properties_seen, 0u);
 }
 
 TEST(PipelineStatsTest, SequentialAndOverlappedStatsCountSameClusters) {
